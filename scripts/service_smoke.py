@@ -9,9 +9,14 @@ locally:
    store, with a scaled-down ``.arch.json`` so the grid is smoke-fast;
 2. submit a sweep over HTTP (``POST /sweeps``), poll ``GET
    /jobs/<id>`` to completion, and fetch the rendered table;
-3. stop the service with SIGTERM and require a clean exit (the
-   graceful-drain path);
-4. run the *equivalent* ``repro sweep`` CLI command over the same
+3. while the service is up, run a CLI ``repro sweep`` of a policy the
+   service has not simulated into the same store, then ``POST`` that
+   grid: the service keeps one long-lived store index, and it must
+   serve every point as a hit (no stale miss) and count the CLI's
+   records in ``GET /results``;
+4. stop the service with SIGTERM, require a clean exit (the
+   graceful-drain path), and ``repro store verify`` the store;
+5. run the *equivalent* ``repro sweep`` CLI command over the same
    store and require its table to be **byte-identical** to the
    service's -- serving must add an interface, not a second rendering
    -- and its engine line to report zero simulations (the CLI resolved
@@ -37,6 +42,8 @@ SRC = os.path.join(REPO, "src")
 
 WORKLOAD = "btree"
 POLICIES = ["BL", "LTRF"]
+#: Simulated only by the external CLI writer, never by the service.
+EXTERNAL_POLICY = "RFC"
 
 
 def env():
@@ -68,6 +75,20 @@ def http(method, url, payload=None, timeout=120.0):
 def fail(message):
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def cli_sweep(store, policies, arch_path):
+    """Run ``repro sweep`` into ``store``; its stdout."""
+    cli_env = env()
+    cli_env["LTRF_CACHE_DIR"] = store
+    sweep = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "sweep", WORKLOAD,
+         "--policies", ",".join(policies), "--arch", arch_path],
+        capture_output=True, env=cli_env, text=True,
+    )
+    if sweep.returncode != 0:
+        fail(f"CLI sweep exited {sweep.returncode}: {sweep.stderr}")
+    return sweep.stdout
 
 
 def main():
@@ -122,6 +143,27 @@ def main():
         report = http("GET", f"{url}/report/{job_id}")
         if "<html" not in report.lower():
             fail("GET /report did not return HTML")
+
+        print("== external writer: CLI sweep into the live store ==")
+        cli_sweep(store, [EXTERNAL_POLICY], arch_path)
+        external = json.loads(http("POST", f"{url}/sweeps?wait=1", {
+            "workloads": WORKLOAD, "policies": [EXTERNAL_POLICY],
+            "archs": [arch_path], "label": "service smoke external",
+        }))
+        external_progress = external["progress"]
+        print(f"   {external['id']}: {external_progress}")
+        if external["state"] != "done" \
+                or external_progress["executed"] != 0 \
+                or external_progress["hits"] != external_progress["unique"]:
+            fail("the service re-simulated (or missed) points the CLI "
+                 f"already stored: {external['state']} {external_progress}")
+        expected = progress["unique"] + external_progress["unique"]
+        results = json.loads(http("GET", f"{url}/results"))
+        if results["count"] != expected:
+            fail(f"GET /results saw {results['count']} records after the "
+                 f"external sweep, expected {expected}")
+        print(f"   all {external_progress['unique']} point(s) served as "
+              f"hits; GET /results counts {expected}")
     finally:
         print("== stopping the service (SIGTERM) ==")
         server.send_signal(signal.SIGTERM)
@@ -132,18 +174,18 @@ def main():
             fail("service did not exit on SIGTERM")
     if server.returncode != 0:
         fail(f"service exited {server.returncode}: {err}")
+    verify = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "store", "verify",
+         "--dir", store],
+        capture_output=True, env=env(), text=True,
+    )
+    if verify.returncode != 0:
+        fail(f"store verify failed after the drain:\n{verify.stdout}"
+             f"{verify.stderr}")
+    print("   store verify OK")
 
     print("== running the equivalent CLI sweep over the same store ==")
-    cli_env = env()
-    cli_env["LTRF_CACHE_DIR"] = store
-    sweep = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "sweep", WORKLOAD,
-         "--policies", ",".join(POLICIES), "--arch", arch_path],
-        capture_output=True, env=cli_env, text=True,
-    )
-    if sweep.returncode != 0:
-        fail(f"CLI sweep exited {sweep.returncode}: {sweep.stderr}")
-    lines = sweep.stdout.splitlines()
+    lines = cli_sweep(store, POLICIES, arch_path).splitlines()
     engine_lines = [line for line in lines if line.startswith("[engine]")]
     cli_table = "\n".join(
         line for line in lines if not line.startswith("[engine]")

@@ -643,9 +643,6 @@ def _cmd_serve(args) -> None:
     """Run the HTTP sweep service over one store until signalled."""
     _apply_engine(args.engine)
     root = _store_root(args)
-    # Initialise the store eagerly (and fail cleanly on a bad root) so
-    # /results and /report work from the first request.
-    _open_store(root, must_exist=False).close()
     ssh_hosts = None
     if args.hosts is not None:
         ssh_hosts = [host.strip() for host in args.hosts.split(",")
@@ -658,6 +655,13 @@ def _cmd_serve(args) -> None:
 
     app = ServiceApp(root, backend=args.backend, ssh_hosts=ssh_hosts,
                      job_workers=args.job_workers)
+    # Open the shared store eagerly (and fail cleanly on a bad root)
+    # so /results and /report work from the first request.
+    try:
+        app.tracker.store()
+    except (StoreError, OSError) as error:
+        app.close()
+        _fail(str(error))
     code = serve(app, host=args.host, port=args.port)
     if code:
         raise _CliError(code)

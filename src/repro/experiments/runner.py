@@ -489,19 +489,34 @@ class Runner:
     ``backend`` selects where :meth:`simulate_many` misses execute
     (one of :data:`repro.launchers.BACKENDS`); ``ssh_hosts`` is the
     host rota for ``backend="ssh"`` (falls back to ``LTRF_SSH_HOSTS``).
+
+    ``store`` hands in an already open store to use instead of opening
+    one; ``cache_dir`` then defaults to its root.  The job tracker
+    shares one instance across all its jobs this way, so its index is
+    read from disk once, not once per job.  The caller owns (and
+    closes) a store it hands in.
     """
 
     def __init__(self, cache_dir: Optional[str] = _DEFAULT_CACHE,
                  backend: str = "local",
-                 ssh_hosts: Optional[List[str]] = None) -> None:
-        if cache_dir is _DEFAULT_CACHE:
-            cache_dir = default_cache_dir()
+                 ssh_hosts: Optional[List[str]] = None,
+                 store: Optional[ResultStore] = None) -> None:
+        if store is None:
+            if cache_dir is _DEFAULT_CACHE:
+                cache_dir = default_cache_dir()
+            if cache_dir is not None:
+                store = ResultStore(cache_dir)
+        elif cache_dir is _DEFAULT_CACHE or cache_dir == store.root:
+            cache_dir = store.root
+        else:
+            raise ValueError(
+                f"cache_dir {cache_dir!r} is not the root of the store "
+                f"handed in ({store.root!r})"
+            )
         self.cache_dir = cache_dir
         self.backend = backend
         self.ssh_hosts = list(ssh_hosts) if ssh_hosts else None
-        self.result_store: Optional[ResultStore] = (
-            ResultStore(cache_dir) if cache_dir is not None else None
-        )
+        self.result_store: Optional[ResultStore] = store
         self._memory_cache: Dict[str, RunRecord] = {}
         self.stats = RunnerStats()
         #: Counter snapshot at the last :meth:`log_run`, so run-log

@@ -24,10 +24,14 @@ many identical jobs were in flight.  If an owner dies or is cancelled
 before flushing, waiters wake, re-probe, and claim the key themselves,
 so single-flight never turns one job's failure into everyone's.
 
-Each job executes on its own :class:`Runner` (thread-confined, same
-store), so per-job telemetry is a natural delta and jobs on different
-backends never share mutable state; cross-job dedup flows entirely
-through the store plus the flight registry.
+Each job executes on its own :class:`Runner` (thread-confined), so
+per-job telemetry is a natural delta; cross-job dedup flows entirely
+through the store plus the flight registry.  All those runners share
+one thread-safe :class:`~repro.store.ResultStore` instance, opened by
+the tracker: its index is read from disk once for the tracker's life
+instead of once per job, every job appends to the same segment per
+shard and the same run-log file, and records other processes write
+still show up on the next miss.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from repro.experiments.runner import Runner
 from repro.jobs.plan import JobPlan, execute_plan, plan_requests
 from repro.jobs.spec import JobSpec
 from repro.launchers.scheduler import SweepAborted
+from repro.store import ResultStore
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -182,10 +187,12 @@ class JobTracker:
     """Submit, execute, observe and cancel sweep jobs over one store.
 
     ``runner_factory`` builds the per-job :class:`Runner`; the default
-    shares ``store_dir``/``backend``/``ssh_hosts`` across jobs, which
-    is what makes the store the cross-job dedup substrate.  ``execute``
-    is thread-safe and blocking -- the HTTP service calls it on
-    executor threads; synchronous callers use :meth:`run`.
+    hands every job the tracker's shared :meth:`store` plus
+    ``backend``/``ssh_hosts``, which is what makes the store the
+    cross-job dedup substrate.  ``execute`` is thread-safe and
+    blocking -- the HTTP service calls it on executor threads;
+    synchronous callers use :meth:`run`.  :meth:`close` closes the
+    shared store once the jobs have finished.
     """
 
     def __init__(self, store_dir: Optional[str],
@@ -195,10 +202,11 @@ class JobTracker:
                  = None) -> None:
         self.store_dir = store_dir
         self._runner_factory = runner_factory or (
-            lambda spec: Runner(cache_dir=store_dir,
+            lambda spec: Runner(cache_dir=store_dir, store=self.store(),
                                 backend=spec.backend or backend,
                                 ssh_hosts=ssh_hosts)
         )
+        self._store: Optional[ResultStore] = None
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
@@ -212,6 +220,28 @@ class JobTracker:
         #: engine-independent, so the only thing at stake is *which*
         #: fast path simulates a miss.
         self._engine_lock = threading.Lock()
+
+    # -- the shared store ---------------------------------------------------
+
+    def store(self, create: bool = True) -> Optional[ResultStore]:
+        """The one store instance every job (and the service's queries)
+        reads and writes; ``None`` without a store directory.
+
+        Opened on first use.  With ``create=False`` a directory that is
+        not a store yet raises :class:`~repro.store.StoreError` and is
+        left untouched, so read-only callers never initialise one.
+        """
+        if self._store is None and self.store_dir is not None:
+            with self._lock:
+                if self._store is None:
+                    self._store = ResultStore(self.store_dir, create=create)
+        return self._store
+
+    def close(self) -> None:
+        """Close the shared store's writer handles; call once the jobs
+        have finished."""
+        if self._store is not None:
+            self._store.close()
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -25,6 +25,8 @@ Routes::
 
 Submissions execute on the app's own worker pool (not the server's
 request executor), so long sweeps never starve request handling.
+Jobs and the read routes share the tracker's one store instance, so a
+query reads the in-memory index instead of re-parsing the store.
 """
 
 from __future__ import annotations
@@ -192,13 +194,14 @@ class ServiceApp:
         return Response(200, "text/plain; charset=utf-8", job.table)
 
     def _open_query(self) -> Query:
-        """The store's query surface, or raise with a readable message."""
+        """A query over the tracker's shared store, or raise with a
+        readable message; never initialises a store."""
         if self.store_dir is None or not os.path.isdir(self.store_dir):
             raise StoreError(
                 f"no result store at {self.store_dir!r} (nothing "
                 "simulated yet?)"
             )
-        return Query.open(self.store_dir)
+        return Query(self.tracker.store(create=False))
 
     def _results(self, params: Mapping[str, str]) -> Response:
         unknown = sorted(
@@ -280,6 +283,7 @@ class ServiceApp:
         self._executor.shutdown(wait=True)
         for job in active:
             job.wait(timeout=5.0)
+        self.tracker.close()
         return active
 
     def close(self) -> None:
@@ -287,3 +291,4 @@ class ServiceApp:
         path."""
         self._closed.set()
         self._executor.shutdown(wait=False)
+        self.tracker.close()

@@ -27,6 +27,7 @@ where possible) so maintenance tooling sees *every* record.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -42,8 +43,12 @@ from typing import (
 from repro.store.result_store import ResultStore, StoreStats
 
 
+#: Lowercase hex digits only: no uppercase, no ``0x`` prefix.
+_HEX = re.compile(r"[0-9a-f]+")
+
+
 def _is_hex(text: str) -> bool:
-    return bool(text) and all(c in "0123456789abcdef" for c in text)
+    return _HEX.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,11 @@ scanning segments lazily per shard; on a lookup miss the shard is
 re-scanned incrementally (only bytes appended since the last scan), so
 a store instance observes records published by concurrent writers
 without re-reading whole files.
+
+One instance may be shared by many threads (the service keeps one for
+all its jobs and queries): a single lock covers shard-state creation,
+re-scans, appends and the sidecar writes, while a ``get`` that hits
+the index takes no lock.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -267,6 +273,8 @@ class ResultStore:
         # stores in one process (common in tests and tooling).
         self._writer_id = f"w{os.getpid()}-{next(_INSTANCE_COUNTER)}"
         self._archs_recorded = set()
+        # Re-entrant: put() creates shard state, which scans under it.
+        self._lock = threading.RLock()
 
     # -- format marker ------------------------------------------------------
 
@@ -337,8 +345,14 @@ class ResultStore:
     def _state(self, shard: int) -> _ShardState:
         state = self._states.get(shard)
         if state is None:
-            state = self._states[shard] = _ShardState()
-            self._refresh(shard, state)
+            with self._lock:
+                state = self._states.get(shard)
+                if state is None:
+                    state = _ShardState()
+                    self._refresh(shard, state)
+                    # Published only once scanned, so a lock-free get
+                    # never sees a half-built index.
+                    self._states[shard] = state
         return state
 
     # -- scanning -----------------------------------------------------------
@@ -349,7 +363,8 @@ class ResultStore:
         Only complete lines (ending in ``\\n``) are consumed; a torn
         tail stays pending, so a concurrent writer's in-flight append
         becomes visible on a later refresh, once completed, and a
-        crashed writer's partial tail is ignored forever.
+        crashed writer's partial tail is ignored forever.  Callers
+        hold ``self._lock``.
         """
         directory = self._shard_dir(shard)
         for name in self._shard_segments(shard):
@@ -391,49 +406,64 @@ class ResultStore:
         """Return the payload stored under ``key``, or ``None``.
 
         A miss triggers an incremental re-scan of the key's shard so
-        records published by concurrent writers are observed.
+        records published by concurrent writers are observed.  A hit
+        takes no lock.
         """
         shard = self.shard_of(key)
         state = self._state(shard)
         payload = state.index.get(key)
         if payload is None:
-            self._refresh(shard, state)
-            payload = state.index.get(key)
+            with self._lock:
+                self._refresh(shard, state)
+                payload = state.index.get(key)
         return payload
 
     def put(self, key: str, payload: dict) -> None:
         """Append ``key -> payload`` durably (flushed, atomic line)."""
         shard = self.shard_of(key)
-        state = self._state(shard)
-        handle = self._writer(shard, state)
-        handle.write(_encode_entry(key, payload))
-        handle.flush()
-        # Our own appends go straight into the index; advance the scan
-        # offset so refreshes never re-parse them.  (Read-your-writes:
-        # the local index always reflects this put, even in the exotic
-        # case where a higher-ranked foreign segment holds the key --
-        # a later refresh of that segment would win, exactly as a
-        # fresh replay would.)
-        state.scanned[state.writer_path] = handle.tell()
-        state.index[key] = payload
-        state.source[key] = state.writer_rank
+        line = _encode_entry(key, payload)
+        with self._lock:
+            state = self._state(shard)
+            handle = self._writer(shard, state)
+            handle.write(line)
+            handle.flush()
+            # Our own appends go straight into the index; advance the
+            # scan offset so refreshes never re-parse them.
+            # (Read-your-writes: the local index always reflects this
+            # put, even in the exotic case where a higher-ranked
+            # foreign segment holds the key -- a later refresh of that
+            # segment would win, exactly as a fresh replay would.)
+            state.scanned[state.writer_path] = handle.tell()
+            state.index[key] = payload
+            state.source[key] = state.writer_rank
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
     def keys(self) -> Iterator[str]:
-        """All live keys (forces a full scan)."""
+        """All live keys (forces a full scan).
+
+        Each shard is refreshed and its keys copied under the lock, so
+        puts from other threads while the caller iterates never break
+        the iteration; a key put into an already-yielded shard simply
+        is not seen by this pass.
+        """
         for shard in range(self.shards):
-            state = self._state(shard)
-            self._refresh(shard, state)
-            yield from state.index
+            with self._lock:
+                state = self._state(shard)
+                self._refresh(shard, state)
+                snapshot = list(state.index)
+            yield from snapshot
 
     def close(self) -> None:
-        for state in self._states.values():
-            if state.writer_handle is not None:
-                state.writer_handle.close()
-                state.writer_handle = None
-                state.writer_path = None
+        """Close the writer handles.  The store stays usable: a later
+        put starts a fresh segment."""
+        with self._lock:
+            for state in self._states.values():
+                if state.writer_handle is not None:
+                    state.writer_handle.close()
+                    state.writer_handle = None
+                    state.writer_path = None
 
     # -- writing ------------------------------------------------------------
 
@@ -476,17 +506,18 @@ class ResultStore:
         memoised per instance, and an existing file is never rewritten
         (the fingerprint pins its content).
         """
-        if fingerprint in self._archs_recorded:
-            return
-        self._archs_recorded.add(fingerprint)
-        directory = os.path.join(self.root, _ARCH_DIR)
-        path = os.path.join(directory, f"{fingerprint}.json")
-        if os.path.exists(path):
-            return
-        os.makedirs(directory, exist_ok=True)
-        atomic_write_text(
-            path, json.dumps(payload, sort_keys=True, indent=1) + "\n"
-        )
+        with self._lock:
+            if fingerprint in self._archs_recorded:
+                return
+            self._archs_recorded.add(fingerprint)
+            directory = os.path.join(self.root, _ARCH_DIR)
+            path = os.path.join(directory, f"{fingerprint}.json")
+            if os.path.exists(path):
+                return
+            os.makedirs(directory, exist_ok=True)
+            atomic_write_text(
+                path, json.dumps(payload, sort_keys=True, indent=1) + "\n"
+            )
 
     def arch_payload(self, fingerprint: str) -> Optional[dict]:
         """The recorded architecture description for ``fingerprint``,
@@ -518,11 +549,13 @@ class ResultStore:
         once per completed run, so the open/close per append is noise.
         """
         directory = os.path.join(self.root, _RUNS_DIR)
-        os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"run-{self._writer_id}.jsonl")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            handle.flush()
+        line = json.dumps(payload, sort_keys=True) + "\n"
+        with self._lock:
+            os.makedirs(directory, exist_ok=True)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line)
+                handle.flush()
 
     def iter_run_logs(self) -> Iterator[dict]:
         """Every parseable run-telemetry entry, in (file, line) order.

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import Runner
 from repro.jobs import JobSpec, JobSpecError, JobTracker, UnknownJobError
+from repro.store import ResultStore
 from repro.store.query import Query
 
 SMALL = {"max_resident_warps": 8, "active_warps": 4}
@@ -146,6 +147,46 @@ class TestLifecycle:
         job = tracker.run(fast_spec(engine="dense"))
         assert job.state == "done"
         assert "LTRF_SIM_ENGINE" not in os.environ
+
+
+class TestSharedStore:
+    def test_jobs_append_to_one_segment_per_shard_and_one_run_log(
+            self, tmp_path):
+        """Every job runs on the tracker's one store instance: K cold
+        jobs leave one segment per shard they touched (more jobs than
+        shards, so per-job writers could not manage that) and one
+        run-log file, which still holds one per-job entry each."""
+        tracker = JobTracker(str(tmp_path))
+        jobs = [
+            tracker.run(fast_spec(policies=("BL",), grid=(2.0,), seed=seed,
+                                  label=f"cold {seed}"))
+            for seed in range(1, 21)
+        ]
+        tracker.close()
+        assert [job.state for job in jobs] == ["done"] * len(jobs)
+        store = Query.open(str(tmp_path)).store
+        touched = {store.shard_of(key) for job in jobs for key in job.keys}
+        assert len(touched) < len(jobs)
+        for shard in range(store.shards):
+            directory = tmp_path / f"shard-{shard:02x}"
+            segments = list(directory.glob("seg-*.jsonl")) \
+                if directory.is_dir() else []
+            assert len(segments) == (1 if shard in touched else 0)
+        assert len(list((tmp_path / "runs").iterdir())) == 1
+        history = run_log(str(tmp_path))
+        assert [entry["label"] for entry in history] == [
+            f"{job.id}: cold {seed}" for seed, job in enumerate(jobs, 1)
+        ]
+        assert [entry["simulations"] for entry in history] == [1] * len(jobs)
+        assert Query(store).count() == len(jobs)
+
+    def test_runner_uses_the_store_handed_in(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        runner = Runner(store=store)
+        assert runner.result_store is store
+        assert runner.cache_dir == str(tmp_path)
+        with pytest.raises(ValueError, match="not the root"):
+            Runner(cache_dir=str(tmp_path / "other"), store=store)
 
 
 class TestCancellation:

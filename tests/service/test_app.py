@@ -172,6 +172,18 @@ class TestErrors:
             response = app.handle("GET", "/results", {}, b"")
             assert response.status == 404
             assert "no result store" in body_of(response)["error"]
+            assert not (tmp_path / "missing").exists()
+        finally:
+            app.close()
+
+    def test_results_on_unmarked_dir_404_and_untouched(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        app = ServiceApp(str(tmp_path / "plain"), job_workers=1)
+        try:
+            response = app.handle("GET", "/results", {}, b"")
+            assert response.status == 404
+            assert "not a result store" in body_of(response)["error"]
+            assert list((tmp_path / "plain").iterdir()) == []
         finally:
             app.close()
 
@@ -215,6 +227,47 @@ class TestSingleFlight:
         finally:
             app.drain()
             app.close()
+
+
+class TestSharedStore:
+    def test_external_writer_visible_to_queries_and_jobs(self, app):
+        """The app's one store index never serves a stale miss: records
+        another writer stores after the index was loaded show up in
+        GET /results, and a job over them is all hits."""
+        from repro.experiments import Runner, sweep_requests
+
+        submit_and_wait(app)
+        # The query loads every shard into the app's index.
+        assert body_of(app.handle("GET", "/results", {}, b""))["count"] == 4
+        external = Runner(cache_dir=app.store_dir)
+        external.simulate_many(
+            sweep_requests("RFC", "btree", grid=(1.0, 3.0), **SMALL)
+        )
+        snapshot = submit_and_wait(app, dict(SPEC, policies=["RFC"]))
+        assert snapshot["progress"]["executed"] == 0
+        assert snapshot["progress"]["hits"] == snapshot["progress"]["unique"]
+        external.simulate_many(
+            sweep_requests("RFC", "btree", grid=(5.0,), **SMALL)
+        )
+        external.result_store.close()
+        assert body_of(app.handle("GET", "/results", {}, b""))["count"] == 7
+
+    def test_jobs_and_queries_open_the_store_once(self, app, monkeypatch):
+        from repro.store import ResultStore
+
+        opens = []
+        original = ResultStore.__init__
+
+        def counting_init(store, *args, **kwargs):
+            opens.append(args)
+            original(store, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "__init__", counting_init)
+        for seed in range(3):
+            job_id = submit_and_wait(app, dict(SPEC, seed=seed))["id"]
+            assert app.handle("GET", "/results", {}, b"").status == 200
+        assert app.handle("GET", f"/report/{job_id}", {}, b"").status == 200
+        assert len(opens) == 1
 
 
 class TestDrain:

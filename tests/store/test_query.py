@@ -60,6 +60,13 @@ class TestParseKey:
         f"btree__BL__a{ARCH_FP}__0",                  # no kernel fp
         f"btree__BL__a{ARCH_FP}__0__knothex",         # non-hex kernel
         f"__BL__a{ARCH_FP}__0__k{KERNEL_FP}",         # empty workload
+        f"btree__BL__a{ARCH_FP.upper()}__0__k{KERNEL_FP}",  # uppercase arch
+        f"btree__BL__{ARCH_FP.upper()}__0__k{KERNEL_FP}",   # uppercase cfg
+        f"btree__BL__a{ARCH_FP}__0__k{KERNEL_FP.upper()}",  # uppercase kernel
+        f"btree__BL__a0x{ARCH_FP}__0__k{KERNEL_FP}",        # 0x arch
+        f"btree__BL__0x{ARCH_FP}__0__k{KERNEL_FP}",         # 0x cfg
+        f"btree__BL__a{ARCH_FP}__0__k0x{KERNEL_FP}",        # 0x kernel
+        f"btree__BL__a{ARCH_FP}__0__k{KERNEL_FP}\n",  # trailing newline
     ])
     def test_malformed_keys_rejected(self, bad):
         assert parse_key(bad) is None

@@ -2,10 +2,12 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
-from repro.store import ResultStore, StoreError, legacy_entry_name
+from repro.store import Query, ResultStore, StoreError, legacy_entry_name
 from repro.store.result_store import FORMAT_FILE
 
 
@@ -325,3 +327,60 @@ class TestCrashConsistency:
         clean.put("k", {"v": 1})
         clean.put("k", {"v": 1})
         assert clean.verify().ok
+
+
+class TestSharedInstance:
+    def test_queries_and_puts_race_on_one_instance(self, tmp_path):
+        """Query threads iterate while writer threads put into the same
+        instance (the service's shape): no iteration error, every put
+        readable, and the live view equals a fresh full replay."""
+        store = ResultStore(str(tmp_path))
+        # The first query imports the record schema; do it up front so
+        # the readers iterate while the writers run.
+        Query(store).records()
+        writers, readers, puts = 2, 2, 400
+        errors = []
+        writing = threading.Event()
+        writing.set()
+
+        def write(writer):
+            try:
+                for index in range(puts):
+                    store.put(f"w{writer}-{index}", {"v": index})
+            except Exception as error:   # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def read():
+            try:
+                while writing.is_set():
+                    Query(store).records()
+            except Exception as error:   # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=write, args=(n,))
+                   for n in range(writers)]
+        threads += [threading.Thread(target=read) for _ in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads[:writers]:
+                thread.join(timeout=60.0)
+            writing.clear()
+            for thread in threads[writers:]:
+                thread.join(timeout=60.0)
+        finally:
+            writing.clear()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for writer in range(writers):
+            for index in range(puts):
+                assert store.get(f"w{writer}-{index}") == {"v": index}
+        live = {key: store.get(key) for key in store.keys()}
+        assert len(live) == writers * puts
+        store.close()
+        fresh = ResultStore(str(tmp_path))
+        assert live == {key: fresh.get(key) for key in fresh.keys()}
+        assert fresh.verify().ok

@@ -674,3 +674,10 @@ class TestServeCommand:
         monkeypatch.setenv("LTRF_CACHE_DIR", "")
         assert main(["serve"]) == 2
         assert "set but empty" in capsys.readouterr().err
+
+    def test_rejects_unreadable_store_before_serving(self, capsys, tmp_path):
+        (tmp_path / "STORE_FORMAT").write_text("not json\n")
+        assert main(["serve", "--dir", str(tmp_path), "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unreadable store marker" in err
