@@ -15,7 +15,8 @@ decodes.  One report covers:
   appends after each sweep: simulations vs cache hits, cycles
   skipped, compile-cache hit rates, pool retries, host seconds.
 * **Store health** -- live/superseded record counts plus the damage
-  counters (corrupt lines, torn tails) from a full verify-grade scan.
+  counters (corrupt lines, torn tails), read off the same live index
+  the records came from (``store verify`` is the full replay).
 * **Perf trajectory** -- medians per benchmark across committed
   ``BENCH_*.json`` history files (pytest-benchmark format), so a
   report shows how simulator performance moved over time.

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -43,17 +44,18 @@ from typing import (
 from repro.store.result_store import ResultStore, StoreStats
 
 
-#: Lowercase hex digits only: no uppercase, no ``0x`` prefix.
-_HEX = re.compile(r"[0-9a-f]+")
+#: Whether a whole string is lowercase hex digits only (no uppercase,
+#: no ``0x`` prefix); returns a match or ``None``.
+_is_hex = re.compile(r"[0-9a-f]+").fullmatch
 
 
-def _is_hex(text: str) -> bool:
-    return _HEX.fullmatch(text) is not None
+class ParsedKey(NamedTuple):
+    """The structured form of one result-store cache key.
 
-
-@dataclass(frozen=True)
-class ParsedKey:
-    """The structured form of one result-store cache key."""
+    A read-only named tuple rather than a frozen dataclass: the query
+    layer builds one per stored record, and a tuple is constructed in
+    about half the time.
+    """
 
     workload: str
     policy: str
@@ -95,9 +97,9 @@ def parse_key(key: str) -> Optional[ParsedKey]:
     return None
 
 
-@dataclass(frozen=True)
-class StoredRecord:
-    """One typed row of the store: a decoded ``key -> payload`` entry."""
+class StoredRecord(NamedTuple):
+    """One typed row of the store: a decoded ``key -> payload`` entry
+    (a read-only named tuple, like :class:`ParsedKey`)."""
 
     key: str
     workload: str
@@ -273,18 +275,14 @@ class Query:
         """Every live record passing the filter chain, sorted by key
         (deterministic regardless of segment/shard layout)."""
         schema_fields = _current_schema_fields()
+        predicates = self._predicates
         latency_cache: Dict[str, Optional[float]] = {}
         rows = []
-        for key in self._store.keys():
-            payload = self._store.get(key)
-            if payload is None:       # compacted away mid-iteration
-                continue
+        for key, payload in self._store.items():
             parsed = parse_key(key)
             if parsed is not None:
-                workload, policy = parsed.workload, parsed.policy
-                arch_fp = parsed.arch_fingerprint
-                config_fp = parsed.config_fingerprint
-                seed, kernel_fp = parsed.seed, parsed.kernel_fingerprint
+                (workload, policy, arch_fp, config_fp, seed,
+                 kernel_fp) = parsed
             else:
                 workload = str(payload.get("workload", ""))
                 policy = str(payload.get("policy", ""))
@@ -299,13 +297,14 @@ class Query:
                 arch_fingerprint=arch_fp, config_fingerprint=config_fp,
                 seed=seed, kernel_fingerprint=kernel_fp,
                 payload=payload,
-                schema_ok=frozenset(payload) == schema_fields,
+                schema_ok=payload.keys() == schema_fields,
                 latency=latency_cache[arch_fp],
                 key_ok=parsed is not None,
             )
-            if all(predicate(record) for predicate in self._predicates):
+            if not predicates or all(predicate(record)
+                                     for predicate in predicates):
                 rows.append(record)
-        rows.sort(key=lambda r: r.key)
+        rows.sort(key=attrgetter("key"))
         return rows
 
     def count(self) -> int:
@@ -369,8 +368,10 @@ class Query:
     # -- store-level reads --------------------------------------------------
 
     def stats(self) -> StoreStats:
-        """On-disk shape of the whole store (full scan; includes the
-        corrupt-line and torn-tail damage counters reports surface)."""
+        """On-disk shape of the whole store, including the corrupt-line
+        and torn-tail damage counters reports surface.  Read off the
+        store's live index (see :meth:`ResultStore.stats`), so it costs
+        no second pass over the records."""
         return self._store.stats()
 
     def run_history(self) -> List[dict]:

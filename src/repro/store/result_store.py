@@ -38,7 +38,10 @@ The in-memory index maps key -> record payload and is (re)built by
 scanning segments lazily per shard; on a lookup miss the shard is
 re-scanned incrementally (only bytes appended since the last scan), so
 a store instance observes records published by concurrent writers
-without re-reading whole files.
+without re-reading whole files.  The same scan counts parsed entries,
+corrupt lines and torn tails per segment, so ``stats`` and ``items``
+are served from the index; only ``verify`` (and ``compact``) replay
+every segment from scratch.
 
 One instance may be shared by many threads (the service keeps one for
 all its jobs and queries): a single lock covers shard-state creation,
@@ -190,8 +193,8 @@ def _decode_entry(line: bytes) -> Optional[Tuple[str, dict]]:
     """Parse one non-blank segment line; ``None`` if it is corrupt.
 
     The single place entry framing is validated, shared by the
-    incremental index and the full stats/verify/compact replay so the
-    two can never disagree about what counts as corrupt.
+    incremental index and the full verify/compact replay so the two
+    can never disagree about what counts as corrupt.
     """
     try:
         entry = json.loads(line)
@@ -218,11 +221,24 @@ def _is_segment_name(name: str) -> bool:
     return name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
 
 
+class _Segment:
+    """Incremental-scan bookkeeping for one segment file."""
+
+    __slots__ = ("rank", "scanned", "size", "entries", "corrupt")
+
+    def __init__(self, rank: Tuple[int, str]) -> None:
+        self.rank = rank
+        self.scanned = 0      # bytes consumed (always ends on a newline)
+        self.size = 0         # file size at the last refresh
+        self.entries = 0      # lines among the consumed bytes that parsed
+        self.corrupt = 0      # lines among the consumed bytes that did not
+
+
 class _ShardState:
     """Per-shard index plus incremental-scan bookkeeping."""
 
-    __slots__ = ("index", "source", "scanned", "corrupt_lines",
-                 "writer_path", "writer_handle", "writer_rank")
+    __slots__ = ("index", "source", "segments", "writer_path",
+                 "writer_handle", "writer_rank", "writer_segment")
 
     def __init__(self) -> None:
         self.index: Dict[str, dict] = {}
@@ -233,12 +249,13 @@ class _ShardState:
         #: only if its segment outranks the current source -- keeping
         #: the live index's winner identical to a fresh full replay's.
         self.source: Dict[str, Tuple[int, str]] = {}
-        #: segment path -> bytes consumed (always ends on a newline).
-        self.scanned: Dict[str, int] = {}
-        self.corrupt_lines = 0
+        #: segment path -> scan bookkeeping, for exactly the segments
+        #: the last refresh listed.
+        self.segments: Dict[str, _Segment] = {}
         self.writer_path: Optional[str] = None
         self.writer_handle = None
         self.writer_rank: Tuple[int, str] = (0, "")
+        self.writer_segment: Optional[_Segment] = None
 
 
 class ResultStore:
@@ -355,6 +372,15 @@ class ResultStore:
                     self._states[shard] = state
         return state
 
+    def _current(self, shard: int) -> _ShardState:
+        """The shard's state with every byte now on disk folded in.
+        Callers hold ``self._lock``."""
+        state = self._states.get(shard)
+        if state is None:
+            return self._state(shard)
+        self._refresh(shard, state)
+        return state
+
     # -- scanning -----------------------------------------------------------
 
     def _refresh(self, shard: int, state: _ShardState) -> None:
@@ -363,42 +389,48 @@ class ResultStore:
         Only complete lines (ending in ``\\n``) are consumed; a torn
         tail stays pending, so a concurrent writer's in-flight append
         becomes visible on a later refresh, once completed, and a
-        crashed writer's partial tail is ignored forever.  Callers
-        hold ``self._lock``.
+        crashed writer's partial tail is ignored forever.  Each
+        consumed line is counted once, as an entry or as corrupt, in
+        its segment's bookkeeping; segments no longer listed (compacted
+        away) drop out of it.  Callers hold ``self._lock``.
         """
         directory = self._shard_dir(shard)
+        listed: Dict[str, _Segment] = {}
         for name in self._shard_segments(shard):
             path = os.path.join(directory, name)
-            rank = _segment_sort_key(name)
-            consumed = state.scanned.get(path, 0)
             try:
                 size = os.path.getsize(path)
             except OSError:
                 # Compacted away under us; its live entries are in a
                 # later segment which this same loop replays.
-                state.scanned.pop(path, None)
                 continue
-            if size <= consumed:
-                continue
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(consumed)
-                    chunk = handle.read(size - consumed)
-            except OSError:
-                continue
-            complete = chunk.rfind(b"\n") + 1
-            for line in chunk[:complete].splitlines():
-                if not line.strip():
+            segment = listed[path] = (state.segments.get(path)
+                                      or _Segment(_segment_sort_key(name)))
+            consumed = segment.scanned
+            if size > consumed:
+                try:
+                    with open(path, "rb") as handle:
+                        handle.seek(consumed)
+                        chunk = handle.read(size - consumed)
+                except OSError:
                     continue
-                decoded = _decode_entry(line)
-                if decoded is None:
-                    state.corrupt_lines += 1
-                    continue
-                key, payload = decoded
-                if rank >= state.source.get(key, (-1, "")):
-                    state.index[key] = payload
-                    state.source[key] = rank
-            state.scanned[path] = consumed + complete
+                complete = chunk.rfind(b"\n") + 1
+                rank = segment.rank
+                for line in chunk[:complete].splitlines():
+                    if not line.strip():
+                        continue
+                    decoded = _decode_entry(line)
+                    if decoded is None:
+                        segment.corrupt += 1
+                        continue
+                    segment.entries += 1
+                    key, payload = decoded
+                    if rank >= state.source.get(key, (-1, "")):
+                        state.index[key] = payload
+                        state.source[key] = rank
+                segment.scanned = consumed + complete
+            segment.size = size
+        state.segments = listed
 
     # -- public API ---------------------------------------------------------
 
@@ -433,27 +465,32 @@ class ResultStore:
             # put, even in the exotic case where a higher-ranked
             # foreign segment holds the key -- a later refresh of that
             # segment would win, exactly as a fresh replay would.)
-            state.scanned[state.writer_path] = handle.tell()
+            segment = state.writer_segment
+            segment.scanned = handle.tell()
+            segment.entries += 1
             state.index[key] = payload
             state.source[key] = state.writer_rank
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
-    def keys(self) -> Iterator[str]:
-        """All live keys (forces a full scan).
+    def items(self) -> Iterator[Tuple[str, dict]]:
+        """Every live ``(key, payload)``, shard by shard.
 
-        Each shard is refreshed and its keys copied under the lock, so
-        puts from other threads while the caller iterates never break
-        the iteration; a key put into an already-yielded shard simply
-        is not seen by this pass.
+        Each shard is refreshed (only bytes appended since this
+        instance last read it) and copied under the lock, so puts from
+        other threads while the caller iterates never break the
+        iteration; a key put into an already-yielded shard simply is
+        not seen by this pass.
         """
         for shard in range(self.shards):
             with self._lock:
-                state = self._state(shard)
-                self._refresh(shard, state)
-                snapshot = list(state.index)
+                snapshot = list(self._current(shard).index.items())
             yield from snapshot
+
+    def keys(self) -> Iterator[str]:
+        """Every live key, with the snapshot contract of :meth:`items`."""
+        return (key for key, _ in self.items())
 
     def close(self) -> None:
         """Close the writer handles.  The store stays usable: a later
@@ -491,7 +528,8 @@ class ResultStore:
         state.writer_path = path
         state.writer_handle = handle
         state.writer_rank = (seq, self._writer_id)
-        state.scanned[path] = 0
+        state.writer_segment = state.segments[path] = _Segment(
+            state.writer_rank)
         return handle
 
     # -- sidecars (arch manifest + run-telemetry logs) ----------------------
@@ -591,9 +629,9 @@ class ResultStore:
         """Fresh full replay of one shard, independent of the index.
 
         Returns ``({key: payload}, {key: {encoded variants}},
-        per-shard counters)``.  Used by stats/verify/compact so they
-        report the on-disk truth even if this instance's incremental
-        index is stale or this process wrote nothing.
+        per-shard counters)``.  Used by verify/compact so they see the
+        on-disk truth even if bytes this instance already read were
+        rewritten in place.
         """
         directory = self._shard_dir(shard)
         live: Dict[str, dict] = {}
@@ -630,16 +668,40 @@ class ResultStore:
         }
 
     def stats(self) -> StoreStats:
-        """Aggregate on-disk shape (a full scan, same cost as verify)."""
-        return self.verify().stats
+        """Aggregate on-disk shape, read off the live index.
+
+        One incremental refresh per shard, then field for field equal
+        to ``verify().stats``: the stats cover every byte the instance
+        has read, once.  Rewriting already-read bytes in place breaks
+        the append-only contract; catching that is :meth:`verify`'s job.
+        """
+        segments = entries = live_keys = corrupt = torn = size = 0
+        for shard in range(self.shards):
+            with self._lock:
+                state = self._current(shard)
+                live_keys += len(state.index)
+                for segment in state.segments.values():
+                    segments += 1
+                    entries += segment.entries
+                    corrupt += segment.corrupt
+                    torn += segment.size > segment.scanned
+                    size += segment.size
+        return StoreStats(
+            root=self.root, shards=self.shards, segments=segments,
+            entries=entries, live_keys=live_keys,
+            superseded=entries - live_keys, corrupt_lines=corrupt,
+            torn_tails=torn, bytes=size,
+        )
 
     def verify(self) -> VerifyReport:
-        """Full-store consistency scan.
+        """Full-store consistency scan, independent of the live index.
 
-        Fails (``.ok == False``) on corrupt interior lines or on any
-        key with multiple *distinct* payloads -- the simulator is
-        deterministic, so that means key aliasing or data corruption.
-        Torn tails and superseded duplicates are tolerated by design.
+        Replays every segment from scratch, since only a replay sees
+        every payload variant of a key.  Fails (``.ok == False``) on
+        corrupt interior lines or on any key with multiple *distinct*
+        payloads -- the simulator is deterministic, so that means key
+        aliasing or data corruption.  Torn tails and superseded
+        duplicates are tolerated by design.
         """
         totals = {"segments": 0, "entries": 0, "corrupt": 0, "torn": 0,
                   "bytes": 0}
@@ -693,40 +755,24 @@ class ResultStore:
             shards_compacted += 1
             entries_dropped += dead
             top_seq = _segment_sort_key(segments[-1])[0]
-            state = self._states.get(shard)
-            if state is not None:
-                # The full replay is the on-disk truth (it may include
-                # entries our incremental index hasn't consumed, and
-                # excludes anything about to be deleted); reset the
-                # shard's live index to it wholesale.
-                state.index = dict(live)
-                state.source = {}
             if live:
-                writer = f"{self._writer_id}-compact"
                 name = (f"{_SEGMENT_PREFIX}{top_seq + 1:06d}-"
-                        f"{writer}{_SEGMENT_SUFFIX}")
-                path = os.path.join(directory, name)
+                        f"{self._writer_id}-compact{_SEGMENT_SUFFIX}")
                 text = "".join(
                     _encode_entry(key, payload)
                     for key, payload in live.items()
                 )
-                atomic_write_text(path, text)
+                atomic_write_text(os.path.join(directory, name), text)
                 segments_after += 1
                 bytes_after += len(text.encode())
-                if state is not None:
-                    # The new segment's content is now in our index;
-                    # never re-scan it.
-                    state.scanned[path] = len(text.encode())
-                    rank = (top_seq + 1, writer)
-                    state.source = {key: rank for key in live}
             for name in segments:
-                path = os.path.join(directory, name)
                 try:
-                    os.remove(path)
+                    os.remove(os.path.join(directory, name))
                 except OSError:
                     pass
-                if state is not None:
-                    state.scanned.pop(path, None)
+            # The shard's index and counters describe segments that are
+            # gone; the next access rebuilds them from the new one.
+            self._states.pop(shard, None)
         return CompactionReport(
             shards_compacted=shards_compacted,
             segments_before=segments_before,

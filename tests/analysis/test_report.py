@@ -25,6 +25,20 @@ def sweep_runner(tmp_path):
     return runner
 
 
+def append_corrupt_line(tmp_path):
+    """Append one interior corrupt line to a record segment (the
+    trailing newline keeps it from reading as a torn tail)."""
+    segments = [
+        os.path.join(directory, name)
+        for directory, _, names in os.walk(tmp_path / "store")
+        for name in names
+        if name.endswith(".jsonl") and "shard-" in directory
+    ]
+    assert segments
+    with open(segments[0], "a") as handle:
+        handle.write("{this is not json}\n")
+
+
 def write_bench(path, medians):
     path.write_text(json.dumps({
         "machine_info": {"node": "test"},
@@ -64,23 +78,32 @@ class TestBuildReport:
         assert any("'NOPE' absent" in note for note in report.notes)
 
     def test_corrupt_lines_surface_in_notes(self, tmp_path):
-        runner = sweep_runner(tmp_path)
-        runner.result_store.close()
-        segments = [
-            os.path.join(directory, name)
-            for directory, _, names in os.walk(tmp_path / "store")
-            for name in names
-            if name.endswith(".jsonl") and "shard-" in directory
-        ]
-        assert segments
-        with open(segments[0], "a") as handle:
-            # An interior corrupt line (the trailing newline keeps it
-            # from reading as a torn tail).
-            handle.write("{this is not json}\n")
+        sweep_runner(tmp_path).result_store.close()
+        append_corrupt_line(tmp_path)
         report = build_report(Query.open(str(tmp_path / "store")))
         assert report.stats.corrupt_lines >= 1
         assert any("corrupt line(s)" in note for note in report.notes)
         assert "corrupt line(s)" in report.summary_text()
+
+    def test_store_health_needs_no_full_replay(self, tmp_path, monkeypatch):
+        """Store health is read off the live index the records came
+        from; only `store verify` replays every segment."""
+        from repro.analysis import render_html
+        from repro.store import ResultStore
+
+        sweep_runner(tmp_path).result_store.close()
+        append_corrupt_line(tmp_path)
+
+        def no_replay(store, shard):
+            raise AssertionError("the report replayed the store")
+
+        monkeypatch.setattr(ResultStore, "_scan_shard_full", no_replay)
+        report = build_report(Query.open(str(tmp_path / "store")))
+        assert report.stats.corrupt_lines == 1
+        assert any(note.startswith("store damage: 1 corrupt line(s)")
+                   for note in report.notes)
+        assert '<td class="t">corrupt lines</td><td>1</td>' \
+            in render_html(report)
 
     def test_fault_tolerance_counters_aggregate_and_render(
             self, tmp_path):
@@ -173,16 +196,8 @@ class TestWriteReport:
         assert "compile cache hit rate" in html
 
     def test_corrupt_lines_rendered_in_html(self, tmp_path):
-        runner = sweep_runner(tmp_path)
-        runner.result_store.close()
-        segments = [
-            os.path.join(directory, name)
-            for directory, _, names in os.walk(tmp_path / "store")
-            for name in names
-            if name.endswith(".jsonl") and "shard-" in directory
-        ]
-        with open(segments[0], "a") as handle:
-            handle.write("{this is not json}\n")
+        sweep_runner(tmp_path).result_store.close()
+        append_corrupt_line(tmp_path)
         report = build_report(Query.open(str(tmp_path / "store")))
         paths = write_report(report, str(tmp_path / "out"))
         html = open(paths["report.html"]).read()

@@ -120,6 +120,19 @@ class TestRoutes:
         scoped = Query.open(app.store_dir).where(key_in=job.keys)
         assert scoped.count() == 4
 
+    def test_report_needs_no_full_replay(self, app, monkeypatch):
+        """The report's store health comes off the shared live index;
+        a request never replays every segment."""
+        from repro.store import ResultStore
+
+        job_id = submit_and_wait(app)["id"]
+
+        def no_replay(store, shard):
+            raise AssertionError("GET /report replayed the store")
+
+        monkeypatch.setattr(ResultStore, "_scan_shard_full", no_replay)
+        assert app.handle("GET", f"/report/{job_id}", {}, b"").status == 200
+
     def test_wait_falsy_values_do_not_block(self, app):
         response = app.handle("POST", "/sweeps", {"wait": "0"},
                               json.dumps(SPEC).encode())

@@ -188,6 +188,22 @@ class TestQuery:
         assert records[0].ipc == 2.0
         assert Query.open(str(tmp_path)).where(schema_ok=True).count() == 0
 
+    def test_rows_and_parsed_keys_are_read_only(self, tmp_path):
+        key = f"btree__BL__a{ARCH_FP}__3__k{KERNEL_FP}"
+        store = ResultStore(str(tmp_path), create=True)
+        store.put(key, record_payload())
+        (record,) = Query(store).records()
+        assert (record.key, record.workload, record.policy, record.seed,
+                record.arch_fingerprint, record.config_fingerprint,
+                record.kernel_fingerprint, record.schema_ok,
+                record.key_ok, record.latency) == (
+            key, "btree", "BL", 3, ARCH_FP, "", KERNEL_FP, True, True,
+            None)
+        with pytest.raises(AttributeError):
+            record.policy = "LTRF"
+        with pytest.raises(AttributeError):
+            parse_key(key).seed = 4
+
     def test_unparseable_key_still_yields_row(self, tmp_path):
         store = ResultStore(str(tmp_path), create=True)
         store.put("not-a-cache-key", record_payload(workload="mystery"))
