@@ -192,6 +192,7 @@ class TestQuery:
         key = f"btree__BL__a{ARCH_FP}__3__k{KERNEL_FP}"
         store = ResultStore(str(tmp_path), create=True)
         store.put(key, record_payload())
+        store.close()
         (record,) = Query(store).records()
         assert (record.key, record.workload, record.policy, record.seed,
                 record.arch_fingerprint, record.config_fingerprint,

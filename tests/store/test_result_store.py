@@ -331,9 +331,10 @@ class TestCrashConsistency:
 
 class TestSharedInstance:
     def test_queries_and_puts_race_on_one_instance(self, tmp_path):
-        """Query threads iterate while writer threads put into the same
-        instance (the service's shape): no iteration error, every put
-        readable, and the live view equals a fresh full replay."""
+        """Query threads iterate and read stats while writer threads
+        put into the same instance (the service's shape): no iteration
+        error, every put readable and counted, and the live view equals
+        a fresh full replay."""
         store = ResultStore(str(tmp_path))
         # The first query imports the record schema; do it up front so
         # the readers iterate while the writers run.
@@ -354,6 +355,7 @@ class TestSharedInstance:
             try:
                 while writing.is_set():
                     Query(store).records()
+                    store.stats()
             except Exception as error:   # noqa: BLE001 - reported below
                 errors.append(error)
 
@@ -380,6 +382,7 @@ class TestSharedInstance:
                 assert store.get(f"w{writer}-{index}") == {"v": index}
         live = {key: store.get(key) for key in store.keys()}
         assert len(live) == writers * puts
+        assert store.stats() == store.verify().stats
         store.close()
         fresh = ResultStore(str(tmp_path))
         assert live == {key: fresh.get(key) for key in fresh.keys()}
