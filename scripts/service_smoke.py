@@ -13,9 +13,14 @@ locally:
    service has not simulated into the same store, then ``POST`` that
    grid: the service keeps one long-lived store index, and it must
    serve every point as a hit (no stale miss) and count the CLI's
-   records in ``GET /results``;
+   records in ``GET /results``.  The same filtered ``GET
+   /results?workload=...&policy=...`` is sent before and after the
+   CLI writes: the service's long-lived base query must see the new
+   keys;
 4. stop the service with SIGTERM, require a clean exit (the
-   graceful-drain path), and ``repro store verify`` the store;
+   graceful-drain path), ``repro store verify`` the store, and
+   require the filtered count to equal a fresh ``Query.open`` over
+   it;
 5. run the *equivalent* ``repro sweep`` CLI command over the same
    store and require its table to be **byte-identical** to the
    service's -- serving must add an interface, not a second rendering
@@ -35,6 +40,7 @@ import sys
 import tempfile
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -145,7 +151,11 @@ def main():
             fail("GET /report did not return HTML")
 
         print("== external writer: CLI sweep into the live store ==")
+        filtered_url = f"{url}/results?" + urllib.parse.urlencode(
+            {"workload": WORKLOAD, "policy": EXTERNAL_POLICY})
+        before = json.loads(http("GET", filtered_url))["count"]
         cli_sweep(store, [EXTERNAL_POLICY], arch_path)
+        filtered = json.loads(http("GET", filtered_url))["count"]
         external = json.loads(http("POST", f"{url}/sweeps?wait=1", {
             "workloads": WORKLOAD, "policies": [EXTERNAL_POLICY],
             "archs": [arch_path], "label": "service smoke external",
@@ -157,13 +167,18 @@ def main():
                 or external_progress["hits"] != external_progress["unique"]:
             fail("the service re-simulated (or missed) points the CLI "
                  f"already stored: {external['state']} {external_progress}")
+        if filtered != before + external_progress["unique"]:
+            fail(f"the filtered GET /results counted {before} record(s) "
+                 f"before the external sweep and {filtered} after it; "
+                 f"the sweep stored {external_progress['unique']}")
         expected = progress["unique"] + external_progress["unique"]
         results = json.loads(http("GET", f"{url}/results"))
         if results["count"] != expected:
             fail(f"GET /results saw {results['count']} records after the "
                  f"external sweep, expected {expected}")
         print(f"   all {external_progress['unique']} point(s) served as "
-              f"hits; GET /results counts {expected}")
+              f"hits; GET /results counts {expected} ({before} -> "
+              f"{filtered} for {EXTERNAL_POLICY})")
     finally:
         print("== stopping the service (SIGTERM) ==")
         server.send_signal(signal.SIGTERM)
@@ -183,6 +198,12 @@ def main():
         fail(f"store verify failed after the drain:\n{verify.stdout}"
              f"{verify.stderr}")
     print("   store verify OK")
+    from repro.store import Query
+    stored = Query.open(store).where(workload=WORKLOAD,
+                                     policy=EXTERNAL_POLICY).count()
+    if stored != filtered:
+        fail(f"the service's filtered GET /results counted {filtered} "
+             f"record(s), a fresh query over the drained store {stored}")
 
     print("== running the equivalent CLI sweep over the same store ==")
     lines = cli_sweep(store, POLICIES, arch_path).splitlines()

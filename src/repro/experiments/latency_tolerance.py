@@ -65,8 +65,9 @@ def normalized_sweep(runner: Runner, policy: str, workload: str,
     Reads through the public cache surface: each grid point is probed
     with :meth:`Runner.lookup` first, so a sweep already warmed by
     :meth:`Runner.simulate_many` (how every figure drives its grid)
-    costs pure lookups; only genuinely cold points fall back to the
-    batch engine.
+    costs pure lookups, which charge no cache hits (the plan that
+    served each point already did); only genuinely cold points fall
+    back to the batch engine.
     """
     requests = sweep_requests(policy, workload, grid, arch=arch,
                               **config_overrides)

@@ -590,16 +590,24 @@ class Runner:
             return key
         return f"{key.rsplit('__k', 1)[0]}__k{fingerprint}"
 
-    def lookup(self, key: str) -> Optional[RunRecord]:
+    def lookup(self, key: str, planned: bool = False) -> Optional[RunRecord]:
         """The cached record under ``key``, or ``None`` on a miss.
 
         The public read path (memory cache, then the result store):
         figure renderers and scripts consume warm records through this
         -- and through :meth:`results` for whole-store queries --
         instead of poking the runner's cache internals.
+
+        A hit is charged to :attr:`stats` only when ``planned``: the
+        read serves a grid point the runner was asked for (at plan
+        time, or a single-flight follower's read-back).  Reading back
+        a point already served -- every render-time read in
+        ``normalized_sweep`` -- is free, so a cold sweep reports no
+        hits and a warm one one per point.
         """
         if key in self._memory_cache:
-            self.stats.memory_hits += 1
+            if planned:
+                self.stats.memory_hits += 1
             return self._memory_cache[key]
         if self.result_store is None:
             return None
@@ -614,7 +622,8 @@ class Runner:
             # appended under the same key and shadows it; compaction
             # reclaims the dead bytes.
             return None
-        self.stats.disk_hits += 1
+        if planned:
+            self.stats.disk_hits += 1
         self._memory_cache[key] = record
         return record
 
@@ -634,7 +643,8 @@ class Runner:
 
     def _load_or_migrate(self, key: str,
                          request: SimRequest) -> Optional[RunRecord]:
-        """:meth:`lookup`, falling back to the legacy key format.
+        """:meth:`lookup` of a planned point, falling back to the legacy
+        key format.
 
         A record found only under the legacy key is re-homed: stored
         again under the current arch-fingerprint key, so the probe cost
@@ -643,7 +653,7 @@ class Runner:
         in place -- the store is append-only and old readers may still
         address it.
         """
-        record = self.lookup(key)
+        record = self.lookup(key, planned=True)
         if record is not None:
             return record
         if self.result_store is None:

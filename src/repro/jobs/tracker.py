@@ -412,7 +412,7 @@ class JobTracker:
             event = self._flights.watch(key)
             if event is not None and not event.wait(_WAIT_POLL_SECONDS):
                 continue        # still in flight; re-check cancellation
-            record = runner.lookup(key)
+            record = runner.lookup(key, planned=True)
             if record is not None:
                 plan.results[key] = record
                 job.progress["waited"] += 1

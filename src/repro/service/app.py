@@ -26,7 +26,9 @@ Routes::
 Submissions execute on the app's own worker pool (not the server's
 request executor), so long sweeps never starve request handling.
 Jobs and the read routes share the tracker's one store instance, so a
-query reads the in-memory index instead of re-parsing the store.
+query reads the in-memory index instead of re-parsing the store, and
+every query derives from one base :class:`Query`, so each key is
+parsed once for the server's lifetime.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ class ServiceApp:
             thread_name_prefix="sweep-job",
         )
         self._closed = threading.Event()
+        #: Every read route derives its query from this one, so they
+        #: share its key-parse memo; rebuilt if the store changes.
+        self._query: Optional[Query] = None
 
     # -- dispatch -----------------------------------------------------------
 
@@ -194,14 +199,18 @@ class ServiceApp:
         return Response(200, "text/plain; charset=utf-8", job.table)
 
     def _open_query(self) -> Query:
-        """A query over the tracker's shared store, or raise with a
-        readable message; never initialises a store."""
+        """The base query over the tracker's shared store, or raise
+        with a readable message; never initialises a store."""
         if self.store_dir is None or not os.path.isdir(self.store_dir):
             raise StoreError(
                 f"no result store at {self.store_dir!r} (nothing "
                 "simulated yet?)"
             )
-        return Query(self.tracker.store(create=False))
+        store = self.tracker.store(create=False)
+        query = self._query
+        if query is None or query.store is not store:
+            query = self._query = Query(store)
+        return query
 
     def _results(self, params: Mapping[str, str]) -> Response:
         unknown = sorted(

@@ -22,10 +22,16 @@ the pre-arch-fingerprint legacy format (a bare config hash in place of
 the ``a<fp>`` segment) decode, and a key that matches neither still
 yields a row (fingerprints empty, identity recovered from the payload
 where possible) so maintenance tooling sees *every* record.
+
+Filters the key decides (workload, policy, fingerprints, seed, an
+explicit key set, and the latency band, which follows from the arch
+fingerprint) run on the parsed key, before its payload is read; a
+query and every query derived from it share one parse per key.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from operator import attrgetter
@@ -33,6 +39,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Mapping,
     NamedTuple,
@@ -76,6 +83,15 @@ def parse_key(key: str) -> Optional[ParsedKey]:
     policy) because only the workload may itself contain ``__`` -- a
     file-backed workload is addressed by its path.
     """
+    return _parse_key(key, {}.setdefault)
+
+
+def _parse_key(key: str, share: Callable[[Any, Any], Any]
+               ) -> Optional[ParsedKey]:
+    """:func:`parse_key` with the seed and every non-empty string field
+    passed through ``share`` (a ``dict.setdefault``), so the thousands
+    of keys naming one workload, policy, fingerprint or seed can hold
+    one copy of it."""
     base, sep, kernel_fp = key.rpartition("__k")
     if not sep or not _is_hex(kernel_fp):
         return None
@@ -89,11 +105,17 @@ def parse_key(key: str) -> Optional[ParsedKey]:
         seed = int(seed_text)
     except ValueError:
         return None
+    workload = share(workload, workload)
+    policy = share(policy, policy)
+    seed = share(seed, seed)
+    kernel_fp = share(kernel_fp, kernel_fp)
     if arch_token.startswith("a") and _is_hex(arch_token[1:]):
-        return ParsedKey(workload, policy, arch_token[1:], "", seed,
-                         kernel_fp)
+        arch_fp = arch_token[1:]
+        return ParsedKey(workload, policy, share(arch_fp, arch_fp), "",
+                         seed, kernel_fp)
     if _is_hex(arch_token):
-        return ParsedKey(workload, policy, "", arch_token, seed, kernel_fp)
+        return ParsedKey(workload, policy, "",
+                         share(arch_token, arch_token), seed, kernel_fp)
     return None
 
 
@@ -166,6 +188,27 @@ def _decode_latency(arch_payload: Optional[dict]) -> Optional[float]:
         return None
 
 
+class _Latencies(dict):
+    """arch fingerprint -> manifest-resolved MRF latency multiple,
+    resolved on first use.  One per :meth:`Query.records` call: the
+    manifest may gain a fingerprint between two queries."""
+
+    def __init__(self, store: ResultStore) -> None:
+        super().__init__()
+        self._store = store
+
+    def __missing__(self, fingerprint: str) -> Optional[float]:
+        latency = self[fingerprint] = _decode_latency(
+            self._store.arch_payload(fingerprint)
+        ) if fingerprint else None
+        return latency
+
+
+#: Marks a key the parse memo has not seen yet (``None`` in the memo
+#: means "seen, and not a cache key").
+_UNSEEN = object()
+
+
 # -- aggregation functions ----------------------------------------------------
 
 def _geomean(values: Sequence[float]) -> float:
@@ -193,13 +236,32 @@ class Query:
     until a terminal method (:meth:`records`, :meth:`project`,
     :meth:`group_by`, :meth:`aggregate`, :meth:`count`,
     :meth:`stats`) runs.
+
+    A query and every query :meth:`where`/:meth:`filter` derive from
+    it share one memo of parsed keys, so a long-lived base query (the
+    service keeps one) parses each key once however many filtered
+    queries it serves.  The memo is per key, never a key set: each
+    terminal read still lists the store's live keys.
     """
 
-    def __init__(self, store: ResultStore,
-                 _predicates: Tuple[Callable[[StoredRecord], bool], ...]
-                 = ()) -> None:
+    def __init__(self, store: ResultStore) -> None:
         self._store = store
-        self._predicates = _predicates
+        #: key -> ParsedKey, or None for a key of neither format;
+        #: shared by the whole lineage (dict reads and writes are
+        #: atomic, so concurrent queries at worst parse a key twice).
+        self._parsed: Dict[str, Optional[ParsedKey]] = {}
+        #: One copy of each key field value the memo holds.
+        self._shared: Dict[Any, Any] = {}
+        # Key-decided where() constraints: an explicit key set,
+        # (getter, expected) equality checks on the parsed key fields,
+        # and (min, max) latency bands.
+        self._key_in: Optional[FrozenSet[str]] = None
+        self._key_checks: Tuple[Tuple[Callable[[Any], Any], Any], ...] = ()
+        self._latency_bands: Tuple[Tuple[Optional[float],
+                                         Optional[float]], ...] = ()
+        #: Row predicates: filter() callables and where(schema_ok=...),
+        #: which need the payload.
+        self._predicates: Tuple[Callable[[StoredRecord], bool], ...] = ()
 
     @classmethod
     def open(cls, root: str, create: bool = False) -> "Query":
@@ -217,9 +279,16 @@ class Query:
 
     # -- filters ------------------------------------------------------------
 
+    def _derive(self, **changes: Any) -> "Query":
+        """A copy with some filter fields replaced; the parse memo is
+        shared, not copied."""
+        query = copy.copy(self)
+        vars(query).update(changes)
+        return query
+
     def filter(self, predicate: Callable[[StoredRecord], bool]) -> "Query":
         """A new query with ``predicate`` added to the filter chain."""
-        return Query(self._store, self._predicates + (predicate,))
+        return self._derive(_predicates=self._predicates + (predicate,))
 
     def where(self, workload: Optional[str] = None,
               policy: Optional[str] = None,
@@ -237,37 +306,55 @@ class Query:
         never match a latency bound (unknown is not "within range").
         ``key_in`` restricts to an explicit key set -- how the service
         scopes ``GET /report/<job>`` to exactly one job's grid.
+
+        Everything but ``schema_ok`` is decided by the key, so
+        :meth:`records` drops a parseable key that fails it without
+        reading its payload; a key of neither format is checked on its
+        row, with identity from the payload.
         """
-        checks: List[Callable[[StoredRecord], bool]] = []
+        changes: Dict[str, Any] = {}
         if key_in is not None:
             wanted = frozenset(key_in)
-            checks.append(lambda r: r.key in wanted)
-        if workload is not None:
-            checks.append(lambda r: r.workload == workload)
-        if policy is not None:
-            checks.append(lambda r: r.policy == policy)
-        if arch_fingerprint is not None:
-            checks.append(lambda r: r.arch_fingerprint == arch_fingerprint)
-        if kernel_fingerprint is not None:
-            checks.append(
-                lambda r: r.kernel_fingerprint == kernel_fingerprint
-            )
-        if seed is not None:
-            checks.append(lambda r: r.seed == seed)
+            changes["_key_in"] = wanted if self._key_in is None \
+                else self._key_in & wanted
+        equal = {
+            name: value for name, value in (
+                ("workload", workload), ("policy", policy),
+                ("arch_fingerprint", arch_fingerprint),
+                ("kernel_fingerprint", kernel_fingerprint), ("seed", seed),
+            ) if value is not None
+        }
+        if equal:
+            # attrgetter of one name yields the bare value, of several
+            # a tuple; a ParsedKey and a StoredRecord both answer it.
+            expected = tuple(equal.values())
+            changes["_key_checks"] = self._key_checks + ((
+                attrgetter(*equal),
+                expected if len(expected) > 1 else expected[0],
+            ),)
+        if min_latency is not None or max_latency is not None:
+            changes["_latency_bands"] = self._latency_bands + (
+                (min_latency, max_latency),)
         if schema_ok is not None:
-            checks.append(lambda r: r.schema_ok == schema_ok)
-        if min_latency is not None:
-            checks.append(
-                lambda r: r.latency is not None and r.latency >= min_latency
-            )
-        if max_latency is not None:
-            checks.append(
-                lambda r: r.latency is not None and r.latency <= max_latency
-            )
-        query = self
-        for check in checks:
-            query = query.filter(check)
-        return query
+            changes["_predicates"] = self._predicates + (
+                lambda r: r.schema_ok == schema_ok,)
+        return self._derive(**changes)
+
+    def _key_passes(self, fields: Any, latencies: "_Latencies") -> bool:
+        """Whether the key-decided constraints hold for ``fields`` (a
+        ParsedKey, or the row of a key of neither format).  An unknown
+        latency is never within a band."""
+        for getter, expected in self._key_checks:
+            if getter(fields) != expected:
+                return False
+        if self._latency_bands:
+            latency = latencies[fields.arch_fingerprint]
+            for low, high in self._latency_bands:
+                if latency is None or not (
+                        (low is None or latency >= low)
+                        and (high is None or latency <= high)):
+                    return False
+        return True
 
     # -- terminal reads -----------------------------------------------------
 
@@ -276,38 +363,45 @@ class Query:
         (deterministic regardless of segment/shard layout)."""
         schema_fields = _current_schema_fields()
         predicates = self._predicates
-        latency_cache: Dict[str, Optional[float]] = {}
+        key_in = self._key_in
+        key_filtered = bool(self._key_checks or self._latency_bands)
+        memo, share = self._parsed, self._shared.setdefault
+        latencies = _Latencies(self._store)
         rows = []
         # Rows are read through get(), so the benchmark's traced run
         # counts every row read as a store.get span; a hit is one
         # index lookup and reads nothing from disk.
         get = self._store.get
         for key in self._store.keys():
-            payload = get(key)
-            if payload is None:       # compacted away mid-iteration
+            if key_in is not None and key not in key_in:
                 continue
-            parsed = parse_key(key)
+            parsed = memo.get(key, _UNSEEN)
+            if parsed is _UNSEEN:
+                parsed = memo[key] = _parse_key(key, share)
             if parsed is not None:
+                if key_filtered and not self._key_passes(parsed, latencies):
+                    continue
+                payload = get(key)
+                if payload is None:   # compacted away mid-iteration
+                    continue
                 (workload, policy, arch_fp, config_fp, seed,
                  kernel_fp) = parsed
+                record = StoredRecord(
+                    key, workload, policy, arch_fp, config_fp, seed,
+                    kernel_fp, payload, payload.keys() == schema_fields,
+                    latencies[arch_fp],
+                )
             else:
-                workload = str(payload.get("workload", ""))
-                policy = str(payload.get("policy", ""))
-                arch_fp = config_fp = kernel_fp = ""
-                seed = 0
-            if arch_fp not in latency_cache:
-                latency_cache[arch_fp] = _decode_latency(
-                    self._store.arch_payload(arch_fp)
-                ) if arch_fp else None
-            record = StoredRecord(
-                key=key, workload=workload, policy=policy,
-                arch_fingerprint=arch_fp, config_fingerprint=config_fp,
-                seed=seed, kernel_fingerprint=kernel_fp,
-                payload=payload,
-                schema_ok=payload.keys() == schema_fields,
-                latency=latency_cache[arch_fp],
-                key_ok=parsed is not None,
-            )
+                payload = get(key)
+                if payload is None:
+                    continue
+                record = StoredRecord(
+                    key, str(payload.get("workload", "")),
+                    str(payload.get("policy", "")), "", "", 0, "",
+                    payload, payload.keys() == schema_fields, None, False,
+                )
+                if key_filtered and not self._key_passes(record, latencies):
+                    continue
             if not predicates or all(predicate(record)
                                      for predicate in predicates):
                 rows.append(record)

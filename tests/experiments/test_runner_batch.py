@@ -416,6 +416,35 @@ class TestTelemetry:
         }
 
 
+
+class TestHitAccounting:
+    """A cache hit is a read that serves a planned grid point; reading
+    back points a sweep already served, as every rendered table does,
+    is free."""
+
+    GRID = (1.0, 3.0)
+    OVERRIDES = {"max_resident_warps": 8, "active_warps": 4}
+
+    def sweep(self, root):
+        from repro.experiments import render_sweep_table, sweep_requests
+
+        runner = Runner(cache_dir=root)
+        runner.simulate_many(
+            sweep_requests("BL", "btree", grid=self.GRID, **self.OVERRIDES)
+        )
+        render_sweep_table(runner, "btree", ["BL"], grid=self.GRID,
+                           **self.OVERRIDES)
+        summary = runner.telemetry_summary()
+        return summary["simulations"], summary["cache_hits"]
+
+    def test_cold_sweep_and_render_report_no_hits(self, tmp_path):
+        assert self.sweep(str(tmp_path)) == (2, 0)
+
+    def test_warm_sweep_and_render_report_one_hit_per_point(self,
+                                                             tmp_path):
+        self.sweep(str(tmp_path))
+        assert self.sweep(str(tmp_path)) == (0, 2)
+
 class TestStaticWorkTelemetry:
     """Compile/build counters and per-process compile amortization."""
 

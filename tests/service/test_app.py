@@ -242,6 +242,19 @@ class TestSingleFlight:
             app.close()
 
 
+
+class TestJobTelemetry:
+    def test_hot_job_counts_one_hit_per_unique_point(self, app):
+        """A job's telemetry charges the points its plan served; the
+        table render reads them back for free."""
+        cold = submit_and_wait(app)
+        assert cold["telemetry"]["cache_hits"] == 0
+        assert cold["telemetry"]["simulations"] == cold["progress"]["unique"]
+        hot = submit_and_wait(app)
+        assert hot["telemetry"]["simulations"] == 0
+        assert hot["telemetry"]["cache_hits"] == hot["progress"]["unique"] \
+            == 4
+
 class TestSharedStore:
     def test_external_writer_visible_to_queries_and_jobs(self, app):
         """The app's one store index never serves a stale miss: records
@@ -264,6 +277,24 @@ class TestSharedStore:
         )
         external.result_store.close()
         assert body_of(app.handle("GET", "/results", {}, b""))["count"] == 7
+
+    def test_read_routes_parse_each_key_once(self, app, monkeypatch):
+        """Every query the read routes run derives from the app's one
+        base query, so a key is parsed once however many requests
+        filter it."""
+        from repro.store import query as query_module
+
+        job_id = submit_and_wait(app)["id"]
+        parses = []
+        parse = query_module._parse_key
+        monkeypatch.setattr(query_module, "_parse_key", lambda key, share: (
+            parses.append(key), parse(key, share))[1])
+        for params in ({}, {"policy": "BL"},
+                       {"workload": "btree", "min_latency": "2"}):
+            assert app.handle("GET", "/results", params, b"").status == 200
+        assert app.handle("GET", f"/report/{job_id}", {}, b"").status \
+            == 200
+        assert len(parses) == len(set(parses)) == 4
 
     def test_jobs_and_queries_open_the_store_once(self, app, monkeypatch):
         from repro.store import ResultStore

@@ -1,8 +1,11 @@
 """Tests for the store query API (repro.store.query)."""
 
+import shutil
+import tempfile
 from dataclasses import fields as dataclass_fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch import GPUConfig
 from repro.arch.serialize import arch_to_dict, fingerprint_of_arch
@@ -258,3 +261,191 @@ class TestRunnerSurface:
         assert entry["simulations"] == 1
         (logged,) = runner.results().run_history()
         assert logged["label"] == "one sim"
+
+
+# -- filter pushdown and the shared parse memo --------------------------------
+
+KNOWN_ARCHS = {
+    fingerprint_of_arch(config): arch_to_dict(config)
+    for config in (GPUConfig(mrf_latency_multiple=latency, **SMALL)
+                   for latency in (1.0, 3.0))
+}
+#: Fingerprints a key may name: two with a manifest entry, one without.
+ARCH_FPS = sorted(KNOWN_ARCHS) + [ARCH_FP]
+WORKLOADS = ["btree", "kmeans", "runs__dir/my__kernel.json"]
+POLICIES = ["BL", "LTRF"]
+SEEDS = [0, 1, 7]
+KERNEL_FPS = [KERNEL_FP, "00c0ffee"]
+WHERE_FIELDS = ("workload", "policy", "arch_fingerprint",
+                "kernel_fingerprint", "seed", "schema_ok")
+
+
+def _entries():
+    identity = st.tuples(st.sampled_from(WORKLOADS), st.sampled_from(POLICIES),
+                         st.sampled_from(ARCH_FPS), st.sampled_from(SEEDS),
+                         st.sampled_from(KERNEL_FPS))
+    current = identity.map(
+        lambda i: f"{i[0]}__{i[1]}__a{i[2]}__{i[3]}__k{i[4]}")
+    legacy = identity.map(
+        lambda i: f"{i[0]}__{i[1]}__{i[2]}__{i[3]}__k{i[4]}")
+    # Look like cache keys but parse as neither format; their text
+    # names a workload the payload may contradict.
+    malformed = identity.flatmap(lambda i: st.sampled_from([
+        f"{i[0]}__{i[1]}__zz{i[2]}__{i[3]}__k{i[4]}",
+        f"{i[0]}__{i[1]}__a{i[2]}__s{i[3]}__k{i[4]}",
+        f"{i[0]}__{i[1]}__a{i[2]}__{i[3]}__k{i[4].upper()}",
+        f"{i[0]}-{i[1]}",
+    ]))
+    payload = st.builds(
+        lambda workload, policy, ipc, stale: (
+            {"workload": workload, "policy": policy, "ipc": ipc} if stale
+            else record_payload(workload=workload, policy=policy, ipc=ipc)
+        ),
+        st.sampled_from(WORKLOADS + ["mystery"]), st.sampled_from(POLICIES),
+        st.sampled_from([0.5, 1.0, 2.0]), st.booleans(),
+    )
+    return st.lists(st.tuples(st.one_of(current, legacy, malformed),
+                              payload), min_size=1, max_size=24)
+
+
+def _wheres(keys):
+    def maybe(values):
+        return st.one_of(st.none(), st.sampled_from(values))
+
+    return st.fixed_dictionaries({
+        "workload": maybe(WORKLOADS + ["mystery", ""]),
+        "policy": maybe(POLICIES),
+        "arch_fingerprint": maybe(ARCH_FPS + [""]),
+        "kernel_fingerprint": maybe(KERNEL_FPS + [""]),
+        "seed": maybe(SEEDS),
+        "schema_ok": maybe([True, False]),
+        "min_latency": maybe([0.5, 2.0, 5.0]),
+        "max_latency": maybe([1.0, 2.5]),
+        "key_in": st.one_of(st.none(), st.lists(
+            st.sampled_from(keys + ["no-such-key"]), max_size=6)),
+    })
+
+
+#: Row predicates chained after the where() calls, by name.
+FILTERS = {
+    "all": lambda r: True,
+    "ipc>=1": lambda r: r.ipc is not None and r.ipc >= 1.0,
+    "key_ok": lambda r: r.key_ok,
+    "no-latency": lambda r: r.latency is None,
+}
+
+
+def _brute_force(rows, wheres, predicate):
+    """Every where() constraint, evaluated on the finished rows."""
+    def passes(record, where):
+        if where["key_in"] is not None and record.key not in where["key_in"]:
+            return False
+        if any(where[name] is not None and getattr(record, name) != where[name]
+               for name in WHERE_FIELDS):
+            return False
+        low, high = where["min_latency"], where["max_latency"]
+        if (low is not None or high is not None) and record.latency is None:
+            return False
+        return (low is None or record.latency >= low) \
+            and (high is None or record.latency <= high)
+
+    return [record for record in rows
+            if all(passes(record, where) for where in wheres)
+            and predicate(record)]
+
+
+def _chain(query, wheres, predicate):
+    for where in wheres:
+        query = query.where(**where)
+    return query.filter(predicate)
+
+
+class TestFilterPushdown:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(entries=_entries(), data=st.data())
+    def test_filtered_queries_equal_brute_force(self, entries, data):
+        """A pushed-down where() chain returns exactly what filtering
+        every row of an unfiltered query returns, on a fresh query and
+        on one derived from a base that has already parsed the keys;
+        the unfiltered query itself sees every stored key."""
+        root = tempfile.mkdtemp(prefix="query-pushdown-")
+        try:
+            store = ResultStore(root)
+            for fingerprint, payload in KNOWN_ARCHS.items():
+                store.record_arch(fingerprint, payload)
+            for key, payload in entries:
+                store.put(key, payload)
+            base = Query(store)
+            everything = base.records()
+            assert {r.key for r in everything} == {k for k, _ in entries}
+            keys = sorted({key for key, _ in entries})
+            for _ in range(3):
+                wheres = data.draw(st.lists(_wheres(keys), min_size=1,
+                                            max_size=2))
+                name = data.draw(st.sampled_from(sorted(FILTERS)))
+                expected = _brute_force(Query(store).records(), wheres,
+                                        FILTERS[name])
+                assert _chain(Query(store), wheres, FILTERS[name]) \
+                    .records() == expected
+                assert _chain(base, wheres, FILTERS[name]).records() \
+                    == expected
+            store.close()
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
+
+    def test_rejected_keys_are_not_read(self, tmp_path, monkeypatch):
+        """Keys the filters rule out never reach get(); keys of
+        neither format are read, since their identity is in the
+        payload.  A key_in set is checked before any parse."""
+        from repro.store import query as query_module
+
+        store = ResultStore(str(tmp_path))
+        matching = f"btree__BL__a{ARCH_FP}__0__k{KERNEL_FP}"
+        store.put(matching, record_payload())
+        store.put(f"kmeans__BL__a{ARCH_FP}__0__k{KERNEL_FP}",
+                  record_payload(workload="kmeans"))
+        store.put("not-a-cache-key", record_payload(workload="btree"))
+        reads = []
+        original = ResultStore.get
+        monkeypatch.setattr(ResultStore, "get", lambda self, key: (
+            reads.append(key), original(self, key))[1])
+        rows = Query(store).where(workload="btree").records()
+        assert [r.key for r in rows] == [matching, "not-a-cache-key"]
+        assert sorted(reads) == [matching, "not-a-cache-key"]
+        reads.clear()
+        parses = []
+        parse = query_module._parse_key
+        monkeypatch.setattr(query_module, "_parse_key", lambda key, share: (
+            parses.append(key), parse(key, share))[1])
+        assert Query(store).where(key_in=[matching]).count() == 1
+        assert reads == parses == [matching]
+
+    def test_derived_queries_share_one_parse_per_key(self, tmp_path,
+                                                     monkeypatch):
+        """Queries derived from one base parse each key once, new keys
+        included, and share one copy of each key field; a fresh query
+        parses afresh."""
+        from repro.store import query as query_module
+
+        store = ResultStore(str(tmp_path))
+        for seed in range(3):
+            store.put(f"btree__BL__a{ARCH_FP}__{seed}__k{KERNEL_FP}",
+                      record_payload())
+        parses = []
+        original = query_module._parse_key
+        monkeypatch.setattr(query_module, "_parse_key", lambda key, share: (
+            parses.append(key), original(key, share))[1])
+        base = Query(store)
+        assert base.where(seed=1).count() == 1
+        assert base.where(policy="BL").filter(lambda r: r.seed).count() == 2
+        assert len(parses) == 3
+        store.put(f"btree__LTRF__a{ARCH_FP}__0__k{KERNEL_FP}",
+                  record_payload(policy="LTRF"))
+        assert base.where(policy="LTRF").count() == 1    # a new key shows
+        assert len(parses) == 4
+        Query(store).records()                           # a fresh lineage
+        assert len(parses) == 8
+        (first, second) = (base.where(seed=0).records()[0],
+                           base.where(seed=1).records()[0])
+        assert first.arch_fingerprint is second.arch_fingerprint

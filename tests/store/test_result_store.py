@@ -387,3 +387,67 @@ class TestSharedInstance:
         fresh = ResultStore(str(tmp_path))
         assert live == {key: fresh.get(key) for key in fresh.keys()}
         assert fresh.verify().ok
+
+    def test_derived_queries_race_puts_on_one_base(self, tmp_path):
+        """Filtered queries derived from one base query (the service's
+        shape) race writers on its shared parse memo: every row they
+        return satisfies their filter, and afterwards each filter on
+        the base equals a brute force over a fresh query."""
+        store = ResultStore(str(tmp_path))
+        base = Query(store)
+        base.records()               # imports the record schema up front
+        filters = [{"workload": "btree"}, {"policy": "LTRF"},
+                   {"workload": "kmeans", "policy": "BL"}, {"seed": 7}]
+        writers, puts = 2, 300
+        errors, violations = [], []
+        writing = threading.Event()
+        writing.set()
+
+        def write(writer):
+            try:
+                for index in range(puts):
+                    workload = ("btree", "kmeans")[index % 2]
+                    policy = ("BL", "LTRF")[index // 2 % 2]
+                    store.put(f"{workload}__{policy}__a0123456789abcdef__"
+                              f"{index}__k{writer:016x}", {"v": index})
+            except Exception as error:   # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def read(wanted):
+            try:
+                while writing.is_set():
+                    for record in base.where(**wanted).records():
+                        if any(getattr(record, name) != value
+                               for name, value in wanted.items()):
+                            violations.append((wanted, record.key))
+            except Exception as error:   # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=write, args=(n,))
+                   for n in range(writers)]
+        threads += [threading.Thread(target=read, args=(wanted,))
+                    for wanted in filters]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads[:writers]:
+                thread.join(timeout=60.0)
+            writing.clear()
+            for thread in threads[writers:]:
+                thread.join(timeout=60.0)
+        finally:
+            writing.clear()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and violations == []
+        everything = Query(store).records()
+        assert len(everything) == writers * puts
+        for wanted in filters:
+            expected = [record for record in everything
+                        if all(getattr(record, name) == value
+                               for name, value in wanted.items())]
+            assert expected
+            assert base.where(**wanted).records() == expected
+        store.close()
