@@ -3,11 +3,11 @@
 Usage:
     python scripts/profile_sim.py                          # defaults
     python scripts/profile_sim.py --workload backprop --policy LTRF
-    python scripts/profile_sim.py --policy BL --engine dense --latency 6.3
+    python scripts/profile_sim.py --policy BL --latency 6.3
     python scripts/profile_sim.py --grid --top 40 --sort tottime
     python scripts/profile_sim.py --no-static-cache -o prof.pstats
 
-Runs a named workload x policy x engine combination (one simulation, or
+Runs a named workload x policy combination (one simulation, or
 with ``--grid`` the workload's full Figure-11-style latency sweep under
 the chosen policy) under :mod:`cProfile` and prints the top-N hotspots,
 so perf work starts from measurements instead of guesses.  Every run
@@ -40,15 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: backprop)")
     parser.add_argument("--policy", default="LTRF",
                         help="register policy (default: LTRF)")
-    parser.add_argument("--engine", default=None,
-                        choices=("event", "dense", "replay"),
-                        help="scheduling engine (default: event / "
-                             "LTRF_SIM_ENGINE)")
-    parser.add_argument("--compare-engines", action="store_true",
-                        help="instead of profiling, time the workload's "
-                             "full latency sweep (fig11 grid row) once "
-                             "per engine and print a wall-clock table "
-                             "(replay timing includes its recording run)")
     parser.add_argument("--latency", type=float, default=1.0,
                         help="MRF latency multiple (default: 1.0)")
     parser.add_argument("--grid", action="store_true",
@@ -75,7 +66,7 @@ def main(argv=None) -> int:
     if args.no_static_cache:
         os.environ["LTRF_COMPILE_CACHE"] = "0"
 
-    # Imports follow the env setup so engine/cache knobs are respected.
+    # Imports follow the env setup so the cache knob is respected.
     from repro.experiments.latency_tolerance import sweep_requests
     from repro.experiments.runner import (
         Runner,
@@ -90,11 +81,6 @@ def main(argv=None) -> int:
     except ValueError as error:     # unknown name, bad file, bad parameter
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.engine is not None:
-        os.environ["LTRF_SIM_ENGINE"] = args.engine
-
-    if args.compare_engines:
-        return compare_engines(args)
 
     if args.grid:
         requests = sweep_requests(args.policy, args.workload)
@@ -130,58 +116,6 @@ def main(argv=None) -> int:
         stats.dump_stats(args.output)
         print(f"raw pstats written to {args.output}")
     stats.sort_stats(args.sort).print_stats(args.top)
-    return 0
-
-
-def compare_engines(args) -> int:
-    """Time one fig11-shaped grid row per engine and print a table.
-
-    Each engine runs the identical request list through a fresh
-    telemetry-only :class:`Runner` (no result cache -- every point
-    genuinely simulates).  The process-wide static caches are warmed
-    once up front so every engine sees the same amortised steady
-    state; the replay engine's timeline cache is cleared before its
-    turn, so its wall-clock honestly includes the one recording run a
-    cold sweep would pay.
-    """
-    from repro.arch.sm import StreamingMultiprocessor  # noqa: F401
-    from repro.compiler import cache
-    from repro.experiments.latency_tolerance import sweep_requests
-    from repro.experiments.runner import (
-        Runner,
-        execute_request_with_telemetry,
-    )
-
-    requests = list(sweep_requests(args.policy, args.workload))
-    # Warm kernel build / compile / trace caches (not timed).
-    execute_request_with_telemetry(requests[0])
-
-    rows = []
-    for engine in ("dense", "event", "replay"):
-        os.environ["LTRF_SIM_ENGINE"] = engine
-        cache._timelines.clear()
-        runner = Runner(cache_dir=None)
-        started = time.perf_counter()
-        for request in requests:
-            _, telemetry = execute_request_with_telemetry(request)
-            runner.stats.simulated += 1
-            runner.stats.note_telemetry(telemetry)
-        rows.append((engine, time.perf_counter() - started, runner.stats))
-    os.environ.pop("LTRF_SIM_ENGINE", None)
-
-    event_wall = next(wall for engine, wall, _ in rows if engine == "event")
-    print(f"engine comparison: {args.workload} x {args.policy} x "
-          f"{len(requests)}-point latency row (identical results by "
-          "construction; see tests/arch/test_engine_equivalence.py)")
-    print(f"{'engine':8s} {'wall':>8s} {'vs event':>9s}  outcome")
-    for engine, wall, stats in rows:
-        speed = event_wall / wall if wall else float("inf")
-        outcome = "-"
-        if engine == "replay":
-            outcome = (f"{stats.replays_served} replayed, "
-                       f"{stats.replays_recorded} recorded, "
-                       f"{stats.replay_fallbacks} fallback(s)")
-        print(f"{engine:8s} {wall:7.2f}s {speed:8.2f}x  {outcome}")
     return 0
 
 

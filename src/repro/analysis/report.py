@@ -45,11 +45,6 @@ _TELEMETRY_TOTALS = (
     "simulated_instructions", "cycles_skipped", "kernel_builds",
     "kernel_build_seconds", "compile_cache_hits", "compile_cache_misses",
     "compile_seconds", "pool_retries",
-    # Replay-engine outcome counters (zero for runs on other engines;
-    # absent entirely in run logs written before the replay engine
-    # existed -- the summing loop treats missing keys as zero).
-    "replays_served", "replays_recorded", "replay_fallbacks_static",
-    "replay_fallbacks_diverged",
     # Fault-tolerance counters from the chunk scheduler (absent in run
     # logs written before the distributed backends existed -- again
     # read as zero).
@@ -397,14 +392,6 @@ def _html_document(report: SweepReport) -> str:
                  int(telemetry["chunks_quarantined"])),
                 ("backend degradations",
                  int(telemetry["backend_degradations"])),
-                ("replay: served from timeline",
-                 int(telemetry["replays_served"])),
-                ("replay: recordings",
-                 int(telemetry["replays_recorded"])),
-                ("replay: static fallbacks",
-                 int(telemetry["replay_fallbacks_static"])),
-                ("replay: diverged fallbacks",
-                 int(telemetry["replay_fallbacks_diverged"])),
             ],
         ))
         sections.append(_table(

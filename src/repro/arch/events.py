@@ -76,10 +76,10 @@ class EventQueue:
                      scoreboard: int = 0, drain: int = 0) -> None:
         """Fold an engine's locally batched push accounting back in.
 
-        The event and replay engines inline their heap pushes against a
-        local sequence counter and per-kind tallies (the per-push
-        method dispatch is measurable at millions of events); on exit
-        they hand the batch back here so telemetry (:attr:`counts`) and
+        The event engine inlines its heap pushes against a local
+        sequence counter and per-kind tallies (the per-push method
+        dispatch is measurable at millions of events); on exit it
+        hands the batch back here so telemetry (:attr:`counts`) and
         any later pushes observe the same state as unbatched
         :meth:`push` calls would have produced.
         """

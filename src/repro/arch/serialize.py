@@ -258,9 +258,9 @@ def arch_fingerprint(config: GPUConfig) -> str:
 
 #: Fields struck from the canonical form by the sans-latency
 #: fingerprint: exactly the knobs the latency sweeps vary (the MRF
-#: latency multiple and the memory-hierarchy timing).  Everything the
-#: replay engine bakes into a recorded timeline -- bank counts, RFC
-#: latency, crossbar geometry, occupancy, cache sizes -- stays in.
+#: latency multiple and the memory-hierarchy timing).  Everything
+#: else -- bank counts, RFC latency, crossbar geometry, occupancy,
+#: cache sizes -- stays in.
 _LATENCY_FIELDS = ("mrf_latency_multiple",)
 _MEMORY_LATENCY_FIELDS = (
     "l1_latency", "llc_latency", "dram_latency", "dram_service_interval",
@@ -273,9 +273,10 @@ def arch_fingerprint_sans_latency(config: GPUConfig) -> str:
     Two architectures share this fingerprint iff they differ only in
     the fields a latency sweep varies: ``mrf_latency_multiple`` and the
     memory hierarchy's per-level latencies/service interval.  This is
-    the replay engine's timeline cache key component: one recorded
-    timeline is (structurally) valid for every latency point of a
-    fig11/fig14-shaped grid row.
+    the batch dispatcher's row key component
+    (:func:`repro.experiments.runner._dispatch_chunks`): every latency
+    point of a fig11/fig14-shaped grid row shares it, so one worker
+    runs the whole row and compiles its kernel once.
     """
     content = arch_to_dict(config)
     del content["schema"], content["schema_version"]

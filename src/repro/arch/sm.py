@@ -16,7 +16,7 @@ The register policy (:mod:`repro.policies`) decides where operands live
 and what every access costs; the SM owns instruction issue, hazards,
 scheduling, and the memory hierarchy.
 
-Timing model: one issue slot per scheduler per cycle.  Three engines
+Timing model: one issue slot per scheduler per cycle.  Two engines
 implement it:
 
 * the **event engine** (default) keeps a wake-up heap keyed by absolute
@@ -32,25 +32,14 @@ implement it:
   walks the active pool every cycle, re-deriving readiness by polling
   every warp.  It is observationally identical to the event engine
   (pinned by ``tests/arch/test_engine_equivalence.py``) and exists as
-  the oracle for that equivalence, not for speed;
-* the **replay engine** (:mod:`repro.arch.replay`) is the sweep fast
-  path: it runs the event engine once per (kernel, policy, arch minus
-  latency knobs) to record a latency-parameterized dependency
-  timeline, then replays that timeline per latency point with live
-  bank calendars and a live memory hierarchy -- skipping the policy
-  stack entirely.  Points the timeline cannot serve exactly (policies
-  not declaring :attr:`~repro.policies.base.RegisterPolicy
-  .latency_separable`, or runs whose memory-hit pattern diverges from
-  the recording) fall back to the event engine transparently; the
-  outcome is reported per result in ``replay_outcome``.
+  the oracle for that equivalence, not for speed.
 
-Select with ``StreamingMultiprocessor(..., engine=...)`` or the
-``LTRF_SIM_ENGINE`` environment variable.
+Everything outside the tests simulates on the event engine; the oracle
+is selected only with ``StreamingMultiprocessor(..., engine="dense")``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -69,8 +58,8 @@ from repro.ir.kernel import Kernel
 #: Safety valve: simulations beyond this many cycles indicate livelock.
 MAX_CYCLES = 50_000_000
 
-#: Engine registry; ``LTRF_SIM_ENGINE`` may name any at runtime.
-ENGINES = ("event", "dense", "replay")
+#: Engine registry: the production engine and its test oracle.
+ENGINES = ("event", "dense")
 
 
 def mrf_config_for(config: GPUConfig, policy_factory) -> GPUConfig:
@@ -81,8 +70,7 @@ def mrf_config_for(config: GPUConfig, policy_factory) -> GPUConfig:
     latency regardless of the configured multiple, and LTRF narrows
     the MRF crossbar by 4x (Section 4.2) -- design choices of those
     architectures, so they travel with the policy rather than the
-    configuration.  Shared with the replay engine, whose inlined bank
-    calendars must see exactly the timing the recorded run's MRF saw.
+    configuration.
     """
     mrf_config = config
     if getattr(policy_factory, "forces_baseline_latency", False):
@@ -90,16 +78,6 @@ def mrf_config_for(config: GPUConfig, policy_factory) -> GPUConfig:
     if getattr(policy_factory, "uses_narrow_crossbar", False):
         mrf_config = mrf_config.scaled(narrow_crossbar=True)
     return mrf_config
-
-
-def default_engine() -> str:
-    """Engine used when the constructor receives none (env overridable)."""
-    engine = os.environ.get("LTRF_SIM_ENGINE", "event")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"LTRF_SIM_ENGINE must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 @dataclass
@@ -133,12 +111,6 @@ class SimulationResult:
     extra: dict = field(default_factory=dict)
     #: Engine that produced this result (one of :data:`ENGINES`).
     engine: str = field(default="event", compare=False)
-    #: How the replay engine served this point: ``recorded`` (this run
-    #: recorded the row's timeline on the event engine), ``replayed``,
-    #: ``fallback-static`` (policy not latency-separable or timeline
-    #: not replayable), or ``fallback-diverged`` (live memory-hit
-    #: pattern contradicted the recording).  Empty for other engines.
-    replay_outcome: str = field(default="", compare=False)
     #: Wake-up events registered, by :class:`EventKind` (telemetry).
     event_counts: Dict[str, int] = field(default_factory=dict, compare=False)
     #: Idle cycles the event engine jumped over instead of ticking.
@@ -175,18 +147,15 @@ class StreamingMultiprocessor:
     """Drives warps through a kernel under a register policy."""
 
     def __init__(self, config: GPUConfig, policy_factory,
-                 engine: Optional[str] = None) -> None:
+                 engine: str = "event") -> None:
         """``policy_factory(config, mrf, rfc)`` builds the register policy."""
         self.config = config
-        self._policy_factory = policy_factory
         self.mrf = MainRegisterFile(mrf_config_for(config, policy_factory))
         self.rfc = RegisterFileCache(config)
         self.memory = MemoryHierarchy(config.memory)
         self.policy = policy_factory(config, self.mrf, self.rfc)
         self.activations = 0
         self.deactivations = 0
-        if engine is None:
-            engine = default_engine()
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected {ENGINES}")
         self.engine = engine
@@ -213,12 +182,6 @@ class StreamingMultiprocessor:
         per-run preparation; it must be exactly what
         ``policy.executable_kernel(kernel)`` would return.
         """
-        if self.engine == "replay":
-            from repro.arch.replay import run_replay
-
-            return run_replay(self, kernel, seed=seed,
-                              resident_warps=resident_warps,
-                              executable=executable)
         if executable is None:
             executable = self.policy.executable_kernel(kernel)
         if resident_warps is None:

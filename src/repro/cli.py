@@ -54,7 +54,6 @@ from repro.arch.registry import (
     default_arch_registry,
     is_arch_file_name,
 )
-from repro.arch.sm import ENGINES
 from repro.compiler import compile_kernel
 from repro.experiments import (
     Runner,
@@ -129,29 +128,6 @@ def _add_workload_argument(command) -> None:
     )
 
 
-def _add_engine_argument(command) -> None:
-    """``--engine`` shared by the simulating subcommands.
-
-    Selection flows through ``LTRF_SIM_ENGINE`` (set before any pool
-    is created, so forked batch workers inherit it) rather than
-    per-call plumbing: every simulation of the invocation -- including
-    the replay engine's internal event-engine anchors and fallbacks --
-    then resolves the same engine.
-    """
-    command.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="simulation engine: event (default), dense (reference "
-             "tick loop), or replay (latency-sweep fast path; "
-             "bit-identical results, non-separable points fall back "
-             "to event)",
-    )
-
-
-def _apply_engine(engine: Optional[str]) -> None:
-    if engine is not None:
-        os.environ["LTRF_SIM_ENGINE"] = engine
-
-
 def _add_backend_arguments(command) -> None:
     """``--backend``/``--hosts`` shared by the grid-running
     subcommands (sweep, experiment).
@@ -206,14 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--arch-file", default=None, metavar="PATH",
                           help="architecture from a .arch.json file "
                                "(alternative to --arch)")
-    simulate.add_argument("--config", type=int, default=None,
-                          help="deprecated: Table 2 design point (1-7); "
-                               "use --arch maxwell-like/table2-N instead")
     simulate.add_argument("--latency", type=float, default=None,
                           help="override the MRF latency multiple")
     simulate.add_argument("--sms", type=int, default=1,
                           help="also report chip-level IPC over N SMs")
-    _add_engine_argument(simulate)
 
     compile_cmd = sub.add_parser("compile", help="show prefetch regions")
     compile_cmd.add_argument(
@@ -263,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="architecture to sweep (latency-tolerance figures only): "
              "registry name or .arch.json path",
     )
-    _add_engine_argument(experiment)
     _add_backend_arguments(experiment)
 
     sweep = sub.add_parser("sweep", help="latency-tolerance sweep")
@@ -275,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "names and/or .arch.json paths")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep grid")
-    _add_engine_argument(sweep)
     _add_backend_arguments(sweep)
 
     serve = sub.add_parser(
@@ -297,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--job-workers", type=int, default=2, metavar="N",
         help="sweep jobs executing concurrently (default: 2)",
     )
-    _add_engine_argument(serve)
     _add_backend_arguments(serve)
 
     worker = sub.add_parser(
@@ -504,33 +473,19 @@ def _resolve_arch_config(name: str) -> GPUConfig:
 def _select_arch(args) -> str:
     """The architecture name/path a ``simulate`` invocation chose.
 
-    Exactly one selection mechanism may be used; the deprecated
-    numeric ``--config`` maps onto registry names (``1`` is the 272KB
-    normalisation baseline the figures use, ``N`` is ``table2-N``)
-    with a warning, so there is one way to pick an architecture.
+    At most one of ``--arch`` and ``--arch-file`` may be given.
     """
-    chosen = [flag for flag, value in (("--arch", args.arch),
-                                       ("--arch-file", args.arch_file),
-                                       ("--config", args.config))
-              if value is not None]
-    if len(chosen) > 1:
-        _fail(f"pass only one of --arch, --arch-file or --config "
-              f"(got {' and '.join(chosen)})")
+    if args.arch is not None and args.arch_file is not None:
+        _fail("pass only one of --arch or --arch-file")
     if args.arch_file is not None:
         _require_arch_json_suffix(args.arch_file)
         return args.arch_file
-    if args.config is not None:
-        name = "maxwell-like" if args.config == 1 else f"table2-{args.config}"
-        print(f"warning: --config {args.config} is deprecated; use "
-              f"--arch {name} (or an .arch.json file)", file=sys.stderr)
-        return name
     if args.arch is not None:
         return args.arch
     return "maxwell-like"
 
 
 def _cmd_simulate(args) -> None:
-    _apply_engine(args.engine)
     workload = _resolve_workload(args.workload, args.kernel_file)
     # The default architecture is the same 272KB normalisation baseline
     # the experiments use (MRF + the 16KB RFC budget), so printed IPC
@@ -582,10 +537,8 @@ def _cmd_compile(args) -> None:
 
 def _cmd_experiment(names: List[str], jobs: int,
                     arch: Optional[str] = None,
-                    engine: Optional[str] = None,
                     backend: str = "local",
                     hosts: Optional[str] = None) -> None:
-    _apply_engine(engine)
     selected = sorted(EXPERIMENTS) if "all" in names else names
     if arch is not None:
         unsupported = [name for name in selected if name not in ARCH_AWARE]
@@ -612,7 +565,6 @@ def _cmd_experiment(names: List[str], jobs: int,
 
 
 def _cmd_sweep(args) -> None:
-    _apply_engine(args.engine)
     workload = _resolve_workload(args.workload, args.kernel_file)
     archs = [name.strip() for name in args.arch.split(",")]
     for arch in archs:
@@ -641,7 +593,6 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_serve(args) -> None:
     """Run the HTTP sweep service over one store until signalled."""
-    _apply_engine(args.engine)
     root = _store_root(args)
     ssh_hosts = None
     if args.hosts is not None:
@@ -900,7 +851,7 @@ def main(argv: List[str] = None) -> int:
         elif args.command == "list-archs":
             _cmd_list_archs()
         elif args.command == "experiment":
-            _cmd_experiment(args.names, args.jobs, args.arch, args.engine,
+            _cmd_experiment(args.names, args.jobs, args.arch,
                             args.backend, args.hosts)
         elif args.command == "sweep":
             _cmd_sweep(args)

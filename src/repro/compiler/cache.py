@@ -13,12 +13,7 @@ parameters.  This module memoises that static work process-wide:
 * :func:`cached_trace_list` -- a warp's materialised dynamic trace,
   keyed per executable-kernel object by ``(warp_id, seed)``.  Traces
   are pure in ``(kernel, warp_id, seed)`` and the profile shows their
-  regeneration at every grid point is one of the larger static costs;
-* :func:`timeline_for` / :func:`store_timeline` -- the replay engine's
-  recorded dependency timelines (:mod:`repro.arch.replay`), keyed by
-  ``(kernel fingerprint, policy, seed, resident warps, sans-latency
-  arch fingerprint)`` so one recording serves every latency point of a
-  sweep grid row.
+  regeneration at every grid point is one of the larger static costs.
 
 Keys are *content* fingerprints (:func:`repro.ir.serialize.fingerprint_of`),
 so the invalidation semantics are inherited from the workload
@@ -40,10 +35,10 @@ SM and policies only read), and ``tests/compiler/test_cache.py`` pins
 that contract by serialising artifacts before and after simulation.
 
 Escape hatch: ``LTRF_COMPILE_CACHE=0`` disables every memo here --
-compiles, liveness clones, traces, kernel fingerprints, and replay
-timelines (each replay-engine run then re-records) -- useful when
-bisecting a suspected stale-artifact bug or measuring uncached cost.  The hit/miss/seconds
-counters in :data:`STATS` feed the runner's telemetry either way.
+compiles, liveness clones and traces -- useful when bisecting a
+suspected stale-artifact bug or measuring uncached cost.  The
+hit/miss/seconds counters in :data:`STATS` feed the runner's telemetry
+either way.
 """
 
 from __future__ import annotations
@@ -102,38 +97,12 @@ _traces: "weakref.WeakKeyDictionary[Kernel, _TraceTable]" = (
 #: (see module docstring: traces are the one unbounded-growth risk).
 TRACE_MEMO_LIMIT = 256
 
-#: Replay-engine timelines (:class:`repro.arch.replay.Timeline`), keyed
-#: by ``(kernel fingerprint, policy name, seed, resident warps,
-#: sans-latency arch fingerprint)`` -- everything a recorded dependency
-#: timeline is structurally pure in.  The latency knobs are struck from
-#: the arch fingerprint (:func:`repro.arch.serialize
-#: .arch_fingerprint_sans_latency`), so every point of a latency-sweep
-#: grid row resolves to the one timeline its first point recorded.
-#: Invalidation is inherited from the content fingerprints: an edited
-#: kernel or architecture simply never matches old entries.
-_TimelineKey = Tuple[str, str, int, int, str]
-_timelines: Dict[_TimelineKey, object] = {}
-
-#: Max memoised timelines before the table is cleared (a timeline is
-#: trace-sized; sweeps only ever hold a few dozen distinct keys, so the
-#: cap exists for kernel-fuzzing workloads like the hypothesis suite).
-TIMELINE_MEMO_LIMIT = 128
-
-#: Weak per-object kernel fingerprint memo for timeline keys (kernels
-#: flowing out of the registry and compile cache are one shared object
-#: per content, same argument as ``_traces``).
-_kernel_fps: "weakref.WeakKeyDictionary[Kernel, str]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 def clear_static_cache() -> None:
     """Drop every memo and zero the counters (test isolation)."""
     _compiled.clear()
     _liveness.clear()
     _traces.clear()
-    _timelines.clear()
-    _kernel_fps.clear()
     STATS.compile_cache_hits = 0
     STATS.compile_cache_misses = 0
     STATS.compile_seconds = 0.0
@@ -201,39 +170,6 @@ def liveness_kernel_for(kernel: Kernel) -> Kernel:
     else:
         STATS.compile_cache_hits += 1
     return found
-
-
-def cached_kernel_fingerprint(kernel: Kernel) -> str:
-    """:func:`repro.ir.serialize.fingerprint_of`, weakly memoised.
-
-    The replay engine fingerprints the kernel of every request it
-    dispatches; serialising a large kernel per grid point would eat the
-    replay win, and the shared-object-per-content invariant makes the
-    identity memo safe (kernels are never mutated after registry or
-    compile-cache exit).
-    """
-    if not cache_enabled():
-        return fingerprint_of(kernel)
-    found = _kernel_fps.get(kernel)
-    if found is None:
-        found = _kernel_fps[kernel] = fingerprint_of(kernel)
-    return found
-
-
-def timeline_for(key: _TimelineKey):
-    """The cached replay timeline for ``key``, or None (miss/disabled)."""
-    if not cache_enabled():
-        return None
-    return _timelines.get(key)
-
-
-def store_timeline(key: _TimelineKey, timeline: object) -> None:
-    """Memoise a recorded replay timeline (no-op when disabled)."""
-    if not cache_enabled():
-        return
-    if len(_timelines) >= TIMELINE_MEMO_LIMIT:
-        _timelines.clear()
-    _timelines[key] = timeline
 
 
 def cached_trace_list(kernel: Kernel, warp_id: int,

@@ -159,16 +159,11 @@ class SimTelemetry:
     simulated-vs-host-time statistics alongside their tables.
     """
 
-    engine: str
     host_seconds: float
     cycles: int
     instructions: int
     cycles_skipped: int
     event_counts: Dict[str, int]
-    #: How the replay engine produced this result ("" for other
-    #: engines): "recorded", "replayed", "fallback-static" or
-    #: "fallback-diverged" (see repro.arch.replay).
-    replay_outcome: str = ""
     #: Content fingerprint of the kernel this run actually simulated.
     #: For generated workloads it always equals the fingerprint in the
     #: request's cache key; for file-backed workloads the file may be
@@ -234,13 +229,11 @@ def execute_request_with_telemetry(request: SimRequest):
         COMPILE_STATS.snapshot()
     )
     telemetry = SimTelemetry(
-        engine=result.engine,
         host_seconds=result.host_seconds,
         cycles=result.cycles,
         instructions=result.instructions,
         cycles_skipped=result.cycles_skipped,
         event_counts=result.event_counts,
-        replay_outcome=result.replay_outcome,
         kernel_fingerprint=fingerprint,
         kernel_builds=builds_after - builds_before,
         kernel_build_seconds=build_seconds_after - build_seconds_before,
@@ -267,16 +260,14 @@ def _dispatch_chunks(items: List[tuple], workers: int) -> List[List[tuple]]:
     """Split pending ``(key, request)`` pairs into pool tasks.
 
     Items are grouped by *grid row* -- ``(workload, policy,
-    sans-latency arch fingerprint)`` -- so one worker handles a row's
-    latency points back to back: it resolves and compiles the kernel
-    once (zero-rebuild dispatch against the process-wide static
-    caches), and under the replay engine the row's one recorded
-    timeline serves every subsequent point in the chunk (timeline
-    caches are likewise per process, so splitting a row across workers
-    would re-record it per worker).  Groups are sliced into several
-    chunks per worker so a slow workload cannot serialise the pool
-    behind one long task.  The merge is keyed, so chunk shapes never
-    affect results -- only how much static work is repeated.
+    sans-latency arch fingerprint)``, the dispatch row key -- so one
+    worker handles a row's latency points back to back: it resolves
+    and compiles the kernel once (zero-rebuild dispatch against the
+    process-wide static caches, so splitting a row across workers
+    would repeat that work per worker).  Groups are sliced into
+    several chunks per worker so a slow workload cannot serialise the
+    pool behind one long task.  The merge is keyed, so chunk shapes
+    never affect results -- only how much static work is repeated.
     """
     by_row: Dict[tuple, List[tuple]] = {}
     for item in items:
@@ -336,19 +327,6 @@ class RunnerStats:
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     compile_seconds: float = 0.0
-    # Replay-engine outcome counters: how many simulated points were
-    # served from a recorded timeline ("replayed"), paid the one-off
-    # recording run ("recorded"), or fell back to the event engine
-    # (static shape gate vs live divergence).  All zero unless the
-    # replay engine ran.
-    replays_served: int = 0
-    replays_recorded: int = 0
-    replay_fallbacks_static: int = 0
-    replay_fallbacks_diverged: int = 0
-
-    @property
-    def replay_fallbacks(self) -> int:
-        return self.replay_fallbacks_static + self.replay_fallbacks_diverged
 
     @property
     def hits(self) -> int:
@@ -397,15 +375,6 @@ class RunnerStats:
         self.compile_cache_hits += telemetry.compile_cache_hits
         self.compile_cache_misses += telemetry.compile_cache_misses
         self.compile_seconds += telemetry.compile_seconds
-        outcome = telemetry.replay_outcome
-        if outcome == "replayed":
-            self.replays_served += 1
-        elif outcome == "recorded":
-            self.replays_recorded += 1
-        elif outcome == "fallback-static":
-            self.replay_fallbacks_static += 1
-        elif outcome == "fallback-diverged":
-            self.replay_fallbacks_diverged += 1
         for kind, count in telemetry.event_counts.items():
             self.event_counts[kind] = self.event_counts.get(kind, 0) + count
 
@@ -901,10 +870,6 @@ class Runner:
             "compile_cache_hits": stats.compile_cache_hits,
             "compile_cache_misses": stats.compile_cache_misses,
             "compile_seconds": stats.compile_seconds,
-            "replays_served": stats.replays_served,
-            "replays_recorded": stats.replays_recorded,
-            "replay_fallbacks_static": stats.replay_fallbacks_static,
-            "replay_fallbacks_diverged": stats.replay_fallbacks_diverged,
             "chunk_retries": stats.chunk_retries,
             "chunk_timeouts": stats.chunk_timeouts,
             "chunks_quarantined": stats.chunks_quarantined,
@@ -973,19 +938,6 @@ class Runner:
             f"{summary['compile_cache_misses']} miss(es) in "
             f"{summary['compile_seconds']:.2f}s"
         )
-        replay_touched = (
-            summary["replays_served"] + summary["replays_recorded"]
-            + summary["replay_fallbacks_static"]
-            + summary["replay_fallbacks_diverged"]
-        )
-        if replay_touched:
-            text += (
-                f"; replay engine: {summary['replays_served']} replayed, "
-                f"{summary['replays_recorded']} recorded, "
-                f"{summary['replay_fallbacks_static']} static + "
-                f"{summary['replay_fallbacks_diverged']} diverged "
-                "fallback(s)"
-            )
         faults_survived = (
             summary["chunk_retries"] + summary["chunk_timeouts"]
             + summary["chunks_quarantined"]

@@ -6,7 +6,7 @@ extracted into stages any caller can drive:
 
 * :mod:`repro.jobs.spec` -- :class:`JobSpec`, a declarative sweep
   description (workloads x policies x architectures x latency grid
-  plus engine/backend options) that serialises to/from JSON, which is
+  plus backend options) that serialises to/from JSON, which is
   what the HTTP service accepts.
 * :mod:`repro.jobs.plan` -- ``plan_requests`` resolves a request list
   against the store (hits served immediately, misses grouped exactly

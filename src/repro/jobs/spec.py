@@ -1,8 +1,8 @@
 """Declarative sweep-job specifications.
 
 A :class:`JobSpec` names everything one latency-tolerance sweep needs
--- workloads, policies, architectures, the latency grid, seed, engine
-and execution backend -- in plain JSON-serialisable data.  It is the
+-- workloads, policies, architectures, the latency grid, seed and
+execution backend -- in plain JSON-serialisable data.  It is the
 submission format of the HTTP service (``POST /sweeps``) and the unit
 the :class:`~repro.jobs.tracker.JobTracker` schedules, but carries no
 execution state itself: :meth:`JobSpec.to_requests` expands it into
@@ -12,7 +12,7 @@ resolve to identical cache keys and therefore dedupe against each
 other through the store.
 
 Validation is strict and early (:meth:`JobSpec.validate`): unknown
-policies, engines, backends, workloads and architectures fail at
+policies, backends, workloads and architectures fail at
 submission time with one readable message instead of surfacing later
 as a failed job.
 """
@@ -20,7 +20,7 @@ as a failed job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.experiments.latency_tolerance import LATENCY_GRID
 
@@ -85,11 +85,6 @@ class JobSpec:
     archs: Tuple[str, ...] = ("maxwell-like",)
     grid: Tuple[float, ...] = LATENCY_GRID
     seed: int = 0
-    #: Simulation engine for the job's misses (``LTRF_SIM_ENGINE``
-    #: value); ``None`` uses the process's ambient engine.  Results are
-    #: engine-independent (pinned by the equivalence suite), so this
-    #: only chooses *how* misses simulate.
-    engine: Optional[str] = None
     #: Where grid-point misses execute (:data:`repro.launchers.BACKENDS`).
     backend: str = "local"
     #: Worker processes for this job's miss grid.
@@ -114,8 +109,8 @@ class JobSpec:
                 f"{type(payload).__name__}"
             )
         known = {
-            "workloads", "policies", "archs", "grid", "seed", "engine",
-            "backend", "jobs", "overrides", "label",
+            "workloads", "policies", "archs", "grid", "seed", "backend",
+            "jobs", "overrides", "label",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -145,12 +140,6 @@ class JobSpec:
                         f"{name} must be a {kind.__name__}, got {value!r}"
                     )
                 kwargs[name] = value
-        if "engine" in payload and payload["engine"] is not None:
-            if not isinstance(payload["engine"], str):
-                raise JobSpecError(
-                    f"engine must be a string, got {payload['engine']!r}"
-                )
-            kwargs["engine"] = payload["engine"]
         if "overrides" in payload:
             overrides = payload["overrides"]
             if not isinstance(overrides, Mapping) or not all(
@@ -171,7 +160,6 @@ class JobSpec:
             "archs": list(self.archs),
             "grid": list(self.grid),
             "seed": self.seed,
-            "engine": self.engine,
             "backend": self.backend,
             "jobs": self.jobs,
             "overrides": dict(self.overrides),
@@ -188,7 +176,6 @@ class JobSpec:
         ``repro sweep`` would print.  Returns self for chaining.
         """
         from repro.arch.registry import default_arch_registry
-        from repro.arch.sm import ENGINES
         from repro.launchers import BACKENDS
         from repro.policies import POLICIES
         from repro.workloads import default_registry
@@ -203,11 +190,6 @@ class JobSpec:
                     f"unknown policy {policy!r} (expected one of "
                     f"{', '.join(sorted(POLICIES))})"
                 )
-        if self.engine is not None and self.engine not in ENGINES:
-            raise JobSpecError(
-                f"unknown engine {self.engine!r} (expected one of "
-                f"{', '.join(ENGINES)})"
-            )
         if self.backend not in BACKENDS:
             raise JobSpecError(
                 f"unknown backend {self.backend!r} (expected one of "

@@ -36,10 +36,8 @@ still show up on the next miss.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -212,14 +210,6 @@ class JobTracker:
         self._lock = threading.Lock()
         self._counter = 0
         self._flights = _FlightRegistry()
-        #: Serialises engine-pinned jobs: the engine flows through the
-        #: process-global ``LTRF_SIM_ENGINE`` (so pool workers inherit
-        #: it), and two jobs pinning different engines must not race
-        #: on it.  Jobs with ``engine=None`` run under the ambient
-        #: engine without taking the lock -- results are
-        #: engine-independent, so the only thing at stake is *which*
-        #: fast path simulates a miss.
-        self._engine_lock = threading.Lock()
 
     # -- the shared store ---------------------------------------------------
 
@@ -320,8 +310,7 @@ class JobTracker:
         runner: Optional[Runner] = None
         try:
             runner = self._runner_factory(job.spec)
-            with self._engine_context(job.spec.engine):
-                self._execute(job, runner)
+            self._execute(job, runner)
             job.state = DONE
         except SweepAborted as abort:
             job.state = PARTIAL
@@ -453,22 +442,6 @@ class JobTracker:
                 table = f"[{workload}]\n{table}"
             sections.append(table)
         return "\n\n".join(sections)
-
-    @contextmanager
-    def _engine_context(self, engine: Optional[str]):
-        if engine is None:
-            yield
-            return
-        with self._engine_lock:
-            previous = os.environ.get("LTRF_SIM_ENGINE")
-            os.environ["LTRF_SIM_ENGINE"] = engine
-            try:
-                yield
-            finally:
-                if previous is None:
-                    os.environ.pop("LTRF_SIM_ENGINE", None)
-                else:
-                    os.environ["LTRF_SIM_ENGINE"] = previous
 
     # -- introspection ------------------------------------------------------
 

@@ -41,8 +41,7 @@ SPEC_VERSION = 1
 #: Environment variables a spec may carry to the worker (the ssh
 #: backend cannot rely on inheritance; the subprocess backend inherits
 #: them anyway, so applying is idempotent).
-SPEC_ENV_KEYS = ("LTRF_SIM_ENGINE", "LTRF_COMPILE_CACHE",
-                 "LTRF_FAULT_PLAN")
+SPEC_ENV_KEYS = ("LTRF_COMPILE_CACHE", "LTRF_FAULT_PLAN")
 
 
 class ChunkSpecError(ValueError):
@@ -133,9 +132,9 @@ def run_worker_chunk(spec: dict) -> dict:
     Import-light on purpose: the heavy simulator modules load only
     when a chunk actually runs, keeping worker startup cheap.
     """
-    # Spec-carried environment first: engine selection and the fault
-    # plan must be in place before the simulator (or the plan parser)
-    # reads them.
+    # Spec-carried environment first: the compile-cache switch and the
+    # fault plan must be in place before the simulator (or the plan
+    # parser) reads them.
     for name, value in spec.get("env", {}).items():
         if name in SPEC_ENV_KEYS and isinstance(value, str):
             os.environ[name] = value

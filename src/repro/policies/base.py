@@ -49,21 +49,6 @@ class RegisterPolicy(ABC):
     #: Set True on designs that narrow the MRF crossbar by 4x
     #: (Section 4.2): LTRF's reduced MRF traffic affords it.
     uses_narrow_crossbar: bool = False
-    #: Latency-separability contract for the replay engine
-    #: (:mod:`repro.arch.replay`).  A policy may declare True iff its
-    #: *structural* decisions -- which registers each hook reads or
-    #: writes where, in what order, and every latency it returns that
-    #: is not an MRF completion time -- are a function of the warp's
-    #: own history (trace position sequence plus the ``to_mrf`` flags
-    #: it was handed) and never of absolute cycle numbers.  Timing may
-    #: flow *out* through ``self.mrf`` calls (the replay engine re-runs
-    #: those live at the new latency); it must never flow *into* a
-    #: decision.  Every built-in policy declares True; the default is
-    #: False so a custom policy that consults ``cycle`` for
-    #: replacement/arbitration choices can never be silently replayed
-    #: wrong -- the replay engine routes undeclared policies through
-    #: the event engine.
-    latency_separable: bool = False
 
     def __init__(self, config: GPUConfig, mrf: MainRegisterFile,
                  rfc: RegisterFileCache) -> None:

@@ -22,9 +22,6 @@ class BaselinePolicy(RegisterPolicy):
     """Direct MRF access for every operand (the paper's BL)."""
 
     name = "BL"
-    # Stateless: every hook is a fixed set of MRF calls determined by
-    # the instruction alone (see RegisterPolicy.latency_separable).
-    latency_separable = True
 
     def operand_read_latency(self, warp: Warp, instruction: Instruction,
                              cycle: int) -> int:

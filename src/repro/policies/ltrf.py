@@ -45,10 +45,6 @@ class LTRFPolicy(RegisterPolicy):
     name = "LTRF"
     region_kind = "register-interval"
     uses_narrow_crossbar = True
-    # Working sets, liveness, and write-back sets are pure functions of
-    # the warp's own trace history; every returned latency is either an
-    # MRF completion or the constant RFC access (see RegisterPolicy).
-    latency_separable = True
     #: Pass-2 ablation switch (register-intervals only).
     run_pass2 = True
 

@@ -37,10 +37,6 @@ class RFCPolicy(RegisterPolicy):
     """Hardware register cache with per-resident-warp LRU slices."""
 
     name = "RFC"
-    # Per-warp LRU slices evolve only with the warp's own src/dst
-    # sequence and to_mrf flags; hit latency is the constant RFC
-    # access, misses return MRF completions (see RegisterPolicy).
-    latency_separable = True
 
     def __init__(self, config, mrf, rfc) -> None:
         super().__init__(config, mrf, rfc)

@@ -139,6 +139,25 @@ class TestBuildReport:
         paths = write_report(report, str(tmp_path / "out"))
         assert "old-format run" in open(paths["report.html"]).read()
 
+    def test_replay_era_run_logs_still_render(self, tmp_path):
+        """Run logs written while the simulator had a replay engine
+        carry four replay counters; their other counters still sum,
+        and the report renders without a replay row."""
+        runner = sweep_runner(tmp_path)
+        before = build_report(runner.results()).telemetry["simulations"]
+        runner.result_store.append_run_log({
+            "label": "replay-era run", "time": 1700000000,
+            "simulations": 7, "cache_hits": 0, "host_seconds": 0.5,
+            "replays_served": 3, "replays_recorded": 1,
+            "replay_fallbacks_static": 2, "replay_fallbacks_diverged": 1,
+        })
+        report = build_report(runner.results())
+        assert report.telemetry["simulations"] == before + 7
+        paths = write_report(report, str(tmp_path / "out"))
+        text = open(paths["report.html"]).read()
+        assert "replay-era run" in text
+        assert "replay:" not in text
+
     def test_bench_trajectory(self, tmp_path):
         write_bench(tmp_path / "BENCH_1.json", {"bench::a": 1.5})
         write_bench(tmp_path / "BENCH_2.json",

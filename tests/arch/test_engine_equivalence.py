@@ -1,31 +1,20 @@
-"""Engine equivalence: event vs dense reference vs replay.
+"""Engine equivalence: event vs dense reference.
 
 The event-driven core must be bit-for-bit equivalent to the retained
 dense-tick reference: same cycles, same instruction counts, same MRF/RFC
 traffic, same scheduler transitions -- for every policy, kernel shape,
-and latency point.  The tier-3 replay engine (:mod:`repro.arch.replay`)
-carries the same contract: whether a point was recorded, served from a
-timeline, or fell back, its result equals the event engine's.
-``SimulationResult.__eq__`` compares exactly the architectural fields
-(telemetry fields are ``compare=False``), so the assertions below are
-full-result comparisons.
+and latency point.  ``SimulationResult.__eq__`` compares exactly the
+architectural fields (telemetry fields are ``compare=False``), so the
+assertions below are full-result comparisons.
 """
-
-import os
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import GPUConfig, StreamingMultiprocessor
-from repro.compiler import cache
 from repro.ir import KernelBuilder
 from repro.policies import POLICIES
 from repro.workloads import get_kernel
-
-REPLAY_OUTCOMES = (
-    "recorded", "replayed", "fallback-static", "fallback-diverged"
-)
 
 
 def run_both(config, policy_name, kernel, seed=0):
@@ -36,12 +25,6 @@ def run_both(config, policy_name, kernel, seed=0):
         config, POLICIES[policy_name], engine="dense"
     ).run(kernel, seed=seed)
     return event, dense
-
-
-def run_replay(config, policy_name, kernel, seed=0):
-    return StreamingMultiprocessor(
-        config, POLICIES[policy_name], engine="replay"
-    ).run(kernel, seed=seed)
 
 
 # -- pinned grid ------------------------------------------------------------
@@ -74,19 +57,11 @@ class TestPinnedEquivalence:
         sm = StreamingMultiprocessor(GPUConfig(), POLICIES["BL"])
         assert sm.engine == "event"
 
-    def test_engine_env_override(self):
-        with mock.patch.dict(os.environ, {"LTRF_SIM_ENGINE": "dense"}):
-            sm = StreamingMultiprocessor(GPUConfig(), POLICIES["BL"])
-        assert sm.engine == "dense"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             StreamingMultiprocessor(
                 GPUConfig(), POLICIES["BL"], engine="quantum"
             )
-        with mock.patch.dict(os.environ, {"LTRF_SIM_ENGINE": "quantum"}):
-            with pytest.raises(ValueError):
-                StreamingMultiprocessor(GPUConfig(), POLICIES["BL"])
 
     def test_event_engine_skips_cycles_on_memory_bound_kernel(self):
         """The cycle-skipping telemetry actually reports skipped idle
@@ -110,37 +85,6 @@ class TestPinnedEquivalence:
         # bound the memory-response wake-ups from above.
         assert (result.event_counts["memory_response"]
                 <= sm.memory.stats.responses_scheduled)
-
-
-# -- replay engine: same contract, sweep-shaped ------------------------------
-
-
-class TestReplayEquivalence:
-    """The replay engine is exercised the way sweeps use it: several
-    latency points of one (kernel, policy) row against a shared
-    timeline cache, so non-anchor points genuinely replay (or fall
-    back) instead of re-recording."""
-
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_all_policies_across_a_latency_row(self, policy):
-        cache._timelines.clear()
-        kernel = get_kernel("btree")
-        outcomes = []
-        for latency in (1.0, 2.0, 6.3):
-            config = GPUConfig(
-                max_resident_warps=8, active_warps=4,
-                mrf_latency_multiple=latency,
-            )
-            event, dense = run_both(config, policy, kernel)
-            replay = run_replay(config, policy, kernel)
-            assert event == dense
-            assert replay == event
-            assert replay.engine == "replay"
-            outcomes.append(replay.replay_outcome)
-        # Every built-in policy is separable, so the anchor always
-        # records; later points replay or honestly diverge.
-        assert outcomes[0] == "recorded"
-        assert all(o in REPLAY_OUTCOMES for o in outcomes)
 
 
 # -- property-based equivalence --------------------------------------------
@@ -246,36 +190,3 @@ class TestPropertyEquivalence:
         )
         event, dense = run_both(config, policy, kernel)
         assert event == dense
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        kernel=random_kernels(),
-        active=st.integers(2, 4),
-        latencies=st.lists(
-            st.sampled_from([1.0, 2.0, 3.5, 5.3, 7.0]),
-            min_size=2, max_size=3, unique=True,
-        ),
-        policy=st.sampled_from(sorted(POLICIES)),
-        seed=st.integers(0, 3),
-    )
-    def test_replay_identical_across_random_latency_rows(
-        self, kernel, active, latencies, policy, seed
-    ):
-        """Full-SimulationResult equality for the replay engine on
-        randomly shaped rows.  Random kernels freely produce both
-        genuinely replayable rows and rows whose hit pattern shifts
-        with latency, so this exercises every rung of the fallback
-        ladder against the exactness contract."""
-        outcomes = []
-        for multiple in latencies:
-            config = GPUConfig(
-                max_resident_warps=8, active_warps=active,
-                mrf_latency_multiple=multiple,
-            )
-            event = StreamingMultiprocessor(
-                config, POLICIES[policy], engine="event"
-            ).run(kernel, seed=seed)
-            replay = run_replay(config, policy, kernel, seed=seed)
-            assert replay == event
-            outcomes.append(replay.replay_outcome)
-        assert all(o in REPLAY_OUTCOMES for o in outcomes)

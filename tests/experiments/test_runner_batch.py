@@ -221,7 +221,7 @@ class TestContentKeyedStore:
             request
         )
         shifted = runner_module.SimTelemetry(
-            engine=telemetry.engine, host_seconds=telemetry.host_seconds,
+            host_seconds=telemetry.host_seconds,
             cycles=telemetry.cycles, instructions=telemetry.instructions,
             cycles_skipped=telemetry.cycles_skipped,
             event_counts=telemetry.event_counts,

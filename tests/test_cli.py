@@ -447,26 +447,6 @@ class TestArchFrontend:
         assert main(["simulate", "btree", "--arch", "tfet-8x",
                      "--arch-file", "x.arch.json"]) == 2
         assert "only one" in capsys.readouterr().err
-        assert main(["simulate", "btree", "--arch", "tfet-8x",
-                     "--config", "6"]) == 2
-        assert "only one" in capsys.readouterr().err
-
-    def test_numeric_config_deprecated_but_working(self, capsys):
-        assert main(["simulate", "btree", "--policy", "BL",
-                     "--config", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--arch maxwell-like" in captured.err
-        deprecated_ipc = _printed_ipc(captured.out)
-        assert main(["simulate", "btree", "--policy", "BL"]) == 0
-        assert _printed_ipc(capsys.readouterr().out) == deprecated_ipc
-
-    def test_numeric_config_maps_to_table2(self, capsys):
-        assert main(["simulate", "btree", "--policy", "BL",
-                     "--config", "6"]) == 0
-        captured = capsys.readouterr()
-        assert "--arch table2-6" in captured.err
-        assert "table2-6" in captured.out
 
     def test_export_arch_rejects_non_json_output(self, capsys):
         assert main(["export-arch", "maxwell-like", "-o", "m.arch"]) == 2
