@@ -21,7 +21,12 @@ from repro.arch import (
     loads_arch,
     save_arch,
 )
-from repro.arch.serialize import SCHEMA_NAME, SCHEMA_VERSION
+from repro.arch.serialize import (
+    SCHEMA_NAME,
+    SCHEMA_VERSION,
+    arch_fingerprint_sans_latency,
+    fingerprint_of_arch_sans_latency,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -145,6 +150,37 @@ class TestFingerprint:
         assert arch_fingerprint(
             GPUConfig(memory=MemoryConfig(dram_latency=901))
         ) != base
+
+
+class TestSansLatencyFingerprint:
+    """The batch dispatcher's row key: every latency point of a sweep
+    row shares it, and nothing else does."""
+
+    def test_shared_across_a_latency_row(self):
+        base = custom_config()
+        row = [
+            base.scaled(mrf_latency_multiple=multiple)
+            for multiple in (1.0, 2.0, 7.0)
+        ] + [
+            base.scaled(memory=MemoryConfig(
+                l1_latency=10, llc_latency=90, dram_latency=400,
+                dram_service_interval=4,
+            )),
+        ]
+        key = arch_fingerprint_sans_latency(base)
+        assert {arch_fingerprint_sans_latency(c) for c in row} == {key}
+        assert {fingerprint_of_arch_sans_latency(c) for c in row} == {key}
+        assert len({arch_fingerprint(c) for c in row}) == len(row)
+
+    def test_every_other_field_is_load_bearing(self):
+        base = arch_fingerprint_sans_latency(GPUConfig())
+        for config in (
+            GPUConfig(mrf_banks=8),
+            GPUConfig(active_warps=4),
+            GPUConfig(narrow_crossbar=True),
+            GPUConfig(memory=MemoryConfig(l1_size_bytes=32 * 1024)),
+        ):
+            assert arch_fingerprint_sans_latency(config) != base
 
 
 class TestSchemaChecks:

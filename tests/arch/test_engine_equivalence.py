@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import GPUConfig, StreamingMultiprocessor
+from repro.experiments.latency_tolerance import FIG11_POLICIES
+from repro.experiments.runner import sweep_config
 from repro.ir import KernelBuilder
-from repro.policies import POLICIES
+from repro.policies import POLICIES, BaselinePolicy
 from repro.workloads import get_kernel
 
 
@@ -53,6 +55,14 @@ class TestPinnedEquivalence:
             event, dense = run_both(config, policy, get_kernel("kmeans"))
             assert event == dense
 
+    @pytest.mark.parametrize("policy", FIG11_POLICIES)
+    def test_fig11_policies_on_the_sweep_sm(self, policy):
+        """The full-size SM every figure sweep runs (64 resident, 8
+        active warps), not just the reduced shape above."""
+        event, dense = run_both(sweep_config(3.0), policy,
+                                get_kernel("kmeans"))
+        assert event == dense
+
     def test_event_engine_is_default(self):
         sm = StreamingMultiprocessor(GPUConfig(), POLICIES["BL"])
         assert sm.engine == "event"
@@ -62,6 +72,26 @@ class TestPinnedEquivalence:
             StreamingMultiprocessor(
                 GPUConfig(), POLICIES["BL"], engine="quantum"
             )
+
+    def test_cycle_dependent_policy(self):
+        """A policy whose operand latency depends on the absolute cycle
+        sees the same cycles under both engines: the event engine's
+        clock jumps never land an issue on a different cycle."""
+        config = GPUConfig(
+            max_resident_warps=8, active_warps=4, mrf_latency_multiple=2.0,
+        )
+        kernel = get_kernel("btree")
+        event = StreamingMultiprocessor(
+            config, CycleSkewedBaseline, engine="event"
+        ).run(kernel)
+        dense = StreamingMultiprocessor(
+            config, CycleSkewedBaseline, engine="dense"
+        ).run(kernel)
+        assert event == dense
+        assert event.cycles_skipped > 0
+        # The skew is load-bearing: it changes the timing against BL.
+        plain = StreamingMultiprocessor(config, POLICIES["BL"]).run(kernel)
+        assert event.cycles != plain.cycles
 
     def test_event_engine_skips_cycles_on_memory_bound_kernel(self):
         """The cycle-skipping telemetry actually reports skipped idle
@@ -85,6 +115,36 @@ class TestPinnedEquivalence:
         # bound the memory-response wake-ups from above.
         assert (result.event_counts["memory_response"]
                 <= sm.memory.stats.responses_scheduled)
+
+
+class CycleSkewedBaseline(BaselinePolicy):
+    """Baseline whose operand reads cost one extra cycle on odd cycles."""
+
+    name = "BL-cycleskew"
+
+    def operand_read_latency(self, warp, instruction, cycle):
+        base = super().operand_read_latency(warp, instruction, cycle)
+        return base + (cycle & 1)
+
+
+# -- latency rows ----------------------------------------------------------
+
+
+class TestLatencyRowEquivalence:
+    """Several latency points of one (kernel, policy) row, the shape a
+    sweep runs, on a register-sensitive workload: each point shares the
+    row's warm compile and trace caches and must still match the oracle."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_all_policies_across_a_latency_row(self, policy):
+        kernel = get_kernel("backprop")
+        for latency in (2.0, 4.0, 7.0):
+            config = GPUConfig(
+                max_resident_warps=8, active_warps=4,
+                mrf_latency_multiple=latency,
+            )
+            event, dense = run_both(config, policy, kernel)
+            assert event == dense
 
 
 # -- property-based equivalence --------------------------------------------
@@ -190,3 +250,39 @@ class TestPropertyEquivalence:
         )
         event, dense = run_both(config, policy, kernel)
         assert event == dense
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kernel=random_kernels(),
+        active=st.integers(2, 4),
+        latencies=st.lists(
+            st.sampled_from([1.0, 2.0, 3.5, 5.3, 7.0]),
+            min_size=2, max_size=3, unique=True,
+        ),
+        policy=st.sampled_from(sorted(POLICIES)),
+        seed=st.integers(0, 3),
+    )
+    def test_engines_identical_across_random_latency_rows(
+        self, kernel, active, latencies, policy, seed
+    ):
+        """One random kernel swept over a latency row: the event engine
+        runs the row in order, the oracle in reverse, so neither order
+        nor the caches warmed by earlier points can change a result."""
+        configs = [
+            GPUConfig(max_resident_warps=8, active_warps=active,
+                      mrf_latency_multiple=multiple)
+            for multiple in latencies
+        ]
+        events = [
+            StreamingMultiprocessor(
+                config, POLICIES[policy], engine="event"
+            ).run(kernel, seed=seed)
+            for config in configs
+        ]
+        denses = [
+            StreamingMultiprocessor(
+                config, POLICIES[policy], engine="dense"
+            ).run(kernel, seed=seed)
+            for config in reversed(configs)
+        ]
+        assert events == denses[::-1]

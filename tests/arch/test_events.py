@@ -1,5 +1,7 @@
 """Unit tests for the wake-up event heap (repro.arch.events)."""
 
+from heapq import heappush
+
 import pytest
 
 from repro.arch.events import EventKind, EventQueue
@@ -91,3 +93,47 @@ class TestCounters:
         queue = EventQueue()
         with pytest.raises(KeyError):
             queue.push(1, "not-a-kind")
+
+
+class TestFoldBatched:
+    """The event engine pushes straight onto the heap against a local
+    sequence counter and hands the batch back with ``fold_batched``."""
+
+    def test_batched_pushes_match_push_calls(self):
+        events = [
+            (7, EventKind.MEMORY_RESPONSE, "a"),
+            (3, EventKind.PREFETCH_ARRIVAL, "b"),
+            (7, EventKind.SCOREBOARD_RELEASE, "c"),
+            (7, EventKind.WCB_DRAIN, "d"),
+        ]
+        unbatched = EventQueue()
+        unbatched.push(7, EventKind.MEMORY_RESPONSE, "first")
+        for event in events:
+            unbatched.push(*event)
+
+        batched = EventQueue()
+        batched.push(7, EventKind.MEMORY_RESPONSE, "first")
+        seq = batched._seq
+        for cycle, kind, payload in events:
+            heappush(batched._heap, (cycle, seq, kind, payload))
+            seq += 1
+        batched.fold_batched(seq, memory=1, prefetch=1, scoreboard=1,
+                             drain=1)
+
+        # A push after the fold still ties FIFO behind the batch.
+        for queue in (unbatched, batched):
+            queue.push(7, EventKind.WCB_DRAIN, "last")
+        assert batched.counts == unbatched.counts
+        assert batched.pop_due(10) == unbatched.pop_due(10)
+
+    def test_fold_adds_to_existing_counts(self):
+        queue = EventQueue()
+        queue.push(1, EventKind.MEMORY_RESPONSE)
+        queue.push(2, EventKind.WCB_DRAIN)
+        queue.fold_batched(2, memory=3)
+        assert queue.counts == {
+            EventKind.MEMORY_RESPONSE: 4,
+            EventKind.PREFETCH_ARRIVAL: 0,
+            EventKind.SCOREBOARD_RELEASE: 0,
+            EventKind.WCB_DRAIN: 1,
+        }

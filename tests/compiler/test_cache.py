@@ -94,6 +94,22 @@ class TestEscapeHatch:
         monkeypatch.delenv("LTRF_COMPILE_CACHE", raising=False)
         assert cache_enabled()
 
+    def test_uncached_latency_row_matches_cached_row(self, monkeypatch):
+        """The escape hatch changes how much static work a sweep row
+        repeats, never its results."""
+        kernel = get_kernel("backprop")
+        row = [SMALL.scaled(mrf_latency_multiple=multiple)
+               for multiple in (1.0, 2.0, 4.0)]
+        cached = [StreamingMultiprocessor(config, POLICIES["LTRF"]).run(kernel)
+                  for config in row]
+        assert cache_module.STATS.compile_cache_hits == len(row) - 1
+        monkeypatch.setenv("LTRF_COMPILE_CACHE", "0")
+        uncached = [
+            StreamingMultiprocessor(config, POLICIES["LTRF"]).run(kernel)
+            for config in row
+        ]
+        assert uncached == cached
+
 
 class TestTraceMemo:
     def test_same_kernel_warp_seed_shares_trace(self):

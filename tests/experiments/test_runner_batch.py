@@ -4,9 +4,15 @@ import json
 import os
 from dataclasses import asdict
 
-from repro.arch import GPUConfig
+import pytest
+
+from repro.arch import GPUConfig, StreamingMultiprocessor
+from repro.arch.serialize import fingerprint_of_arch_sans_latency
 from repro.experiments import Runner, SimRequest
+from repro.experiments.latency_tolerance import LATENCY_GRID
 from repro.experiments.runner import default_cache_dir
+from repro.policies import POLICIES
+from repro.workloads import get_kernel
 
 #: Small config so each simulation finishes quickly.
 SMALL = GPUConfig(max_resident_warps=8, active_warps=4)
@@ -537,6 +543,53 @@ class TestDispatchChunks:
         chunks = _dispatch_chunks(items, workers=4)
         assert len(chunks) >= 4
         assert max(len(chunk) for chunk in chunks) <= 8
+
+    def test_one_worker_gets_each_latency_row_whole(self):
+        """Rows are (workload, policy, sans-latency arch): a row's
+        latency points travel together, and architectures that differ
+        beyond latency form rows of their own."""
+        from repro.experiments.runner import _dispatch_chunks
+        items = [
+            (f"key-{policy}-{warps}-{multiple}", SimRequest(
+                "btree", policy,
+                SMALL.scaled(active_warps=warps,
+                             mrf_latency_multiple=multiple),
+            ))
+            for multiple in LATENCY_GRID
+            for policy in ("BL", "LTRF")
+            for warps in (2, 4)
+        ]
+        chunks = _dispatch_chunks(items, workers=1)
+        assert len(chunks) == 4
+        for chunk in chunks:
+            assert len(chunk) == len(LATENCY_GRID)
+            assert len({
+                (request.workload, request.policy,
+                 fingerprint_of_arch_sans_latency(request.config))
+                for _, request in chunk
+            }) == 1
+
+
+class TestDenseOracle:
+    """What a sweep persists is what the dense reference engine
+    computes: the runner always simulates on the event engine, and its
+    stored records must agree with the oracle field for field."""
+
+    @pytest.mark.parametrize(
+        "workload", ["btree", "kmeans", "backprop", "srad", "lavamd"]
+    )
+    def test_stored_record_matches_dense_engine(self, tmp_path, workload):
+        config = SMALL.scaled(mrf_latency_multiple=3.0)
+        Runner(cache_dir=str(tmp_path)).simulate(workload, "LTRF", config)
+        reopened = Runner(cache_dir=str(tmp_path))
+        stored = reopened.simulate(workload, "LTRF", config)
+        assert reopened.stats.simulated == 0       # served from the store
+        dense = StreamingMultiprocessor(
+            config, POLICIES["LTRF"], engine="dense"
+        ).run(get_kernel(workload))
+        for name, value in asdict(stored).items():
+            if name not in ("workload", "policy"):
+                assert value == getattr(dense, name), name
 
 
 class _ScriptedPool:

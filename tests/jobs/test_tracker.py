@@ -1,5 +1,6 @@
 """Tests for the job tracker: lifecycle, single-flight, cancellation."""
 
+import os
 import threading
 
 import pytest
@@ -139,6 +140,14 @@ class TestLifecycle:
         job = tracker.run(fast_spec())
         assert job.state == "failed"
         assert "RuntimeError: store on fire" in job.error
+
+    def test_jobs_leave_the_environment_untouched(self, tmp_path):
+        """Jobs share the service process; none pins process-global
+        state for its run."""
+        before = dict(os.environ)
+        job = JobTracker(str(tmp_path)).run(fast_spec())
+        assert job.state == "done"
+        assert dict(os.environ) == before
 
 
 class TestSharedStore:

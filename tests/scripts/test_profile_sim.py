@@ -3,6 +3,8 @@
 import importlib.util
 import os
 
+import pytest
+
 _SCRIPT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__)))),
@@ -45,3 +47,11 @@ def test_repeat_actually_simulates_n_times(capsys):
     out = capsys.readouterr().out
     assert "profiled 3 simulation(s)" in out
     assert "simulated 3 run(s)" in out
+
+
+def test_compare_engines_option_removed(capsys):
+    """Profiling always runs the event engine that sweeps run."""
+    with pytest.raises(SystemExit) as excinfo:
+        profile_sim.main(["--workload", "btree", "--compare-engines"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

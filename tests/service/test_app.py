@@ -166,6 +166,16 @@ class TestErrors:
         assert response.status == 400
         assert "polices" in body_of(response)["error"]
 
+    def test_engine_field_400(self, app):
+        """Jobs always run on the event engine; the field is gone."""
+        response = app.handle(
+            "POST", "/sweeps", {},
+            json.dumps(dict(SPEC, engine="dense")).encode(),
+        )
+        assert response.status == 400
+        assert "unknown job spec key(s): engine" in body_of(response)["error"]
+        assert app.tracker.jobs() == []
+
     def test_unknown_results_filter_400(self, app):
         response = app.handle("GET", "/results", {"ipc": "2"}, b"")
         assert response.status == 400

@@ -448,6 +448,19 @@ class TestArchFrontend:
                      "--arch-file", "x.arch.json"]) == 2
         assert "only one" in capsys.readouterr().err
 
+    def test_numeric_config_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "btree", "--config", "6"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    def test_simulate_table2_arch(self, capsys):
+        """Table 2's configurations are selected by registry name."""
+        assert main(["simulate", "btree", "--policy", "BL",
+                     "--arch", "table2-6"]) == 0
+        out = capsys.readouterr().out
+        assert "table2-6" in out and "IPC" in out
+
     def test_export_arch_rejects_non_json_output(self, capsys):
         assert main(["export-arch", "maxwell-like", "-o", "m.arch"]) == 2
         assert "must end in .json" in capsys.readouterr().err
