@@ -1,11 +1,17 @@
 """Address Allocation Unit (paper Figure 8).
 
-Allocates register-file-cache bank slots to registers (and, at the SM
-level, warp-offset slots to active warps).  Two queues: *unused* holds
-free slot ids, *occupied* holds allocated ones.  Allocation dequeues the
-head of the unused queue; deallocation returns the slot.  The structure
-is trivially a free list, but we keep the paper's two-queue framing and
-its invariants (fixed capacity, no double allocation/free) explicit.
+In the paper one such unit per RFC partition hands each cached register
+a bank slot, and one at the SM level hands each active warp its warp
+offset.  Only the warp-offset unit is modelled: a register's bank slot
+never reached timing (every RFC access costs one cycle, whichever bank
+it hits), so a partition is modelled by its capacity alone (see
+:mod:`repro.arch.rf_cache`).
+
+Two queues: *unused* holds free slot ids, *occupied* holds allocated
+ones.  Allocation dequeues the head of the unused queue; deallocation
+returns the slot.  The structure is trivially a free list, but we keep
+the paper's two-queue framing and its invariants (fixed capacity, no
+double allocation/free) explicit.
 """
 
 from __future__ import annotations
@@ -28,14 +34,6 @@ class AddressAllocationUnit:
         self._unused: Deque[int] = deque(range(capacity))
         self._occupied: Set[int] = set()
 
-    @property
-    def free_slots(self) -> int:
-        return len(self._unused)
-
-    @property
-    def used_slots(self) -> int:
-        return len(self._occupied)
-
     def allocate(self) -> int:
         """Take the head of the unused queue; raise when exhausted."""
         if not self._unused:
@@ -52,9 +50,3 @@ class AddressAllocationUnit:
             raise AllocationError(f"slot {slot} is not allocated")
         self._occupied.discard(slot)
         self._unused.append(slot)
-
-    def release_all(self) -> None:
-        """Free every slot (warp deactivation clears its partition)."""
-        for slot in sorted(self._occupied):
-            self._unused.append(slot)
-        self._occupied.clear()

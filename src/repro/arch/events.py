@@ -32,8 +32,8 @@ engine (see ``tests/arch/test_engine_equivalence.py``).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from heapq import heappush
+from typing import Dict, List, Tuple
 
 
 class EventKind:
@@ -63,9 +63,6 @@ class EventQueue:
         #: Events pushed, by kind (the per-component event counters).
         self.counts: Dict[str, int] = dict.fromkeys(EventKind.ALL, 0)
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def push(self, cycle: int, kind: str, payload: object = None) -> None:
         """Register a completion at absolute ``cycle``."""
         self.counts[kind] += 1
@@ -89,16 +86,3 @@ class EventQueue:
         counts[EventKind.PREFETCH_ARRIVAL] += prefetch
         counts[EventKind.SCOREBOARD_RELEASE] += scoreboard
         counts[EventKind.WCB_DRAIN] += drain
-
-    def peek_cycle(self) -> Optional[int]:
-        """Cycle of the earliest pending event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
-
-    def pop_due(self, cycle: int) -> List[Tuple[int, str, object]]:
-        """Pop every event with ``event.cycle <= cycle``, FIFO per cycle."""
-        due: List[Tuple[int, str, object]] = []
-        heap = self._heap
-        while heap and heap[0][0] <= cycle:
-            entry = heappop(heap)
-            due.append((entry[0], entry[2], entry[3]))
-        return due

@@ -6,19 +6,26 @@ each bank holds at most one register of any warp.  Partitioning means
 active warps never evict each other -- the property that distinguishes
 LTRF's cache from a conventional shared register cache.
 
-This module provides:
+A partition is modelled by its capacity alone.  In the paper a
+per-partition Address Allocation Unit gives every cached register a
+bank slot, but no slot number ever reached timing: every RFC access
+costs the same one cycle, whichever bank it hits.  So the warp's WCB
+``valid`` set is the only record of what its partition holds, and the
+one property the slots enforced -- a partition holds at most
+``regs_per_interval`` registers -- is checked on that set's size
+(:meth:`RegisterFileCache.check_capacity`).  The hardware still needs
+the address table; :func:`repro.arch.wcb.wcb_storage_bits` still counts
+its bits.
 
-* :class:`RegisterFileCache` -- partition lifecycle (acquire/release via
-  a global warp-offset Address Allocation Unit), per-partition bank-slot
-  allocation, 1-cycle access timing, and access counting;
-* the per-access bookkeeping (`insert`, `evict`, `read`, `write`)
-  policies use to keep WCB state coherent.
+:class:`RegisterFileCache` provides the partition lifecycle
+(acquire/release through the warp-offset Address Allocation Unit), the
+capacity check, the bulk fills and evictions that keep WCB state
+coherent, and access counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.arch.address_alloc import AddressAllocationUnit, AllocationError
 from repro.arch.config import GPUConfig
@@ -45,13 +52,12 @@ class RFCStats:
 
 
 class RegisterFileCache:
-    """Partitioned RFC with per-warp bank-slot allocation."""
+    """Partitioned RFC: one fixed-capacity partition per active warp."""
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
         self.stats = RFCStats()
         self._warp_offsets = AddressAllocationUnit(config.active_warps)
-        self._partitions: Dict[int, AddressAllocationUnit] = {}
 
     # -- partition lifecycle --------------------------------------------------
 
@@ -62,109 +68,47 @@ class RegisterFileCache:
                 f"warp {wcb.warp_id} already holds a partition"
             )
         wcb.warp_offset = self._warp_offsets.allocate()
-        self._partitions[wcb.warp_offset] = AddressAllocationUnit(
-            self.config.regs_per_interval
-        )
 
     def release_partition(self, wcb: WarpControlBlock) -> None:
         """Reclaim the warp's partition (deactivation, Section 4.2)."""
         if wcb.warp_offset is None:
             raise AllocationError(f"warp {wcb.warp_id} holds no partition")
-        del self._partitions[wcb.warp_offset]
         self._warp_offsets.release(wcb.warp_offset)
         wcb.reset_partition()
 
-    def partition_free_slots(self, wcb: WarpControlBlock) -> int:
-        return self._partition(wcb).free_slots
-
-    def _partition(self, wcb: WarpControlBlock) -> AddressAllocationUnit:
+    def check_capacity(self, wcb: WarpControlBlock, count: int) -> None:
+        """Raise :class:`AllocationError` unless the warp holds a
+        partition and ``count`` registers fit in it."""
         if wcb.warp_offset is None:
             raise AllocationError(f"warp {wcb.warp_id} holds no partition")
-        return self._partitions[wcb.warp_offset]
+        capacity = self.config.regs_per_interval
+        if count > capacity:
+            raise AllocationError(
+                f"RFC partition of warp {wcb.warp_id} exhausted "
+                f"({capacity} slots)"
+            )
 
-    # -- contents ---------------------------------------------------------------
-
-    def allocate_register(self, wcb: WarpControlBlock, register: int) -> int:
-        """Assign an RFC bank slot to ``register`` in the warp's partition."""
-        if register in wcb.address_table:
-            return wcb.address_table[register]
-        slot = self._partition(wcb).allocate()
-        wcb.address_table[register] = slot
-        return slot
-
-    def evict_register(self, wcb: WarpControlBlock, register: int) -> None:
-        """Remove ``register`` from the partition, freeing its slot."""
-        slot = wcb.address_table.pop(register)
-        self._partition(wcb).release(slot)
-        wcb.valid.discard(register)
-        wcb.dirty.discard(register)
-
-    # -- bulk contents (the PREFETCH/activation hot path) -----------------
-    #
-    # PREFETCH execution touches a whole working set at a time; the
-    # per-register wrappers above cost one partition lookup and several
-    # method calls each, which dominates the prefetch path at scale.
-    # These bulk variants resolve the partition once and batch the set
-    # updates; they are observationally identical to looping the
-    # per-register forms.
-
-    def allocate_missing(self, wcb: WarpControlBlock, registers) -> None:
-        """Assign slots to every register not already in the partition."""
-        table = wcb.address_table
-        missing = [
-            register for register in registers if register not in table
-        ]
-        if not missing:
-            return
-        partition = self._partition(wcb)
-        for register in missing:
-            table[register] = partition.allocate()
+    # -- bulk contents (the PREFETCH/activation path) ----------------------
 
     def evict_registers(self, wcb: WarpControlBlock, registers) -> None:
-        """Remove a register group from the partition, freeing slots."""
-        if not registers:
-            return
-        table = wcb.address_table
-        partition = self._partition(wcb)
-        for register in registers:
-            partition.release(table.pop(register))
+        """Drop a register group from the warp's partition."""
         wcb.valid.difference_update(registers)
         wcb.dirty.difference_update(registers)
 
     def fill_registers(self, wcb: WarpControlBlock, registers) -> None:
-        """Install clean copies fetched from the MRF (bulk transfer)."""
-        count = len(registers)
-        if not count:
-            return
-        self.stats.fills += count
-        wcb.valid.update(registers)
-        wcb.dirty.difference_update(registers)
-
-    # -- timed accesses -----------------------------------------------------------
-
-    def read(self, wcb: WarpControlBlock, register: int, cycle: int) -> int:
-        """Read a cached register; returns data-ready cycle."""
-        self.stats.reads += 1
-        return cycle + self.config.rfc_latency
-
-    def write(self, wcb: WarpControlBlock, register: int, cycle: int) -> int:
-        """Write a register into its allocated slot; marks it dirty."""
-        self.stats.writes += 1
-        wcb.valid.add(register)
-        wcb.dirty.add(register)
-        return cycle + self.config.rfc_latency
-
-    def fill(self, wcb: WarpControlBlock, register: int) -> None:
-        """Install a clean copy fetched from the MRF (prefetch/reload).
+        """Install clean copies fetched from the MRF (bulk transfer).
 
         Fills are not polled into place: the bulk transfer that carries
         them (:meth:`repro.arch.main_register_file.MainRegisterFile.bulk_read`)
         returns its completion cycle, which the SM registers as the
         warp's prefetch-arrival wake-up event.
         """
-        self.stats.fills += 1
-        wcb.valid.add(register)
-        wcb.dirty.discard(register)
+        count = len(registers)
+        if not count:
+            return
+        self.stats.fills += count
+        wcb.valid.update(registers)
+        wcb.dirty.difference_update(registers)
 
     def note_writeback(self, count: int = 1) -> None:
         self.stats.writebacks += count

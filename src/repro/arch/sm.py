@@ -342,9 +342,11 @@ class StreamingMultiprocessor:
                             warp_id, warp = pool.popitem()
                             rr_next = warp_id + 1
                         else:
-                            # Open-coded _round_robin_pool (the pool is
-                            # at most the active-warp count, so a plain
-                            # scan beats anything clever).
+                            # Round-robin by warp id: the lowest id at
+                            # or after rr_next, else the lowest overall
+                            # (the pool is at most the active-warp
+                            # count, so a plain scan beats anything
+                            # clever).
                             best = wrap = None
                             for candidate in pool:
                                 if candidate >= rr_next:
@@ -455,14 +457,12 @@ class StreamingMultiprocessor:
                             # (the warp is mid-trace by construction).
                             scoreboard = warp.scoreboard
                             deps = 0
-                            if scoreboard:
-                                get = scoreboard.get
-                                for reg in warp.trace[
-                                    warp.position
-                                ].instruction.hazard_registers:
-                                    pending = get(reg, 0)
-                                    if pending > deps:
-                                        deps = pending
+                            for reg in warp.trace[
+                                warp.position
+                            ].instruction.hazard_registers:
+                                pending = scoreboard[reg]
+                                if pending > deps:
+                                    deps = pending
                             next_ready = warp.next_ready
                             if next_ready >= deps:
                                 if next_ready <= cycle:
@@ -503,19 +503,6 @@ class StreamingMultiprocessor:
             )
         self.cycles_skipped = skipped
         return cycle
-
-    @staticmethod
-    def _round_robin_pool(pool: Dict[int, Warp], rr_next: int) -> Warp:
-        """Round-robin over the issue pool, keyed by warp id."""
-        best = None
-        wrap = None
-        for warp_id in pool:
-            if warp_id >= rr_next:
-                if best is None or warp_id < best:
-                    best = warp_id
-            elif wrap is None or warp_id < wrap:
-                wrap = warp_id
-        return pool[best if best is not None else wrap]
 
     # -- dense reference engine ---------------------------------------------
 

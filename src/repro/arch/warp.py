@@ -8,18 +8,21 @@ through three states:
   latency miss) or not yet admitted to the active pool;
 * ``FINISHED`` -- trace exhausted.
 
-The warp carries an in-order scoreboard (register -> ready cycle) for
-data hazards and its :class:`~repro.arch.wcb.WarpControlBlock` for the
-register-caching policies.
+The warp carries an in-order scoreboard for data hazards -- a flat list
+indexed by architectural register, holding the cycle its pending write
+lands (0: nothing pending) -- and its
+:class:`~repro.arch.wcb.WarpControlBlock` for the register-caching
+policies.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.arch.wcb import WarpControlBlock
 from repro.ir.kernel import TraceEntry
+from repro.ir.registers import MAX_ARCH_REGS
 
 
 class WarpState(enum.Enum):
@@ -48,21 +51,11 @@ class Warp:
         #: For INACTIVE warps: cycle its blocking event resolves.
         self.resume_at = 0
         self.wcb = WarpControlBlock(warp_id)
-        self.scoreboard: Dict[int, int] = {}
+        self.scoreboard: List[int] = [0] * MAX_ARCH_REGS
         self.instructions_issued = 0
         self.prefetches_issued = 0
 
     # -- trace cursor -------------------------------------------------------
-
-    @property
-    def current(self) -> Optional[TraceEntry]:
-        if self.position < self.trace_len:
-            return self.trace[self.position]
-        return None
-
-    @property
-    def done(self) -> bool:
-        return self.position >= self.trace_len
 
     def advance(self) -> None:
         self.position += 1
@@ -84,21 +77,16 @@ class Warp:
             return self.next_ready
         scoreboard = self.scoreboard
         ready = 0
-        if scoreboard:
-            get = scoreboard.get
-            for reg in self.trace[self.position].instruction.hazard_registers:
-                pending = get(reg, 0)
-                if pending > ready:
-                    ready = pending
+        for reg in self.trace[self.position].instruction.hazard_registers:
+            pending = scoreboard[reg]
+            if pending > ready:
+                ready = pending
         return ready
 
     def earliest_issue(self) -> int:
         next_ready = self.next_ready
         deps = self.dependencies_ready_at()
         return next_ready if next_ready >= deps else deps
-
-    def note_write(self, register: int, ready_cycle: int) -> None:
-        self.scoreboard[register] = ready_cycle
 
     def __repr__(self) -> str:
         return (

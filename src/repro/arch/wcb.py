@@ -3,22 +3,27 @@
 One WCB per warp holds the metadata the LTRF hardware needs:
 
 * the **register cache address table**: architectural register id ->
-  RFC bank slot (4-bit bank number in the paper; a dict here);
+  RFC bank slot (a 4-bit bank number plus a valid bit in the paper);
 * the **working-set bit-vector**: which registers the current prefetch
   subgraph may touch, with a valid bit per register ("has it already
   been prefetched?");
 * the **liveness bit-vector** (LTRF+): which registers currently hold
   live values, updated by writes (live) and dead-operand bits (dead).
 
-``wcb_storage_bits`` reproduces the Section 4.3 storage-cost estimate:
-``warps x (regs x 5 + 3 + regs + regs)`` bits -- 114,880 bits for 64
-warps with 256 registers, about 5% of a 256KB register file.
+The model keeps the table's valid bits (``valid``) but not its bank
+numbers: no slot number ever reached timing, so an RFC partition is
+modelled by its capacity alone (:mod:`repro.arch.rf_cache`).
+
+``wcb_storage_bits`` reproduces the Section 4.3 storage-cost estimate,
+address table included: ``warps x (regs x 5 + 3 + regs + regs)`` bits
+-- 114,880 bits for 64 warps with 256 registers, about 5% of a 256KB
+register file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import FrozenSet, Optional, Set
 
 from repro.ir.registers import MAX_ARCH_REGS
 
@@ -28,11 +33,10 @@ class WarpControlBlock:
     """Per-warp LTRF metadata."""
 
     warp_id: int
-    #: Architectural register -> RFC bank slot.
-    address_table: Dict[int, int] = field(default_factory=dict)
     #: Registers named by the current region's PREFETCH bit-vector.
-    working_set: Set[int] = field(default_factory=set)
-    #: Registers present (valid) in the RFC right now.
+    working_set: FrozenSet[int] = frozenset()
+    #: Registers present (valid) in the warp's RFC partition right now:
+    #: the only record of what the partition holds.
     valid: Set[int] = field(default_factory=set)
     #: Registers whose RFC copy is newer than the MRF copy.
     dirty: Set[int] = field(default_factory=set)
@@ -56,21 +60,9 @@ class WarpControlBlock:
 
     def reset_partition(self) -> None:
         """Drop all cache-resident state (warp lost its RFC partition)."""
-        self.address_table.clear()
         self.valid.clear()
         self.dirty.clear()
         self.warp_offset = None
-
-    def note_write(self, register: int) -> None:
-        """A write makes a register live (LTRF+ bit-vector update)."""
-        self.live.add(register)
-
-    def note_dead_operands(self, dead_registers) -> None:
-        """Dead-operand bits mark registers dead after their last read."""
-        self.live.difference_update(dead_registers)
-
-    def cached(self, register: int) -> bool:
-        return register in self.valid
 
 
 def wcb_storage_bits(

@@ -220,6 +220,12 @@ class Instruction:
             raise ValueError("not a PREFETCH instruction")
         return self._decoded_prefetch_registers
 
+    @cached_property
+    def prefetch_working_set(self) -> frozenset:
+        """:meth:`prefetch_registers` as the set a PREFETCH installs in
+        its warp's WCB, built once per static instruction."""
+        return frozenset(self.prefetch_registers())
+
     def prefetch_count(self) -> int:
         """Number of registers a PREFETCH names."""
         if self.opcode is not Opcode.PREFETCH:

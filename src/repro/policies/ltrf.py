@@ -6,7 +6,7 @@ Executing the PREFETCH:
 
 1. writes back and evicts cached registers that left the working set
    (dirty ones go to the MRF);
-2. allocates partition slots for the new working set;
+2. checks that the new working set fits the warp's RFC partition;
 3. bulk-reads the missing registers from the MRF (bank conflicts and the
    narrow crossbar included) -- registers whose WCB valid bits are
    already set are skipped, so a loop iterating inside one interval
@@ -78,12 +78,12 @@ class LTRFPolicy(RegisterPolicy):
     def prefetch(self, warp: Warp, instruction: Instruction,
                  cycle: int) -> int:
         wcb = warp.wcb
-        working_set = set(instruction.prefetch_registers())
+        working_set = instruction.prefetch_working_set
         self._prefetch_operations += 1
 
         self._evict_departed(warp, working_set, cycle)
         to_fetch = self._registers_to_fetch(warp, working_set)
-        self.rfc.allocate_missing(wcb, working_set)
+        self.rfc.check_capacity(wcb, len(working_set))
         wcb.working_set = working_set
 
         completion = cycle + 1
@@ -94,7 +94,7 @@ class LTRFPolicy(RegisterPolicy):
             self.rfc.fill_registers(wcb, to_fetch)
             self._prefetch_registers_moved += len(to_fetch)
         # Registers not fetched (already valid, or provably dead) only
-        # need space; mark them usable so subsequent writes allocate.
+        # need space; marking them valid gives it to them.
         wcb.valid.update(working_set)
         return completion
 
@@ -110,7 +110,7 @@ class LTRFPolicy(RegisterPolicy):
     def _evict_departed(self, warp: Warp, working_set: Set[int],
                         cycle: int) -> None:
         wcb = warp.wcb
-        departed = wcb.address_table.keys() - working_set
+        departed = wcb.valid - working_set
         if not departed:
             return
         dirty = self._writeback_filter(warp, wcb.dirty & departed)
@@ -150,9 +150,10 @@ class LTRFPolicy(RegisterPolicy):
 
     def result_write(self, warp: Warp, instruction: Instruction,
                      cycle: int, to_mrf: bool = False) -> None:
-        # Flattened equivalent of note_write + allocate + rfc.write per
-        # destination: the per-issue write path is hot enough that the
-        # three method hops per register were measurable.
+        # Flattened per-destination write: mark the register live,
+        # cache it (checking the partition's capacity when it is new)
+        # and mark it dirty.  The per-issue write path is hot enough
+        # that a method hop per register was measurable.
         wcb = warp.wcb
         dsts = instruction.dsts
         if not dsts:
@@ -164,14 +165,13 @@ class LTRFPolicy(RegisterPolicy):
                 self.mrf.write(warp.warp_id, dst, cycle)
             return
         live_add = wcb.live.add
-        valid_add = wcb.valid.add
+        valid = wcb.valid
         dirty_add = wcb.dirty.add
-        address_table = wcb.address_table
         for dst in dsts:
             live_add(dst)
-            if dst not in address_table:
-                self.rfc.allocate_register(wcb, dst)
-            valid_add(dst)
+            if dst not in valid:
+                self.rfc.check_capacity(wcb, len(valid) + 1)
+                valid.add(dst)
             dirty_add(dst)
         self._rfc_stats.writes += len(dsts)
 
@@ -181,8 +181,8 @@ class LTRFPolicy(RegisterPolicy):
         wcb = warp.wcb
         self.rfc.acquire_partition(wcb)
         refetch = self._writeback_filter(warp, wcb.working_set)
-        refetch = self._registers_to_fetch(warp, set(refetch))
-        self.rfc.allocate_missing(wcb, wcb.working_set)
+        refetch = self._registers_to_fetch(warp, refetch)
+        self.rfc.check_capacity(wcb, len(wcb.working_set))
         wcb.valid.update(wcb.working_set)
         if not refetch:
             return 0
@@ -193,8 +193,7 @@ class LTRFPolicy(RegisterPolicy):
 
     def deactivate(self, warp: Warp, cycle: int) -> Optional[int]:
         wcb = warp.wcb
-        cached = set(wcb.address_table)
-        writeback = self._writeback_filter(warp, wcb.dirty & cached)
+        writeback = self._writeback_filter(warp, wcb.dirty)
         drained_at = None
         if writeback:
             drained_at = self.mrf.bulk_write(

