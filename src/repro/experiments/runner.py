@@ -195,11 +195,11 @@ def execute_request_with_telemetry(request: SimRequest):
     process-wide static-artifact caches; the telemetry reports this
     run's share of it as counter deltas.
     """
-    builds_before, build_seconds_before = BUILD_STATS.snapshot()
     hits_before, misses_before, compile_seconds_before = (
         COMPILE_STATS.snapshot()
     )
     kernel, fingerprint = resolve_workload(request.workload)
+    builds, build_seconds = BUILD_STATS.claim([request.workload])
     sm = StreamingMultiprocessor(
         request.config, policy_by_name(request.policy)
     )
@@ -224,7 +224,6 @@ def execute_request_with_telemetry(request: SimRequest):
         rfc_writebacks=result.rfc_writebacks,
         l1_hit_rate=result.l1_hit_rate,
     )
-    builds_after, build_seconds_after = BUILD_STATS.snapshot()
     hits_after, misses_after, compile_seconds_after = (
         COMPILE_STATS.snapshot()
     )
@@ -235,8 +234,8 @@ def execute_request_with_telemetry(request: SimRequest):
         cycles_skipped=result.cycles_skipped,
         event_counts=result.event_counts,
         kernel_fingerprint=fingerprint,
-        kernel_builds=builds_after - builds_before,
-        kernel_build_seconds=build_seconds_after - build_seconds_before,
+        kernel_builds=builds,
+        kernel_build_seconds=build_seconds,
         compile_cache_hits=hits_after - hits_before,
         compile_cache_misses=misses_after - misses_before,
         compile_seconds=compile_seconds_after - compile_seconds_before,
@@ -657,26 +656,28 @@ class Runner:
 
     # -- simulation ---------------------------------------------------------
 
-    def _note_front_end_builds(self, before) -> None:
-        """Attribute kernel builds done while computing cache keys.
+    def _note_front_end_builds(self, requests) -> None:
+        """Attribute kernel builds done in this process before any
+        simulation runs.
 
         Key computation fingerprints (and therefore may build) each
-        workload in *this* process before any simulation runs; the
-        per-request telemetry only sees builds inside the executing
-        process, so without this the serial path would report the
-        static front-end as free.
+        workload, and the CLI builds it even earlier to validate it;
+        the per-request telemetry only sees builds inside the
+        executing process, so without this the serial path would
+        report the static front-end as free.
         """
-        builds, seconds = BUILD_STATS.snapshot()
-        self.stats.kernel_builds += builds - before[0]
-        self.stats.kernel_build_seconds += seconds - before[1]
+        builds, seconds = BUILD_STATS.claim(
+            request.workload for request in requests
+        )
+        self.stats.kernel_builds += builds
+        self.stats.kernel_build_seconds += seconds
 
     def simulate(self, workload: str, policy: str, config: GPUConfig,
                  seed: int = 0) -> RunRecord:
         """Run (or fetch from cache) one simulation."""
         request = SimRequest(workload, policy, config, seed)
-        before = BUILD_STATS.snapshot()
         key = self.request_key(request)
-        self._note_front_end_builds(before)
+        self._note_front_end_builds([request])
         cached = self._load_or_migrate(key, request)
         if cached is not None:
             return cached

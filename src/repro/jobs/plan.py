@@ -37,7 +37,6 @@ from repro.experiments.runner import (
     execute_request_with_telemetry,
 )
 from repro.launchers.scheduler import SweepAborted
-from repro.workloads.registry import BUILD_STATS
 
 
 @dataclass
@@ -93,9 +92,8 @@ def plan_requests(runner: Runner,
     sweep through the jobs layer is invisible in telemetry.
     """
     requests = list(requests)
-    before = BUILD_STATS.snapshot()
     keys = [runner.request_key(request) for request in requests]
-    runner._note_front_end_builds(before)
+    runner._note_front_end_builds(requests)
     runner.stats.batch_requests += len(requests)
 
     plan = JobPlan(requests=requests, keys=keys)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import difflib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ir.kernel import Kernel
@@ -59,22 +59,36 @@ def is_kernel_file_name(name: str) -> bool:
 
 @dataclass
 class KernelBuildStats:
-    """Process-wide kernel-materialisation counters.
+    """Process-wide kernel builds that no telemetry has reported yet.
 
     Fed by every registry's :meth:`WorkloadRegistry.get_kernel` miss
-    (generator runs, file loads) and surfaced through the runner's
+    (generator runs, file loads) and drained through the runner's
     telemetry, so sweeps can report how much wall-clock went into
-    building kernels versus simulating them.
+    building kernels versus simulating them.  Builds wait per workload
+    name until :meth:`claim` drains them, so each is reported exactly
+    once -- by the first grid that needs the kernel -- even when it
+    ran before any runner existed (the CLI validates a workload by
+    building it).
     """
 
-    kernel_builds: int = 0
-    kernel_build_seconds: float = 0.0
+    #: workload name -> seconds of each unclaimed build.
+    unclaimed: Dict[str, List[float]] = field(default_factory=dict)
 
-    def snapshot(self) -> Tuple[int, float]:
-        return (self.kernel_builds, self.kernel_build_seconds)
+    def note_build(self, name: str, seconds: float) -> None:
+        self.unclaimed.setdefault(name, []).append(seconds)
+
+    def claim(self, names: Iterable[str]) -> Tuple[int, float]:
+        """``(builds, seconds)`` of the unclaimed builds of ``names``,
+        which count as reported from now on."""
+        builds, seconds = 0, 0.0
+        for name in dict.fromkeys(names):
+            pending = self.unclaimed.pop(name, ())
+            builds += len(pending)
+            seconds += sum(pending)
+        return builds, seconds
 
 
-#: Shared across registries: the counters describe the process.
+#: Shared across registries: builds happen per process.
 BUILD_STATS = KernelBuildStats()
 
 
@@ -300,11 +314,10 @@ class WorkloadRegistry:
             del self._file_sources[name]
 
     @staticmethod
-    def _timed_build(provider: KernelProvider) -> Kernel:
-        BUILD_STATS.kernel_builds += 1
+    def _timed_build(name: str, provider: KernelProvider) -> Kernel:
         started = time.perf_counter()
         kernel = provider.build()
-        BUILD_STATS.kernel_build_seconds += time.perf_counter() - started
+        BUILD_STATS.note_build(name, time.perf_counter() - started)
         return kernel
 
     def get_kernel(self, name: str) -> Kernel:
@@ -320,7 +333,7 @@ class WorkloadRegistry:
                 # Capture the stat signature *before* reading: if the
                 # file is replaced mid-read we re-validate next lookup.
                 signature = self._file_signature(provider.path)
-                kernel = self._timed_build(provider)
+                kernel = self._timed_build(name, provider)
                 if signature is None:
                     # Pre-read stat raced with the file's creation;
                     # the read succeeded, so a re-stat normally works.
@@ -332,7 +345,7 @@ class WorkloadRegistry:
                 self._kernels[name] = kernel
                 self._file_sources[name] = (provider.path, signature)
             else:
-                self._kernels[name] = self._timed_build(provider)
+                self._kernels[name] = self._timed_build(name, provider)
         return self._kernels[name]
 
     def resolve(self, name: str) -> Tuple[Kernel, str]:
