@@ -89,9 +89,10 @@ class Job:
         self.error = ""
         self.resume_hint = ""
         #: total: requests in the grid; unique: after dedup; hits:
-        #: served from the store at plan time; executed: misses this
-        #: job simulated (or absorbed from a concurrent flush);
-        #: waited: misses served by another in-flight job's flush.
+        #: served from the store at plan or claim time; executed:
+        #: misses this job simulated (or absorbed from a concurrent
+        #: flush); waited: misses served by another in-flight job's
+        #: flush.
         self.progress: Dict[str, int] = {
             "total": 0, "unique": 0, "hits": 0, "executed": 0,
             "waited": 0,
@@ -364,6 +365,14 @@ class JobTracker:
 
         owned, followed = self._flights.claim(list(plan.pending), job.id)
         try:
+            for key in owned:
+                # Another job may have flushed and released this key
+                # between our plan and our claim: it is a hit now.
+                record = runner.lookup(key, planned=True)
+                if record is not None:
+                    plan.results[key] = record
+                    job.progress["hits"] += 1
+                    self._flights.release(key, job.id)
             if owned:
                 execute_plan(
                     runner, plan, jobs=spec.jobs,

@@ -270,6 +270,40 @@ class TestSingleFlight:
         assert executed + waited + hits == 8
         assert tracker.in_flight_keys() == 0
 
+    def test_key_flushed_between_plan_and_claim_is_a_hit(
+            self, tmp_path, monkeypatch):
+        """Job B plans a key as a miss; job A then simulates, flushes
+        and releases it; only then does B claim it.  B must serve the
+        key as a hit: the run logs show one simulation in all."""
+        from repro.jobs import tracker as tracker_module
+
+        tracker = JobTracker(str(tmp_path))
+        spec = fast_spec(grid=(2.0,), policies=("BL",))
+        late = tracker.submit(spec)
+        early = tracker.submit(spec)
+        real_plan = tracker_module.plan_requests
+        plans = []
+
+        def plan_then_let_early_finish(runner, requests):
+            plan = real_plan(runner, requests)
+            plans.append(plan)
+            if len(plans) == 1:
+                assert len(plan.pending) == 1
+                tracker.execute(early.id)
+            return plan
+
+        monkeypatch.setattr(tracker_module, "plan_requests",
+                            plan_then_let_early_finish)
+        tracker.execute(late.id)
+        assert [early.state, late.state] == ["done", "done"]
+        assert late.records == early.records
+        assert late.progress == {"total": 1, "unique": 1, "hits": 1,
+                                 "executed": 0, "waited": 0}
+        entries = run_log(str(tmp_path))
+        assert sum(entry["simulations"] for entry in entries) == 1
+        assert sum(entry["cache_hits"] for entry in entries) == 1
+        assert tracker.in_flight_keys() == 0
+
     def test_follower_recovers_when_owner_aborts(self, tmp_path):
         """A follower waiting on an owner that aborts before flushing
         must claim the key itself instead of waiting forever."""
