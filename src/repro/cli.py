@@ -20,7 +20,6 @@ Usage (after ``pip install -e .``):
     python -m repro.cli store stats
     python -m repro.cli store verify
     python -m repro.cli store compact
-    python -m repro.cli store migrate [LEGACY_DIR] [--delete-legacy]
     python -m repro.cli store merge --dir dest/ harvested-worker-store/
     python -m repro.cli report -o report/ [--baseline-policy BL]
     python -m repro.cli diff-runs /path/to/storeA /path/to/storeB
@@ -64,13 +63,7 @@ from repro.experiments import (
 from repro.experiments.runner import default_cache_dir
 from repro.ir import kernel_fingerprint, save_kernel
 from repro.policies import POLICIES
-from repro.store import (
-    Query,
-    ResultStore,
-    StoreError,
-    count_legacy_entries,
-    migrate_legacy_dir,
-)
+from repro.store import Query, ResultStore, StoreError
 from repro.workloads import (
     UnknownWorkloadError,
     default_registry,
@@ -286,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
                   "exits 1 on failure",
         "compact": "GC pass: rewrite each shard to one duplicate-free "
                    "segment (run while no simulations are writing)",
-        "migrate": "ingest a legacy flat-file .ltrf_cache directory",
         "merge": "fold another store's records into this one (e.g. "
                  "segments harvested from a remote sweep worker)",
     }
@@ -299,17 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "merge":
             command.add_argument(
                 "source", help="store root to merge records from"
-            )
-        if name == "migrate":
-            command.add_argument(
-                "legacy_dir", nargs="?", default=None,
-                help="directory holding legacy *.json entries "
-                     "(default: the store root itself, i.e. migrate "
-                     "in place)",
-            )
-            command.add_argument(
-                "--delete-legacy", action="store_true",
-                help="remove successfully ingested legacy files",
             )
 
     report = sub.add_parser(
@@ -677,9 +658,8 @@ def _open_store(root: str, must_exist: bool) -> ResultStore:
     """Open the store at ``root``.
 
     With ``must_exist`` (the inspection commands) the directory is
-    never mutated: a missing directory, a missing STORE_FORMAT marker
-    (e.g. a legacy flat-file cache awaiting migration), or a bad
-    marker all fail with a one-line error instead of silently
+    never mutated: a missing directory, a missing STORE_FORMAT marker,
+    or a bad marker all fail with a one-line error instead of silently
     initialising a store there and reporting an empty "OK".
     """
     if must_exist and not os.path.isdir(root):
@@ -688,19 +668,7 @@ def _open_store(root: str, must_exist: bool) -> ResultStore:
     try:
         return ResultStore(root, create=not must_exist)
     except (StoreError, OSError) as error:
-        hint = ""
-        if must_exist and count_legacy_entries(root):
-            hint = (f"; it holds {count_legacy_entries(root)} legacy "
-                    "flat-file entr(ies) -- run `store migrate` to "
-                    "ingest them first")
-        _fail(f"{error}{hint}")
-
-
-def _legacy_note(store: ResultStore) -> None:
-    if store.has_legacy_entries():
-        print(f"note: {count_legacy_entries(store.root)} legacy "
-              "flat-file entr(ies) alongside this store are NOT "
-              "included above; run `store migrate` to ingest them.")
+        _fail(str(error))
 
 
 def _cmd_store(args) -> None:
@@ -711,12 +679,10 @@ def _cmd_store(args) -> None:
         # StoreStats, so they agree by construction.
         query = Query(_open_store(root, must_exist=True))
         print(query.stats().render())
-        _legacy_note(query.store)
     elif args.store_command == "verify":
         store = _open_store(root, must_exist=True)
         report = store.verify()
         print(report.render())
-        _legacy_note(store)
         if not report.ok:
             raise _CliError(1)
     elif args.store_command == "compact":
@@ -729,16 +695,6 @@ def _cmd_store(args) -> None:
         source.close()
         dest.close()
         print(outcome.render())
-    elif args.store_command == "migrate":
-        legacy_dir = args.legacy_dir if args.legacy_dir is not None else root
-        if not os.path.isdir(legacy_dir):
-            _fail(f"no such legacy cache directory: {legacy_dir!r}")
-        store = _open_store(root, must_exist=False)
-        report = migrate_legacy_dir(
-            legacy_dir, store, delete_legacy=args.delete_legacy
-        )
-        store.close()
-        print(report.render())
 
 
 def _cmd_report(args) -> None:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
 # Resolved as a *module attribute* by launchers.local (and monkeypatched
 # by the scripted-pool tests) -- not referenced by name in this module.
@@ -430,22 +429,6 @@ def _config_fingerprint(config: GPUConfig) -> str:
     return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
 
-#: Store roots we have already warned about (one warning per process).
-_LEGACY_WARNED = set()
-
-
-def _warn_legacy_entries(cache_dir: str) -> None:
-    if cache_dir in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(cache_dir)
-    print(
-        f"note: {cache_dir} holds legacy flat-file cache entries the "
-        "result store does not read; run `python -m repro.cli store "
-        "migrate` to ingest them (or ignore this to re-simulate cold).",
-        file=sys.stderr,
-    )
-
-
 class Runner:
     """Cached simulation front-end used by all experiments.
 
@@ -491,9 +474,6 @@ class Runner:
         #: entries are per-sweep deltas (summable by reports) while
         #: ``self.stats`` keeps process-lifetime totals.
         self._logged_stats = RunnerStats()
-        if self.result_store is not None \
-                and self.result_store.has_legacy_entries():
-            _warn_legacy_entries(cache_dir)
 
     # -- cache plumbing -----------------------------------------------------
 

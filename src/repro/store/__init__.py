@@ -1,14 +1,6 @@
 """Sharded, crash-consistent result store (see result_store.py) and
 the one query API every consumer reads it through (see query.py)."""
 
-from repro.store.legacy import (
-    MigrationReport,
-    count_legacy_entries,
-    iter_legacy_entries,
-    legacy_entry_name,
-    migrate_legacy_dir,
-    write_legacy_entry,
-)
 from repro.store.merge import MergeOutcome, merge_store
 from repro.store.query import (
     AGGREGATORS,
@@ -31,7 +23,6 @@ __all__ = [
     "CompactionReport",
     "DEFAULT_SHARDS",
     "MergeOutcome",
-    "MigrationReport",
     "ParsedKey",
     "Query",
     "ResultStore",
@@ -39,11 +30,6 @@ __all__ = [
     "StoreStats",
     "StoredRecord",
     "VerifyReport",
-    "count_legacy_entries",
-    "iter_legacy_entries",
-    "legacy_entry_name",
     "merge_store",
-    "migrate_legacy_dir",
     "parse_key",
-    "write_legacy_entry",
 ]

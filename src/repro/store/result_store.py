@@ -62,9 +62,6 @@ from repro.util import atomic_write_text
 
 #: Store format marker file, written once at store creation.
 FORMAT_FILE = "STORE_FORMAT"
-#: Marker the legacy migrator drops in an ingested directory (see
-#: repro.store.legacy); its presence silences has_legacy_entries().
-MIGRATED_MARKER = "LEGACY_MIGRATED"
 FORMAT_NAME = "ltrf-store"
 FORMAT_VERSION = 1
 DEFAULT_SHARDS = 16
@@ -276,8 +273,7 @@ class ResultStore:
         ``STORE_FORMAT`` marker raises :class:`StoreError` instead of
         being silently turned into a store -- inspection commands
         (``store stats``/``verify``/``compact``) use this so they never
-        mutate a directory that is not a store (e.g. a legacy flat-file
-        cache awaiting migration).
+        mutate a directory that is not a store.
         """
         self.root = root
         self.segment_bytes = segment_bytes
@@ -322,23 +318,6 @@ class ResultStore:
             "shards": shards,
         }, sort_keys=True) + "\n")
         return shards
-
-    def has_legacy_entries(self) -> bool:
-        """True if the root holds flat pre-store ``*.json`` cache files
-        that have not yet been ingested (the migrator leaves a
-        ``LEGACY_MIGRATED`` marker behind, so kept-around legacy files
-        stop triggering the runner's migrate note)."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return False
-        if MIGRATED_MARKER in names:
-            return False
-        return any(
-            name.endswith(".json") and
-            os.path.isfile(os.path.join(self.root, name))
-            for name in names
-        )
 
     # -- sharding -----------------------------------------------------------
 

@@ -132,6 +132,21 @@ class TestCacheHardening:
         fresh = Runner(cache_dir=str(tmp_path))
         assert fresh.lookup(key) == record
 
+    def test_flat_json_cache_dir_simulates_cold_without_a_note(
+            self, tmp_path, capsys):
+        """A directory of flat ``*.json`` entries from before the result
+        store is just a directory: the runner re-simulates every point
+        cold and prints nothing about the old files."""
+        (tmp_path / "btree__BL__0123abcd__0__kfeedface.json").write_text(
+            json.dumps({"workload": "btree", "policy": "BL", "ipc": 1.0})
+        )
+        runner = Runner(cache_dir=str(tmp_path))
+        runner.simulate_many(small_grid())
+        assert runner.stats.simulated == len(small_grid())
+        assert runner.stats.hits == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+
     def test_store_leaves_no_temp_files(self, tmp_path):
         runner = Runner(cache_dir=str(tmp_path))
         runner.simulate_many(small_grid(), jobs=2)
@@ -191,8 +206,8 @@ class TestCacheKeyFingerprint:
         """Regression for the lossy-sanitiser collision: a file-backed
         workload whose path contains '/' and a workload whose *name* is
         that path with '_' produce different keys AND different store
-        records (the legacy cache folded both onto one file)."""
-        from repro.store import legacy_entry_name
+        records (the flat pre-store cache, which sanitised '/' to '_'
+        in file names, folded both onto one file)."""
         runner = Runner(cache_dir=str(tmp_path))
         slashed = SimRequest("a/b", "BL", SMALL)
         underscored = SimRequest("a_b", "BL", SMALL)
@@ -203,11 +218,7 @@ class TestCacheKeyFingerprint:
         key_slashed = runner.request_key(slashed)
         key_underscored = runner.request_key(underscored)
         assert key_slashed != key_underscored
-        # The legacy sanitiser folded exactly these two keys onto one
-        # filename -- the collision this store exists to prevent...
-        assert legacy_entry_name(key_slashed) == \
-            legacy_entry_name(key_underscored)
-        # ...while the store keeps them apart.
+        assert key_slashed.replace("/", "_") == key_underscored
         runner.result_store.put(key_slashed, {"ipc": 1.0})
         runner.result_store.put(key_underscored, {"ipc": 2.0})
         assert runner.result_store.get(key_slashed) == {"ipc": 1.0}

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.store import Query, ResultStore, StoreError, legacy_entry_name
+from repro.store import Query, ResultStore, StoreError
 from repro.store.result_store import FORMAT_FILE
 
 
@@ -98,11 +98,11 @@ class TestInjectiveNaming:
     def test_legacy_aliasing_keys_resolve_to_distinct_records(self,
                                                               tmp_path):
         # A file-backed workload path `a/b` and a workload *named*
-        # `a_b` aliased to one file under the legacy sanitiser...
+        # `a_b` shared one file name in the flat pre-store cache, which
+        # sanitised '/' to '_'; the store addresses records by the full
+        # key string.
         slashed = "a/b__BL__cfg0__0__kdeadbeef"
         underscored = "a_b__BL__cfg0__0__kdeadbeef"
-        assert legacy_entry_name(slashed) == legacy_entry_name(underscored)
-        # ...but the store addresses records by the full key string.
         store = ResultStore(str(tmp_path))
         store.put(slashed, {"workload": "a/b", "ipc": 1.0})
         store.put(underscored, {"workload": "a_b", "ipc": 2.0})
@@ -114,9 +114,9 @@ class TestInjectiveNaming:
         assert fresh.get(underscored) == {"workload": "a_b", "ipc": 2.0}
 
     def test_plus_policy_keys_distinct(self, tmp_path):
+        # The flat pre-store cache spelled '+' as 'plus' in file names.
         plus = "wl__LTRF+__cfg0__0__kdeadbeef"
         spelled = "wl__LTRFplus__cfg0__0__kdeadbeef"
-        assert legacy_entry_name(plus) == legacy_entry_name(spelled)
         store = ResultStore(str(tmp_path))
         store.put(plus, {"policy": "LTRF+"})
         store.put(spelled, {"policy": "LTRFplus"})

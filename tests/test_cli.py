@@ -5,6 +5,19 @@ import pytest
 from repro.cli import EXPERIMENTS, main
 
 
+def flat_json_dir(tmp_path, name="flat-cache"):
+    """A cache from before the result store: one flat ``*.json`` file
+    per entry, and no STORE_FORMAT marker."""
+    import json
+
+    root = tmp_path / name
+    root.mkdir()
+    (root / "btree__BL__0123abcd__0__kfeedface.json").write_text(
+        json.dumps({"workload": "btree", "policy": "BL", "ipc": 1.0})
+    )
+    return str(root)
+
+
 def test_list_workloads(capsys):
     assert main(["list-workloads"]) == 0
     out = capsys.readouterr().out
@@ -74,7 +87,7 @@ def _printed_ipc(output):
 
 
 class TestStoreCommand:
-    """The `store stats|verify|compact|migrate` maintenance surface."""
+    """The `store stats|verify|compact` maintenance surface."""
 
     def _populated(self, tmp_path):
         from repro.arch import GPUConfig
@@ -114,58 +127,36 @@ class TestStoreCommand:
         assert main(["store", "compact", "--dir", root]) == 0
         assert "compacted" in capsys.readouterr().out
 
-    def test_migrate_in_place(self, capsys, tmp_path):
-        from repro.store import ResultStore, write_legacy_entry
-        root = str(tmp_path / "upgraded")
-        write_legacy_entry(
-            root, "btree__BL__0123abcd__0__kfeedface",
-            {"workload": "btree", "policy": "BL", "ipc": 1.0},
-        )
-        assert main(["store", "migrate", "--dir", root]) == 0
-        assert "migrated 1 legacy entr(ies)" in capsys.readouterr().out
-        store = ResultStore(root)
-        assert store.get("btree__BL__0123abcd__0__kfeedface") is not None
-
     def test_stats_on_missing_store(self, capsys, tmp_path):
         assert main(["store", "stats", "--dir",
                      str(tmp_path / "nothing-here")]) == 2
         assert "no result store" in capsys.readouterr().err
 
     def test_inspection_never_initialises_a_store(self, capsys, tmp_path):
-        """`store stats`/`verify` on a directory that is not a store
-        (e.g. a legacy cache awaiting migration) must not write a
-        STORE_FORMAT marker there, and must point at `store migrate`
-        instead of reporting an empty store as OK."""
+        """`store stats`/`verify`/`compact` on a directory of flat
+        ``*.json`` files (a cache from before the result store) must
+        not write a STORE_FORMAT marker there, and must fail instead of
+        reporting an empty store as OK."""
         import os
 
-        from repro.store import write_legacy_entry
-        root = str(tmp_path / "legacy-only")
-        write_legacy_entry(
-            root, "btree__BL__0123abcd__0__kfeedface",
-            {"workload": "btree", "policy": "BL", "ipc": 1.0},
-        )
+        root = flat_json_dir(tmp_path)
         for command in ("stats", "verify", "compact"):
             assert main(["store", command, "--dir", root]) == 2
             err = capsys.readouterr().err
+            assert err.startswith("error: ")
             assert "not a result store" in err
-            assert "store migrate" in err
+            assert "migrate" not in err
         assert not os.path.exists(os.path.join(root, "STORE_FORMAT"))
 
-    def test_stats_notes_unmigrated_legacy_files(self, capsys, tmp_path):
-        from repro.store import write_legacy_entry
-        root = self._populated(tmp_path)
-        write_legacy_entry(
-            root, "kmeans__BL__0123abcd__0__kfeedface",
-            {"workload": "kmeans", "policy": "BL", "ipc": 1.0},
-        )
-        assert main(["store", "stats", "--dir", root]) == 0
-        out = capsys.readouterr().out
-        assert "NOT included above" in out and "store migrate" in out
-
-    def test_migrate_missing_legacy_dir(self, capsys, tmp_path):
-        assert main(["store", "migrate", "--dir", str(tmp_path),
-                     str(tmp_path / "gone")]) == 2
-        assert "no such legacy cache directory" in capsys.readouterr().err
+    def test_store_migrate_is_gone(self, capsys, tmp_path):
+        root = flat_json_dir(tmp_path)
+        for argv in (["store", "migrate", "--dir", root],
+                     ["store", "migrate", "--dir", str(tmp_path), root],
+                     ["store", "migrate", "--delete-legacy"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
     def test_empty_cache_env_fails_cleanly(self, capsys, monkeypatch):
         monkeypatch.setenv("LTRF_CACHE_DIR", "")
@@ -614,36 +605,30 @@ class TestFaultToleranceCli:
 
 
 class TestReportingErrorHints:
-    """`report`/`diff-runs` on a directory that is not a store must
-    exit 2 through `_fail` (never a traceback) and, when the directory
-    holds un-migrated legacy entries, point at `store migrate`."""
+    """`report`/`diff-runs` on a directory that is not a store (here a
+    cache of flat ``*.json`` files from before the result store) must
+    exit 2 through `_fail`, never a traceback, and leave it as is."""
 
-    def _legacy_only(self, tmp_path, name="legacy"):
-        from repro.store import write_legacy_entry
-        root = str(tmp_path / name)
-        write_legacy_entry(
-            root, "btree__BL__0123abcd__0__kfeedface",
-            {"workload": "btree", "policy": "BL", "ipc": 1.0},
-        )
-        return root
+    def test_report_on_flat_json_dir_fails_cleanly(self, capsys,
+                                                   tmp_path):
+        import os
 
-    def test_report_on_legacy_dir_points_at_migrate(self, capsys,
-                                                    tmp_path):
-        root = self._legacy_only(tmp_path)
+        root = flat_json_dir(tmp_path)
         assert main(["report", "--dir", root,
                      "-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "store migrate" in err
+        assert "not a result store" in err
         assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(root, "STORE_FORMAT"))
 
-    def test_diff_runs_on_legacy_dir_points_at_migrate(self, capsys,
-                                                       tmp_path):
-        root = self._legacy_only(tmp_path)
+    def test_diff_runs_on_flat_json_dir_fails_cleanly(self, capsys,
+                                                      tmp_path):
+        root = flat_json_dir(tmp_path)
         assert main(["diff-runs", root, root]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "store migrate" in err
+        assert "not a result store" in err
         assert "Traceback" not in err
 
 
