@@ -49,8 +49,8 @@ class DiffEntry:
         point = f"{self.workload} / {self.policy} / seed {self.seed}"
         if self.cause == "config":
             return (f"{point}: architecture changed "
-                    f"({_fp(self.a.arch_fingerprint or self.a.config_fingerprint)}"
-                    f" -> {_fp(self.b.arch_fingerprint or self.b.config_fingerprint)})")
+                    f"({_fp(self.a.arch_fingerprint)} -> "
+                    f"{_fp(self.b.arch_fingerprint)})")
         if self.cause == "kernel":
             return (f"{point}: kernel changed "
                     f"({_fp(self.a.kernel_fingerprint)} -> "
@@ -176,8 +176,7 @@ def diff_runs(query_a: Query, query_b: Query) -> DiffReport:
 
     _pair(lambda r: _identity(r) + (r.kernel_fingerprint,), "config")
     # Pass 3: same grid point + architecture, different kernel -> kernel.
-    _pair(lambda r: _identity(r)
-          + (r.arch_fingerprint or r.config_fingerprint,), "kernel")
+    _pair(lambda r: _identity(r) + (r.arch_fingerprint,), "kernel")
 
     for a in unmatched_a:
         entries.append(

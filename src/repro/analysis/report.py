@@ -67,7 +67,7 @@ class DeltaRow:
     def arch_label(self) -> str:
         if self.latency is not None:
             return f"{self.latency:g}x"
-        return self.arch_fingerprint[:8] or "(legacy)"
+        return self.arch_fingerprint[:8] or "(unparsed key)"
 
 
 @dataclass
@@ -160,15 +160,13 @@ def build_report(query: Query, baseline_policy: str = "BL",
         if not record.schema_ok or record.ipc is None:
             continue
         policies.add(record.policy)
-        group = (record.workload, record.arch_fingerprint,
-                 record.config_fingerprint, record.seed,
+        group = (record.workload, record.arch_fingerprint, record.seed,
                  record.kernel_fingerprint)
         row = points.get(group)
         if row is None:
             row = points[group] = DeltaRow(
                 workload=record.workload,
-                arch_fingerprint=(record.arch_fingerprint
-                                  or record.config_fingerprint),
+                arch_fingerprint=record.arch_fingerprint,
                 latency=record.latency,
                 seed=record.seed,
                 kernel_fingerprint=record.kernel_fingerprint,

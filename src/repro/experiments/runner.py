@@ -39,14 +39,12 @@ in :class:`RunnerStats`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 # Resolved as a *module attribute* by launchers.local (and monkeypatched
 # by the scripted-pool tests) -- not referenced by name in this module.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, List, Optional
 
 from repro.arch.config import GPUConfig
@@ -377,58 +375,6 @@ class RunnerStats:
             self.event_counts[kind] = self.event_counts.get(kind, 0) + count
 
 
-#: Field types the cache-key fingerprint encodes natively.  GPUConfig
-#: today uses exactly str, int, float and bool (plus the nested
-#: MemoryConfig dataclass of ints); None is allowed for optional
-#: fields.
-_FINGERPRINT_SCALARS = (bool, int, float, str, type(None))
-
-
-def _fingerprint_encode(name: str, value):
-    """Losslessly encode one config field for the fingerprint blob.
-
-    Strict on purpose: the seed serialised unknown field types with
-    ``json.dumps(..., default=str)``, so two configs whose fields
-    differed only in ways ``str()`` collapses (any two objects sharing
-    a string form) produced the *same* fingerprint -- i.e. the same
-    cache key for different design points.  Unknown types now raise at
-    key-computation time instead of aliasing at lookup time.
-    """
-    if isinstance(value, _FINGERPRINT_SCALARS):
-        return value
-    if is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _fingerprint_encode(f"{name}.{f.name}",
-                                        getattr(value, f.name))
-            for f in fields(value)
-        }
-    if isinstance(value, (list, tuple)):
-        return [
-            _fingerprint_encode(f"{name}[{index}]", item)
-            for index, item in enumerate(value)
-        ]
-    raise TypeError(
-        f"cannot fingerprint GPUConfig field {name!r} of type "
-        f"{type(value).__qualname__}: add an explicit lossless encoding "
-        "to _fingerprint_encode (refusing to fall back to str(), which "
-        "can collapse distinct configurations onto one cache key)"
-    )
-
-
-def _config_fingerprint(config: GPUConfig) -> str:
-    # Encodes to the same blob as the historical asdict()+json path for
-    # every type GPUConfig actually uses, so fingerprints -- and
-    # therefore existing store entries -- stay valid (pinned by
-    # tests/experiments/test_runner_batch.py).
-    payload = {
-        field.name: _fingerprint_encode(field.name,
-                                        getattr(config, field.name))
-        for field in fields(config)
-    }
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha1(blob.encode()).hexdigest()[:16]
-
-
 class Runner:
     """Cached simulation front-end used by all experiments.
 
@@ -509,20 +455,6 @@ class Runner:
             request.workload, request.policy, request.config, request.seed
         )
 
-    def _legacy_key(self, request: SimRequest) -> str:
-        """The pre-arch-fingerprint key format (migration shim).
-
-        Earlier stores keyed configurations with the sha1-based
-        ``_config_fingerprint``; :meth:`_load_or_migrate` probes this
-        key on a miss so entries written before the arch-fingerprint
-        change stay warm, and re-homes hits under the current format.
-        """
-        return (
-            f"{request.workload}__{request.policy}__"
-            f"{_config_fingerprint(request.config)}__{request.seed}"
-            f"__k{workload_fingerprint(request.workload)}"
-        )
-
     @staticmethod
     def _content_key(key: str, telemetry: SimTelemetry) -> str:
         """The key a freshly simulated record must be *stored* under.
@@ -589,35 +521,6 @@ class Runner:
             )
         return Query(self.result_store)
 
-    def _load_or_migrate(self, key: str,
-                         request: SimRequest) -> Optional[RunRecord]:
-        """:meth:`lookup` of a planned point, falling back to the legacy
-        key format.
-
-        A record found only under the legacy key is re-homed: stored
-        again under the current arch-fingerprint key, so the probe cost
-        is paid once per entry and future runs (and other readers) see
-        it at the canonical address.  The legacy entry itself is left
-        in place -- the store is append-only and old readers may still
-        address it.
-        """
-        record = self.lookup(key, planned=True)
-        if record is not None:
-            return record
-        if self.result_store is None:
-            return None
-        payload = self.result_store.get(self._legacy_key(request))
-        if payload is None:
-            return None
-        try:
-            record = RunRecord(**payload)
-        except TypeError:
-            # Stale-schema legacy entry: a miss, same as in _load.
-            return None
-        self.stats.disk_hits += 1
-        self._store(key, record)
-        return record
-
     def _store(self, key: str, record: RunRecord) -> None:
         # Flushed immediately (not at merge time): anything stored here
         # survives a mid-sweep crash, which is what makes sweeps
@@ -658,7 +561,7 @@ class Runner:
         request = SimRequest(workload, policy, config, seed)
         key = self.request_key(request)
         self._note_front_end_builds([request])
-        cached = self._load_or_migrate(key, request)
+        cached = self.lookup(key, planned=True)
         if cached is not None:
             return cached
         record, telemetry = execute_request_with_telemetry(request)

@@ -88,8 +88,8 @@ def plan_requests(runner: Runner,
     Replicates the front half of the historical ``simulate_many``
     exactly -- key computation (attributing front-end kernel builds),
     ``batch_requests``/``batch_deduplicated``/``batch_dispatched``
-    counters, and the legacy-key migration probe -- so routing a
-    sweep through the jobs layer is invisible in telemetry.
+    counters, and the planned store lookup -- so routing a sweep
+    through the jobs layer is invisible in telemetry.
     """
     requests = list(requests)
     keys = [runner.request_key(request) for request in requests]
@@ -102,7 +102,7 @@ def plan_requests(runner: Runner,
             runner.stats.batch_deduplicated += 1
             plan.deduplicated += 1
             continue
-        cached = runner._load_or_migrate(key, request)
+        cached = runner.lookup(key, planned=True)
         if cached is not None:
             plan.results[key] = cached
         else:

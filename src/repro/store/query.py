@@ -16,12 +16,12 @@ Reports (``repro report``), run diffing (``repro diff-runs``), the
 :meth:`Runner.results` are all built on it; direct segment/index
 access stays confined to :mod:`repro.store`.
 
-Keys are parsed structurally, never trusted blindly: both the current
-format ``<workload>__<policy>__a<arch-fp>__<seed>__k<kernel-fp>`` and
-the pre-arch-fingerprint legacy format (a bare config hash in place of
-the ``a<fp>`` segment) decode, and a key that matches neither still
-yields a row (fingerprints empty, identity recovered from the payload
-where possible) so maintenance tooling sees *every* record.
+Keys are parsed structurally, never trusted blindly: the format
+``<workload>__<policy>__a<arch-fp>__<seed>__k<kernel-fp>`` decodes, and
+a key that does not match it -- such as one written before the
+``a<fp>`` segment existed -- still yields a row (``key_ok`` false,
+fingerprints empty, identity recovered from the payload where
+possible) so maintenance tooling sees *every* record.
 
 Filters the key decides (workload, policy, fingerprints, seed, an
 explicit key set, and the latency band, which follows from the arch
@@ -66,18 +66,14 @@ class ParsedKey(NamedTuple):
 
     workload: str
     policy: str
-    #: Content fingerprint of the architecture (``a<fp>`` segment);
-    #: empty for legacy-format keys.
+    #: Content fingerprint of the architecture (``a<fp>`` segment).
     arch_fingerprint: str
-    #: The legacy config-hash segment, for pre-arch-fingerprint keys;
-    #: empty for current-format keys.
-    config_fingerprint: str
     seed: int
     kernel_fingerprint: str
 
 
 def parse_key(key: str) -> Optional[ParsedKey]:
-    """Decode a cache key, or ``None`` if it matches neither format.
+    """Decode a cache key, or ``None`` if it does not match the format.
 
     Parsed right to left (kernel fingerprint, seed, arch segment,
     policy) because only the workload may itself contain ``__`` -- a
@@ -109,14 +105,11 @@ def _parse_key(key: str, share: Callable[[Any, Any], Any]
     policy = share(policy, policy)
     seed = share(seed, seed)
     kernel_fp = share(kernel_fp, kernel_fp)
-    if arch_token.startswith("a") and _is_hex(arch_token[1:]):
-        arch_fp = arch_token[1:]
-        return ParsedKey(workload, policy, share(arch_fp, arch_fp), "",
-                         seed, kernel_fp)
-    if _is_hex(arch_token):
-        return ParsedKey(workload, policy, "",
-                         share(arch_token, arch_token), seed, kernel_fp)
-    return None
+    if not arch_token.startswith("a") or not _is_hex(arch_token[1:]):
+        return None
+    arch_fp = arch_token[1:]
+    return ParsedKey(workload, policy, share(arch_fp, arch_fp), seed,
+                     kernel_fp)
 
 
 class StoredRecord(NamedTuple):
@@ -127,7 +120,6 @@ class StoredRecord(NamedTuple):
     workload: str
     policy: str
     arch_fingerprint: str
-    config_fingerprint: str
     seed: int
     kernel_fingerprint: str
     #: The raw stored payload (a ``RunRecord``-shaped dict for current
@@ -141,7 +133,7 @@ class StoredRecord(NamedTuple):
     #: simulated on, resolved through the store's arch manifest;
     #: ``None`` when the fingerprint has no recorded description.
     latency: Optional[float]
-    #: Whether the key parsed as a known cache-key format.
+    #: Whether the key parsed as a cache key.
     key_ok: bool = True
 
     @property
@@ -159,9 +151,8 @@ class StoredRecord(NamedTuple):
 
 
 _RECORD_FIELDS = frozenset(
-    ("key", "workload", "policy", "arch_fingerprint",
-     "config_fingerprint", "seed", "kernel_fingerprint", "latency",
-     "schema_ok", "key_ok")
+    ("key", "workload", "policy", "arch_fingerprint", "seed",
+     "kernel_fingerprint", "latency", "schema_ok", "key_ok")
 )
 
 
@@ -246,7 +237,7 @@ class Query:
 
     def __init__(self, store: ResultStore) -> None:
         self._store = store
-        #: key -> ParsedKey, or None for a key of neither format;
+        #: key -> ParsedKey, or None for a key that does not parse;
         #: shared by the whole lineage (dict reads and writes are
         #: atomic, so concurrent queries at worst parse a key twice).
         self._parsed: Dict[str, Optional[ParsedKey]] = {}
@@ -309,7 +300,7 @@ class Query:
 
         Everything but ``schema_ok`` is decided by the key, so
         :meth:`records` drops a parseable key that fails it without
-        reading its payload; a key of neither format is checked on its
+        reading its payload; a key that does not parse is checked on its
         row, with identity from the payload.
         """
         changes: Dict[str, Any] = {}
@@ -342,7 +333,7 @@ class Query:
 
     def _key_passes(self, fields: Any, latencies: "_Latencies") -> bool:
         """Whether the key-decided constraints hold for ``fields`` (a
-        ParsedKey, or the row of a key of neither format).  An unknown
+        ParsedKey, or the row of a key that does not parse).  An unknown
         latency is never within a band."""
         for getter, expected in self._key_checks:
             if getter(fields) != expected:
@@ -384,11 +375,10 @@ class Query:
                 payload = get(key)
                 if payload is None:   # compacted away mid-iteration
                     continue
-                (workload, policy, arch_fp, config_fp, seed,
-                 kernel_fp) = parsed
+                workload, policy, arch_fp, seed, kernel_fp = parsed
                 record = StoredRecord(
-                    key, workload, policy, arch_fp, config_fp, seed,
-                    kernel_fp, payload, payload.keys() == schema_fields,
+                    key, workload, policy, arch_fp, seed, kernel_fp,
+                    payload, payload.keys() == schema_fields,
                     latencies[arch_fp],
                 )
             else:
@@ -397,7 +387,7 @@ class Query:
                     continue
                 record = StoredRecord(
                     key, str(payload.get("workload", "")),
-                    str(payload.get("policy", "")), "", "", 0, "",
+                    str(payload.get("policy", "")), "", 0, "",
                     payload, payload.keys() == schema_fields, None, False,
                 )
                 if key_filtered and not self._key_passes(record, latencies):

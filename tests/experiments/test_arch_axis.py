@@ -1,9 +1,11 @@
-"""Tests for the architecture axis: fingerprinted keys, sweeps, migration."""
-
-from dataclasses import asdict
+"""Tests for the architecture axis: fingerprinted keys and sweeps."""
 
 from repro.arch import GPUConfig
-from repro.arch.serialize import arch_fingerprint, save_arch
+from repro.arch.serialize import (
+    arch_fingerprint,
+    fingerprint_of_arch,
+    save_arch,
+)
 from repro.experiments import Runner, SimRequest
 from repro.experiments.latency_tolerance import sweep_requests
 
@@ -67,27 +69,31 @@ class TestArchKeyedStore:
         assert runner.result_store.get(base_key) is not None
         assert runner.result_store.get(near_key) is not None
 
-    def test_legacy_key_entries_migrate_on_read(self, tmp_path):
-        """Records stored under the pre-arch-fingerprint key format are
-        served as disk hits and re-homed under the current key."""
-        warm = Runner(cache_dir=str(tmp_path))
+    def test_pre_arch_fingerprint_key_is_unparsed_and_resimulated(
+            self, tmp_path):
+        """A record stored under the key format from before the arch
+        fingerprint (a sha1 config hash where ``a<fp>`` now stands) is
+        an unparsed row that queries still count, and a runner
+        simulates that point cold next to it."""
+        warm = Runner(cache_dir=str(tmp_path / "warm"))
         record = warm.simulate("btree", "BL", SMALL)
-        request = SimRequest("btree", "BL", SMALL)
-        new_key = warm.request_key(request)
-        legacy_key = warm._legacy_key(request)
-        # Rebuild the store as if only the legacy entry existed.
-        payload = warm.result_store.get(new_key)
-        assert payload is not None
-        import shutil
-        shutil.rmtree(str(tmp_path))
-        cold = Runner(cache_dir=str(tmp_path))
-        cold.result_store.put(legacy_key, payload)
-        served = cold.simulate("btree", "BL", SMALL)
-        assert cold.stats.simulated == 0
-        assert cold.stats.disk_hits == 1
-        assert asdict(served) == asdict(record)
-        # Re-homed: the canonical key now resolves without the shim.
-        assert cold.result_store.get(new_key) == payload
+        new_key = warm.request_key(SimRequest("btree", "BL", SMALL))
+        # SMALL's key in the old format, with the config hash the old
+        # runner computed for it.
+        old_key = new_key.replace(f"__a{fingerprint_of_arch(SMALL)}__",
+                                  "__d5c92efe19ccdeed__")
+        assert old_key != new_key
+        runner = Runner(cache_dir=str(tmp_path / "old"))
+        runner.result_store.put(old_key, warm.result_store.get(new_key))
+        (row,) = runner.results().records()
+        assert (row.key, row.key_ok) == (old_key, False)
+        assert (row.workload, row.policy) == ("btree", "BL")
+
+        assert runner.simulate("btree", "BL", SMALL) == record
+        assert runner.stats.simulated == 1
+        assert runner.stats.hits == 0
+        rows = {row.key: row.key_ok for row in runner.results().records()}
+        assert rows == {old_key: False, new_key: True}
 
     def test_composed_family_sweeps_over_custom_arch(self, tmp_path):
         """The divergence-P+stream-K composed scenarios cross with a

@@ -316,62 +316,6 @@ class TestDefaultCacheDir:
         assert Runner(cache_dir=None).cache_dir is None
 
 
-class TestStrictConfigFingerprint:
-    """_config_fingerprint must never silently collapse two configs."""
-
-    #: Known-good fingerprints.  If these change, every existing store
-    #: entry stops matching (a silent full-cache invalidation) -- only
-    #: change them deliberately, with a migration story.
-    PINNED = {
-        "baseline": "75964082a0b1496d",
-        "table2#6": "49633f26b0653250",
-        "sweep3.0": "e1158dbab8a43e40",
-    }
-
-    def test_pinned_fingerprints_stable(self):
-        from repro.experiments.runner import (
-            _config_fingerprint,
-            baseline_config,
-            sweep_config,
-            table2_config,
-        )
-        assert _config_fingerprint(baseline_config()) == \
-            self.PINNED["baseline"]
-        assert _config_fingerprint(table2_config(6)) == \
-            self.PINNED["table2#6"]
-        assert _config_fingerprint(sweep_config(3.0)) == \
-            self.PINNED["sweep3.0"]
-
-    def test_unencodable_field_type_raises(self):
-        """The seed encoder fell back to str() for unknown types, so
-        distinct objects with one string form shared a fingerprint;
-        now they raise at key-computation time."""
-        import dataclasses
-
-        import pytest
-        from repro.experiments.runner import _config_fingerprint
-
-        class Opaque:
-            def __init__(self, payload):
-                self.payload = payload
-
-            def __str__(self):
-                return "opaque"      # collapses every instance
-
-        config_a = dataclasses.replace(SMALL, name=Opaque("a"))
-        config_b = dataclasses.replace(SMALL, name=Opaque("b"))
-        with pytest.raises(TypeError, match="name.*Opaque"):
-            _config_fingerprint(config_a)
-        with pytest.raises(TypeError, match="refusing to fall back"):
-            _config_fingerprint(config_b)
-
-    def test_distinct_configs_distinct_fingerprints(self):
-        from repro.experiments.runner import _config_fingerprint
-        assert _config_fingerprint(SMALL) != _config_fingerprint(
-            SMALL.scaled(mrf_latency_multiple=2.0)
-        )
-
-
 class TestTelemetry:
     """Simulated-vs-host-time aggregation (the event-core counters)."""
 

@@ -35,15 +35,8 @@ class TestParseKey:
         assert parsed.workload == "btree"
         assert parsed.policy == "LTRF"
         assert parsed.arch_fingerprint == ARCH_FP
-        assert parsed.config_fingerprint == ""
         assert parsed.seed == 7
         assert parsed.kernel_fingerprint == KERNEL_FP
-
-    def test_legacy_format(self):
-        parsed = parse_key(f"btree__BL__{ARCH_FP}__0__k{KERNEL_FP}")
-        assert parsed.arch_fingerprint == ""
-        assert parsed.config_fingerprint == ARCH_FP
-        assert parsed.policy == "BL"
 
     def test_workload_may_contain_separators(self):
         """File-backed workloads are addressed by path; only the
@@ -59,6 +52,7 @@ class TestParseKey:
         "btree",
         "btree__BL",
         f"btree__BL__zzzz__0__k{KERNEL_FP}",          # non-hex arch
+        f"btree__BL__{ARCH_FP}__0__k{KERNEL_FP}",     # pre-arch-fp key
         f"btree__BL__a{ARCH_FP}__x__k{KERNEL_FP}",    # non-int seed
         f"btree__BL__a{ARCH_FP}__0",                  # no kernel fp
         f"btree__BL__a{ARCH_FP}__0__knothex",         # non-hex kernel
@@ -198,11 +192,9 @@ class TestQuery:
         store.close()
         (record,) = Query(store).records()
         assert (record.key, record.workload, record.policy, record.seed,
-                record.arch_fingerprint, record.config_fingerprint,
-                record.kernel_fingerprint, record.schema_ok,
-                record.key_ok, record.latency) == (
-            key, "btree", "BL", 3, ARCH_FP, "", KERNEL_FP, True, True,
-            None)
+                record.arch_fingerprint, record.kernel_fingerprint,
+                record.schema_ok, record.key_ok, record.latency) == (
+            key, "btree", "BL", 3, ARCH_FP, KERNEL_FP, True, True, None)
         with pytest.raises(AttributeError):
             record.policy = "LTRF"
         with pytest.raises(AttributeError):
@@ -286,11 +278,11 @@ def _entries():
                          st.sampled_from(KERNEL_FPS))
     current = identity.map(
         lambda i: f"{i[0]}__{i[1]}__a{i[2]}__{i[3]}__k{i[4]}")
-    legacy = identity.map(
-        lambda i: f"{i[0]}__{i[1]}__{i[2]}__{i[3]}__k{i[4]}")
-    # Look like cache keys but parse as neither format; their text
-    # names a workload the payload may contradict.
+    # Look like cache keys but do not parse (the first is the format
+    # from before the ``a<fp>`` segment); their text names a workload
+    # the payload may contradict.
     malformed = identity.flatmap(lambda i: st.sampled_from([
+        f"{i[0]}__{i[1]}__{i[2]}__{i[3]}__k{i[4]}",
         f"{i[0]}__{i[1]}__zz{i[2]}__{i[3]}__k{i[4]}",
         f"{i[0]}__{i[1]}__a{i[2]}__s{i[3]}__k{i[4]}",
         f"{i[0]}__{i[1]}__a{i[2]}__{i[3]}__k{i[4].upper()}",
@@ -304,7 +296,7 @@ def _entries():
         st.sampled_from(WORKLOADS + ["mystery"]), st.sampled_from(POLICIES),
         st.sampled_from([0.5, 1.0, 2.0]), st.booleans(),
     )
-    return st.lists(st.tuples(st.one_of(current, legacy, malformed),
+    return st.lists(st.tuples(st.one_of(current, malformed),
                               payload), min_size=1, max_size=24)
 
 
@@ -395,9 +387,8 @@ class TestFilterPushdown:
             shutil.rmtree(root, ignore_errors=True)
 
     def test_rejected_keys_are_not_read(self, tmp_path, monkeypatch):
-        """Keys the filters rule out never reach get(); keys of
-        neither format are read, since their identity is in the
-        payload.  A key_in set is checked before any parse."""
+        """Keys the filters rule out never reach get(); keys that do
+        not parse are read, since their identity is in the payload.  A key_in set is checked before any parse."""
         from repro.store import query as query_module
 
         store = ResultStore(str(tmp_path))
