@@ -16,11 +16,10 @@ Usage (after ``pip install -e .``):
     python -m repro.cli sweep backprop --policies BL,LTRF,LTRF+ --jobs 4
     python -m repro.cli sweep backprop --arch maxwell-like,my.arch.json
     python -m repro.cli sweep backprop --jobs 4 --backend subprocess
-    python -m repro.cli sweep backprop --backend ssh --hosts h1,h2
     python -m repro.cli store stats
     python -m repro.cli store verify
     python -m repro.cli store compact
-    python -m repro.cli store merge --dir dest/ harvested-worker-store/
+    python -m repro.cli store merge --dir dest/ other-store/
     python -m repro.cli report -o report/ [--baseline-policy BL]
     python -m repro.cli diff-runs /path/to/storeA /path/to/storeB
 
@@ -122,8 +121,8 @@ def _add_workload_argument(command) -> None:
 
 
 def _add_backend_arguments(command) -> None:
-    """``--backend``/``--hosts`` shared by the grid-running
-    subcommands (sweep, experiment).
+    """``--backend`` shared by the grid-running subcommands (sweep,
+    experiment, serve).
 
     Retry/timeout knobs deliberately stay environment variables
     (``LTRF_CHUNK_RETRIES``, ``LTRF_CHUNK_TIMEOUT``,
@@ -135,13 +134,8 @@ def _add_backend_arguments(command) -> None:
     command.add_argument(
         "--backend", default="local", choices=BACKENDS,
         help="where grid points execute: local (process pool, "
-             "default), subprocess (one repro worker-chunk process "
-             "per chunk), or ssh (remote hosts; see --hosts)",
-    )
-    command.add_argument(
-        "--hosts", default=None, metavar="H1,H2",
-        help="comma-separated ssh hosts for --backend ssh "
-             "(default: $LTRF_SSH_HOSTS)",
+             "default) or subprocess (one repro worker-chunk process "
+             "per chunk)",
     )
 
 
@@ -265,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser(
         "worker-chunk",
         help="execute one chunk spec file (internal: spawned by the "
-             "subprocess/ssh sweep backends)",
+             "subprocess sweep backend)",
     )
     worker.add_argument("spec", help="chunk spec JSON (ltrf-chunk v1)")
 
@@ -280,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compact": "GC pass: rewrite each shard to one duplicate-free "
                    "segment (run while no simulations are writing)",
         "merge": "fold another store's records into this one (e.g. "
-                 "segments harvested from a remote sweep worker)",
+                 "one filled on another machine)",
     }
     for name, description in descriptions.items():
         command = store_sub.add_parser(name, help=description)
@@ -385,8 +379,7 @@ def _resolve_workload(name: Optional[str],
     return name
 
 
-def _make_runner(backend: str = "local",
-                 hosts: Optional[str] = None) -> Runner:
+def _make_runner(backend: str = "local") -> Runner:
     """Construct the cached runner, failing cleanly on a bad cache dir.
 
     ``default_cache_dir`` raises ValueError on ``LTRF_CACHE_DIR=""``
@@ -395,14 +388,8 @@ def _make_runner(backend: str = "local",
     STORE_FORMAT marker; surface both as a one-line error instead of a
     traceback, matching the `store` subcommands.
     """
-    ssh_hosts = None
-    if hosts is not None:
-        ssh_hosts = [host.strip() for host in hosts.split(",")
-                     if host.strip()]
-        if not ssh_hosts:
-            _fail("--hosts is empty; pass a comma-separated host list")
     try:
-        return Runner(backend=backend, ssh_hosts=ssh_hosts)
+        return Runner(backend=backend)
     except (ValueError, StoreError) as error:
         _fail(str(error))
 
@@ -518,8 +505,7 @@ def _cmd_compile(args) -> None:
 
 def _cmd_experiment(names: List[str], jobs: int,
                     arch: Optional[str] = None,
-                    backend: str = "local",
-                    hosts: Optional[str] = None) -> None:
+                    backend: str = "local") -> None:
     selected = sorted(EXPERIMENTS) if "all" in names else names
     if arch is not None:
         unsupported = [name for name in selected if name not in ARCH_AWARE]
@@ -529,7 +515,7 @@ def _cmd_experiment(names: List[str], jobs: int,
                   f"{unsupported[0]!r} reproduces a fixed paper "
                   "configuration")
         _resolve_arch_config(arch)      # fail fast, before any simulation
-    runner = _make_runner(backend, hosts)
+    runner = _make_runner(backend)
     try:
         for name in selected:
             if arch is not None:
@@ -550,7 +536,7 @@ def _cmd_sweep(args) -> None:
     archs = [name.strip() for name in args.arch.split(",")]
     for arch in archs:
         _resolve_arch_config(arch)      # fail fast, before any simulation
-    runner = _make_runner(args.backend, args.hosts)
+    runner = _make_runner(args.backend)
     policies = [policy.strip() for policy in args.policies.split(",")]
     try:
         runner.simulate_many(
@@ -575,17 +561,11 @@ def _cmd_sweep(args) -> None:
 def _cmd_serve(args) -> None:
     """Run the HTTP sweep service over one store until signalled."""
     root = _store_root(args)
-    ssh_hosts = None
-    if args.hosts is not None:
-        ssh_hosts = [host.strip() for host in args.hosts.split(",")
-                     if host.strip()]
-        if not ssh_hosts:
-            _fail("--hosts is empty; pass a comma-separated host list")
     if args.job_workers < 1:
         _fail("--job-workers must be at least 1")
     from repro.service import ServiceApp, serve
 
-    app = ServiceApp(root, backend=args.backend, ssh_hosts=ssh_hosts,
+    app = ServiceApp(root, backend=args.backend,
                      job_workers=args.job_workers)
     # Open the shared store eagerly (and fail cleanly on a bad root)
     # so /results and /report work from the first request.
@@ -718,7 +698,7 @@ def _cmd_report(args) -> None:
 
 
 def _cmd_worker_chunk(args) -> None:
-    """Internal entrypoint of the subprocess/ssh backends.
+    """Internal entrypoint of the subprocess backend.
 
     Exit codes are the wire protocol the parent classifies on: 0 with
     a result file is success, :data:`CHUNK_ERROR_EXIT` (70) means "the
@@ -808,7 +788,7 @@ def main(argv: List[str] = None) -> int:
             _cmd_list_archs()
         elif args.command == "experiment":
             _cmd_experiment(args.names, args.jobs, args.arch,
-                            args.backend, args.hosts)
+                            args.backend)
         elif args.command == "sweep":
             _cmd_sweep(args)
         elif args.command == "serve":

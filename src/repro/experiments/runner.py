@@ -25,8 +25,8 @@ are flushed to the store as they arrive, so a sweep killed mid-run
 resumes without re-simulating anything already flushed.
 
 Where the misses *run* is pluggable (:mod:`repro.launchers`): a local
-process pool (default), one ``repro worker-chunk`` subprocess per
-chunk, or remote hosts over ssh.  All backends sit under the shared
+process pool (default), or one ``repro worker-chunk`` subprocess per
+chunk.  All backends sit under the shared
 scheduler (:mod:`repro.launchers.scheduler`), which retries failed
 chunks with capped backoff, kills and reassigns chunks that blow the
 ``LTRF_CHUNK_TIMEOUT`` wall-clock budget, quarantines chunks that
@@ -384,8 +384,7 @@ class Runner:
     on-disk persistence entirely.
 
     ``backend`` selects where :meth:`simulate_many` misses execute
-    (one of :data:`repro.launchers.BACKENDS`); ``ssh_hosts`` is the
-    host rota for ``backend="ssh"`` (falls back to ``LTRF_SSH_HOSTS``).
+    (one of :data:`repro.launchers.BACKENDS`).
 
     ``store`` hands in an already open store to use instead of opening
     one; ``cache_dir`` then defaults to its root.  The job tracker
@@ -396,7 +395,6 @@ class Runner:
 
     def __init__(self, cache_dir: Optional[str] = _DEFAULT_CACHE,
                  backend: str = "local",
-                 ssh_hosts: Optional[List[str]] = None,
                  store: Optional[ResultStore] = None) -> None:
         if store is None:
             if cache_dir is _DEFAULT_CACHE:
@@ -412,7 +410,6 @@ class Runner:
             )
         self.cache_dir = cache_dir
         self.backend = backend
-        self.ssh_hosts = list(ssh_hosts) if ssh_hosts else None
         self.result_store: Optional[ResultStore] = store
         self._memory_cache: Dict[str, RunRecord] = {}
         self.stats = RunnerStats()
@@ -529,7 +526,7 @@ class Runner:
         if self.result_store is not None:
             payload = asdict(record)
             # Skip the append when the store already holds this exact
-            # payload -- the subprocess/ssh workers flush their own
+            # payload -- the subprocess workers flush their own
             # records into the same store, and re-appending them here
             # would only grow dead bytes.  A *different* payload is
             # still appended (it shadows stale-schema entries by
@@ -666,9 +663,7 @@ class Runner:
             Chunk(id=index, items=list(chunk))
             for index, chunk in enumerate(_dispatch_chunks(items, workers))
         ]
-        launcher = make_launcher(
-            self.backend, store_dir=self.cache_dir, hosts=self.ssh_hosts
-        )
+        launcher = make_launcher(self.backend, store_dir=self.cache_dir)
         policy = RetryPolicy.from_env()
 
         def absorb(key, record, telemetry, cached) -> None:

@@ -187,8 +187,8 @@ class JobTracker:
 
     ``runner_factory`` builds the per-job :class:`Runner`; the default
     hands every job the tracker's shared :meth:`store` plus
-    ``backend``/``ssh_hosts``, which is what makes the store the
-    cross-job dedup substrate.  ``execute`` is thread-safe and
+    ``backend``, which is what makes the store the cross-job dedup
+    substrate.  ``execute`` is thread-safe and
     blocking -- the HTTP service calls it on executor threads;
     synchronous callers use :meth:`run`.  :meth:`close` closes the
     shared store once the jobs have finished.
@@ -196,14 +196,12 @@ class JobTracker:
 
     def __init__(self, store_dir: Optional[str],
                  backend: str = "local",
-                 ssh_hosts: Optional[List[str]] = None,
                  runner_factory: Optional[Callable[[JobSpec], Runner]]
                  = None) -> None:
         self.store_dir = store_dir
         self._runner_factory = runner_factory or (
             lambda spec: Runner(cache_dir=store_dir, store=self.store(),
-                                backend=spec.backend or backend,
-                                ssh_hosts=ssh_hosts)
+                                backend=spec.backend or backend)
         )
         self._store: Optional[ResultStore] = None
         self._jobs: Dict[str, Job] = {}

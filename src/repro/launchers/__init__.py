@@ -1,9 +1,8 @@
 """Pluggable sweep execution backends (see base.py for the contract).
 
-Three launchers ship: ``local`` (process pool, the default),
-``subprocess`` (one ``repro worker-chunk`` process per chunk), and
-``ssh`` (chunks on remote hosts, stores merged back).  All of them sit
-under the same scheduler (scheduler.py) -- retries, timeouts,
+Two launchers ship: ``local`` (process pool, the default) and
+``subprocess`` (one ``repro worker-chunk`` process per chunk).  Both
+sit under the same scheduler (scheduler.py) -- retries, timeouts,
 quarantine and degradation behave identically regardless of where a
 chunk physically runs -- and the same deterministic fault-injection
 harness (faults.py) exercises them in tests and CI.
@@ -33,15 +32,14 @@ from repro.launchers.scheduler import (
 )
 
 #: ``--backend`` choices, in help-text order.
-BACKENDS = ("local", "subprocess", "ssh")
+BACKENDS = ("local", "subprocess")
 
 
-def make_launcher(backend: str, store_dir=None, hosts=None) -> Launcher:
+def make_launcher(backend: str, store_dir=None) -> Launcher:
     """Instantiate the launcher for a ``--backend`` name.
 
-    ``store_dir`` is the orchestrator's result-store root (workers
-    flush to it directly, or via merge on ssh); ``hosts`` is the ssh
-    rota (falls back to ``LTRF_SSH_HOSTS``).
+    ``store_dir`` is the orchestrator's result-store root, which
+    subprocess workers flush to directly.
     """
     if backend == "local":
         from repro.launchers.local import LocalPoolLauncher
@@ -49,9 +47,6 @@ def make_launcher(backend: str, store_dir=None, hosts=None) -> Launcher:
     if backend == "subprocess":
         from repro.launchers.subproc import SubprocessLauncher
         return SubprocessLauncher(store_dir=store_dir)
-    if backend == "ssh":
-        from repro.launchers.ssh import SshLauncher
-        return SshLauncher(hosts=hosts, store_dir=store_dir)
     raise ValueError(
         f"unknown backend {backend!r} (expected one of "
         f"{', '.join(BACKENDS)})"

@@ -1,13 +1,12 @@
 """Launcher abstraction: how a batch of simulation chunks executes.
 
 A *launcher* owns the mechanics of running one chunk of grid points
-somewhere -- on a local process pool, in a freshly spawned
-``repro worker-chunk`` subprocess, or on a remote host over SSH.  It
-deliberately knows nothing about retries, timeouts, quarantine, or
-result bookkeeping: that robustness machinery lives in
-:mod:`repro.launchers.scheduler` and is shared by every backend, so a
-flaky SSH host and a hung pool worker are survived by the same code
-path.
+somewhere -- on a local process pool, or in a freshly spawned
+``repro worker-chunk`` subprocess.  It deliberately knows nothing
+about retries, timeouts, quarantine, or result bookkeeping: that
+robustness machinery lives in :mod:`repro.launchers.scheduler` and is
+shared by every backend, so a dying subprocess and a hung pool worker
+are survived by the same code path.
 
 The contract is synchronous-submission / polled-completion:
 
@@ -39,8 +38,8 @@ from typing import List, Optional, Tuple
 class LauncherError(Exception):
     """The backend itself is unusable (cannot start or submit).
 
-    Raised by launchers for environment-level failures -- a missing
-    ssh binary, no configured hosts -- as opposed to a chunk failing.
+    Raised by launchers for environment-level failures, as opposed to
+    a chunk failing.
     The scheduler reacts by degrading to serial in-process execution
     rather than crashing the sweep.
     """
@@ -110,11 +109,6 @@ class Launcher:
         #: (e.g. a broken process pool replaced).  The runner maps
         #: this onto ``RunnerStats.pool_retries``.
         self.restarts = 0
-
-    def max_workers(self, requested: int) -> int:
-        """The in-flight cap for ``requested`` workers (ssh clamps to
-        the number of configured hosts)."""
-        return max(1, requested)
 
     def start(self, workers: int) -> None:
         """Acquire backend resources.  May raise LauncherError."""

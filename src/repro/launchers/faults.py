@@ -17,7 +17,7 @@ tests and CI instead of being simulated with mock pools::
 
 Selectors: ``chunk=<id>`` matches the deterministic dispatch-order
 chunk id; ``worker=<id>`` matches the launcher-assigned worker id
-(stable slot names ``w1..wN`` on the subprocess/ssh backends, pid-based
+(stable slot names ``w1..wN`` on the subprocess backend, pid-based
 on the local pool).  By default a fault fires only on a chunk's
 *first* delivery attempt -- modelling a transient fault the retry
 machinery must absorb -- so a retried chunk succeeds; append

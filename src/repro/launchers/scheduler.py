@@ -232,7 +232,7 @@ def run_chunks(
         run_serial(list(chunks))
         return report
 
-    cap = launcher.max_workers(workers)
+    cap = max(1, workers)
     try:
         while queue or in_flight:
             if should_abort is not None and should_abort():

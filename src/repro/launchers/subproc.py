@@ -4,10 +4,8 @@ Each chunk attempt becomes a freshly spawned interpreter running
 ``python -m repro.cli worker-chunk <spec.json>``.  Compared with the
 local pool this trades per-chunk startup cost for *real* process
 isolation: a chunk can be killed at the wall-clock deadline without
-disturbing its siblings (``kill_is_collateral`` stays False), a dying
-worker takes down nothing but itself, and the execution path is
-byte-for-byte the one the ssh backend runs on a remote host -- which
-is what makes the chaos-smoke CI job representative.
+disturbing its siblings (``kill_is_collateral`` stays False), and a
+dying worker takes down nothing but itself.
 
 Workers write straight into the orchestrator's result store (their own
 ``seg-<seq>-<writer>`` segments; concurrent append is safe by
@@ -31,7 +29,6 @@ from repro.launchers.base import (
     Launcher,
 )
 from repro.launchers.worker import (
-    SPEC_ENV_KEYS,
     ChunkSpecError,
     encode_chunk_spec,
     load_chunk_result,
@@ -54,15 +51,6 @@ def _stderr_tail(path: str, limit: int = 2000) -> str:
     except OSError:
         return ""
     return text[-limit:].strip()
-
-
-def spec_environment() -> dict:
-    """The env whitelist a chunk spec carries to its worker."""
-    return {
-        name: os.environ[name]
-        for name in SPEC_ENV_KEYS
-        if name in os.environ
-    }
 
 
 def worker_command() -> list:
@@ -198,7 +186,6 @@ class SubprocessLauncher(Launcher):
         spec = encode_chunk_spec(
             chunk.id, chunk.failures, worker, chunk.items,
             output=output, store_dir=self.store_dir,
-            env=spec_environment(),
         )
         with open(spec_path, "w", encoding="utf-8") as handle:
             json.dump(spec, handle, sort_keys=True)

@@ -1,11 +1,11 @@
 """The ``repro worker-chunk`` entrypoint and its wire format.
 
-The subprocess and ssh backends ship each chunk to a worker process as
-a self-contained *chunk spec* file: a versioned JSON envelope carrying
+The subprocess backend ships each chunk to a worker process as a
+self-contained *chunk spec* file: a versioned JSON envelope carrying
 the requests (workload name, policy, seed) plus the **full
 architecture description** (an ``ltrf-arch`` payload, not a registry
-name), so a remote host needs nothing but the repro package and any
-shipped ``.kernel.json`` files to execute it.  The worker writes its
+name), so the worker rebuilds the exact architecture without registry
+access.  The worker inherits its parent's environment.  The worker writes its
 results to the spec's ``output`` path atomically -- the parent never
 observes a partial result file, only absence (worker still running or
 died) or a complete one.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.arch.serialize import ArchSerializationError, arch_from_dict
 from repro.launchers.faults import active_plan, tear_segment
@@ -38,11 +38,6 @@ SPEC_FORMAT = "ltrf-chunk"
 RESULT_FORMAT = "ltrf-chunk-result"
 SPEC_VERSION = 1
 
-#: Environment variables a spec may carry to the worker (the ssh
-#: backend cannot rely on inheritance; the subprocess backend inherits
-#: them anyway, so applying is idempotent).
-SPEC_ENV_KEYS = ("LTRF_COMPILE_CACHE", "LTRF_FAULT_PLAN")
-
 
 class ChunkSpecError(ValueError):
     """Malformed chunk spec or chunk result file."""
@@ -50,8 +45,7 @@ class ChunkSpecError(ValueError):
 
 def encode_chunk_spec(chunk_id: int, attempt: int, worker: str,
                       items: List[tuple], output: str,
-                      store_dir: Optional[str] = None,
-                      env: Optional[Dict[str, str]] = None) -> dict:
+                      store_dir: Optional[str] = None) -> dict:
     """Build the spec payload for one chunk attempt.
 
     ``items`` is the scheduler's ``[(key, SimRequest), ...]``; each
@@ -67,7 +61,6 @@ def encode_chunk_spec(chunk_id: int, attempt: int, worker: str,
         "worker": worker,
         "store": store_dir,
         "output": output,
-        "env": dict(env or {}),
         "requests": [
             {
                 "key": key,
@@ -132,12 +125,6 @@ def run_worker_chunk(spec: dict) -> dict:
     Import-light on purpose: the heavy simulator modules load only
     when a chunk actually runs, keeping worker startup cheap.
     """
-    # Spec-carried environment first: the compile-cache switch and the
-    # fault plan must be in place before the simulator (or the plan
-    # parser) reads them.
-    for name, value in spec.get("env", {}).items():
-        if name in SPEC_ENV_KEYS and isinstance(value, str):
-            os.environ[name] = value
     os.environ["LTRF_WORKER_ID"] = spec["worker"]
 
     from repro.experiments.runner import (

@@ -94,12 +94,11 @@ class ServiceApp:
 
     def __init__(self, store_dir: Optional[str],
                  backend: str = "local",
-                 ssh_hosts: Optional[List[str]] = None,
                  job_workers: int = 2,
                  tracker: Optional[JobTracker] = None) -> None:
         self.store_dir = store_dir
         self.tracker = tracker if tracker is not None else JobTracker(
-            store_dir, backend=backend, ssh_hosts=ssh_hosts
+            store_dir, backend=backend
         )
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, job_workers),

@@ -1,15 +1,11 @@
 """Merging one result store into another.
 
-The ssh backend's remote workers flush records into a store on *their*
-filesystem; when a chunk completes, its segments come home and are
-merged into the orchestrator's store.  The merge replays the source
-through the destination's normal ``put`` path (rather than copying
-segment files) so the destination's own ``(seq, writer)`` ordering
-stays authoritative, torn source tails stay invisible, and a record
-the destination already holds identically is not duplicated.
-
-Also exposed as ``repro store merge <dest> <source>`` for stitching
-together stores harvested from hosts by hand.
+Exposed as ``repro store merge --dir <dest> <source>``, for stitching
+together stores filled on different machines.  The merge replays the
+source through the destination's normal ``put`` path (rather than
+copying segment files) so the destination's own ``(seq, writer)``
+ordering stays authoritative, torn source tails stay invisible, and a
+record the destination already holds identically is not duplicated.
 """
 
 from __future__ import annotations

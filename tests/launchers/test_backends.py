@@ -9,13 +9,10 @@ survival story visible in telemetry instead of silently absorbed.
 """
 
 import json
-import os
-import sys
 from dataclasses import asdict
 
 import pytest
 
-import repro
 from repro.arch import GPUConfig
 from repro.experiments import Runner, SimRequest
 
@@ -140,67 +137,3 @@ class TestLocalBackendFaults:
         assert runner.stats.pool_retries >= 1       # pool was rebuilt
         assert runner.stats.chunk_retries >= 1
         assert_survived(runner, records, grid, tmp_path)
-
-
-class TestSshBackend:
-    @pytest.fixture
-    def shims(self, tmp_path):
-        """ssh/scp replacements that run "remote" commands locally:
-        same spec wiring, same harvest/merge path, no network."""
-        ssh_shim = tmp_path / "fake-ssh.py"
-        ssh_shim.write_text(
-            "import subprocess, sys\n"
-            "# argv: <host> <command>\n"
-            "sys.exit(subprocess.call(['sh', '-c', sys.argv[2]]))\n"
-        )
-        scp_shim = tmp_path / "fake-scp.py"
-        scp_shim.write_text(
-            "import os, shutil, sys\n"
-            "args = sys.argv[1:]\n"
-            "recursive = '-r' in args\n"
-            "paths = [a.split(':', 1)[1] if ':' in a else a\n"
-            "         for a in args if a != '-r']\n"
-            "src, dst = paths\n"
-            "if recursive and os.path.isdir(src):\n"
-            "    shutil.copytree(src, dst, dirs_exist_ok=True)\n"
-            "else:\n"
-            "    shutil.copy(src, dst)\n"
-        )
-        src_root = os.path.dirname(os.path.dirname(repro.__file__))
-        return {
-            "LTRF_SSH_CMD": f"{sys.executable} {ssh_shim}",
-            "LTRF_SCP_CMD": f"{sys.executable} {scp_shim}",
-            "LTRF_SSH_PYTHON":
-                f"env PYTHONPATH={src_root} {sys.executable}",
-        }
-
-    def test_sweep_over_ssh_shims_merges_remote_stores(
-            self, tmp_path, monkeypatch, shims):
-        for name, value in shims.items():
-            monkeypatch.setenv(name, value)
-        store_dir = tmp_path / "store"
-        grid = small_grid()[:2]
-        runner = Runner(cache_dir=str(store_dir), backend="ssh",
-                        ssh_hosts=["hostA", "hostB"])
-        records = runner.simulate_many(grid, jobs=2)
-        assert runner.stats.simulated == len(grid)
-        assert dumps(records) == dumps(
-            Runner(cache_dir=None).simulate_many(grid)
-        )
-        # The remote stores were harvested and merged: a resume is all
-        # disk hits.
-        resumed = Runner(cache_dir=str(store_dir))
-        resumed.simulate_many(grid)
-        assert resumed.stats.simulated == 0
-
-    def test_no_hosts_degrades_to_serial_not_a_crash(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.delenv("LTRF_SSH_HOSTS", raising=False)
-        grid = small_grid()[:2]
-        runner = Runner(cache_dir=str(tmp_path), backend="ssh")
-        records = runner.simulate_many(grid, jobs=2)
-        assert runner.stats.simulated == len(grid)
-        assert runner.stats.backend_degradations >= 1
-        assert dumps(records) == dumps(
-            Runner(cache_dir=None).simulate_many(grid)
-        )

@@ -8,7 +8,7 @@ import pytest
 from repro.arch import GPUConfig
 from repro.experiments import Runner, SimRequest
 from repro.launchers.base import Chunk
-from repro.launchers.subproc import align_results, spec_environment
+from repro.launchers.subproc import align_results
 from repro.launchers.worker import (
     ChunkSpecError,
     encode_chunk_spec,
@@ -108,33 +108,6 @@ class TestSpecRoundtrip:
         chunk = Chunk(id=0, items=items)
         with pytest.raises(ChunkSpecError, match="missing"):
             align_results(chunk, [])     # worker returned nothing
-
-
-class TestSpecEnvironment:
-    """A spec carries only the allow-listed variables to its worker."""
-
-    def test_spec_forwards_only_the_allow_list(self, monkeypatch):
-        monkeypatch.setenv("LTRF_COMPILE_CACHE", "0")
-        monkeypatch.delenv("LTRF_FAULT_PLAN", raising=False)
-        monkeypatch.setenv("LTRF_CHUNK_TIMEOUT", "30")
-        assert spec_environment() == {"LTRF_COMPILE_CACHE": "0"}
-
-    def test_worker_applies_only_the_allow_list(self, tmp_path,
-                                                monkeypatch):
-        """A spec cannot set anything else in the worker, such as the
-        directory its store defaults to."""
-        monkeypatch.setenv("LTRF_COMPILE_CACHE", "1")
-        cache_dir = os.environ["LTRF_CACHE_DIR"]
-        items = make_items()
-        spec = encode_chunk_spec(
-            0, 0, "w1", items, output=str(tmp_path / "result.json"),
-            env={"LTRF_COMPILE_CACHE": "0",
-                 "LTRF_CACHE_DIR": str(tmp_path / "elsewhere")},
-        )
-        result = run_worker_chunk(spec)
-        assert len(result["results"]) == len(items)
-        assert os.environ["LTRF_COMPILE_CACHE"] == "0"
-        assert os.environ["LTRF_CACHE_DIR"] == cache_dir
 
 
 class TestWorkerDurability:

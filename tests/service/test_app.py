@@ -166,6 +166,17 @@ class TestErrors:
         assert response.status == 400
         assert "polices" in body_of(response)["error"]
 
+    def test_ssh_backend_400(self, app):
+        """The ssh backend is gone; naming it is an unknown backend."""
+        response = app.handle(
+            "POST", "/sweeps", {},
+            json.dumps(dict(SPEC, backend="ssh")).encode(),
+        )
+        assert response.status == 400
+        assert body_of(response)["error"] == (
+            "unknown backend 'ssh' (expected one of local, subprocess)")
+        assert app.tracker.jobs() == []
+
     def test_engine_field_400(self, app):
         """Jobs always run on the event engine; the field is gone."""
         response = app.handle(

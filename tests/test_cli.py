@@ -495,8 +495,8 @@ class TestArchFrontend:
 
 
 class TestFaultToleranceCli:
-    """The distributed-backend surface: --backend/--hosts,
-    worker-chunk, store merge, and graceful interruption."""
+    """The distributed-backend surface: --backend, worker-chunk,
+    store merge, and graceful interruption."""
 
     def _chunk_spec(self, tmp_path):
         import json
@@ -527,10 +527,18 @@ class TestFaultToleranceCli:
         with pytest.raises(SystemExit):
             main(["sweep", "btree", "--backend", "carrier-pigeon"])
 
-    def test_empty_hosts_list_fails_cleanly(self, capsys):
-        assert main(["sweep", "btree", "--backend", "ssh",
-                     "--hosts", " , "]) == 2
-        assert "--hosts is empty" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [
+        ["experiment", "fig11"], ["sweep", "btree"], ["serve"],
+    ], ids=lambda command: command[0])
+    def test_ssh_backend_and_hosts_are_gone(self, capsys, command):
+        for extra, message in (
+                (["--backend", "ssh"], "invalid choice: 'ssh'"),
+                (["--hosts", "h1,h2"], "unrecognized arguments: --hosts"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + extra)
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_worker_chunk_roundtrip(self, capsys, tmp_path):
         import json
@@ -642,11 +650,6 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "--job-workers" in err
-
-    def test_rejects_empty_hosts(self, capsys, tmp_path):
-        assert main(["serve", "--dir", str(tmp_path / "store"),
-                     "--backend", "ssh", "--hosts", " , "]) == 2
-        assert "--hosts is empty" in capsys.readouterr().err
 
     def test_rejects_bad_store_root(self, capsys, monkeypatch):
         monkeypatch.setenv("LTRF_CACHE_DIR", "")
