@@ -68,12 +68,8 @@ def main(argv=None) -> int:
 
     # Imports follow the env setup so the cache knob is respected.
     from repro.experiments.latency_tolerance import sweep_requests
-    from repro.experiments.runner import (
-        Runner,
-        SimRequest,
-        execute_request_with_telemetry,
-        sweep_config,
-    )
+    from repro.experiments.runner import Runner, SimRequest, sweep_config
+    from repro.launchers.worker import execute_request_with_telemetry
     from repro.workloads import get_kernel
 
     try:

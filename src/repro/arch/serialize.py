@@ -274,7 +274,7 @@ def arch_fingerprint_sans_latency(config: GPUConfig) -> str:
     the fields a latency sweep varies: ``mrf_latency_multiple`` and the
     memory hierarchy's per-level latencies/service interval.  This is
     the batch dispatcher's row key component
-    (:func:`repro.experiments.runner._dispatch_chunks`): every latency
+    (:func:`repro.jobs.plan._dispatch_chunks`): every latency
     point of a fig11/fig14-shaped grid row shares it, so one worker
     runs the whole row and compiles its kernel once.
     """

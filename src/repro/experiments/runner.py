@@ -1,68 +1,39 @@
-"""Simulation runner: caching plus a parallel batch execution engine.
+"""Simulation runner: cache keys plus a store facade.
 
 Every experiment reduces to "simulate workload X under policy P on
-configuration C".  The runner centralises that, memoises results both
-in memory and on disk (keyed by a fingerprint of the inputs), and
-returns slim :class:`RunRecord` objects.  The latency sweeps of
-Figures 11-14 revisit the same grid points, so caching cuts the full
-reproduction from thousands of simulations to a few hundred.
+configuration C".  The runner centralises that: it computes each grid
+point's content-addressed cache key, memoises results both in memory
+and on disk, and returns slim :class:`RunRecord` objects.  The latency
+sweeps of Figures 11-14 revisit the same grid points, so caching cuts
+the full reproduction from thousands of simulations to a few hundred.
 
-Grid points share nothing but the cache, so they are embarrassingly
-parallel: :meth:`Runner.simulate_many` accepts a whole experiment grid
-of :class:`SimRequest` objects, deduplicates them against the cache
-*before* dispatch, fans the remaining misses out over a
-``ProcessPoolExecutor``, and merges results back keyed by request --
-the returned list is aligned with the input order regardless of
-completion order, so ``jobs=N`` is bit-for-bit equivalent to serial
-execution.
+:meth:`Runner.simulate_many` takes a whole experiment grid of
+:class:`SimRequest` objects and hands it to the batch pipeline in
+:mod:`repro.jobs.plan`, which deduplicates it against the cache,
+executes the misses (serially or on a :mod:`repro.launchers` backend),
+charges every batch counter in :class:`RunnerStats`, and returns
+records aligned with the input order, so ``jobs=N`` is bit-for-bit
+equivalent to serial execution.
 
 On-disk persistence lives in :mod:`repro.store`: a sharded,
 append-only, crash-consistent result store addressed by the *full*
-cache key (naming is injective by construction -- the legacy
-one-file-per-entry cache named files with a lossy key sanitisation
-that could alias two distinct keys onto one file).  Completed records
+cache key, so naming is injective by construction.  Completed records
 are flushed to the store as they arrive, so a sweep killed mid-run
 resumes without re-simulating anything already flushed.
-
-Where the misses *run* is pluggable (:mod:`repro.launchers`): a local
-process pool (default), or one ``repro worker-chunk`` subprocess per
-chunk.  All backends sit under the shared
-scheduler (:mod:`repro.launchers.scheduler`), which retries failed
-chunks with capped backoff, kills and reassigns chunks that blow the
-``LTRF_CHUNK_TIMEOUT`` wall-clock budget, quarantines chunks that
-exhaust their retry budget (they re-run serially in this process,
-where a real poison shows its real traceback), and degrades to serial
-in-process execution when the backend itself is broken -- so a sweep
-finishes late rather than never, and every recovery action is counted
-in :class:`RunnerStats`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-# Resolved as a *module attribute* by launchers.local (and monkeypatched
-# by the scripted-pool tests) -- not referenced by name in this module.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, List, Optional
 
 from repro.arch.config import GPUConfig
 from repro.arch.registry import arch_config
-from repro.arch.serialize import (
-    arch_to_dict,
-    fingerprint_of_arch,
-    fingerprint_of_arch_sans_latency,
-)
-from repro.arch.sm import StreamingMultiprocessor
-from repro.compiler.cache import STATS as COMPILE_STATS
-from repro.policies import policy_by_name
+from repro.arch.serialize import arch_to_dict, fingerprint_of_arch
 from repro.store import Query, ResultStore
-from repro.workloads import (
-    resolve_workload,
-    workload_fingerprint,
-)
-from repro.workloads.registry import BUILD_STATS
+from repro.workloads import workload_fingerprint
 
 
 def default_cache_dir() -> str:
@@ -165,11 +136,11 @@ class SimTelemetry:
     #: For generated workloads it always equals the fingerprint in the
     #: request's cache key; for file-backed workloads the file may be
     #: rewritten between the caller's key computation and the (worker's)
-    #: execution, and the runner uses this to store the record under
-    #: the content that produced it (see Runner._content_key).
+    #: execution, and the record is stored under the content that
+    #: produced it (see :func:`content_key`).
     kernel_fingerprint: str = ""
-    # Static-work accounting for this run (deltas of the process-wide
-    # kernel-build and compile-cache counters): how much host time went
+    # Static-work accounting for this run (the kernel builds it claimed
+    # and its compile-cache deltas): how much host time went
     # into building/compiling rather than simulating, and whether the
     # compiled artifact came from the static-artifact cache.
     kernel_builds: int = 0
@@ -179,112 +150,19 @@ class SimTelemetry:
     compile_seconds: float = 0.0
 
 
-def execute_request_with_telemetry(request: SimRequest):
-    """Run one simulation, bypassing the runner's result caches.
+def content_key(key: str, kernel_fingerprint: str) -> str:
+    """The key a freshly simulated record must be *stored* under.
 
-    Returns ``(record, telemetry)``.  Module-level (rather than a
-    ``Runner`` method) so pool workers can unpickle it; the simulator
-    is deterministic in ``(request,)``, which is what makes parallel
-    and serial execution interchangeable (the record, not the
-    telemetry, is the deterministic part).
-
-    Static work (kernel build, policy compile) flows through the
-    process-wide static-artifact caches; the telemetry reports this
-    run's share of it as counter deltas.
+    Normally identical to ``key``.  A file-backed kernel, though, can
+    be rewritten between the caller's key computation and the
+    (possibly worker-side) execution; the execution reports the
+    fingerprint of what it actually simulated, and storing under that
+    fingerprint keeps the persistent cache content-correct through the
+    race.
     """
-    hits_before, misses_before, compile_seconds_before = (
-        COMPILE_STATS.snapshot()
-    )
-    kernel, fingerprint = resolve_workload(request.workload)
-    builds, build_seconds = BUILD_STATS.claim([request.workload])
-    sm = StreamingMultiprocessor(
-        request.config, policy_by_name(request.policy)
-    )
-    result = sm.run(kernel, seed=request.seed)
-    record = RunRecord(
-        workload=request.workload,
-        policy=request.policy,
-        ipc=result.ipc,
-        cycles=result.cycles,
-        instructions=result.instructions,
-        prefetch_operations=result.prefetch_operations,
-        resident_warps=result.resident_warps,
-        activations=result.activations,
-        deactivations=result.deactivations,
-        mrf_reads=result.mrf_reads,
-        mrf_writes=result.mrf_writes,
-        rfc_reads=result.rfc_reads,
-        rfc_writes=result.rfc_writes,
-        rfc_read_hits=result.rfc_read_hits,
-        rfc_read_misses=result.rfc_read_misses,
-        rfc_fills=result.rfc_fills,
-        rfc_writebacks=result.rfc_writebacks,
-        l1_hit_rate=result.l1_hit_rate,
-    )
-    hits_after, misses_after, compile_seconds_after = (
-        COMPILE_STATS.snapshot()
-    )
-    telemetry = SimTelemetry(
-        host_seconds=result.host_seconds,
-        cycles=result.cycles,
-        instructions=result.instructions,
-        cycles_skipped=result.cycles_skipped,
-        event_counts=result.event_counts,
-        kernel_fingerprint=fingerprint,
-        kernel_builds=builds,
-        kernel_build_seconds=build_seconds,
-        compile_cache_hits=hits_after - hits_before,
-        compile_cache_misses=misses_after - misses_before,
-        compile_seconds=compile_seconds_after - compile_seconds_before,
-    )
-    return record, telemetry
-
-
-def execute_batch(requests: List[SimRequest]):
-    """Run a batch of requests in-process; one pool task.
-
-    The batch engine groups requests by workload before dispatch so
-    that each worker process resolves and compiles each distinct
-    kernel once (the static-artifact caches are per process); shipping
-    a grouped batch per task also amortises the executor's per-task
-    pickling round-trip.
-    """
-    return [execute_request_with_telemetry(request) for request in requests]
-
-
-def _dispatch_chunks(items: List[tuple], workers: int) -> List[List[tuple]]:
-    """Split pending ``(key, request)`` pairs into pool tasks.
-
-    Items are grouped by *grid row* -- ``(workload, policy,
-    sans-latency arch fingerprint)``, the dispatch row key -- so one
-    worker handles a row's latency points back to back: it resolves
-    and compiles the kernel once (zero-rebuild dispatch against the
-    process-wide static caches, so splitting a row across workers
-    would repeat that work per worker).  Groups are sliced into
-    several chunks per worker so a slow workload cannot serialise the
-    pool behind one long task.  The merge is keyed, so chunk shapes
-    never affect results -- only how much static work is repeated.
-    """
-    by_row: Dict[tuple, List[tuple]] = {}
-    for item in items:
-        request = item[1]
-        row = (request.workload, request.policy,
-               fingerprint_of_arch_sans_latency(request.config))
-        by_row.setdefault(row, []).append(item)
-    chunk_size = max(1, -(-len(items) // (workers * 4)))
-    chunks = []
-    for group in by_row.values():
-        for start in range(0, len(group), chunk_size):
-            chunks.append(group[start:start + chunk_size])
-    return chunks
-
-
-def execute_request(request: SimRequest) -> RunRecord:
-    """Run one simulation, bypassing the runner's result caches
-    (record only).  Static work still flows through the process-wide
-    static-artifact caches; set ``LTRF_COMPILE_CACHE=0`` to measure
-    truly uncached runs."""
-    return execute_request_with_telemetry(request)[0]
+    if not kernel_fingerprint or key.endswith(f"__k{kernel_fingerprint}"):
+        return key
+    return f"{key.rsplit('__k', 1)[0]}__k{kernel_fingerprint}"
 
 
 @dataclass
@@ -298,7 +176,7 @@ class RunnerStats:
     batch_deduplicated: int = 0
     batch_dispatched: int = 0
     #: Times a broken backend was torn down and rebuilt mid-grid
-    #: (e.g. a broken process pool replaced; see Runner._run_parallel).
+    #: (e.g. a broken process pool replaced).
     pool_retries: int = 0
     # Fault-tolerance counters (see repro.launchers.scheduler): every
     # recovery decision the chunk scheduler takes is visible here, so
@@ -420,8 +298,8 @@ class Runner:
 
     # -- cache plumbing -----------------------------------------------------
 
-    def _key(self, workload: str, policy: str, config: GPUConfig,
-             seed: int) -> str:
+    def request_key(self, request: SimRequest) -> str:
+        """The cache key of one grid point."""
         # Both content fingerprints are part of the key: a workload
         # name is just a lookup handle (a generator edit, a
         # re-parameterised scenario, or a replaced .kernel.json can
@@ -433,7 +311,7 @@ class Runner:
         # Fingerprints are memoised per process, so this costs one
         # kernel build per workload name and one hash per distinct
         # configuration.
-        arch_fp = fingerprint_of_arch(config)
+        arch_fp = fingerprint_of_arch(request.config)
         if self.result_store is not None:
             # Keep the store's arch manifest complete: every
             # fingerprint a key embeds has its full description
@@ -441,31 +319,12 @@ class Runner:
             # `a<fp>` back to concrete hardware (e.g. latency filters
             # in `repro report`).  record_arch memoises per
             # fingerprint, so this is a set lookup on the hot path.
-            self.result_store.record_arch(arch_fp, arch_to_dict(config))
+            self.result_store.record_arch(arch_fp,
+                                          arch_to_dict(request.config))
         return (
-            f"{workload}__{policy}__a{arch_fp}__{seed}"
-            f"__k{workload_fingerprint(workload)}"
+            f"{request.workload}__{request.policy}__a{arch_fp}"
+            f"__{request.seed}__k{workload_fingerprint(request.workload)}"
         )
-
-    def request_key(self, request: SimRequest) -> str:
-        return self._key(
-            request.workload, request.policy, request.config, request.seed
-        )
-
-    @staticmethod
-    def _content_key(key: str, telemetry: SimTelemetry) -> str:
-        """The key a freshly simulated record must be *stored* under.
-
-        Normally identical to ``key``.  A file-backed kernel, though,
-        can be rewritten between the caller's key computation and the
-        (possibly pool-worker) execution; the worker reports what it
-        actually simulated, and storing under that fingerprint keeps
-        the persistent cache content-correct through the race.
-        """
-        fingerprint = telemetry.kernel_fingerprint
-        if not fingerprint or key.endswith(f"__k{fingerprint}"):
-            return key
-        return f"{key.rsplit('__k', 1)[0]}__k{fingerprint}"
 
     def lookup(self, key: str, planned: bool = False) -> Optional[RunRecord]:
         """The cached record under ``key``, or ``None`` on a miss.
@@ -486,23 +345,34 @@ class Runner:
             if planned:
                 self.stats.memory_hits += 1
             return self._memory_cache[key]
+        record = self.stored(key)
+        if record is None:
+            return None
+        if planned:
+            self.stats.disk_hits += 1
+        self._memory_cache[key] = record
+        return record
+
+    def stored(self, key: str) -> Optional[RunRecord]:
+        """The record the result store holds under ``key``, or ``None``.
+
+        Reads the store alone: no memory cache, no counters.  The
+        pipeline probes a planned miss with it before simulating, so a
+        point some other writer flushed in the meantime is served.
+        """
         if self.result_store is None:
             return None
         payload = self.result_store.get(key)
         if payload is None:
             return None
         try:
-            record = RunRecord(**payload)
+            return RunRecord(**payload)
         except TypeError:
             # Stale-schema entry (fields added/renamed since it was
             # written): treat as a miss.  The re-simulated record is
             # appended under the same key and shadows it; compaction
             # reclaims the dead bytes.
             return None
-        if planned:
-            self.stats.disk_hits += 1
-        self._memory_cache[key] = record
-        return record
 
     def results(self) -> Query:
         """A :class:`~repro.store.Query` over this runner's store.
@@ -518,10 +388,13 @@ class Runner:
             )
         return Query(self.result_store)
 
-    def _store(self, key: str, record: RunRecord) -> None:
-        # Flushed immediately (not at merge time): anything stored here
-        # survives a mid-sweep crash, which is what makes sweeps
-        # resumable.
+    def save(self, key: str, record: RunRecord) -> None:
+        """Cache ``record`` under ``key`` in memory and in the store.
+
+        Flushed immediately (not at merge time): anything saved here
+        survives a mid-sweep crash, which is what makes sweeps
+        resumable.
+        """
         self._memory_cache[key] = record
         if self.result_store is not None:
             payload = asdict(record)
@@ -536,36 +409,13 @@ class Runner:
 
     # -- simulation ---------------------------------------------------------
 
-    def _note_front_end_builds(self, requests) -> None:
-        """Attribute kernel builds done in this process before any
-        simulation runs.
-
-        Key computation fingerprints (and therefore may build) each
-        workload, and the CLI builds it even earlier to validate it;
-        the per-request telemetry only sees builds inside the
-        executing process, so without this the serial path would
-        report the static front-end as free.
-        """
-        builds, seconds = BUILD_STATS.claim(
-            request.workload for request in requests
-        )
-        self.stats.kernel_builds += builds
-        self.stats.kernel_build_seconds += seconds
-
     def simulate(self, workload: str, policy: str, config: GPUConfig,
                  seed: int = 0) -> RunRecord:
-        """Run (or fetch from cache) one simulation."""
-        request = SimRequest(workload, policy, config, seed)
-        key = self.request_key(request)
-        self._note_front_end_builds([request])
-        cached = self.lookup(key, planned=True)
-        if cached is not None:
-            return cached
-        record, telemetry = execute_request_with_telemetry(request)
-        self.stats.simulated += 1
-        self.stats.note_telemetry(telemetry)
-        self._store(self._content_key(key, telemetry), record)
-        return record
+        """Run (or fetch from cache) one simulation: a one-point
+        :meth:`simulate_many`."""
+        return self.simulate_many(
+            [SimRequest(workload, policy, config, seed)]
+        )[0]
 
     def simulate_many(self, requests: Iterable[SimRequest],
                       jobs: Optional[int] = None) -> List[RunRecord]:
@@ -573,153 +423,18 @@ class Runner:
 
         Requests are deduplicated (against each other and against the
         memory/disk cache) before dispatch; only genuine misses are
-        simulated.  With ``jobs`` > 1 the misses run on a process pool.
-        The returned list is aligned with ``requests`` and independent
-        of completion order, so results are identical for any ``jobs``.
-
-        Since the jobs layer (:mod:`repro.jobs`) was extracted this is
-        a thin wrapper over ``plan -> execute -> merge``; the
-        concurrent serving path drives the same three stages with
-        progress and cancellation hooks.
+        simulated.  With ``jobs`` > 1 the misses run on this runner's
+        backend.  The returned list is aligned with ``requests`` and
+        independent of completion order, so results are identical for
+        any ``jobs``.  The stages, and every counter they charge, live
+        in :mod:`repro.jobs.plan`; the job tracker drives the same
+        stages with progress and cancellation hooks.
         """
         from repro.jobs.plan import execute_plan, plan_requests
 
         plan = plan_requests(self, requests)
         execute_plan(self, plan, jobs=jobs)
         return plan.merge()
-
-    def _probe_flushed(self, key: str) -> Optional[RunRecord]:
-        """A record some worker already flushed to the store, or None.
-
-        Counter-free on purpose: at dispatch time this key was a
-        verified miss, so anything here now was simulated *during this
-        sweep* by a worker that died (or timed out) before delivering
-        -- it is accounted as a simulation, not a cache hit, by the
-        caller.
-        """
-        if self.result_store is None:
-            return None
-        payload = self.result_store.get(key)
-        if payload is None:
-            return None
-        try:
-            record = RunRecord(**payload)
-        except TypeError:
-            return None
-        return record
-
-    def _absorb(self, key: str, record: RunRecord,
-                telemetry: Optional[SimTelemetry], cached: bool,
-                results: Dict[str, RunRecord]) -> None:
-        """Fold one delivered grid point into results and counters.
-
-        The ``key in results`` guard is what keeps ``stats.simulated``
-        honest under retries: a chunk that times out but completes
-        anyway, then succeeds on its retry, delivers some keys twice --
-        they count (and store) exactly once.
-        """
-        if key in results:
-            return
-        results[key] = record
-        self.stats.simulated += 1
-        if telemetry is not None:
-            self.stats.note_telemetry(telemetry)
-            self._store(self._content_key(key, telemetry), record)
-        else:
-            # Served from a dead predecessor's flushed store entry
-            # (cached=True): the simulation ran in this sweep but its
-            # telemetry died with the worker.
-            self._store(key, record)
-
-    def _run_parallel(self, items: List[tuple], jobs: int,
-                      results: Dict[str, RunRecord],
-                      on_point=None, should_abort=None) -> None:
-        """Fan ``(key, request)`` misses out over the selected backend.
-
-        Records are stored (and flushed to the result store) as each
-        chunk completes, so no completed work is ever lost.  Failed or
-        hung chunks are retried with backoff, quarantined after
-        exhausting their budget, and -- when the backend itself is
-        broken -- the remainder runs serially in this process (see
-        :mod:`repro.launchers.scheduler`), so the grid always
-        completes; recovery actions land in :class:`RunnerStats`.
-
-        ``on_point(key)`` observes every newly completed grid point as
-        its chunk delivers (the job tracker's progress feed);
-        ``should_abort`` is polled by the scheduler and the serial
-        escape hatch, raising
-        :class:`~repro.launchers.scheduler.SweepAborted` after flushed
-        records are safe.
-        """
-        from repro.launchers import Chunk, make_launcher
-        from repro.launchers.scheduler import (
-            RetryPolicy,
-            SweepAborted,
-            run_chunks,
-        )
-
-        workers = min(jobs, len(items))
-        chunks = [
-            Chunk(id=index, items=list(chunk))
-            for index, chunk in enumerate(_dispatch_chunks(items, workers))
-        ]
-        launcher = make_launcher(self.backend, store_dir=self.cache_dir)
-        policy = RetryPolicy.from_env()
-
-        def absorb(key, record, telemetry, cached) -> None:
-            if key in results:
-                return
-            self._absorb(key, record, telemetry, cached, results)
-            if on_point is not None:
-                on_point(key)
-
-        def on_done(chunk: Chunk, outcomes: list) -> None:
-            for (key, _request), (record, telemetry, cached) in zip(
-                chunk.items, outcomes
-            ):
-                absorb(key, record, telemetry, cached)
-
-        def on_event(kind: str, chunk: Chunk) -> None:
-            if kind == "retry":
-                self.stats.chunk_retries += 1
-            elif kind == "timeout":
-                self.stats.chunk_timeouts += 1
-            elif kind == "quarantine":
-                self.stats.chunks_quarantined += 1
-            elif kind == "degrade":
-                self.stats.backend_degradations += 1
-            elif kind == "restart":
-                self.stats.pool_retries += 1
-
-        def run_serial(rest: List[Chunk]) -> None:
-            # Quarantined chunks and broken-backend remainders execute
-            # here, in the orchestrating process: no worker identity,
-            # so the fault harness never fires, and a genuinely
-            # poisoned grid point raises its real traceback.  Records
-            # a dead worker already flushed are served, not re-run.
-            for chunk in rest:
-                for key, request in chunk.items:
-                    if key in results:
-                        continue
-                    if should_abort is not None and should_abort():
-                        raise SweepAborted(
-                            "sweep aborted during serial re-run; "
-                            "completed points are flushed"
-                        )
-                    flushed = self._probe_flushed(key)
-                    if flushed is not None:
-                        absorb(key, flushed, None, True)
-                        continue
-                    record, telemetry = execute_request_with_telemetry(
-                        request
-                    )
-                    absorb(key, record, telemetry, False)
-
-        run_chunks(
-            launcher, chunks, workers, policy,
-            on_done=on_done, run_serial=run_serial, on_event=on_event,
-            should_abort=should_abort,
-        )
 
     # -- telemetry ----------------------------------------------------------
 

@@ -1,19 +1,20 @@
-"""Job-orchestration layer: the batch pipeline as a reusable service.
+"""Job-orchestration layer: the one owner of the batch pipeline.
 
-The submit -> dedup -> chunk -> launch -> merge pipeline used to live
-inline in :meth:`Runner.simulate_many`; this package is that pipeline
-extracted into stages any caller can drive:
+The submit -> dedup -> chunk -> launch -> merge pipeline lives here, in
+stages any caller can drive; :meth:`Runner.simulate_many` delegates to
+it, and the runner itself keeps only key computation and a store
+facade:
 
 * :mod:`repro.jobs.spec` -- :class:`JobSpec`, a declarative sweep
   description (workloads x policies x architectures x latency grid
   plus backend options) that serialises to/from JSON, which is
   what the HTTP service accepts.
 * :mod:`repro.jobs.plan` -- ``plan_requests`` resolves a request list
-  against the store (hits served immediately, misses grouped exactly
-  as the batch engine always chunked them), ``execute_plan`` runs the
-  misses with optional progress/cancellation hooks, and
-  ``JobPlan.merge`` returns records aligned with the request order.
-  ``Runner.simulate_many`` is a thin wrapper over these three calls.
+  against the store (hits served immediately), ``execute_plan`` runs
+  the misses serially or chunked over a launcher backend, with
+  optional progress/cancellation hooks, and ``JobPlan.merge`` returns
+  records aligned with the request order.  Every batch counter is
+  charged here.
 * :mod:`repro.jobs.tracker` -- :class:`JobTracker`, the concurrent
   serving substrate: job lifecycle (queued/running/partial/done/
   failed), per-cache-key single-flight so identical in-flight

@@ -1,8 +1,13 @@
-"""Plan / execute / merge: the batch pipeline as reusable stages.
+"""Plan / execute / merge: the batch pipeline every grid runs through.
 
-These three stages are :meth:`Runner.simulate_many` taken apart so a
-concurrent caller (the job tracker, and through it the HTTP service)
-can observe and steer each one:
+:meth:`Runner.simulate_many` (and with it :meth:`Runner.simulate`) is
+a thin wrapper over these stages, and the job tracker -- and through
+it the HTTP service -- drives the same stages with progress and
+cancellation hooks, so the CLI batch path and the serving path are one
+pipeline, byte for byte: same counters, same store writes, same
+chunking.  The runner only computes keys and fronts the store; every
+batch counter in :class:`~repro.experiments.runner.RunnerStats` is
+charged here.
 
 * :func:`plan_requests` computes every request's store key, charges
   the batch counters, dedupes the grid against itself and the
@@ -20,9 +25,16 @@ can observe and steer each one:
 * :meth:`JobPlan.merge` returns records aligned with the original
   request order, independent of completion order.
 
-``simulate_many`` is now a thin wrapper over exactly these calls, so
-the CLI batch path and the serving path are one pipeline, byte for
-byte: same counters, same store writes, same chunking.
+Where parallel misses *run* is pluggable (:mod:`repro.launchers`): a
+local process pool (default), or one ``repro worker-chunk`` subprocess
+per chunk.  Both sit under the shared scheduler
+(:mod:`repro.launchers.scheduler`), which retries failed chunks with
+capped backoff, kills and reassigns chunks that blow the
+``LTRF_CHUNK_TIMEOUT`` wall-clock budget, quarantines chunks that
+exhaust their retry budget (they re-run serially in this process,
+where a real poison shows its real traceback), and degrades to serial
+in-process execution when the backend itself is broken -- so a sweep
+finishes late rather than never, and every recovery action is counted.
 """
 
 from __future__ import annotations
@@ -30,13 +42,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
+from repro.arch.serialize import fingerprint_of_arch_sans_latency
 from repro.experiments.runner import (
     RunRecord,
     Runner,
     SimRequest,
-    execute_request_with_telemetry,
+    SimTelemetry,
+    content_key,
 )
-from repro.launchers.scheduler import SweepAborted
+from repro.launchers import Chunk, make_launcher
+from repro.launchers.scheduler import RetryPolicy, SweepAborted, run_chunks
+from repro.launchers.worker import execute_request_with_telemetry
+from repro.workloads.registry import BUILD_STATS
 
 
 @dataclass
@@ -85,21 +102,28 @@ def plan_requests(runner: Runner,
                   requests: Iterable[SimRequest]) -> JobPlan:
     """Resolve a request grid against the runner's caches.
 
-    Replicates the front half of the historical ``simulate_many``
-    exactly -- key computation (attributing front-end kernel builds),
-    ``batch_requests``/``batch_deduplicated``/``batch_dispatched``
-    counters, and the planned store lookup -- so routing a sweep
-    through the jobs layer is invisible in telemetry.
+    Charges ``batch_requests``/``batch_deduplicated``/
+    ``batch_dispatched``, the planned hits (through
+    :meth:`Runner.lookup`), and the kernel builds of the grid's
+    workloads that no telemetry has reported yet: key computation may
+    build a workload in this process, and the CLI builds it even
+    earlier to validate it, while the per-request telemetry only sees
+    builds inside the executing process.
     """
     requests = list(requests)
     keys = [runner.request_key(request) for request in requests]
-    runner._note_front_end_builds(requests)
-    runner.stats.batch_requests += len(requests)
+    stats = runner.stats
+    builds, seconds = BUILD_STATS.claim(
+        request.workload for request in requests
+    )
+    stats.kernel_builds += builds
+    stats.kernel_build_seconds += seconds
+    stats.batch_requests += len(requests)
 
     plan = JobPlan(requests=requests, keys=keys)
     for key, request in zip(keys, requests):
         if key in plan.results or key in plan.pending:
-            runner.stats.batch_deduplicated += 1
+            stats.batch_deduplicated += 1
             plan.deduplicated += 1
             continue
         cached = runner.lookup(key, planned=True)
@@ -107,7 +131,7 @@ def plan_requests(runner: Runner,
             plan.results[key] = cached
         else:
             plan.pending[key] = request
-    runner.stats.batch_dispatched += len(plan.pending)
+    stats.batch_dispatched += len(plan.pending)
     return plan
 
 
@@ -131,27 +155,144 @@ def execute_plan(runner: Runner, plan: JobPlan,
         pending = plan.pending
     items = [(key, request) for key, request in pending.items()
              if key not in plan.results]
-    if not items:
-        return plan
     if jobs is not None and jobs > 1 and len(items) > 1:
-        runner._run_parallel(items, jobs, plan.results,
-                             on_point=on_point, should_abort=should_abort)
-        return plan
+        _run_parallel(runner, items, jobs, plan.results, on_point,
+                      should_abort)
+    else:
+        _run_serial(runner, items, plan.results, on_point, should_abort)
+    return plan
+
+
+def absorb(runner: Runner, results: Dict[str, RunRecord], key: str,
+           record: RunRecord, telemetry: Optional[SimTelemetry]) -> bool:
+    """Fold one delivered grid point into ``results``, the runner's
+    counters and its store; ``False`` if ``key`` was already delivered.
+
+    The ``key in results`` guard is what keeps ``stats.simulated``
+    honest under retries: a chunk that times out but completes anyway,
+    then succeeds on its retry, delivers some keys twice -- they count
+    (and store) exactly once.  ``telemetry`` is ``None`` for a record
+    some worker flushed to the store during this sweep before it died
+    or timed out: the simulation ran, its telemetry died with the
+    worker, and it counts as a simulation, not a cache hit.
+    """
+    if key in results:
+        return False
+    results[key] = record
+    runner.stats.simulated += 1
+    if telemetry is None:
+        runner.save(key, record)
+    else:
+        runner.stats.note_telemetry(telemetry)
+        runner.save(content_key(key, telemetry.kernel_fingerprint), record)
+    return True
+
+
+def _run_serial(runner: Runner, items: List[tuple],
+                results: Dict[str, RunRecord], on_point, should_abort
+                ) -> None:
+    """Run ``(key, request)`` misses one at a time in this process.
+
+    Each key is probed against the store first (:meth:`Runner.stored`),
+    so a record a dead worker or a concurrent writer already flushed
+    is absorbed instead of simulated again.
+    """
     for key, request in items:
-        if key in plan.results:
+        if key in results:
             continue
         if should_abort is not None and should_abort():
-            done = sum(1 for k, _ in items if k in plan.results)
+            done = sum(1 for k, _ in items if k in results)
             raise SweepAborted(
                 f"sweep aborted after {done} of {len(items)} pending "
                 "point(s); completed records are flushed"
             )
-        flushed = runner._probe_flushed(key)
-        if flushed is not None:
-            runner._absorb(key, flushed, None, True, plan.results)
-        else:
+        record = runner.stored(key)
+        telemetry = None
+        if record is None:
             record, telemetry = execute_request_with_telemetry(request)
-            runner._absorb(key, record, telemetry, False, plan.results)
+        absorb(runner, results, key, record, telemetry)
         if on_point is not None:
             on_point(key)
-    return plan
+
+
+def _dispatch_chunks(items: List[tuple], workers: int) -> List[List[tuple]]:
+    """Split pending ``(key, request)`` pairs into pool tasks.
+
+    Items are grouped by *grid row* -- ``(workload, policy,
+    sans-latency arch fingerprint)``, the dispatch row key -- so one
+    worker handles a row's latency points back to back: it resolves
+    and compiles the kernel once (zero-rebuild dispatch against the
+    process-wide static caches, so splitting a row across workers
+    would repeat that work per worker).  Groups are sliced into
+    several chunks per worker so a slow workload cannot serialise the
+    pool behind one long task.  The merge is keyed, so chunk shapes
+    never affect results -- only how much static work is repeated.
+    """
+    by_row: Dict[tuple, List[tuple]] = {}
+    for item in items:
+        request = item[1]
+        row = (request.workload, request.policy,
+               fingerprint_of_arch_sans_latency(request.config))
+        by_row.setdefault(row, []).append(item)
+    chunk_size = max(1, -(-len(items) // (workers * 4)))
+    chunks = []
+    for group in by_row.values():
+        for start in range(0, len(group), chunk_size):
+            chunks.append(group[start:start + chunk_size])
+    return chunks
+
+
+def _run_parallel(runner: Runner, items: List[tuple], jobs: int,
+                  results: Dict[str, RunRecord], on_point, should_abort
+                  ) -> None:
+    """Fan ``(key, request)`` misses out over the runner's backend.
+
+    Records are stored (and flushed to the result store) as each
+    chunk completes, so no completed work is ever lost.  Failed or
+    hung chunks are retried with backoff, quarantined after
+    exhausting their budget, and -- when the backend itself is
+    broken -- the remainder runs serially in this process, so the
+    grid always completes; recovery actions land in the runner's
+    stats.
+    """
+    workers = min(jobs, len(items))
+    chunks = [
+        Chunk(id=index, items=list(chunk))
+        for index, chunk in enumerate(_dispatch_chunks(items, workers))
+    ]
+    launcher = make_launcher(runner.backend, store_dir=runner.cache_dir)
+    stats = runner.stats
+
+    def on_done(chunk: Chunk, outcomes: list) -> None:
+        for (key, _request), (record, telemetry, _cached) in zip(
+            chunk.items, outcomes
+        ):
+            if absorb(runner, results, key, record, telemetry) \
+                    and on_point is not None:
+                on_point(key)
+
+    def on_event(kind: str, chunk: Chunk) -> None:
+        if kind == "retry":
+            stats.chunk_retries += 1
+        elif kind == "timeout":
+            stats.chunk_timeouts += 1
+        elif kind == "quarantine":
+            stats.chunks_quarantined += 1
+        elif kind == "degrade":
+            stats.backend_degradations += 1
+        elif kind == "restart":
+            stats.pool_retries += 1
+
+    def run_serial(rest: List[Chunk]) -> None:
+        # Quarantined chunks and broken-backend remainders execute
+        # here, in the orchestrating process: no worker identity, so
+        # the fault harness never fires, and a genuinely poisoned grid
+        # point raises its real traceback.
+        _run_serial(runner, [item for chunk in rest for item in chunk.items],
+                    results, on_point, should_abort)
+
+    run_chunks(
+        launcher, chunks, workers, RetryPolicy.from_env(),
+        on_done=on_done, run_serial=run_serial, on_event=on_event,
+        should_abort=should_abort,
+    )

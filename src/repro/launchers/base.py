@@ -50,7 +50,7 @@ class Chunk:
     """One schedulable unit: a slice of ``(key, SimRequest)`` pairs.
 
     ``id`` is assigned in deterministic dispatch order (the order
-    :func:`repro.experiments.runner._dispatch_chunks` produced the
+    :func:`repro.jobs.plan._dispatch_chunks` produced the
     chunks), which is what makes fault-plan selectors like
     ``kill:chunk=2`` reproducible across runs and backends.
     ``failures`` counts delivery attempts that did not complete --

@@ -1,11 +1,10 @@
 """Local process-pool launcher: today's in-machine fan-out path.
 
-Wraps a ``ProcessPoolExecutor`` (resolved through
-:mod:`repro.experiments.runner` so tests that substitute the pool
-class keep working) behind the :class:`~repro.launchers.base.Launcher`
-contract.  The pool is a *shared* backend: one worker dying breaks the
-whole executor (``BrokenProcessPool``), and there is no supported way
-to kill a single hung worker -- so this launcher declares
+Wraps a ``ProcessPoolExecutor`` behind the
+:class:`~repro.launchers.base.Launcher` contract.  The pool is a
+*shared* backend: one worker dying breaks the whole executor
+(``BrokenProcessPool``), and there is no supported way to kill a
+single hung worker -- so this launcher declares
 ``kill_is_collateral`` and, when the scheduler kills a timed-out
 chunk, terminates the pool's worker processes outright and rebuilds
 the pool lazily on the next submit.  Innocent in-flight chunks are the
@@ -16,6 +15,7 @@ surface as ``restarts`` -> ``RunnerStats.pool_retries``.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
@@ -25,18 +25,17 @@ from repro.launchers.base import (
     ChunkOutcome,
     Launcher,
 )
+from repro.launchers.worker import execute_request_with_telemetry
 
 
 def _run_pool_chunk(chunk_id: int, attempt: int, requests: list,
                     parent_pid: int) -> list:
     """Module-level (picklable) pool task: run one chunk's requests.
 
-    Requests execute one at a time through ``execute_batch`` so the
-    fault harness can kill between simulations (``kill:chunk=N:after=M``)
-    and so a monkeypatched ``execute_batch`` (how the tier-1 suite
-    scripts worker behaviour) stays on the execution path.  Static
-    work still amortises: the per-process artifact caches don't care
-    whether requests arrive in one call or several.
+    Requests execute one at a time so the fault harness can kill
+    between simulations (``kill:chunk=N:after=M``).  The tier-1 suite
+    scripts worker behaviour by patching this module's
+    ``execute_request_with_telemetry`` and ``ProcessPoolExecutor``.
     """
     if os.getpid() != parent_pid:
         # Only a genuine pool worker gets a worker identity.  A
@@ -44,13 +43,12 @@ def _run_pool_chunk(chunk_id: int, attempt: int, requests: list,
         # orchestrator, which must never look like a worker -- that is
         # the guard that keeps injected faults out of the parent.
         os.environ.setdefault("LTRF_WORKER_ID", f"w-pid{os.getpid()}")
-    from repro.experiments import runner as runner_module
     from repro.launchers.faults import active_plan
     plan = active_plan()
     plan.on_chunk_start(chunk_id, attempt)
     outcomes = []
     for index, request in enumerate(requests):
-        outcomes.extend(runner_module.execute_batch([request]))
+        outcomes.append(execute_request_with_telemetry(request))
         plan.on_request_done(chunk_id, attempt, completed=index + 1)
     return outcomes
 
@@ -105,19 +103,12 @@ class LocalPoolLauncher(Launcher):
     def start(self, workers: int) -> None:
         self._workers = max(1, workers)
 
-    def _executor_class(self):
-        # Resolved through the runner module at call time so the
-        # tier-1 suite's scripted-pool monkeypatching substitutes here
-        # too.
-        from repro.experiments import runner as runner_module
-        return runner_module.ProcessPoolExecutor
-
     def _ensure_pool(self):
         if self._broken and self._pool is not None:
             self._discard_pool()
             self.restarts += 1
         if self._pool is None:
-            self._pool = self._executor_class()(max_workers=self._workers)
+            self._pool = ProcessPoolExecutor(max_workers=self._workers)
             self._broken = False
         return self._pool
 

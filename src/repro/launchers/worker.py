@@ -1,4 +1,9 @@
-"""The ``repro worker-chunk`` entrypoint and its wire format.
+"""What a worker runs: one simulation, and the ``repro worker-chunk``
+entrypoint with its wire format.
+
+:func:`execute_request_with_telemetry` is the one simulation every
+backend executes -- in a local pool worker, in a ``worker-chunk``
+subprocess, and serially in the orchestrating process.
 
 The subprocess backend ships each chunk to a worker process as a
 self-contained *chunk spec* file: a versioned JSON envelope carrying
@@ -41,6 +46,75 @@ SPEC_VERSION = 1
 
 class ChunkSpecError(ValueError):
     """Malformed chunk spec or chunk result file."""
+
+
+def execute_request_with_telemetry(request):
+    """Run one simulation, bypassing every result cache.
+
+    Returns ``(RunRecord, SimTelemetry)``.  Module-level so pool
+    workers can unpickle it; the simulator is deterministic in
+    ``(request,)``, which is what makes parallel and serial execution
+    interchangeable (the record, not the telemetry, is the
+    deterministic part).
+
+    Static work (kernel build, policy compile) flows through the
+    process-wide static-artifact caches; the telemetry reports this
+    run's share of it: the kernel builds it claims and its
+    compile-cache deltas.
+    """
+    from repro.arch.sm import StreamingMultiprocessor
+    from repro.compiler.cache import STATS as COMPILE_STATS
+    from repro.experiments.runner import RunRecord, SimTelemetry
+    from repro.policies import policy_by_name
+    from repro.workloads import resolve_workload
+    from repro.workloads.registry import BUILD_STATS
+
+    hits_before, misses_before, compile_seconds_before = (
+        COMPILE_STATS.snapshot()
+    )
+    kernel, fingerprint = resolve_workload(request.workload)
+    builds, build_seconds = BUILD_STATS.claim([request.workload])
+    sm = StreamingMultiprocessor(
+        request.config, policy_by_name(request.policy)
+    )
+    result = sm.run(kernel, seed=request.seed)
+    record = RunRecord(
+        workload=request.workload,
+        policy=request.policy,
+        ipc=result.ipc,
+        cycles=result.cycles,
+        instructions=result.instructions,
+        prefetch_operations=result.prefetch_operations,
+        resident_warps=result.resident_warps,
+        activations=result.activations,
+        deactivations=result.deactivations,
+        mrf_reads=result.mrf_reads,
+        mrf_writes=result.mrf_writes,
+        rfc_reads=result.rfc_reads,
+        rfc_writes=result.rfc_writes,
+        rfc_read_hits=result.rfc_read_hits,
+        rfc_read_misses=result.rfc_read_misses,
+        rfc_fills=result.rfc_fills,
+        rfc_writebacks=result.rfc_writebacks,
+        l1_hit_rate=result.l1_hit_rate,
+    )
+    hits_after, misses_after, compile_seconds_after = (
+        COMPILE_STATS.snapshot()
+    )
+    telemetry = SimTelemetry(
+        host_seconds=result.host_seconds,
+        cycles=result.cycles,
+        instructions=result.instructions,
+        cycles_skipped=result.cycles_skipped,
+        event_counts=result.event_counts,
+        kernel_fingerprint=fingerprint,
+        kernel_builds=builds,
+        kernel_build_seconds=build_seconds,
+        compile_cache_hits=hits_after - hits_before,
+        compile_cache_misses=misses_after - misses_before,
+        compile_seconds=compile_seconds_after - compile_seconds_before,
+    )
+    return record, telemetry
 
 
 def encode_chunk_spec(chunk_id: int, attempt: int, worker: str,
@@ -127,11 +201,7 @@ def run_worker_chunk(spec: dict) -> dict:
     """
     os.environ["LTRF_WORKER_ID"] = spec["worker"]
 
-    from repro.experiments.runner import (
-        RunRecord,
-        SimRequest,
-        execute_request_with_telemetry,
-    )
+    from repro.experiments.runner import RunRecord, SimRequest, content_key
     from repro.store import ResultStore
 
     chunk_id, attempt = spec["chunk"], spec["attempt"]
@@ -171,7 +241,7 @@ def run_worker_chunk(spec: dict) -> dict:
         record, telemetry = execute_request_with_telemetry(request)
         payload = _record_payload(record)
         if store is not None:
-            store.put(_content_key(key, telemetry.kernel_fingerprint),
+            store.put(content_key(key, telemetry.kernel_fingerprint),
                       payload)
         results.append({
             "key": key,
@@ -209,16 +279,6 @@ def _record_payload(record) -> dict:
 def _telemetry_payload(telemetry) -> dict:
     from dataclasses import asdict
     return asdict(telemetry)
-
-
-def _content_key(key: str, fingerprint: str) -> str:
-    """Worker-side twin of ``Runner._content_key``: store the record
-    under the kernel content actually simulated (a file-backed kernel
-    can be rewritten between the parent's key computation and this
-    worker's execution)."""
-    if not fingerprint or key.endswith(f"__k{fingerprint}"):
-        return key
-    return f"{key.rsplit('__k', 1)[0]}__k{fingerprint}"
 
 
 def load_chunk_result(path: str, expect_chunk: int,

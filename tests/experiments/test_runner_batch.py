@@ -18,13 +18,13 @@ from repro.workloads import get_kernel
 SMALL = GPUConfig(max_resident_warps=8, active_warps=4)
 
 
-def _die_on_kmeans_batch(requests):
-    """Module-level (picklable) pool-worker batch fn that hard-kills
-    the worker when it draws a kmeans chunk."""
-    from repro.experiments.runner import execute_request_with_telemetry
-    if any(request.workload == "kmeans" for request in requests):
+def _die_on_kmeans(request):
+    """Module-level (picklable) pool-worker execution that hard-kills
+    the worker when it draws a kmeans request."""
+    from repro.launchers.worker import execute_request_with_telemetry
+    if request.workload == "kmeans":
         os._exit(3)
-    return [execute_request_with_telemetry(request) for request in requests]
+    return execute_request_with_telemetry(request)
 
 
 def _raise_unknown_workload(request):
@@ -230,14 +230,13 @@ class TestContentKeyedStore:
 
     def test_store_rekeys_when_simulated_content_differs(self, tmp_path,
                                                          monkeypatch):
-        import repro.experiments.runner as runner_module
+        from repro.experiments.runner import SimTelemetry
+        from repro.launchers.worker import execute_request_with_telemetry
         runner = Runner(cache_dir=str(tmp_path))
         request = SimRequest("btree", "BL", SMALL)
         key = runner.request_key(request)
-        record, telemetry = runner_module.execute_request_with_telemetry(
-            request
-        )
-        shifted = runner_module.SimTelemetry(
+        record, telemetry = execute_request_with_telemetry(request)
+        shifted = SimTelemetry(
             host_seconds=telemetry.host_seconds,
             cycles=telemetry.cycles, instructions=telemetry.instructions,
             cycles_skipped=telemetry.cycles_skipped,
@@ -245,7 +244,7 @@ class TestContentKeyedStore:
             kernel_fingerprint="feedfacefeedface",
         )
         monkeypatch.setattr(
-            runner_module, "execute_request_with_telemetry",
+            "repro.jobs.plan.execute_request_with_telemetry",
             lambda req: (record, shifted),
         )
         runner.simulate("btree", "BL", SMALL)
@@ -269,13 +268,13 @@ class TestContentKeyedStore:
         the *real* exception (with its own actionable message) raises
         instead of an opaque worker death."""
         import pytest
-        import repro.experiments.runner as runner_module
         from repro.workloads import UnknownWorkloadError
         monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
-        monkeypatch.setattr(
-            runner_module, "execute_request_with_telemetry",
-            _raise_unknown_workload,
-        )
+        for where in ("repro.launchers.local", "repro.jobs.plan"):
+            monkeypatch.setattr(
+                f"{where}.execute_request_with_telemetry",
+                _raise_unknown_workload,
+            )
         runner = Runner(cache_dir=str(tmp_path))
         with pytest.raises(UnknownWorkloadError, match="btree"):
             runner.simulate_many(
@@ -475,7 +474,7 @@ class TestStaticWorkTelemetry:
 
 class TestDispatchChunks:
     def test_chunks_are_workload_pure_and_cover_all_items(self):
-        from repro.experiments.runner import _dispatch_chunks
+        from repro.jobs.plan import _dispatch_chunks
         items = [
             (f"key-{workload}-{index}", SimRequest(workload, "BL", SMALL))
             for workload in ("a", "b", "c")
@@ -490,7 +489,7 @@ class TestDispatchChunks:
             assert len({request.workload for _, request in chunk}) == 1
 
     def test_large_groups_split_for_load_balance(self):
-        from repro.experiments.runner import _dispatch_chunks
+        from repro.jobs.plan import _dispatch_chunks
         items = [
             (f"key-{index}", SimRequest("only", "BL", SMALL))
             for index in range(32)
@@ -503,7 +502,7 @@ class TestDispatchChunks:
         """Rows are (workload, policy, sans-latency arch): a row's
         latency points travel together, and architectures that differ
         beyond latency form rows of their own."""
-        from repro.experiments.runner import _dispatch_chunks
+        from repro.jobs.plan import _dispatch_chunks
         items = [
             (f"key-{policy}-{warps}-{multiple}", SimRequest(
                 "btree", policy,
@@ -614,11 +613,10 @@ class TestResumableSweeps:
     def test_broken_pool_retries_chunks_on_fresh_pool(self, tmp_path,
                                                       monkeypatch):
         monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
-        import repro.experiments.runner as runner_module
         _ScriptedPool.plan = [1]    # pool 1: one chunk, then break
         _ScriptedPool.instances = 0
         monkeypatch.setattr(
-            runner_module, "ProcessPoolExecutor", _ScriptedPool
+            "repro.launchers.local.ProcessPoolExecutor", _ScriptedPool
         )
         grid = self.grid()
         runner = Runner(cache_dir=str(tmp_path))
@@ -635,12 +633,11 @@ class TestResumableSweeps:
         after enough consecutive failed deliveries the runner abandons
         the pool and finishes the grid serially in-process."""
         monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
-        import repro.experiments.runner as runner_module
         _ScriptedPool.plan = [1] + [0] * 50   # every rebuilt pool breaks
         _ScriptedPool.instances = 0
         grid = self.grid()
         monkeypatch.setattr(
-            runner_module, "ProcessPoolExecutor", _ScriptedPool
+            "repro.launchers.local.ProcessPoolExecutor", _ScriptedPool
         )
         runner = Runner(cache_dir=str(tmp_path))
         records = runner.simulate_many(grid, jobs=2)
@@ -661,30 +658,28 @@ class TestResumableSweeps:
         serially in the parent -- completing the sweep instead of
         discarding it."""
         monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
-        import repro.experiments.runner as runner_module
+        from repro.launchers.worker import execute_request_with_telemetry
         from repro.workloads import UnknownWorkloadError
 
-        real_execute = runner_module.execute_batch
-
-        def fail_kmeans_chunk(requests):
-            if any(r.workload == "kmeans" for r in requests):
+        def fail_kmeans(request):
+            if request.workload == "kmeans":
                 raise UnknownWorkloadError("kmeans", [], [])
-            return real_execute(requests)
+            return execute_request_with_telemetry(request)
 
         _ScriptedPool.plan = [None]          # never breaks; fn may raise
         _ScriptedPool.instances = 0
         monkeypatch.setattr(
-            runner_module, "ProcessPoolExecutor", _ScriptedPool
+            "repro.launchers.local.ProcessPoolExecutor", _ScriptedPool
         )
         monkeypatch.setattr(
-            runner_module, "execute_batch", fail_kmeans_chunk
+            "repro.launchers.local.execute_request_with_telemetry",
+            fail_kmeans,
         )
         grid = self.grid()
         runner = Runner(cache_dir=str(tmp_path))
         records = runner.simulate_many(grid, jobs=2)
         # The kmeans chunks failed in "workers" but ran serially in
-        # the parent (run_serial goes through
-        # execute_request_with_telemetry, not the poisoned batch fn).
+        # the parent (the serial path is not the poisoned pool task).
         assert runner.stats.simulated == len(grid)
         assert runner.stats.chunk_retries >= 1
         assert (runner.stats.chunks_quarantined
@@ -696,20 +691,20 @@ class TestResumableSweeps:
         acceptance path on the local backend: a worker hard-killed by
         os._exit takes down the pool, yet the sweep completes (healthy
         chunks retry on fresh pools; the poisoned chunk ends up
-        executing serially in the parent, whose batch path is not the
-        monkeypatched killer), results are byte-identical to a clean
+        executing serially in the parent, whose execution path is not
+        the monkeypatched killer), results are byte-identical to a clean
         serial run, and nothing is re-simulated on resume."""
         import multiprocessing
 
         import pytest
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("needs fork start (monkeypatched worker fn)")
-        import repro.experiments.runner as runner_module
         grid = self.grid()
         with pytest.MonkeyPatch.context() as patcher:
             patcher.setenv("LTRF_RETRY_BACKOFF", "0")
             patcher.setattr(
-                runner_module, "execute_batch", _die_on_kmeans_batch
+                "repro.launchers.local.execute_request_with_telemetry",
+                _die_on_kmeans,
             )
             runner = Runner(cache_dir=str(tmp_path))
             records = runner.simulate_many(grid, jobs=2)

@@ -204,9 +204,7 @@ class TestCancellation:
         """Cancelling after the first grid point: that point's record
         is flushed, the rest aborts, and re-submitting resumes from
         the store."""
-        from repro.experiments.runner import (
-            execute_request_with_telemetry,
-        )
+        from repro.launchers.worker import execute_request_with_telemetry
 
         tracker = JobTracker(str(tmp_path))
         job = tracker.submit(fast_spec())
