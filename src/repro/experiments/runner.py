@@ -336,7 +336,7 @@ class Runner:
 
         A hit is charged to :attr:`stats` only when ``planned``: the
         read serves a grid point the runner was asked for (at plan
-        time, or a single-flight follower's read-back).  Reading back
+        time, at a single-flight claim, or a follower's read-back).  Reading back
         a point already served -- every render-time read in
         ``normalized_sweep`` -- is free, so a cold sweep reports no
         hits and a warm one one per point.

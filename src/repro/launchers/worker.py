@@ -10,10 +10,10 @@ self-contained *chunk spec* file: a versioned JSON envelope carrying
 the requests (workload name, policy, seed) plus the **full
 architecture description** (an ``ltrf-arch`` payload, not a registry
 name), so the worker rebuilds the exact architecture without registry
-access.  The worker inherits its parent's environment.  The worker writes its
-results to the spec's ``output`` path atomically -- the parent never
-observes a partial result file, only absence (worker still running or
-died) or a complete one.
+access, and inherits its environment from the parent.  The worker
+writes its results to the spec's ``output`` path atomically -- the
+parent never observes a partial result file, only absence (worker
+still running or died) or a complete one.
 
 Durability discipline inside the worker: when the spec names a store
 directory, each record is flushed to it *as it completes* (the store's

@@ -121,3 +121,14 @@ class TestDiffRuns:
             entry.cause for entry in diff_runs(store_a, store_b).entries
         )
         assert causes == ["only-in-a", "only-in-b"]
+
+    def test_pre_arch_fingerprint_key_is_one_sided(self, tmp_path):
+        """A key from before the arch fingerprint does not parse: it is
+        counted as a one-sided point, never paired through the config
+        hash it carries."""
+        old = f"btree__BL__0123456789abcdef__0__k{KERNEL_A}"
+        report = diff_runs(make_store(tmp_path, "a", {old: payload()}),
+                           make_store(tmp_path, "b", {key(): payload()}))
+        assert [(entry.cause, entry.workload, entry.policy)
+                for entry in report.entries] == [
+            ("only-in-a", "btree", "BL"), ("only-in-b", "btree", "BL")]

@@ -65,6 +65,21 @@ class TestBuildReport:
             assert set(row.ipc) == {"BL", "LTRF"}
             assert row.arch_label().endswith("x")     # latency-resolved
 
+    def test_pre_arch_fingerprint_key_is_an_unparsed_row(self, tmp_path):
+        """A record under a key from before the arch fingerprint is
+        still counted, as a row of its own with no architecture."""
+        runner = sweep_runner(tmp_path)
+        record = runner.results().records()[0]
+        old = record.key.replace(f"__a{record.arch_fingerprint}__",
+                                 "__0123456789abcdef__")
+        runner.result_store.put(old, dict(record.payload))
+        report = build_report(runner.results())
+        assert report.record_count == 5
+        (row,) = [row for row in report.delta_rows
+                  if row.arch_label() == "(unparsed key)"]
+        assert row.workload == "btree"
+        assert row.ipc == {record.policy: record.ipc}
+
     def test_telemetry_aggregated_from_run_logs(self, tmp_path):
         report = build_report(sweep_runner(tmp_path).results())
         assert len(report.runs) == 1

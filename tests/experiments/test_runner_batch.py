@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.arch import GPUConfig, StreamingMultiprocessor
 from repro.arch.serialize import fingerprint_of_arch_sans_latency
 from repro.experiments import Runner, SimRequest
 from repro.experiments.latency_tolerance import LATENCY_GRID
-from repro.experiments.runner import default_cache_dir
+from repro.experiments.runner import content_key, default_cache_dir
 from repro.policies import POLICIES
 from repro.workloads import get_kernel
 
@@ -157,6 +157,58 @@ class TestCacheHardening:
             if name.startswith(".write-")
         ]
         assert leftovers == []
+
+
+class TestStoreFacade:
+    """What the runner keeps: keys, and reads and writes of its store."""
+
+    def test_simulate_is_a_one_point_simulate_many(self, tmp_path):
+        single = Runner(cache_dir=str(tmp_path / "single"))
+        batch = Runner(cache_dir=str(tmp_path / "batch"))
+        request = SimRequest("btree", "BL", SMALL)
+        assert single.simulate("btree", "BL", SMALL) \
+            == batch.simulate_many([request])[0]
+        for name in ("simulated", "memory_hits", "disk_hits",
+                     "batch_requests", "batch_deduplicated",
+                     "batch_dispatched"):
+            assert getattr(single.stats, name) \
+                == getattr(batch.stats, name), name
+        assert (single.stats.batch_requests,
+                single.stats.batch_dispatched) == (1, 1)
+
+    def test_stored_reads_the_store_alone(self, tmp_path):
+        runner = Runner(cache_dir=str(tmp_path))
+        key = runner.request_key(SimRequest("btree", "BL", SMALL))
+        assert runner.stored(key) is None
+        record = Runner(cache_dir=str(tmp_path)).simulate("btree", "BL",
+                                                          SMALL)
+        assert runner.stored(key) == record
+        assert runner.stats.hits == 0
+        # Nothing was cached in memory: a planned read is a disk hit.
+        assert runner.lookup(key, planned=True) == record
+        assert (runner.stats.memory_hits, runner.stats.disk_hits) == (0, 1)
+        runner.result_store.put(key, {"workload": "btree"})   # stale
+        assert runner.stored(key) is None
+
+    def test_save_appends_only_a_changed_payload(self, tmp_path):
+        runner = Runner(cache_dir=str(tmp_path))
+        record = runner.simulate("btree", "BL", SMALL)
+        key = runner.request_key(SimRequest("btree", "BL", SMALL))
+        runner.save(key, record)
+        assert runner.result_store.stats().entries == 1
+        changed = replace(record, ipc=record.ipc + 1.0)
+        runner.save(key, changed)
+        assert runner.result_store.stats().entries == 2
+        assert Runner(cache_dir=str(tmp_path)).lookup(key) == changed
+
+    def test_content_key_swaps_only_a_differing_kernel_fingerprint(self):
+        key = "btree__BL__a0123__0__kfeedface"
+        assert content_key(key, "") == key
+        assert content_key(key, "feedface") == key
+        assert content_key(key, "beef") == "btree__BL__a0123__0__kbeef"
+        path_key = "runs__kit/x.json__BL__a0123__0__kfeedface"
+        assert content_key(path_key, "beef") \
+            == "runs__kit/x.json__BL__a0123__0__kbeef"
 
 
 class TestCacheKeyFingerprint:

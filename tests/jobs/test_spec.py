@@ -68,6 +68,7 @@ class TestValidate:
         ("workloads", ("btreee",), "btree"),
         ("archs", ("pascal-ish",), "pascal-ish"),
         ("jobs", 0, "jobs"),
+        ("backend", "ssh", "unknown backend"),
     ])
     def test_rejects_unresolvable_names(self, field, value, match):
         kwargs = {"workloads": ("btree",), field: value}

@@ -137,3 +137,13 @@ class TestLocalBackendFaults:
         assert runner.stats.pool_retries >= 1       # pool was rebuilt
         assert runner.stats.chunk_retries >= 1
         assert_survived(runner, records, grid, tmp_path)
+
+
+class TestMakeLauncher:
+    def test_ssh_is_an_unknown_backend(self):
+        from repro.launchers import BACKENDS, make_launcher
+
+        assert BACKENDS == ("local", "subprocess")
+        with pytest.raises(ValueError, match=r"unknown backend 'ssh' "
+                           r"\(expected one of local, subprocess\)"):
+            make_launcher("ssh")

@@ -110,6 +110,20 @@ class TestSpecRoundtrip:
             align_results(chunk, [])     # worker returned nothing
 
 
+class TestWorkerEnvironment:
+    def test_worker_ignores_an_env_block(self, tmp_path, monkeypatch):
+        """Workers inherit their parent's environment: specs carry no
+        ``env`` block, and one written by an older build changes
+        nothing in the worker."""
+        monkeypatch.setenv("LTRF_COMPILE_CACHE", "1")
+        spec = encode_chunk_spec(0, 0, "w1", make_items(),
+                                 output=str(tmp_path / "result.json"))
+        assert "env" not in spec
+        spec["env"] = {"LTRF_COMPILE_CACHE": "0"}
+        assert len(run_worker_chunk(spec)["results"]) == 2
+        assert os.environ["LTRF_COMPILE_CACHE"] == "1"
+
+
 class TestWorkerDurability:
     def test_retry_serves_flushed_records_from_the_store(self, tmp_path):
         """A chunk retried after a mid-chunk kill repeats none of the
@@ -129,3 +143,30 @@ class TestWorkerDurability:
         assert all(entry["cached"] for entry in second["results"])
         assert [entry["record"] for entry in second["results"]] \
             == [entry["record"] for entry in first["results"]]
+
+    def test_record_is_stored_under_the_content_simulated(
+            self, tmp_path, monkeypatch):
+        """A kernel file rewritten between the parent's key computation
+        and the worker's run: the worker stores each record under the
+        kernel fingerprint it actually simulated."""
+        from dataclasses import replace
+
+        from repro.experiments.runner import content_key
+        from repro.launchers import worker as worker_module
+
+        real = worker_module.execute_request_with_telemetry
+
+        def shifted(request):
+            record, telemetry = real(request)
+            return record, replace(telemetry, kernel_fingerprint="feedface")
+
+        monkeypatch.setattr(worker_module, "execute_request_with_telemetry",
+                            shifted)
+        store_dir = str(tmp_path / "store")
+        items = make_items(Runner(cache_dir=store_dir))
+        spec_path, _ = write_spec(tmp_path, items, store_dir=store_dir)
+        run_worker_chunk(load_chunk_spec(spec_path))
+        reader = Runner(cache_dir=store_dir)
+        for key, _request in items:
+            assert reader.stored(key) is None
+            assert reader.stored(content_key(key, "feedface")) is not None

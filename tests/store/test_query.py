@@ -388,7 +388,8 @@ class TestFilterPushdown:
 
     def test_rejected_keys_are_not_read(self, tmp_path, monkeypatch):
         """Keys the filters rule out never reach get(); keys that do
-        not parse are read, since their identity is in the payload.  A key_in set is checked before any parse."""
+        not parse are read, since their identity is in the payload.
+        A key_in set is checked before any parse."""
         from repro.store import query as query_module
 
         store = ResultStore(str(tmp_path))

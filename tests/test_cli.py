@@ -71,6 +71,18 @@ def test_experiment_jobs_flag(capsys):
     assert "Table 1" in capsys.readouterr().out
 
 
+def test_cold_simulate_reports_the_validation_build(capsys, tmp_path):
+    """The CLI builds a kernel to validate the workload before any
+    runner exists; the telemetry line still reports that build."""
+    from repro.ir import save_kernel
+    from repro.workloads import get_kernel
+
+    path = str(tmp_path / "fresh.kernel.json")
+    save_kernel(get_kernel("btree"), path)
+    assert main(["simulate", path, "--policy", "BL"]) == 0
+    assert "static work: 1 kernel build(s)" in capsys.readouterr().out
+
+
 def test_simulate_uses_baseline_config(capsys):
     # Configuration #1 must be the 272KB normalisation baseline the
     # figures use, not a bare GPUConfig().

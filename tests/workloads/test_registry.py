@@ -16,7 +16,11 @@ from repro.workloads import (
     workload_fingerprint,
     workload_names,
 )
-from repro.workloads.registry import FileProvider, SpecProvider
+from repro.workloads.registry import (
+    FileProvider,
+    KernelBuildStats,
+    SpecProvider,
+)
 from repro.workloads.scenarios import BUILTIN_FAMILIES
 
 
@@ -204,3 +208,14 @@ class TestCustomRegistry:
         registry.register_spec(SUITE["btree"])
         for name in ("btree", "divergence-30", "depchain-64"):
             assert registry.fingerprint(name) == workload_fingerprint(name)
+
+
+class TestBuildStats:
+    def test_claim_reports_each_build_once(self):
+        stats = KernelBuildStats()
+        stats.note_build("a", 0.5)
+        stats.note_build("a", 0.25)
+        stats.note_build("b", 1.0)
+        assert stats.claim(["a", "a", "never-built"]) == (2, 0.75)
+        assert stats.claim(["a"]) == (0, 0.0)
+        assert stats.claim(["b"]) == (1, 1.0)
