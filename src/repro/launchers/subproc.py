@@ -84,7 +84,7 @@ class _SubprocHandle(ChunkHandle):
                 return ChunkOutcome(status="error", message=str(error))
             return ChunkOutcome(
                 status="ok",
-                results=self.launcher._align(self.chunk, entries),
+                results=align_results(self.chunk, entries),
             )
         tail = _stderr_tail(self.stderr_path)
         if code == CHUNK_ERROR_EXIT:
@@ -169,9 +169,6 @@ class SubprocessLauncher(Launcher):
             self._live.discard(handle)
             self._free_slots.append(handle.worker_slot)
             self._free_slots.sort(key=lambda slot: int(slot[1:]))
-
-    def _align(self, chunk: Chunk, entries: list) -> list:
-        return align_results(chunk, entries)
 
     def submit(self, chunk: Chunk) -> ChunkHandle:
         import json
