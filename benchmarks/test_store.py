@@ -3,8 +3,10 @@
 The store sits on every cache hit and every flushed record, so its
 cost must stay negligible next to a ~1s simulation.  These benchmarks
 put a synthetic record population through the full lifecycle: append
-(the per-record flush path of a running sweep), cold open + full
-replay (the index rebuild a resuming sweep pays), and compaction.
+(the per-record flush path of a running sweep), cold open + a read of
+every key (the index rebuild a resuming sweep pays), cold open + one
+read (a re-render that needs a few keys of a big store), cold open +
+``items()`` (a full query), and compaction.
 """
 
 import shutil
@@ -61,6 +63,31 @@ def test_store_cold_replay(benchmark, tmp_path_factory):
         store.close()
 
     benchmark.pedantic(replay, rounds=3, iterations=1)
+
+
+def test_store_cold_get_one(benchmark, tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("store-get-one"))
+    _populate(root)
+    key = _keys()[RECORDS // 2]
+
+    def get_one():
+        store = ResultStore(root)
+        assert store.get(key) == PAYLOAD
+        store.close()
+
+    benchmark.pedantic(get_one, rounds=10, iterations=1)
+
+
+def test_store_cold_items(benchmark, tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("store-items"))
+    _populate(root)
+
+    def items():
+        store = ResultStore(root)
+        assert sum(1 for _ in store.items()) == RECORDS
+        store.close()
+
+    benchmark.pedantic(items, rounds=3, iterations=1)
 
 
 def test_store_compact(benchmark, tmp_path_factory):

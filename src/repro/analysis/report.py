@@ -244,10 +244,16 @@ def _write_records_csv(report: SweepReport, path: str) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_RECORD_COLUMNS)
-        for record in report.records:
-            writer.writerow(
-                [record.value(name) for name in _RECORD_COLUMNS]
-            )
+        # One tuple per row, in _RECORD_COLUMNS order: what
+        # record.value(name) gives per column, read directly.
+        writer.writerows(
+            (record.key, record.workload, record.policy,
+             record.arch_fingerprint, record.latency, record.seed,
+             record.kernel_fingerprint, record.schema_ok,
+             record.payload.get("ipc"), record.payload.get("cycles"),
+             record.payload.get("instructions"))
+            for record in report.records
+        )
 
 
 def _delta_columns(report: SweepReport) -> List[str]:

@@ -34,19 +34,30 @@ and a crashed writer's partial tail is simply skipped forever (and
 dropped by the next compaction).  A corrupt *interior* line is
 counted, skipped, and reported by ``verify``.
 
-The in-memory index maps key -> record payload and is (re)built by
-scanning segments lazily per shard; on a lookup miss the shard is
-re-scanned incrementally (only bytes appended since the last scan), so
-a store instance observes records published by concurrent writers
-without re-reading whole files.  The same scan counts parsed entries,
-corrupt lines and torn tails per segment, so ``stats`` and ``items``
-are served from the index; only ``verify`` (and ``compact``) replay
-every segment from scratch.
+The in-memory index is (re)built by scanning segments lazily per
+shard; on a lookup miss the shard is re-scanned incrementally (only
+bytes appended since the last scan), so a store instance observes
+records published by concurrent writers without re-reading whole
+files.  The scan decodes as little as it can: a line whose key can be
+read straight from its bytes (it starts with ``{"k": "``, holds no
+backslash and names ``"k"`` once, so it can only decode to that key)
+stays undecoded, filed under its key as a reference into the bytes
+the scan read.  A key's pending lines are decoded, in replay order,
+the first time that key is read or written (``get``, ``put``); any
+other line is decoded during the scan.  So the index holds a decoded
+payload per key read so far plus the pending lines of the rest, and a
+fresh instance serving a few keys decodes only those keys' lines.
+``items``, ``keys`` and ``stats`` decode every pending line of a shard
+before they read it, and decode the bytes they scan as they scan them,
+so what they return and count is what an eager scan gives.  Entries
+and corrupt lines are counted when a line is decoded, torn tails when
+a segment is scanned; only ``verify`` (and ``compact``) replay every
+segment from scratch.
 
 One instance may be shared by many threads (the service keeps one for
 all its jobs and queries): a single lock covers shard-state creation,
-re-scans, appends and the sidecar writes, while a ``get`` that hits
-the index takes no lock.
+re-scans, decoding, appends and the sidecar writes, while a ``get`` of
+an already-decoded key takes no lock.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.util import atomic_write_text
 
@@ -186,6 +197,11 @@ def _encode_entry(key: str, payload: dict) -> str:
     return json.dumps({"k": key, "r": payload}, sort_keys=True) + "\n"
 
 
+_DECODER = json.JSONDecoder()
+#: How every line ``_encode_entry`` writes starts.
+_KEY_PREFIX = b'{"k": "'
+
+
 def _decode_entry(line: bytes) -> Optional[Tuple[str, dict]]:
     """Parse one non-blank segment line; ``None`` if it is corrupt.
 
@@ -194,13 +210,45 @@ def _decode_entry(line: bytes) -> Optional[Tuple[str, dict]]:
     can never disagree about what counts as corrupt.
     """
     try:
-        entry = json.loads(line)
+        if len(line) > 1 and line[0] == 0x7B and line[1]:
+            # "{" then a non-NUL byte: json.loads(bytes) would detect
+            # UTF-8 and call decode(), which is raw_decode() plus this
+            # trailing-whitespace check; doing it here skips both calls.
+            text = line.decode("utf-8", "surrogatepass")
+            entry, end = _DECODER.raw_decode(text)
+            if end != len(text) and text[end:].strip(" \t\n\r"):
+                raise ValueError("extra data")
+        else:
+            entry = json.loads(line)
         key, payload = entry["k"], entry["r"]
         if not isinstance(key, str) or not isinstance(payload, dict):
             raise ValueError("malformed entry")
     except (ValueError, TypeError, KeyError):
         return None
     return key, payload
+
+
+def _line_key(chunk: bytes, start: int, end: int) -> Optional[str]:
+    """The key of the line ``chunk[start:end]`` read from its bytes, or
+    ``None`` when only decoding the line can tell.
+
+    The line must start with ``{"k": "``, hold no backslash and hold
+    ``"k"`` once: with no escapes and no second ``"k"`` member, the
+    line can only decode to the string up to the next ``"`` (or be
+    corrupt).
+    """
+    if (not chunk.startswith(_KEY_PREFIX, start, end)
+            or chunk.find(b"\\", start, end) >= 0
+            or chunk.find(b'"k"', start + 4, end) >= 0):
+        return None
+    key_start = start + len(_KEY_PREFIX)
+    key_end = chunk.find(b'"', key_start, end)
+    if key_end < 0:
+        return None
+    try:
+        return chunk[key_start:key_end].decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        return None
 
 
 def _segment_sort_key(name: str) -> Tuple[int, str]:
@@ -227,17 +275,31 @@ class _Segment:
         self.rank = rank
         self.scanned = 0      # bytes consumed (always ends on a newline)
         self.size = 0         # file size at the last refresh
-        self.entries = 0      # lines among the consumed bytes that parsed
-        self.corrupt = 0      # lines among the consumed bytes that did not
+        self.entries = 0      # decoded consumed lines that parsed
+        self.corrupt = 0      # decoded consumed lines that did not
+
+    def decode(self, line: bytes) -> Optional[Tuple[str, dict]]:
+        """Decode one consumed line, counting it as an entry or as
+        corrupt."""
+        decoded = _decode_entry(line)
+        if decoded is None:
+            self.corrupt += 1
+        else:
+            self.entries += 1
+        return decoded
 
 
 class _ShardState:
-    """Per-shard index plus incremental-scan bookkeeping."""
+    """Per-shard index plus incremental-scan bookkeeping.
 
-    __slots__ = ("index", "source", "segments", "writer_path",
+    Every method that changes it runs under the store lock.
+    """
+
+    __slots__ = ("index", "source", "pending", "segments", "writer_path",
                  "writer_handle", "writer_rank", "writer_segment")
 
     def __init__(self) -> None:
+        #: key -> payload, for the keys whose lines are all decoded.
         self.index: Dict[str, dict] = {}
         #: key -> (seq, writer) rank of the segment its indexed payload
         #: came from.  Incremental refreshes apply segment deltas in
@@ -246,6 +308,10 @@ class _ShardState:
         #: only if its segment outranks the current source -- keeping
         #: the live index's winner identical to a fresh full replay's.
         self.source: Dict[str, Tuple[int, str]] = {}
+        #: key -> its scanned, still undecoded lines in replay order:
+        #: one ``(rank, chunk, start, end, segment)`` reference into the
+        #: bytes a refresh read, or a list of them.
+        self.pending: Dict[str, Union[tuple, List[tuple]]] = {}
         #: segment path -> scan bookkeeping, for exactly the segments
         #: the last refresh listed.
         self.segments: Dict[str, _Segment] = {}
@@ -253,6 +319,74 @@ class _ShardState:
         self.writer_handle = None
         self.writer_rank: Tuple[int, str] = (0, "")
         self.writer_segment: Optional[_Segment] = None
+
+    def _apply(self, key: str, payload: dict, rank: Tuple[int, str]) -> None:
+        if rank >= self.source.get(key, (-1, "")):
+            self.index[key] = payload
+            self.source[key] = rank
+
+    def scan(self, segment: _Segment, chunk: bytes, complete: int,
+             decode: bool = False) -> None:
+        """Fold the complete lines ``chunk[:complete]`` of ``segment``
+        in: unless ``decode``, a line whose key its bytes give is filed
+        under that key; any other is decoded now."""
+        # bytes.splitlines (what verify splits with) also ends a line
+        # at a bare \r, which no encoded entry holds.
+        if decode or chunk.find(b"\r", 0, complete) >= 0:
+            for line in chunk[:complete].splitlines():
+                self._scan_line(segment, line)
+            return
+        rank, pending = segment.rank, self.pending
+        start = 0
+        while start < complete:
+            end = chunk.find(b"\n", start)
+            key = _line_key(chunk, start, end)
+            if key is None:
+                self._scan_line(segment, chunk[start:end])
+            else:
+                ref = (rank, chunk, start, end, segment)
+                refs = pending.setdefault(key, ref)
+                if refs is not ref:
+                    if type(refs) is tuple:
+                        pending[key] = [refs, ref]
+                    else:
+                        refs.append(ref)
+            start = end + 1
+
+    def _scan_line(self, segment: _Segment, line: bytes) -> None:
+        if not line.strip():
+            return
+        decoded = segment.decode(line)
+        if decoded is not None:
+            key, payload = decoded
+            if key in self.pending:
+                self.settle(key)     # the key's earlier lines go first
+            self._apply(key, payload, segment.rank)
+
+    def settle(self, key: str) -> None:
+        """Decode and apply the pending lines of ``key``."""
+        refs = self.pending[key]
+        source = self.source
+        for rank, chunk, start, end, segment in (
+                (refs,) if type(refs) is tuple else refs):
+            decoded = segment.decode(chunk[start:end])
+            # _apply, inline: this loop runs once per decoded record.
+            if decoded is not None and rank >= source.get(key, (-1, "")):
+                self.index[key] = decoded[1]
+                source[key] = rank
+        # Only now, so a lock-free reader that finds the key no longer
+        # pending finds its newest payload.
+        del self.pending[key]
+
+    def settle_all(self) -> None:
+        for key in list(self.pending):
+            self.settle(key)
+
+    def lookup(self, key: str) -> Optional[dict]:
+        """The payload of ``key``, its pending lines decoded first."""
+        if key in self.pending:
+            self.settle(key)
+        return self.index.get(key)
 
 
 class ResultStore:
@@ -338,40 +472,47 @@ class ResultStore:
             key=_segment_sort_key,
         )
 
-    def _state(self, shard: int) -> _ShardState:
+    def _state(self, shard: int, decode: bool = False) -> _ShardState:
         state = self._states.get(shard)
         if state is None:
             with self._lock:
                 state = self._states.get(shard)
                 if state is None:
                     state = _ShardState()
-                    self._refresh(shard, state)
+                    self._refresh(shard, state, decode)
                     # Published only once scanned, so a lock-free get
                     # never sees a half-built index.
                     self._states[shard] = state
         return state
 
     def _current(self, shard: int) -> _ShardState:
-        """The shard's state with every byte now on disk folded in.
-        Callers hold ``self._lock``."""
+        """The shard's state with every byte now on disk folded in and
+        decoded.  Callers hold ``self._lock``."""
+        # Every line is about to be decoded, so the scan decodes the
+        # bytes it reads rather than filing them by key.
         state = self._states.get(shard)
         if state is None:
-            return self._state(shard)
-        self._refresh(shard, state)
+            state = self._state(shard, decode=True)
+        else:
+            self._refresh(shard, state, decode=True)
+        state.settle_all()
         return state
 
     # -- scanning -----------------------------------------------------------
 
-    def _refresh(self, shard: int, state: _ShardState) -> None:
-        """Fold bytes appended since the last scan into the index.
+    def _refresh(self, shard: int, state: _ShardState,
+                 decode: bool = False) -> None:
+        """Fold bytes appended since the last scan into the index
+        (decoding every line read, with ``decode``).
 
         Only complete lines (ending in ``\\n``) are consumed; a torn
-        tail stays pending, so a concurrent writer's in-flight append
+        tail stays unread, so a concurrent writer's in-flight append
         becomes visible on a later refresh, once completed, and a
         crashed writer's partial tail is ignored forever.  Each
         consumed line is counted once, as an entry or as corrupt, in
-        its segment's bookkeeping; segments no longer listed (compacted
-        away) drop out of it.  Callers hold ``self._lock``.
+        its segment's bookkeeping when it is decoded; segments no
+        longer listed (compacted away) drop out of it.  Callers hold
+        ``self._lock``.
         """
         directory = self._shard_dir(shard)
         listed: Dict[str, _Segment] = {}
@@ -394,19 +535,7 @@ class ResultStore:
                 except OSError:
                     continue
                 complete = chunk.rfind(b"\n") + 1
-                rank = segment.rank
-                for line in chunk[:complete].splitlines():
-                    if not line.strip():
-                        continue
-                    decoded = _decode_entry(line)
-                    if decoded is None:
-                        segment.corrupt += 1
-                        continue
-                    segment.entries += 1
-                    key, payload = decoded
-                    if rank >= state.source.get(key, (-1, "")):
-                        state.index[key] = payload
-                        state.source[key] = rank
+                state.scan(segment, chunk, complete, decode)
                 segment.scanned = consumed + complete
             segment.size = size
         state.segments = listed
@@ -416,17 +545,23 @@ class ResultStore:
     def get(self, key: str) -> Optional[dict]:
         """Return the payload stored under ``key``, or ``None``.
 
+        The first access to a shard scans it; the first read of a key
+        decodes that key's pending lines (only those) under the lock.
         A miss triggers an incremental re-scan of the key's shard so
         records published by concurrent writers are observed.  A hit
-        takes no lock.
+        on an already-decoded key takes no lock.
         """
         shard = self.shard_of(key)
         state = self._state(shard)
-        payload = state.index.get(key)
-        if payload is None:
-            with self._lock:
+        if key not in state.pending:
+            payload = state.index.get(key)
+            if payload is not None:
+                return payload
+        with self._lock:
+            payload = state.lookup(key)
+            if payload is None:
                 self._refresh(shard, state)
-                payload = state.index.get(key)
+                payload = state.lookup(key)
         return payload
 
     def put(self, key: str, payload: dict) -> None:
@@ -435,6 +570,8 @@ class ResultStore:
         line = _encode_entry(key, payload)
         with self._lock:
             state = self._state(shard)
+            if key in state.pending:
+                state.settle(key)    # earlier lines first, as on replay
             handle = self._writer(shard, state)
             handle.write(line)
             handle.flush()
@@ -457,10 +594,12 @@ class ResultStore:
         """Every live ``(key, payload)``, shard by shard.
 
         Each shard is refreshed (only bytes appended since this
-        instance last read it) and copied under the lock, so puts from
-        other threads while the caller iterates never break the
+        instance last read it, decoded as they are read), has every
+        pending line decoded, and is copied under the lock, so puts
+        from other threads while the caller iterates never break the
         iteration; a key put into an already-yielded shard simply is
-        not seen by this pass.
+        not seen by this pass.  Within a shard, keys come in the order
+        they were first decoded.
         """
         for shard in range(self.shards):
             with self._lock:
@@ -468,7 +607,11 @@ class ResultStore:
             yield from snapshot
 
     def keys(self) -> Iterator[str]:
-        """Every live key, with the snapshot contract of :meth:`items`."""
+        """Every live key, with the snapshot contract of :meth:`items`.
+
+        Decodes every pending line too: a key whose every line is
+        corrupt is not live.
+        """
         return (key for key, _ in self.items())
 
     def close(self) -> None:
@@ -649,10 +792,11 @@ class ResultStore:
     def stats(self) -> StoreStats:
         """Aggregate on-disk shape, read off the live index.
 
-        One incremental refresh per shard, then field for field equal
-        to ``verify().stats``: the stats cover every byte the instance
-        has read, once.  Rewriting already-read bytes in place breaks
-        the append-only contract; catching that is :meth:`verify`'s job.
+        One incremental refresh per shard, with every pending line
+        decoded, then field for field equal to ``verify().stats``: the
+        stats cover every byte the instance has read, once.  Rewriting
+        already-read bytes in place breaks the append-only contract;
+        catching that is :meth:`verify`'s job.
         """
         segments = entries = live_keys = corrupt = torn = size = 0
         for shard in range(self.shards):

@@ -1,6 +1,7 @@
 """Tests for repro.analysis.report: the `repro report` engine."""
 
 import csv
+import io
 import json
 import os
 
@@ -228,6 +229,26 @@ class TestWriteReport:
         assert "cycles skipped" in html
         assert "pool retries" in html
         assert "compile cache hit rate" in html
+
+    def test_records_csv_rows_are_record_values(self, tmp_path):
+        """Each records.csv row holds record.value(name) per column,
+        also for a key that does not parse and a payload missing a
+        column."""
+        from repro.analysis.report import _RECORD_COLUMNS
+
+        runner = sweep_runner(tmp_path)
+        runner.result_store.put("not-a-cache-key",
+                                {"workload": "odd", "ipc": 0.5})
+        report = build_report(Query(runner.result_store))
+        paths = write_report(report, str(tmp_path / "out"))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(_RECORD_COLUMNS)
+        for record in report.records:
+            writer.writerow([record.value(name) for name in _RECORD_COLUMNS])
+        assert len(report.records) == 5
+        with open(paths["records.csv"], newline="") as handle:
+            assert handle.read() == expected.getvalue()
 
     def test_corrupt_lines_rendered_in_html(self, tmp_path):
         sweep_runner(tmp_path).result_store.close()

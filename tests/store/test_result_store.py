@@ -329,13 +329,153 @@ class TestCrashConsistency:
         assert clean.verify().ok
 
 
+def _write_lines(root, lines):
+    """A one-shard store whose only segment holds ``lines``."""
+    ResultStore(root, shards=1)
+    directory = os.path.join(root, "shard-00")
+    os.makedirs(directory)
+    with open(os.path.join(directory, "seg-000001-raw.jsonl"), "wb") as out:
+        out.write(b"".join(line + b"\n" for line in lines))
+
+
+class TestLazyDecode:
+    """A fresh instance decodes a key's lines when the key is first
+    read; what it serves and counts equals the eager full replay."""
+
+    def test_entry_decode_agrees_with_json_loads(self):
+        from repro.store.result_store import _decode_entry
+
+        def reference(line):
+            try:
+                entry = json.loads(line)
+                key, payload = entry["k"], entry["r"]
+            except (ValueError, TypeError, KeyError):
+                return None
+            if isinstance(key, str) and isinstance(payload, dict):
+                return key, payload
+            return None
+
+        lines = [
+            b'{"k": "a", "r": {"v": 1}}',
+            b'{"k": "a", "r": {"v": 1}} \t\r\n ',
+            b'{"k": "a", "r": {"v": 1}} x',
+            b'{"k": "a", "r": {"v": 1}}\x0c',
+            b'{"k": "a", "r": {"v": 1}}{}',
+            b' {"k": "a", "r": {"v": 1}}',
+            b'\xef\xbb\xbf{"k": "a", "r": {}}',
+            b'{\x00"\x00k\x00"\x00',
+            b'{"k": "\xff", "r": {}}',
+            b'{"k": "\xed\xa0\x80", "r": {}}',
+            b'{"k": "caf\xc3\xa9", "r": {}}',
+            b'{"k": "a", "r": {}, "k": "b"}',
+            b'{"k": 1, "r": {}}', b'{"k": "a", "r": [1]}',
+            b'{', b'{}', b'{"k"', b'[1]', b'"k"',
+        ]
+        for line in lines:
+            assert _decode_entry(line) == reference(line), line
+
+    def test_one_get_decodes_only_that_keys_lines(self, tmp_path,
+                                                  monkeypatch):
+        from repro.store import result_store
+
+        writer = ResultStore(str(tmp_path), shards=1)
+        for index in range(20):
+            writer.put(f"key-{index}", {"v": index})
+        writer.put("key-7", {"v": "rewritten"})
+        writer.close()
+        decoded = []
+        real = result_store._decode_entry
+
+        def counting(line):
+            decoded.append(line)
+            return real(line)
+
+        monkeypatch.setattr(result_store, "_decode_entry", counting)
+        fresh = ResultStore(str(tmp_path))
+        assert fresh.get("key-7") == {"v": "rewritten"}
+        assert len(decoded) == 2
+        assert fresh.get("key-7") == {"v": "rewritten"}
+        assert len(decoded) == 2
+        assert fresh.stats() == fresh.verify().stats
+        assert fresh.stats().entries == 21
+
+    def test_corrupt_newest_line_keeps_older_payload(self, tmp_path):
+        _write_lines(str(tmp_path), [
+            b'{"k": "a", "r": {"v": 1}}',
+            b'{"k": "a", "r": [2]}',
+            b'{"k": "b", "r": {"v": 3}',
+        ])
+        fresh = ResultStore(str(tmp_path))
+        assert fresh.get("a") == {"v": 1}
+        assert fresh.get("b") is None
+        assert fresh.get("a") == {"v": 1}
+        stats = fresh.stats()
+        assert (stats.entries, stats.corrupt_lines, stats.live_keys) \
+            == (1, 2, 1)
+        assert fresh.stats() == stats == fresh.verify().stats
+
+    def test_refused_lines_filed_under_their_decoded_key(self, tmp_path):
+        lines = [
+            # Escaped key: the key holds a quote.
+            json.dumps({"k": 'q"x', "r": {"v": 1}}).encode(),
+            # A member named "k" is a second "k" member.
+            b'{"k": "decoy", "r": {"v": 2}, "\\u006b": "hidden"}',
+            b'{"k": "decoy", "r": {"v": 3}, "k": "second"}',
+            b'{"k": "plain", "r": {"v": 4, "tag": "k"}}',
+            b'{"k": "nested", "r": {"k": "inner"}}',
+            b'{"k": "decoy", "r": {"v": 5}}',
+        ]
+        _write_lines(str(tmp_path), lines)
+        replay = ResultStore(str(tmp_path))._scan_shard_full(0)[0]
+        assert set(replay) == {'q"x', "hidden", "second", "plain",
+                               "nested", "decoy"}
+        for key in [*replay, "inner"]:
+            assert ResultStore(str(tmp_path)).get(key) == replay.get(key)
+        fresh = ResultStore(str(tmp_path))
+        assert dict(fresh.items()) == replay
+        assert fresh.stats() == fresh.verify().stats
+
+    def test_scan_decoded_line_after_pending_line_wins(self, tmp_path):
+        _write_lines(str(tmp_path), [
+            b'{"k": "a", "r": {"v": 1}}',
+            b'{"k": "a", "r": {"v": 2, "s": "\\u00e9"}}',
+        ])
+        assert ResultStore(str(tmp_path)).get("a") == {"v": 2, "s": "é"}
+
+    def test_full_read_after_partial_read_replays_in_order(self, tmp_path):
+        """items() decodes the bytes it scans; a key's lines left
+        pending by an earlier scan still go before them."""
+        reader = ResultStore(str(tmp_path), shards=1)
+        writer = ResultStore(str(tmp_path), shards=1)
+        writer.put("a", {"v": 1})
+        writer.put("b", {"v": 1})
+        assert reader.get("b") == {"v": 1}       # "a" stays pending
+        writer.put("a", {"v": 2})
+        writer.close()
+        assert dict(reader.items()) == {"a": {"v": 2}, "b": {"v": 1}}
+        assert reader.stats() == reader.verify().stats
+
+    def test_newer_line_refreshed_by_another_keys_miss(self, tmp_path):
+        reader = ResultStore(str(tmp_path), shards=1)
+        writer = ResultStore(str(tmp_path), shards=1)
+        writer.put("a", {"v": 1})
+        assert reader.get("a") == {"v": 1}
+        writer.put("a", {"v": 2})
+        writer.close()
+        assert reader.get("missing") is None     # refreshes the shard
+        assert reader.get("a") == {"v": 2}
+        assert reader.stats() == reader.verify().stats
+
+
 class TestSharedInstance:
     def test_queries_and_puts_race_on_one_instance(self, tmp_path):
         """Query threads iterate and read stats while writer threads
-        put into the same instance (the service's shape): no iteration
-        error, every put readable and counted, and the live view equals
-        a fresh full replay."""
+        put into the same instance (the service's shape), and a thread
+        gets from another instance: no iteration error, every put
+        readable and counted, every get a put payload, and the live
+        view equals a fresh full replay."""
         store = ResultStore(str(tmp_path))
+        fresh_reader = ResultStore(str(tmp_path))
         # The first query imports the record schema; do it up front so
         # the readers iterate while the writers run.
         Query(store).records()
@@ -359,9 +499,21 @@ class TestSharedInstance:
             except Exception as error:   # noqa: BLE001 - reported below
                 errors.append(error)
 
+        def get():
+            try:
+                while writing.is_set():
+                    for index in range(0, puts, 7):
+                        for writer in range(writers):
+                            payload = fresh_reader.get(f"w{writer}-{index}")
+                            if payload not in (None, {"v": index}):
+                                errors.append(payload)
+            except Exception as error:   # noqa: BLE001 - reported below
+                errors.append(error)
+
         threads = [threading.Thread(target=write, args=(n,))
                    for n in range(writers)]
         threads += [threading.Thread(target=read) for _ in range(readers)]
+        threads.append(threading.Thread(target=get))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -383,6 +535,8 @@ class TestSharedInstance:
         live = {key: store.get(key) for key in store.keys()}
         assert len(live) == writers * puts
         assert store.stats() == store.verify().stats
+        assert live == {key: fresh_reader.get(key) for key in live}
+        assert fresh_reader.stats() == store.stats()
         store.close()
         fresh = ResultStore(str(tmp_path))
         assert live == {key: fresh.get(key) for key in fresh.keys()}

@@ -30,11 +30,32 @@ def _line(key, value):
             + "\n").encode()
 
 
+#: Valid lines that decode to ``key``.  The first two name ``decoy``
+#: in their first bytes and a second "k" member (escaped, then not)
+#: overrides it; the next three hold a "k" string, a "k" member or an
+#: escape in the payload.  The rest only look unusual: a bare CR that
+#: splits one newline-terminated run into two lines, CRLF, raw UTF-8,
+#: and no spaces.
+TRICKY = (
+    '{{"k": "{decoy}", "r": {{"v": {value}}}, "\\u006b": "{key}"}}\n',
+    '{{"k": "{decoy}", "r": {{"v": {value}}}, "k": "{key}"}}\n',
+    '{{"k": "{key}", "r": {{"v": {value}, "x": "k"}}}}\n',
+    '{{"k": "{key}", "r": {{"v": {value}, "k": "{decoy}"}}}}\n',
+    '{{"k": "{key}", "r": {{"v": {value}, "s": "\\u00e9"}}}}\n',
+    '{{"k": "{key}", "r": {{"v": 9}}}}\r'
+    '{{"k": "{key}", "r": {{"v": {value}}}}}\n',
+    '{{"k": "{key}", "r": {{"v": {value}}}}}\r\n',
+    '{{"k": "{key}", "r": {{"v": {value}, "s": "\u00e9"}}}}\n',
+    '{{"k":"{key}","r":{{"v":{value}}}}}\n',
+)
+
+
 class StoreOperations(RuleBasedStateMachine):
     """Two store instances sharing one directory, plus a raw writer
-    that appends bytes to segments of its own: valid entries, corrupt
-    interior lines, blank lines, and a torn tail it may complete
-    later (what a crashed or buggy writer process leaves behind)."""
+    that appends bytes to segments of its own: valid entries, tricky
+    but valid entries, corrupt interior lines, blank lines, and a torn
+    tail it may complete later (what a crashed or buggy writer process
+    leaves behind)."""
 
     def __init__(self):
         super().__init__()
@@ -81,6 +102,31 @@ class StoreOperations(RuleBasedStateMachine):
     @rule(key=KEYS, value=st.integers(0, 2))
     def raw_entry(self, key, value):
         self._raw_append(self.stores[0].shard_of(key), _line(key, value))
+
+    @rule(key=KEYS, decoy=KEYS, value=st.integers(0, 2),
+          form=st.sampled_from(TRICKY))
+    def raw_tricky_entry(self, key, decoy, value, form):
+        line = form.format(key=key, decoy=decoy, value=value)
+        self._raw_append(self.stores[0].shard_of(key), line.encode())
+
+    @rule(which=WHICH, key=KEYS)
+    def get(self, which, key):
+        self.stores[which].get(key)
+
+    @rule(key=KEYS)
+    def fresh_get(self, key):
+        """A fresh instance's first read equals the full replay, and
+        so do its stats and items after it."""
+        fresh = ResultStore(self.root, create=False)
+        live = fresh._scan_shard_full(fresh.shard_of(key))[0]
+        assert fresh.get(key) == live.get(key)
+        assert fresh.stats() == fresh.verify().stats
+        # Every valid line sits in its key's shard, so the shards'
+        # replays do not overlap.
+        replay = {}
+        for shard in range(SHARDS):
+            replay.update(fresh._scan_shard_full(shard)[0])
+        assert dict(fresh.items()) == replay
 
     @rule(shard=st.integers(0, SHARDS - 1),
           damage=st.sampled_from([b"not json at all\n", b'{"k": 1}\n',
