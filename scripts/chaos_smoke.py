@@ -1,16 +1,16 @@
-"""Chaos smoke check: a faulted distributed sweep must change nothing.
+"""Chaos smoke check: a faulted parallel sweep must change nothing.
 
 Run with:  PYTHONPATH=src python scripts/chaos_smoke.py
 
-End-to-end rehearsal of the fault-tolerant sweep backend, used by CI
-and runnable locally:
+End-to-end rehearsal of the fault-tolerant process-pool sweep, used by
+CI and runnable locally:
 
 1. run a small latency-tolerance grid serially into a fresh store and
    render the sweep table (the reference rendering);
-2. run the *same* grid under ``--backend subprocess`` with a fault
-   plan that kills one worker mid-sweep and hangs another past
+2. run the *same* grid on a two-worker process pool with a fault plan
+   that kills one worker mid-sweep and hangs another past
    ``LTRF_CHUNK_TIMEOUT`` -- the two headline failure classes (worker
-   death, worker hang) against the real worker-process wire protocol;
+   death, worker hang) against real pool worker processes;
 3. require the faulted run's table to be byte-identical to the
    reference -- fault tolerance must never change results;
 4. require the survival story to be *visible*: the runner's telemetry
@@ -81,7 +81,7 @@ def run():
     serial.simulate_many(points)
     reference = render_table(serial)
 
-    print(f"[2/4] faulted sweep: --backend subprocess, "
+    print(f"[2/4] faulted sweep: --jobs 2 process pool, "
           f"LTRF_FAULT_PLAN={FAULT_PLAN}, "
           f"LTRF_CHUNK_TIMEOUT={CHUNK_TIMEOUT} -> {chaos_dir}")
     knobs = {
@@ -92,7 +92,7 @@ def run():
     saved = {name: os.environ.get(name) for name in knobs}
     os.environ.update(knobs)
     try:
-        chaotic = Runner(cache_dir=chaos_dir, backend="subprocess")
+        chaotic = Runner(cache_dir=chaos_dir)
         chaotic.simulate_many(grid_requests(), jobs=2)
     finally:
         for name, value in saved.items():
@@ -107,7 +107,7 @@ def run():
         sys.stdout.writelines(difflib.unified_diff(
             reference.splitlines(keepends=True),
             faulted.splitlines(keepends=True),
-            fromfile="serial-reference", tofile="faulted-subprocess",
+            fromfile="serial-reference", tofile="faulted-pool",
         ))
         return fail("faulted sweep table differs from the clean "
                     "serial run")

@@ -15,7 +15,6 @@ Usage (after ``pip install -e .``):
     python -m repro.cli experiment fig14 --arch my-sm.arch.json
     python -m repro.cli sweep backprop --policies BL,LTRF,LTRF+ --jobs 4
     python -m repro.cli sweep backprop --arch maxwell-like,my.arch.json
-    python -m repro.cli sweep backprop --jobs 4 --backend subprocess
     python -m repro.cli store stats
     python -m repro.cli store verify
     python -m repro.cli store compact
@@ -120,25 +119,6 @@ def _add_workload_argument(command) -> None:
     )
 
 
-def _add_backend_arguments(command) -> None:
-    """``--backend`` shared by the grid-running subcommands (sweep,
-    experiment, serve).
-
-    Retry/timeout knobs deliberately stay environment variables
-    (``LTRF_CHUNK_RETRIES``, ``LTRF_CHUNK_TIMEOUT``,
-    ``LTRF_RETRY_BACKOFF``): they tune the machinery, not the
-    experiment, and the same settings must reach `repro worker-chunk`
-    children unchanged.
-    """
-    from repro.launchers import BACKENDS
-    command.add_argument(
-        "--backend", default="local", choices=BACKENDS,
-        help="where grid points execute: local (process pool, "
-             "default) or subprocess (one repro worker-chunk process "
-             "per chunk)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="LTRF (ASPLOS 2018) reproduction CLI"
@@ -222,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="architecture to sweep (latency-tolerance figures only): "
              "registry name or .arch.json path",
     )
-    _add_backend_arguments(experiment)
 
     sweep = sub.add_parser("sweep", help="latency-tolerance sweep")
     _add_workload_argument(sweep)
@@ -233,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "names and/or .arch.json paths")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep grid")
-    _add_backend_arguments(sweep)
 
     serve = sub.add_parser(
         "serve",
@@ -254,14 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--job-workers", type=int, default=2, metavar="N",
         help="sweep jobs executing concurrently (default: 2)",
     )
-    _add_backend_arguments(serve)
-
-    worker = sub.add_parser(
-        "worker-chunk",
-        help="execute one chunk spec file (internal: spawned by the "
-             "subprocess sweep backend)",
-    )
-    worker.add_argument("spec", help="chunk spec JSON (ltrf-chunk v1)")
 
     store = sub.add_parser(
         "store", help="inspect/maintain the on-disk result store"
@@ -379,7 +349,7 @@ def _resolve_workload(name: Optional[str],
     return name
 
 
-def _make_runner(backend: str = "local") -> Runner:
+def _make_runner() -> Runner:
     """Construct the cached runner, failing cleanly on a bad cache dir.
 
     ``default_cache_dir`` raises ValueError on ``LTRF_CACHE_DIR=""``
@@ -389,7 +359,7 @@ def _make_runner(backend: str = "local") -> Runner:
     traceback, matching the `store` subcommands.
     """
     try:
-        return Runner(backend=backend)
+        return Runner()
     except (ValueError, StoreError) as error:
         _fail(str(error))
 
@@ -504,8 +474,7 @@ def _cmd_compile(args) -> None:
 
 
 def _cmd_experiment(names: List[str], jobs: int,
-                    arch: Optional[str] = None,
-                    backend: str = "local") -> None:
+                    arch: Optional[str] = None) -> None:
     selected = sorted(EXPERIMENTS) if "all" in names else names
     if arch is not None:
         unsupported = [name for name in selected if name not in ARCH_AWARE]
@@ -515,7 +484,7 @@ def _cmd_experiment(names: List[str], jobs: int,
                   f"{unsupported[0]!r} reproduces a fixed paper "
                   "configuration")
         _resolve_arch_config(arch)      # fail fast, before any simulation
-    runner = _make_runner(backend)
+    runner = _make_runner()
     try:
         for name in selected:
             if arch is not None:
@@ -536,7 +505,7 @@ def _cmd_sweep(args) -> None:
     archs = [name.strip() for name in args.arch.split(",")]
     for arch in archs:
         _resolve_arch_config(arch)      # fail fast, before any simulation
-    runner = _make_runner(args.backend)
+    runner = _make_runner()
     policies = [policy.strip() for policy in args.policies.split(",")]
     try:
         runner.simulate_many(
@@ -565,8 +534,7 @@ def _cmd_serve(args) -> None:
         _fail("--job-workers must be at least 1")
     from repro.service import ServiceApp, serve
 
-    app = ServiceApp(root, backend=args.backend,
-                     job_workers=args.job_workers)
+    app = ServiceApp(root, job_workers=args.job_workers)
     # Open the shared store eagerly (and fail cleanly on a bad root)
     # so /results and /report work from the first request.
     try:
@@ -697,36 +665,6 @@ def _cmd_report(args) -> None:
         print(f"  wrote {paths[name]}")
 
 
-def _cmd_worker_chunk(args) -> None:
-    """Internal entrypoint of the subprocess backend.
-
-    Exit codes are the wire protocol the parent classifies on: 0 with
-    a result file is success, :data:`CHUNK_ERROR_EXIT` (70) means "the
-    chunk raised but this worker is healthy" (the traceback goes to
-    stderr, which the parent captures into the failure message), and
-    anything else -- including an injected or real kill -- reads as
-    the worker dying.
-    """
-    from repro.launchers.subproc import CHUNK_ERROR_EXIT
-    from repro.launchers.worker import (
-        ChunkSpecError,
-        load_chunk_spec,
-        run_worker_chunk,
-    )
-    try:
-        spec = load_chunk_spec(args.spec)
-    except ChunkSpecError as error:
-        _fail(str(error))
-    try:
-        result = run_worker_chunk(spec)
-    except Exception:
-        import traceback
-        traceback.print_exc()
-        raise _CliError(CHUNK_ERROR_EXIT)
-    print(f"chunk {spec['chunk']} attempt {spec['attempt']}: "
-          f"{len(result['results'])} record(s) -> {spec['output']}")
-
-
 def _cmd_diff_runs(args) -> None:
     query_a = Query(_open_store(args.store_a, must_exist=True))
     query_b = Query(_open_store(args.store_b, must_exist=True))
@@ -787,14 +725,11 @@ def main(argv: List[str] = None) -> int:
         elif args.command == "list-archs":
             _cmd_list_archs()
         elif args.command == "experiment":
-            _cmd_experiment(args.names, args.jobs, args.arch,
-                            args.backend)
+            _cmd_experiment(args.names, args.jobs, args.arch)
         elif args.command == "sweep":
             _cmd_sweep(args)
         elif args.command == "serve":
             _cmd_serve(args)
-        elif args.command == "worker-chunk":
-            _cmd_worker_chunk(args)
         elif args.command == "store":
             _cmd_store(args)
         elif args.command == "report":

@@ -10,7 +10,7 @@ the full reproduction from thousands of simulations to a few hundred.
 :meth:`Runner.simulate_many` takes a whole experiment grid of
 :class:`SimRequest` objects and hands it to the batch pipeline in
 :mod:`repro.jobs.plan`, which deduplicates it against the cache,
-executes the misses (serially or on a :mod:`repro.launchers` backend),
+executes the misses (serially or on a :mod:`repro.launchers` pool),
 charges every batch counter in :class:`RunnerStats`, and returns
 records aligned with the input order, so ``jobs=N`` is bit-for-bit
 equivalent to serial execution.
@@ -175,8 +175,8 @@ class RunnerStats:
     batch_requests: int = 0
     batch_deduplicated: int = 0
     batch_dispatched: int = 0
-    #: Times a broken backend was torn down and rebuilt mid-grid
-    #: (e.g. a broken process pool replaced).
+    #: Times the process pool was torn down and rebuilt mid-grid
+    #: (a broken or killed pool replaced).
     pool_retries: int = 0
     # Fault-tolerance counters (see repro.launchers.scheduler): every
     # recovery decision the chunk scheduler takes is visible here, so
@@ -261,9 +261,6 @@ class Runner:
     sharded :class:`~repro.store.ResultStore`; ``None`` disables
     on-disk persistence entirely.
 
-    ``backend`` selects where :meth:`simulate_many` misses execute
-    (one of :data:`repro.launchers.BACKENDS`).
-
     ``store`` hands in an already open store to use instead of opening
     one; ``cache_dir`` then defaults to its root.  The job tracker
     shares one instance across all its jobs this way, so its index is
@@ -272,7 +269,6 @@ class Runner:
     """
 
     def __init__(self, cache_dir: Optional[str] = _DEFAULT_CACHE,
-                 backend: str = "local",
                  store: Optional[ResultStore] = None) -> None:
         if store is None:
             if cache_dir is _DEFAULT_CACHE:
@@ -287,7 +283,6 @@ class Runner:
                 f"handed in ({store.root!r})"
             )
         self.cache_dir = cache_dir
-        self.backend = backend
         self.result_store: Optional[ResultStore] = store
         self._memory_cache: Dict[str, RunRecord] = {}
         self.stats = RunnerStats()
@@ -399,11 +394,11 @@ class Runner:
         if self.result_store is not None:
             payload = asdict(record)
             # Skip the append when the store already holds this exact
-            # payload -- the subprocess workers flush their own
-            # records into the same store, and re-appending them here
-            # would only grow dead bytes.  A *different* payload is
-            # still appended (it shadows stale-schema entries by
-            # (seq, writer) rank).
+            # payload -- the serial path absorbs records its stored()
+            # probe found (another writer flushed them), and
+            # re-appending them here would only grow dead bytes.  A
+            # *different* payload is still appended (it shadows
+            # stale-schema entries by (seq, writer) rank).
             if self.result_store.get(key) != payload:
                 self.result_store.put(key, payload)
 
@@ -423,8 +418,8 @@ class Runner:
 
         Requests are deduplicated (against each other and against the
         memory/disk cache) before dispatch; only genuine misses are
-        simulated.  With ``jobs`` > 1 the misses run on this runner's
-        backend.  The returned list is aligned with ``requests`` and
+        simulated.  With ``jobs`` > 1 the misses run on a process
+        pool.  The returned list is aligned with ``requests`` and
         independent of completion order, so results are identical for
         any ``jobs``.  The stages, and every counter they charge, live
         in :mod:`repro.jobs.plan`; the job tracker drives the same

@@ -7,11 +7,11 @@ facade:
 
 * :mod:`repro.jobs.spec` -- :class:`JobSpec`, a declarative sweep
   description (workloads x policies x architectures x latency grid
-  plus backend options) that serialises to/from JSON, which is
+  plus seed and worker count) that serialises to/from JSON, which is
   what the HTTP service accepts.
 * :mod:`repro.jobs.plan` -- ``plan_requests`` resolves a request list
   against the store (hits served immediately), ``execute_plan`` runs
-  the misses serially or chunked over a launcher backend, with
+  the misses serially or chunked over a process pool, with
   optional progress/cancellation hooks, and ``JobPlan.merge`` returns
   records aligned with the request order.  Every batch counter is
   charged here.

@@ -14,8 +14,8 @@ charged here.
   memory/disk cache, and splits it into resolved ``results`` (store
   hits, served immediately) and ``pending`` misses.
 * :func:`execute_plan` runs misses -- in-process serially, or fanned
-  out over the launcher/scheduler stack for ``jobs > 1`` -- flushing
-  each record to the store as it completes.  ``on_point`` observes
+  out over a process pool for ``jobs > 1`` -- flushing each record to
+  the store as it completes.  ``on_point`` observes
   every completed grid point (the tracker's progress feed);
   ``should_abort`` cancels cooperatively, raising
   :class:`~repro.launchers.scheduler.SweepAborted` only after flushed
@@ -25,16 +25,16 @@ charged here.
 * :meth:`JobPlan.merge` returns records aligned with the original
   request order, independent of completion order.
 
-Where parallel misses *run* is pluggable (:mod:`repro.launchers`): a
-local process pool (default), or one ``repro worker-chunk`` subprocess
-per chunk.  Both sit under the shared scheduler
+Parallel misses run on a local process pool
+(:mod:`repro.launchers.local`) under the chunk scheduler
 (:mod:`repro.launchers.scheduler`), which retries failed chunks with
 capped backoff, kills and reassigns chunks that blow the
 ``LTRF_CHUNK_TIMEOUT`` wall-clock budget, quarantines chunks that
 exhaust their retry budget (they re-run serially in this process,
 where a real poison shows its real traceback), and degrades to serial
-in-process execution when the backend itself is broken -- so a sweep
-finishes late rather than never, and every recovery action is counted.
+in-process execution when the pool itself keeps breaking -- so a
+sweep finishes late rather than never, and every recovery action is
+counted.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.experiments.runner import (
     SimTelemetry,
     content_key,
 )
-from repro.launchers import Chunk, make_launcher
+from repro.launchers import Chunk
 from repro.launchers.scheduler import RetryPolicy, SweepAborted, run_chunks
 from repro.launchers.worker import execute_request_with_telemetry
 from repro.workloads.registry import BUILD_STATS
@@ -145,8 +145,8 @@ def execute_plan(runner: Runner, plan: JobPlan,
 
     ``pending`` defaults to the whole plan's miss map; a single-flight
     owner passes just the subset it claimed.  With ``jobs > 1`` misses
-    fan out over the runner's launcher backend; otherwise they run
-    serially in-process.  Either way each point is probed against the
+    fan out over a process pool; otherwise they run serially
+    in-process.  Either way each point is probed against the
     store first (counter-free), so a point some concurrent writer
     completed between plan and execute is served, not re-simulated --
     the store is the dedup substrate across processes and jobs.
@@ -172,9 +172,9 @@ def absorb(runner: Runner, results: Dict[str, RunRecord], key: str,
     honest under retries: a chunk that times out but completes anyway,
     then succeeds on its retry, delivers some keys twice -- they count
     (and store) exactly once.  ``telemetry`` is ``None`` for a record
-    some worker flushed to the store during this sweep before it died
-    or timed out: the simulation ran, its telemetry died with the
-    worker, and it counts as a simulation, not a cache hit.
+    the serial path found already stored (another writer flushed it
+    after this plan was made): it counts as a simulation of this
+    sweep, not a cache hit, with no telemetry to fold in.
     """
     if key in results:
         return False
@@ -194,8 +194,8 @@ def _run_serial(runner: Runner, items: List[tuple],
     """Run ``(key, request)`` misses one at a time in this process.
 
     Each key is probed against the store first (:meth:`Runner.stored`),
-    so a record a dead worker or a concurrent writer already flushed
-    is absorbed instead of simulated again.
+    so a record a concurrent writer already flushed is absorbed
+    instead of simulated again.
     """
     for key, request in items:
         if key in results:
@@ -245,26 +245,30 @@ def _dispatch_chunks(items: List[tuple], workers: int) -> List[List[tuple]]:
 def _run_parallel(runner: Runner, items: List[tuple], jobs: int,
                   results: Dict[str, RunRecord], on_point, should_abort
                   ) -> None:
-    """Fan ``(key, request)`` misses out over the runner's backend.
+    """Fan ``(key, request)`` misses out over a local process pool.
 
     Records are stored (and flushed to the result store) as each
-    chunk completes, so no completed work is ever lost.  Failed or
-    hung chunks are retried with backoff, quarantined after
-    exhausting their budget, and -- when the backend itself is
-    broken -- the remainder runs serially in this process, so the
-    grid always completes; recovery actions land in the runner's
-    stats.
+    chunk completes, so no delivered chunk is ever lost; a chunk
+    whose worker dies re-runs whole.  Failed or hung chunks are
+    retried with backoff, quarantined after exhausting their budget,
+    and -- when the pool keeps breaking -- the remainder runs serially
+    in this process, so the grid always completes; recovery actions
+    land in the runner's stats.
     """
+    # Imported here: the pool pulls in multiprocessing, which a CLI
+    # start that simulates nothing in parallel should not pay for.
+    from repro.launchers.local import LocalPoolLauncher
+
     workers = min(jobs, len(items))
     chunks = [
         Chunk(id=index, items=list(chunk))
         for index, chunk in enumerate(_dispatch_chunks(items, workers))
     ]
-    launcher = make_launcher(runner.backend, store_dir=runner.cache_dir)
+    launcher = LocalPoolLauncher()
     stats = runner.stats
 
     def on_done(chunk: Chunk, outcomes: list) -> None:
-        for (key, _request), (record, telemetry, _cached) in zip(
+        for (key, _request), (record, telemetry) in zip(
             chunk.items, outcomes
         ):
             if absorb(runner, results, key, record, telemetry) \
@@ -284,7 +288,7 @@ def _run_parallel(runner: Runner, items: List[tuple], jobs: int,
             stats.pool_retries += 1
 
     def run_serial(rest: List[Chunk]) -> None:
-        # Quarantined chunks and broken-backend remainders execute
+        # Quarantined chunks and broken-pool remainders execute
         # here, in the orchestrating process: no worker identity, so
         # the fault harness never fires, and a genuinely poisoned grid
         # point raises its real traceback.

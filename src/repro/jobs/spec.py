@@ -2,7 +2,7 @@
 
 A :class:`JobSpec` names everything one latency-tolerance sweep needs
 -- workloads, policies, architectures, the latency grid, seed and
-execution backend -- in plain JSON-serialisable data.  It is the
+worker count -- in plain JSON-serialisable data.  It is the
 submission format of the HTTP service (``POST /sweeps``) and the unit
 the :class:`~repro.jobs.tracker.JobTracker` schedules, but carries no
 execution state itself: :meth:`JobSpec.to_requests` expands it into
@@ -12,9 +12,8 @@ resolve to identical cache keys and therefore dedupe against each
 other through the store.
 
 Validation is strict and early (:meth:`JobSpec.validate`): unknown
-policies, backends, workloads and architectures fail at
-submission time with one readable message instead of surfacing later
-as a failed job.
+policies, workloads and architectures fail at submission time with
+one readable message instead of surfacing later as a failed job.
 """
 
 from __future__ import annotations
@@ -85,8 +84,6 @@ class JobSpec:
     archs: Tuple[str, ...] = ("maxwell-like",)
     grid: Tuple[float, ...] = LATENCY_GRID
     seed: int = 0
-    #: Where grid-point misses execute (:data:`repro.launchers.BACKENDS`).
-    backend: str = "local"
     #: Worker processes for this job's miss grid.
     jobs: int = 1
     overrides: Mapping[str, object] = field(default_factory=dict)
@@ -109,8 +106,8 @@ class JobSpec:
                 f"{type(payload).__name__}"
             )
         known = {
-            "workloads", "policies", "archs", "grid", "seed", "backend",
-            "jobs", "overrides", "label",
+            "workloads", "policies", "archs", "grid", "seed", "jobs",
+            "overrides", "label",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -130,8 +127,7 @@ class JobSpec:
             kwargs["archs"] = _tuple_of_str(payload["archs"], "archs")
         if "grid" in payload:
             kwargs["grid"] = _tuple_of_latencies(payload["grid"])
-        for name, kind in (("seed", int), ("jobs", int),
-                           ("label", str), ("backend", str)):
+        for name, kind in (("seed", int), ("jobs", int), ("label", str)):
             if name in payload:
                 value = payload[name]
                 if not isinstance(value, kind) \
@@ -160,7 +156,6 @@ class JobSpec:
             "archs": list(self.archs),
             "grid": list(self.grid),
             "seed": self.seed,
-            "backend": self.backend,
             "jobs": self.jobs,
             "overrides": dict(self.overrides),
             "label": self.label,
@@ -176,7 +171,6 @@ class JobSpec:
         ``repro sweep`` would print.  Returns self for chaining.
         """
         from repro.arch.registry import default_arch_registry
-        from repro.launchers import BACKENDS
         from repro.policies import POLICIES
         from repro.workloads import default_registry
 
@@ -190,11 +184,6 @@ class JobSpec:
                     f"unknown policy {policy!r} (expected one of "
                     f"{', '.join(sorted(POLICIES))})"
                 )
-        if self.backend not in BACKENDS:
-            raise JobSpecError(
-                f"unknown backend {self.backend!r} (expected one of "
-                f"{', '.join(BACKENDS)})"
-            )
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise JobSpecError(f"jobs must be a positive integer, "
                                f"got {self.jobs!r}")

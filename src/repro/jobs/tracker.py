@@ -186,22 +186,19 @@ class JobTracker:
     """Submit, execute, observe and cancel sweep jobs over one store.
 
     ``runner_factory`` builds the per-job :class:`Runner`; the default
-    hands every job the tracker's shared :meth:`store` plus
-    ``backend``, which is what makes the store the cross-job dedup
-    substrate.  ``execute`` is thread-safe and
+    hands every job the tracker's shared :meth:`store`, which is what
+    makes the store the cross-job dedup substrate.  ``execute`` is thread-safe and
     blocking -- the HTTP service calls it on executor threads;
     synchronous callers use :meth:`run`.  :meth:`close` closes the
     shared store once the jobs have finished.
     """
 
     def __init__(self, store_dir: Optional[str],
-                 backend: str = "local",
                  runner_factory: Optional[Callable[[JobSpec], Runner]]
                  = None) -> None:
         self.store_dir = store_dir
         self._runner_factory = runner_factory or (
-            lambda spec: Runner(cache_dir=store_dir, store=self.store(),
-                                backend=spec.backend or backend)
+            lambda spec: Runner(cache_dir=store_dir, store=self.store())
         )
         self._store: Optional[ResultStore] = None
         self._jobs: Dict[str, Job] = {}

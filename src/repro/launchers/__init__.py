@@ -1,11 +1,9 @@
-"""Pluggable sweep execution backends (see base.py for the contract).
+"""Parallel sweep execution (see base.py for the contract).
 
-Two launchers ship: ``local`` (process pool, the default) and
-``subprocess`` (one ``repro worker-chunk`` process per chunk).  Both
-sit under the same scheduler (scheduler.py) -- retries, timeouts,
-quarantine and degradation behave identically regardless of where a
-chunk physically runs -- and the same deterministic fault-injection
-harness (faults.py) exercises them in tests and CI.
+Grid-point misses fan out over a local process pool (local.py) under a
+scheduler (scheduler.py) that owns retries, timeouts, quarantine and
+degradation; a deterministic fault-injection harness (faults.py)
+exercises that machinery in tests and CI.
 """
 
 from repro.launchers.base import (
@@ -13,7 +11,6 @@ from repro.launchers.base import (
     ChunkHandle,
     ChunkOutcome,
     Launcher,
-    LauncherError,
     worker_id,
 )
 from repro.launchers.faults import (
@@ -31,30 +28,7 @@ from repro.launchers.scheduler import (
     run_chunks,
 )
 
-#: ``--backend`` choices, in help-text order.
-BACKENDS = ("local", "subprocess")
-
-
-def make_launcher(backend: str, store_dir=None) -> Launcher:
-    """Instantiate the launcher for a ``--backend`` name.
-
-    ``store_dir`` is the orchestrator's result-store root, which
-    subprocess workers flush to directly.
-    """
-    if backend == "local":
-        from repro.launchers.local import LocalPoolLauncher
-        return LocalPoolLauncher()
-    if backend == "subprocess":
-        from repro.launchers.subproc import SubprocessLauncher
-        return SubprocessLauncher(store_dir=store_dir)
-    raise ValueError(
-        f"unknown backend {backend!r} (expected one of "
-        f"{', '.join(BACKENDS)})"
-    )
-
-
 __all__ = [
-    "BACKENDS",
     "Chunk",
     "ChunkHandle",
     "ChunkOutcome",
@@ -64,11 +38,9 @@ __all__ = [
     "ENV_RETRY_BACKOFF",
     "FaultPlanError",
     "Launcher",
-    "LauncherError",
     "RetryPolicy",
     "SchedulerReport",
     "SweepAborted",
-    "make_launcher",
     "parse_fault_plan",
     "run_chunks",
     "worker_id",

@@ -1,12 +1,10 @@
 """Launcher abstraction: how a batch of simulation chunks executes.
 
 A *launcher* owns the mechanics of running one chunk of grid points
-somewhere -- on a local process pool, or in a freshly spawned
-``repro worker-chunk`` subprocess.  It deliberately knows nothing
-about retries, timeouts, quarantine, or result bookkeeping: that
-robustness machinery lives in :mod:`repro.launchers.scheduler` and is
-shared by every backend, so a dying subprocess and a hung pool worker
-are survived by the same code path.
+on a local process pool.  It deliberately knows nothing about
+retries, timeouts, quarantine, or result bookkeeping: that robustness
+machinery lives in :mod:`repro.launchers.scheduler`, which the tier-1
+suite drives with scripted launchers through this same interface.
 
 The contract is synchronous-submission / polled-completion:
 
@@ -19,10 +17,9 @@ The contract is synchronous-submission / polled-completion:
   alive but the chunk raised; the exception text travels in
   ``message``).
 * :meth:`ChunkHandle.kill` force-stops the chunk (used by the
-  scheduler's wall-clock timeout).  A launcher whose kill cannot be
-  scoped to one chunk (the local process pool: terminating a worker
-  breaks the whole pool) declares ``kill_is_collateral = True`` and
-  the scheduler re-queues innocent in-flight chunks uncharged.
+  scheduler's wall-clock timeout).  A pool cannot kill one worker
+  alone, so a kill takes every in-flight chunk down with it and the
+  scheduler re-queues the innocent ones uncharged.
 
 Timeout classification ("timed-out" vs "died") is the scheduler's
 call -- a launcher only ever reports what it observed.
@@ -35,16 +32,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 
-class LauncherError(Exception):
-    """The backend itself is unusable (cannot start or submit).
-
-    Raised by launchers for environment-level failures, as opposed to
-    a chunk failing.
-    The scheduler reacts by degrading to serial in-process execution
-    rather than crashing the sweep.
-    """
-
-
 @dataclass
 class Chunk:
     """One schedulable unit: a slice of ``(key, SimRequest)`` pairs.
@@ -52,7 +39,7 @@ class Chunk:
     ``id`` is assigned in deterministic dispatch order (the order
     :func:`repro.jobs.plan._dispatch_chunks` produced the
     chunks), which is what makes fault-plan selectors like
-    ``kill:chunk=2`` reproducible across runs and backends.
+    ``kill:chunk=2`` reproducible across runs.
     ``failures`` counts delivery attempts that did not complete --
     the retry budget charges against it.
     """
@@ -73,10 +60,8 @@ class ChunkOutcome:
     """What happened to one submitted chunk attempt."""
 
     status: str                          # "ok" | "died" | "error"
-    #: For "ok": [(RunRecord, SimTelemetry, cached)] aligned with
-    #: ``chunk.items``; ``cached`` is True when the worker served the
-    #: record from an already-flushed store entry instead of
-    #: re-simulating (a killed predecessor's partial progress).
+    #: For "ok": [(RunRecord, SimTelemetry)] aligned with
+    #: ``chunk.items``.
     results: Optional[list] = None
     message: str = ""
 
@@ -96,22 +81,16 @@ class ChunkHandle:
 
 
 class Launcher:
-    """Base class: lifecycle plus the collateral-kill declaration."""
-
-    name = "abstract"
-    #: True when killing one chunk necessarily disturbs the others
-    #: sharing the backend (the local pool).  The scheduler re-queues
-    #: disturbed chunks without charging their retry budget.
-    kill_is_collateral = False
+    """Base class: lifecycle plus the rebuild counter."""
 
     def __init__(self) -> None:
-        #: Times the backend was torn down and rebuilt mid-grid
-        #: (e.g. a broken process pool replaced).  The runner maps
-        #: this onto ``RunnerStats.pool_retries``.
+        #: Times the pool was torn down and rebuilt mid-grid (a
+        #: broken or killed pool replaced).  The runner maps this onto
+        #: ``RunnerStats.pool_retries``.
         self.restarts = 0
 
     def start(self, workers: int) -> None:
-        """Acquire backend resources.  May raise LauncherError."""
+        """Acquire backend resources."""
 
     def submit(self, chunk: Chunk) -> ChunkHandle:
         raise NotImplementedError

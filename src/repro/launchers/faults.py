@@ -1,24 +1,17 @@
-"""Deterministic fault injection for the distributed sweep backends.
+"""Deterministic fault injection for parallel sweeps.
 
 ``LTRF_FAULT_PLAN`` holds a comma-separated list of fault actions that
-worker processes apply to *themselves* at well-defined points of chunk
-execution, so kill / hang / torn-write scenarios are reproducible in
-tests and CI instead of being simulated with mock pools::
+pool workers apply to *themselves* at well-defined points of chunk
+execution, so kill and hang scenarios are reproducible in tests and
+CI instead of being simulated with mock pools::
 
     kill:chunk=2                   die (os._exit 137) entering chunk 2
     kill:chunk=2:after=1           die after 1 completed simulation
-    kill:worker=w1                 die entering any chunk on worker w1
     delay:chunk=5:30s              sleep 30s entering chunk 5
                                    (drives the LTRF_CHUNK_TIMEOUT path)
-    corrupt-segment:chunk=3        after finishing chunk 3, append a
-                                   torn half-line to this worker's own
-                                   store segment (a mid-append crash)
-    corrupt-segment:writer=w1      the same, selected by worker id
 
-Selectors: ``chunk=<id>`` matches the deterministic dispatch-order
-chunk id; ``worker=<id>`` matches the launcher-assigned worker id
-(stable slot names ``w1..wN`` on the subprocess backend, pid-based
-on the local pool).  By default a fault fires only on a chunk's
+The one selector, ``chunk=<id>``, matches the deterministic
+dispatch-order chunk id.  By default a fault fires only on a chunk's
 *first* delivery attempt -- modelling a transient fault the retry
 machinery must absorb -- so a retried chunk succeeds; append
 ``:always`` to keep firing on every attempt, which drives the
@@ -26,7 +19,7 @@ poisoned-chunk quarantine path instead.
 
 Two hard safety rails:
 
-* Faults only ever fire inside launcher-spawned workers (guarded by
+* Faults only ever fire inside pool workers (guarded by
   :func:`repro.launchers.base.worker_id`), never in the orchestrating
   process -- a quarantined chunk degraded to serial in-process
   execution runs clean.
@@ -52,7 +45,7 @@ ENV_FAULT_PLAN = "LTRF_FAULT_PLAN"
 #: operator ``kill -9`` takes.
 KILL_EXIT_CODE = 137
 
-_ACTIONS = ("kill", "delay", "corrupt-segment")
+_ACTIONS = ("kill", "delay")
 
 
 class FaultPlanError(ValueError):
@@ -63,20 +56,16 @@ class FaultPlanError(ValueError):
 class Fault:
     """One parsed fault action."""
 
-    action: str                  # kill | delay | corrupt-segment
-    chunk: Optional[int]         # selector: chunk id ...
-    worker: Optional[str]        # ... or worker id (exactly one set)
+    action: str                  # kill | delay
+    chunk: int                   # selector: chunk id
     after: int = 0               # kill: completed simulations first
     seconds: float = 0.0         # delay: sleep length
     always: bool = False         # fire on every attempt, not just #0
 
-    def matches(self, chunk_id: int, worker: Optional[str],
-                attempt: int) -> bool:
+    def matches(self, chunk_id: int, attempt: int) -> bool:
         if not self.always and attempt > 0:
             return False
-        if self.chunk is not None:
-            return self.chunk == chunk_id
-        return self.worker is not None and self.worker == worker
+        return self.chunk == chunk_id
 
 
 def _parse_duration(text: str, clause: str) -> float:
@@ -93,27 +82,19 @@ def _parse_duration(text: str, clause: str) -> float:
     return seconds
 
 
-def _parse_selector(part: str, clause: str):
+def _parse_selector(part: str, clause: str) -> int:
     name, _, value = part.partition("=")
-    if name == "chunk":
-        try:
-            return int(value), None
-        except ValueError:
-            raise FaultPlanError(
-                f"bad chunk id {value!r} in fault clause {clause!r}"
-            ) from None
-    if name in ("worker", "writer"):
-        # "writer" is the store-segment-facing spelling of the same
-        # identity (a worker's store writer id is its worker id).
-        if not value:
-            raise FaultPlanError(
-                f"empty worker id in fault clause {clause!r}"
-            )
-        return None, value
-    raise FaultPlanError(
-        f"unknown selector {part!r} in fault clause {clause!r} "
-        "(expected chunk=<id> or worker=<id>)"
-    )
+    if name != "chunk":
+        raise FaultPlanError(
+            f"unknown selector {part!r} in fault clause {clause!r} "
+            "(expected chunk=<id>)"
+        )
+    try:
+        return int(value)
+    except ValueError:
+        raise FaultPlanError(
+            f"bad chunk id {value!r} in fault clause {clause!r}"
+        ) from None
 
 
 def _parse_clause(clause: str) -> Fault:
@@ -126,10 +107,9 @@ def _parse_clause(clause: str) -> Fault:
         )
     if len(parts) < 2:
         raise FaultPlanError(
-            f"fault clause {clause!r} needs a selector "
-            "(chunk=<id> or worker=<id>)"
+            f"fault clause {clause!r} needs a selector (chunk=<id>)"
         )
-    chunk, worker = _parse_selector(parts[1], clause)
+    chunk = _parse_selector(parts[1], clause)
     after = 0
     seconds = 0.0
     always = False
@@ -156,7 +136,7 @@ def _parse_clause(clause: str) -> Fault:
             raise FaultPlanError(
                 f"unknown modifier {extra!r} in fault clause {clause!r}"
             )
-    return Fault(action=action, chunk=chunk, worker=worker, after=after,
+    return Fault(action=action, chunk=chunk, after=after,
                  seconds=seconds, always=always)
 
 
@@ -173,18 +153,17 @@ def parse_fault_plan(text: str) -> List[Fault]:
 class FaultPlan:
     """The active plan, bound to this process's worker identity."""
 
-    def __init__(self, faults: List[Fault],
-                 worker: Optional[str] = None) -> None:
+    def __init__(self, faults: List[Fault]) -> None:
         self.faults = faults
-        self.worker = worker if worker is not None else worker_id()
+        self.worker = worker_id()
 
     def _active(self, action: str, chunk_id: int,
                 attempt: int) -> Optional[Fault]:
         if self.worker is None:
             return None              # never fire in the orchestrator
         for fault in self.faults:
-            if fault.action == action and fault.matches(
-                    chunk_id, self.worker, attempt):
+            if fault.action == action and fault.matches(chunk_id,
+                                                        attempt):
                 return fault
         return None
 
@@ -201,7 +180,7 @@ class FaultPlan:
 
     def on_request_done(self, chunk_id: int, attempt: int,
                         completed: int) -> None:
-        """After each completed simulation (records already flushed)."""
+        """After each completed simulation."""
         self._maybe_kill(chunk_id, attempt, completed)
 
     def _maybe_kill(self, chunk_id: int, attempt: int,
@@ -213,28 +192,8 @@ class FaultPlan:
             sys.stderr.flush()
             os._exit(KILL_EXIT_CODE)
 
-    def corrupt_segment_path(self, chunk_id: int,
-                             attempt: int) -> bool:
-        """Whether to tear this worker's store segment after the chunk."""
-        return self._active("corrupt-segment", chunk_id, attempt) is not None
 
-
-def active_plan(worker: Optional[str] = None) -> FaultPlan:
+def active_plan() -> FaultPlan:
     """The plan from ``LTRF_FAULT_PLAN`` (empty plan when unset)."""
     text = os.environ.get(ENV_FAULT_PLAN, "")
-    return FaultPlan(parse_fault_plan(text) if text else [], worker=worker)
-
-
-def tear_segment(store) -> None:
-    """Append a torn (newline-less) half-line to the store's most
-    recently written segment -- the observable state a writer killed
-    mid-``write`` leaves behind.  Used by the ``corrupt-segment``
-    fault; readers must keep the tear invisible until compaction."""
-    paths = []
-    for state in store._states.values():
-        if state.writer_path is not None:
-            paths.append(state.writer_path)
-    for path in paths:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"k": "torn-mid-append...')
-            handle.flush()
+    return FaultPlan(parse_fault_plan(text) if text else [])

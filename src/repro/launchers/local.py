@@ -1,15 +1,16 @@
-"""Local process-pool launcher: today's in-machine fan-out path.
+"""Local process-pool launcher: the one parallel sweep path.
 
 Wraps a ``ProcessPoolExecutor`` behind the
 :class:`~repro.launchers.base.Launcher` contract.  The pool is a
 *shared* backend: one worker dying breaks the whole executor
 (``BrokenProcessPool``), and there is no supported way to kill a
-single hung worker -- so this launcher declares
-``kill_is_collateral`` and, when the scheduler kills a timed-out
-chunk, terminates the pool's worker processes outright and rebuilds
-the pool lazily on the next submit.  Innocent in-flight chunks are the
-scheduler's problem (it re-queues them uncharged); rebuilt-pool counts
-surface as ``restarts`` -> ``RunnerStats.pool_retries``.
+single hung worker -- so when the scheduler kills a timed-out chunk,
+this launcher terminates the pool's worker processes outright and
+rebuilds the pool lazily on the next submit.  Innocent in-flight
+chunks are the scheduler's problem (it re-queues them uncharged);
+rebuilt-pool counts surface as ``restarts`` ->
+``RunnerStats.pool_retries``.  Workers write nothing to the store: a
+chunk whose worker dies re-runs whole.
 """
 
 from __future__ import annotations
@@ -64,13 +65,7 @@ class _PoolHandle(ChunkHandle):
             return None
         error = self.future.exception()
         if error is None:
-            return ChunkOutcome(
-                status="ok",
-                results=[
-                    (record, telemetry, False)
-                    for record, telemetry in self.future.result()
-                ],
-            )
+            return ChunkOutcome(status="ok", results=self.future.result())
         if isinstance(error, BrokenProcessPool):
             # The shared pool is gone; every sibling in-flight chunk
             # will report the same.  Mark for lazy rebuild.
@@ -83,16 +78,13 @@ class _PoolHandle(ChunkHandle):
 
     def kill(self) -> None:
         # There is no per-worker kill on a ProcessPoolExecutor;
-        # terminate the whole pool (collateral is declared, the
-        # scheduler re-queues the innocents uncharged).
+        # terminate the whole pool (the scheduler re-queues the
+        # innocents uncharged).
         self.launcher._terminate_pool()
 
 
 class LocalPoolLauncher(Launcher):
-    """``--backend local``: chunks on a local process pool."""
-
-    name = "local"
-    kill_is_collateral = True
+    """Chunks on a local process pool."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -118,9 +110,6 @@ class LocalPoolLauncher(Launcher):
         if pool is not None:
             try:
                 pool.shutdown(wait=wait, cancel_futures=not wait)
-            except TypeError:
-                # Scripted test doubles may not take the kwargs.
-                pool.shutdown()
             except Exception:
                 pass
 

@@ -1,6 +1,6 @@
-"""Backend-independent chunk scheduler: retry, timeout, quarantine.
+"""Chunk scheduler: retry, timeout, quarantine.
 
-This is the robustness machinery every launcher shares.  The old
+This is the robustness machinery around the launcher.  The old
 runner had exactly one recovery move -- re-dispatch the whole
 unfinished remainder once after ``BrokenProcessPool`` -- which loses
 the sweep on a second failure and cannot survive a *hang* at all.
@@ -16,8 +16,8 @@ The scheduler replaces it with per-chunk machinery:
 * **Per-chunk wall-clock timeouts** (``LTRF_CHUNK_TIMEOUT``): a chunk
   running past the deadline is killed and re-queued ("timed-out"),
   which is what turns a hung worker from a stuck sweep into a retry.
-  On launchers whose kill is collateral (the local pool), disturbed
-  innocent chunks are re-queued *uncharged*.
+  The pool's kill is collateral, so the innocent chunks in flight
+  with it are re-queued *uncharged*.
 * **Worker health classification.**  Every attempt ends "clean",
   "died", "timed-out" or "error"; a chunk that fails its whole budget
   is **quarantined** (poisoned-chunk suspicion) rather than retried
@@ -26,9 +26,8 @@ The scheduler replaces it with per-chunk machinery:
   traceback instead of an opaque worker death.
 * **Graceful degradation.**  A backend that keeps failing with no
   successes in between (``degrade_after`` consecutive failed
-  deliveries spanning more than one chunk), or that cannot even
-  start/submit (:class:`LauncherError`), is abandoned: everything not
-  yet completed runs serially in-process.  A sweep on a broken
+  deliveries spanning more than one chunk) is abandoned: everything
+  not yet completed runs serially in-process.  A sweep on a broken
   backend finishes late, not never.
 
 The scheduler reports every decision through an ``on_event`` callback
@@ -46,12 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.launchers.base import (
-    Chunk,
-    ChunkHandle,
-    Launcher,
-    LauncherError,
-)
+from repro.launchers.base import Chunk, ChunkHandle, Launcher
 
 ENV_CHUNK_TIMEOUT = "LTRF_CHUNK_TIMEOUT"
 ENV_CHUNK_RETRIES = "LTRF_CHUNK_RETRIES"
@@ -220,18 +214,7 @@ def run_chunks(
         )
         queue.append(handle_chunk)
 
-    def degrade(reason: str) -> None:
-        report.degraded = True
-        report.degrade_reason = reason
-
-    try:
-        launcher.start(workers)
-    except LauncherError as error:
-        degrade(str(error))
-        events("degrade", Chunk(id=-1, items=[]))
-        run_serial(list(chunks))
-        return report
-
+    launcher.start(workers)
     cap = max(1, workers)
     try:
         while queue or in_flight:
@@ -246,17 +229,12 @@ def run_chunks(
             progressed = False
 
             # Submit eligible chunks up to the in-flight cap.
-            if queue and len(in_flight) < cap and not report.degraded:
+            if queue and len(in_flight) < cap:
                 queue.sort(key=lambda c: (c.eligible_at, c.id))
                 while queue and len(in_flight) < cap \
                         and queue[0].eligible_at <= now:
                     chunk = queue.pop(0)
-                    try:
-                        handle = launcher.submit(chunk)
-                    except LauncherError as error:
-                        degrade(f"submit failed: {error}")
-                        serial_rest.append(chunk)
-                        break
+                    handle = launcher.submit(chunk)
                     deadline = (now + policy.timeout
                                 if policy.timeout is not None
                                 else float("inf"))
@@ -275,14 +253,12 @@ def run_chunks(
                         events("timeout", handle.chunk)
                         handle.kill()
                         fail(handle.chunk, "timed-out")
-                        if launcher.kill_is_collateral:
-                            # The kill took the shared backend down
-                            # with it; re-queue the innocents without
-                            # charging their budget.
-                            for other in list(in_flight):
-                                del in_flight[other]
-                                fail(other.chunk, "collateral",
-                                     charge=False)
+                        # The kill took the shared pool down with it;
+                        # re-queue the innocents without charging
+                        # their budget.
+                        for other in list(in_flight):
+                            del in_flight[other]
+                            fail(other.chunk, "collateral", charge=False)
                         progressed = True
                     continue
                 del in_flight[handle]
@@ -300,17 +276,16 @@ def run_chunks(
                 restarts_seen = launcher.restarts
                 events("restart", Chunk(id=-1, items=[]))
 
-            if not report.degraded and failure_streak >= policy.degrade_after \
+            if failure_streak >= policy.degrade_after \
                     and len(streak_chunks) > 1:
-                degrade(
+                # Abandon the backend: drain nothing further from it;
+                # everything queued or in flight runs serially.
+                report.degraded = True
+                report.degrade_reason = (
                     f"{failure_streak} consecutive failed deliveries "
                     f"across {len(streak_chunks)} chunk(s) with no "
                     "successes in between"
                 )
-
-            if report.degraded:
-                # Abandon the backend: drain nothing further from it;
-                # everything queued or in flight runs serially.
                 events("degrade", Chunk(id=-1, items=[]))
                 for handle in list(in_flight):
                     try:

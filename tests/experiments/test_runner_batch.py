@@ -606,6 +606,8 @@ class _ScriptedPool:
 
     plan = []
     instances = 0
+    #: ``(wait, cancel_futures)`` of every shutdown, across instances.
+    shutdowns = []
 
     def __init__(self, max_workers):
         type(self).instances += 1
@@ -639,6 +641,9 @@ class _ScriptedPool:
         self._submitted += 1
         return future
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        type(self).shutdowns.append((wait, cancel_futures))
+
 
 class TestResumableSweeps:
     """Mid-sweep failures must never lose flushed records."""
@@ -667,6 +672,7 @@ class TestResumableSweeps:
         monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
         _ScriptedPool.plan = [1]    # pool 1: one chunk, then break
         _ScriptedPool.instances = 0
+        _ScriptedPool.shutdowns = []
         monkeypatch.setattr(
             "repro.launchers.local.ProcessPoolExecutor", _ScriptedPool
         )
@@ -674,6 +680,10 @@ class TestResumableSweeps:
         runner = Runner(cache_dir=str(tmp_path))
         records = runner.simulate_many(grid, jobs=2)
         assert _ScriptedPool.instances >= 2     # fresh pool for retries
+        # The broken pool is dropped without waiting (its queued work
+        # cancelled); the healthy last one is drained.
+        assert _ScriptedPool.shutdowns[0] == (False, True)
+        assert _ScriptedPool.shutdowns[-1] == (True, False)
         assert runner.stats.pool_retries >= 1
         assert runner.stats.chunk_retries >= 1
         assert runner.stats.simulated == len(grid)

@@ -43,6 +43,15 @@ class TestFromDict:
         with pytest.raises(JobSpecError, match="grid"):
             JobSpec.from_dict({"workloads": "btree", "grid": []})
 
+    def test_rejects_backend_key(self):
+        """Misses always run on the process pool; naming a backend is
+        an unknown key, not a silently ignored one."""
+        for backend in ("local", "subprocess"):
+            with pytest.raises(JobSpecError,
+                               match=r"unknown job spec key\(s\): backend"):
+                JobSpec.from_dict({"workloads": "btree",
+                                   "backend": backend})
+
     def test_rejects_bad_overrides_shape(self):
         with pytest.raises(JobSpecError, match="overrides"):
             JobSpec.from_dict({"workloads": "btree", "overrides": [1]})
@@ -50,7 +59,7 @@ class TestFromDict:
     def test_roundtrips_through_to_dict(self):
         spec = JobSpec.from_dict({
             "workloads": ["btree", "kmeans"], "policies": ["BL", "LTRF"],
-            "grid": [1.0, 3.0], "seed": 7, "backend": "local", "jobs": 2,
+            "grid": [1.0, 3.0], "seed": 7, "jobs": 2,
             "overrides": SMALL, "label": "round trip",
         })
         assert JobSpec.from_dict(spec.to_dict()) == spec
@@ -64,11 +73,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("field, value, match", [
         ("policies", ("NOPE",), "unknown policy"),
-        ("backend", "carrier-pigeon", "unknown backend"),
         ("workloads", ("btreee",), "btree"),
         ("archs", ("pascal-ish",), "pascal-ish"),
         ("jobs", 0, "jobs"),
-        ("backend", "ssh", "unknown backend"),
     ])
     def test_rejects_unresolvable_names(self, field, value, match):
         kwargs = {"workloads": ("btree",), field: value}

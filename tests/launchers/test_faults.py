@@ -8,22 +8,17 @@ from repro.launchers.faults import (
     FaultPlanError,
     active_plan,
     parse_fault_plan,
-    tear_segment,
 )
 
 
 class TestParsing:
     def test_kill_by_chunk(self):
         (fault,) = parse_fault_plan("kill:chunk=2")
-        assert fault == Fault(action="kill", chunk=2, worker=None)
+        assert fault == Fault(action="kill", chunk=2)
 
     def test_kill_after_count(self):
         (fault,) = parse_fault_plan("kill:chunk=2:after=1")
         assert fault.after == 1
-
-    def test_kill_by_worker(self):
-        (fault,) = parse_fault_plan("kill:worker=w1")
-        assert fault.worker == "w1" and fault.chunk is None
 
     def test_delay_with_suffix_and_fraction(self):
         (a, b) = parse_fault_plan("delay:chunk=5:30s,delay:chunk=6:0.5")
@@ -33,11 +28,6 @@ class TestParsing:
     def test_always_modifier(self):
         (fault,) = parse_fault_plan("kill:chunk=1:always")
         assert fault.always
-
-    def test_corrupt_segment_by_writer(self):
-        (fault,) = parse_fault_plan("corrupt-segment:writer=w1")
-        assert fault.action == "corrupt-segment"
-        assert fault.worker == "w1"
 
     def test_whitespace_and_empty_clauses_tolerated(self):
         plan = parse_fault_plan(" kill:chunk=1 , ,delay:chunk=2:1s ")
@@ -49,12 +39,16 @@ class TestParsing:
         "kill:warp=3",              # unknown selector
         "kill:chunk=abc",           # non-integer chunk id
         "kill:worker=",             # empty worker id
+        "kill:worker=w1",           # pool worker ids are pid-based
+        "kill:writer=w1",           # ... and so are store writer ids
+        "corrupt-segment:chunk=3",  # pool workers write no segments
         "delay:chunk=1",            # missing duration
         "delay:chunk=1:soon",       # unparseable duration
         "delay:chunk=1:-3s",        # negative duration
         "kill:chunk=1:after=x",     # bad after count
         "kill:chunk=1:sometimes",   # unknown modifier
-        "delay:worker=w1:1s:after=2",   # after= only applies to kill
+        "delay:worker=w1:1s:after=2",   # no worker selector either
+        "delay:chunk=1:1s:after=2",     # after= only applies to kill
     ])
     def test_malformed_plans_raise_loudly(self, text):
         with pytest.raises(FaultPlanError):
@@ -64,17 +58,13 @@ class TestParsing:
 class TestMatching:
     def test_first_attempt_only_by_default(self):
         (fault,) = parse_fault_plan("kill:chunk=2")
-        assert fault.matches(2, "w1", attempt=0)
-        assert not fault.matches(2, "w1", attempt=1)   # retry survives
+        assert fault.matches(2, attempt=0)
+        assert not fault.matches(2, attempt=1)         # retry survives
+        assert not fault.matches(3, attempt=0)
 
     def test_always_fires_on_retries(self):
         (fault,) = parse_fault_plan("kill:chunk=2:always")
-        assert fault.matches(2, "w1", attempt=3)
-
-    def test_worker_selector(self):
-        (fault,) = parse_fault_plan("delay:worker=w2:1s")
-        assert fault.matches(0, "w2", attempt=0)
-        assert not fault.matches(0, "w1", attempt=0)
+        assert fault.matches(2, attempt=3)
 
 
 class TestSafetyRail:
@@ -88,34 +78,23 @@ class TestSafetyRail:
         assert plan.worker is None
         plan.on_chunk_start(0, 0)        # would kill or hang a worker
         plan.on_request_done(0, 0, completed=5)
-        assert not plan.corrupt_segment_path(0, 0)
 
-    def test_active_plan_reads_env(self, monkeypatch):
-        monkeypatch.setenv("LTRF_FAULT_PLAN", "corrupt-segment:writer=w9")
-        plan = active_plan(worker="w9")
-        assert plan.corrupt_segment_path(0, 0)
+    def test_active_plan_reads_env(self, monkeypatch, capsys):
+        """Inside a pool worker (LTRF_WORKER_ID set) the plan from the
+        environment is armed."""
+        monkeypatch.setenv("LTRF_FAULT_PLAN", "delay:chunk=4:0s")
+        monkeypatch.setenv("LTRF_WORKER_ID", "w-pid1")
+        plan = active_plan()
+        assert plan.faults == [Fault(action="delay", chunk=4)]
+        assert plan.worker == "w-pid1"
+        plan.on_chunk_start(4, 0)
+        assert "[fault] delay 0.0s (chunk 4" in capsys.readouterr().err
 
     def test_active_plan_empty_when_unset(self, monkeypatch):
         monkeypatch.delenv("LTRF_FAULT_PLAN", raising=False)
-        assert active_plan(worker="w1").faults == []
+        assert active_plan().faults == []
 
     def test_active_plan_malformed_env_raises(self, monkeypatch):
         monkeypatch.setenv("LTRF_FAULT_PLAN", "kill")
         with pytest.raises(FaultPlanError):
-            active_plan(worker="w1")
-
-
-class TestTearSegment:
-    def test_torn_tail_is_invisible_and_verify_stays_green(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(str(tmp_path))
-        store.put("alpha", {"value": 1})
-        tear_segment(store)
-        store.close()
-
-        reopened = ResultStore(str(tmp_path))
-        assert reopened.get("alpha") == {"value": 1}
-        report = reopened.verify()
-        assert report.ok
-        reopened.close()
+            active_plan()

@@ -1,4 +1,4 @@
-"""Unit tests for the backend-independent chunk scheduler."""
+"""Unit tests for the chunk scheduler, driven by scripted launchers."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.launchers.base import (
     ChunkHandle,
     ChunkOutcome,
     Launcher,
-    LauncherError,
 )
 from repro.launchers.scheduler import RetryPolicy, run_chunks
 
@@ -36,12 +35,9 @@ class _ScriptedLauncher(Launcher):
     """Launcher whose per-attempt behaviour is a ``script`` callable
     ``(chunk_id, attempt) -> "ok" | "died" | "error" | "hang"``."""
 
-    name = "scripted"
-
-    def __init__(self, script, kill_is_collateral=False):
+    def __init__(self, script):
         super().__init__()
         self.script = script
-        self.kill_is_collateral = kill_is_collateral
         self.submitted = []          # (chunk_id, attempt) log
         self.shutdowns = []
 
@@ -54,7 +50,7 @@ class _ScriptedLauncher(Launcher):
         if verdict == "ok":
             outcome = ChunkOutcome(
                 status="ok",
-                results=[(f"record-{chunk.id}", None, False)],
+                results=[(f"record-{chunk.id}", None)],
             )
         else:
             outcome = ChunkOutcome(status=verdict, message=verdict)
@@ -182,35 +178,6 @@ class TestDegradation:
         assert sorted(delivered) == [0, 1, 2, 3]
         assert serial == []
 
-    def test_launcher_that_cannot_start_degrades_not_crashes(self):
-        class _Dead(_ScriptedLauncher):
-            def start(self, workers):
-                raise LauncherError("no hosts configured")
-
-        launcher = _Dead(lambda cid, attempt: "ok")
-        report, delivered, serial, _ = drive(
-            launcher, make_chunks(3), RetryPolicy(**FAST)
-        )
-        assert report.degraded
-        assert "no hosts" in report.degrade_reason
-        assert sorted(serial) == [0, 1, 2]
-        assert launcher.submitted == []
-
-    def test_submit_failure_degrades_and_keeps_the_chunk(self):
-        class _Flaky(_ScriptedLauncher):
-            def submit(self, chunk):
-                if chunk.id == 1:
-                    raise LauncherError("ssh: connection refused")
-                return super().submit(chunk)
-
-        launcher = _Flaky(lambda cid, attempt: "ok")
-        report, delivered, serial, _ = drive(
-            launcher, make_chunks(3), RetryPolicy(**FAST), workers=1
-        )
-        assert report.degraded
-        done = set(delivered) | set(serial)
-        assert done == {0, 1, 2}                      # nothing lost
-
 
 class TestTimeouts:
     def test_hung_chunk_is_killed_and_reassigned(self):
@@ -229,9 +196,9 @@ class TestTimeouts:
         assert report.health[1] == ["timed-out", "clean"]
 
     def test_collateral_kill_requeues_innocents_uncharged(self):
-        """On a shared backend (the local pool) killing a hung chunk
-        takes innocent in-flight chunks with it; they re-queue without
-        being charged a retry."""
+        """Killing a hung chunk takes the pool, and with it the
+        innocent in-flight chunks, down; they re-queue without being
+        charged a retry."""
         hung = set()
 
         def script(cid, attempt):
@@ -240,7 +207,7 @@ class TestTimeouts:
                 return "hang"
             return "ok"
 
-        launcher = _ScriptedLauncher(script, kill_is_collateral=True)
+        launcher = _ScriptedLauncher(script)
         report, delivered, serial, _ = drive(
             launcher, make_chunks(2),
             RetryPolicy(timeout=0.05, **FAST),

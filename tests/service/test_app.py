@@ -166,15 +166,16 @@ class TestErrors:
         assert response.status == 400
         assert "polices" in body_of(response)["error"]
 
-    def test_ssh_backend_400(self, app):
-        """The ssh backend is gone; naming it is an unknown backend."""
+    def test_backend_key_400(self, app):
+        """Sweeps always run on the process pool; a spec that still
+        names a backend is a spec with an unknown key."""
         response = app.handle(
             "POST", "/sweeps", {},
-            json.dumps(dict(SPEC, backend="ssh")).encode(),
+            json.dumps(dict(SPEC, backend="local")).encode(),
         )
         assert response.status == 400
-        assert body_of(response)["error"] == (
-            "unknown backend 'ssh' (expected one of local, subprocess)")
+        assert body_of(response)["error"].startswith(
+            "unknown job spec key(s): backend (expected a subset of ")
         assert app.tracker.jobs() == []
 
     def test_engine_field_400(self, app):

@@ -1,5 +1,5 @@
-"""Tests for merging harvested stores (the ssh-backend homecoming
-path, also `repro store merge`)."""
+"""Tests for `repro store merge`: folding another store's records
+(one filled on another machine, say) into this one."""
 
 from repro.store import MergeOutcome, ResultStore, merge_store
 
