@@ -1,8 +1,11 @@
 """Tests for the deterministic fault-injection harness."""
 
+import os
+
 import pytest
 
 from repro.launchers.faults import (
+    KILL_EXIT_CODE,
     Fault,
     FaultPlan,
     FaultPlanError,
@@ -98,3 +101,35 @@ class TestSafetyRail:
         monkeypatch.setenv("LTRF_FAULT_PLAN", "kill")
         with pytest.raises(FaultPlanError):
             active_plan()
+
+
+class _Killed(Exception):
+    """Raised by the patched ``os._exit`` an injected kill calls."""
+
+
+class TestKill:
+    @pytest.fixture
+    def worker_plan(self, monkeypatch):
+        """A plan armed as in a pool worker, whose kill raises
+        :class:`_Killed` instead of ending the test process."""
+        def exit_(code):
+            raise _Killed(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        monkeypatch.setenv("LTRF_WORKER_ID", "w-pid1")
+        return lambda text: FaultPlan(parse_fault_plan(text))
+
+    def test_kill_without_after_fires_entering_its_chunk(self,
+                                                         worker_plan):
+        plan = worker_plan("kill:chunk=1")
+        plan.on_chunk_start(0, 0)              # another chunk: spared
+        with pytest.raises(_Killed) as killed:
+            plan.on_chunk_start(1, 0)
+        assert killed.value.args == (KILL_EXIT_CODE,)   # looks like -9
+
+    def test_kill_waits_for_its_after_count(self, worker_plan):
+        plan = worker_plan("kill:chunk=1:after=2")
+        plan.on_chunk_start(1, 0)
+        plan.on_request_done(1, 0, completed=1)
+        with pytest.raises(_Killed):
+            plan.on_request_done(1, 0, completed=2)

@@ -1,5 +1,7 @@
 """Unit tests for the chunk scheduler, driven by scripted launchers."""
 
+import time
+
 import pytest
 
 from repro.launchers.base import (
@@ -8,7 +10,7 @@ from repro.launchers.base import (
     ChunkOutcome,
     Launcher,
 )
-from repro.launchers.scheduler import RetryPolicy, run_chunks
+from repro.launchers.scheduler import RetryPolicy, SweepAborted, run_chunks
 
 FAST = dict(base_backoff=0.0, poll_interval=0.001)
 
@@ -119,6 +121,41 @@ class TestRetries:
         with pytest.raises(ValueError, match="LTRF_CHUNK_TIMEOUT"):
             RetryPolicy.from_env()
 
+    @pytest.mark.parametrize("name, text, field, expected", [
+        ("LTRF_CHUNK_TIMEOUT", "0", "timeout", None),     # disabled
+        ("LTRF_CHUNK_TIMEOUT", "-5", "timeout", None),
+        ("LTRF_CHUNK_RETRIES", "0", "max_attempts", 1),   # at least one
+        ("LTRF_CHUNK_RETRIES", " ", "max_attempts", 3),   # blank: default
+        ("LTRF_RETRY_BACKOFF", "-1", "base_backoff", 0.0),
+    ])
+    def test_from_env_clamps_out_of_range_values(self, monkeypatch, name,
+                                                 text, field, expected):
+        for variable in ("LTRF_CHUNK_TIMEOUT", "LTRF_CHUNK_RETRIES",
+                         "LTRF_RETRY_BACKOFF"):
+            monkeypatch.delenv(variable, raising=False)
+        monkeypatch.setenv(name, text)
+        assert getattr(RetryPolicy.from_env(), field) == expected
+
+    def test_from_env_rejects_non_integer_retries(self, monkeypatch):
+        monkeypatch.setenv("LTRF_CHUNK_RETRIES", "2.5")
+        with pytest.raises(ValueError, match="LTRF_CHUNK_RETRIES"):
+            RetryPolicy.from_env()
+
+    def test_retry_waits_out_its_backoff(self):
+        submitted_at = []
+
+        def script(cid, attempt):
+            submitted_at.append(time.monotonic())
+            return "died" if attempt == 0 else "ok"
+
+        policy = RetryPolicy(base_backoff=0.05, poll_interval=0.001)
+        report, delivered, _, _ = drive(
+            _ScriptedLauncher(script), make_chunks(1), policy
+        )
+        assert sorted(delivered) == [0]
+        first, retry = submitted_at
+        assert retry - first >= policy.backoff(0, 1) >= 0.05
+
 
 class TestQuarantine:
     def test_poisoned_chunk_exhausts_budget_and_runs_serially(self):
@@ -227,6 +264,18 @@ class TestTimeouts:
                      if entry[0] == collateral[0]]
         assert resubmits[-1][1] == 0              # attempt 0 again
 
+    def test_chunk_that_hangs_every_attempt_is_quarantined(self):
+        launcher = _ScriptedLauncher(lambda cid, attempt: "hang")
+        report, delivered, serial, _ = drive(
+            launcher, make_chunks(1),
+            RetryPolicy(timeout=0.02, max_attempts=2, **FAST),
+        )
+        assert report.timeouts == 2
+        assert report.quarantined == 1
+        assert report.health[0] == ["timed-out", "timed-out"]
+        assert delivered == {}
+        assert serial == [0]              # finished in the orchestrator
+
     def test_no_timeout_means_no_deadline(self):
         launcher = _ScriptedLauncher(lambda cid, attempt: "ok")
         report, delivered, _, _ = drive(
@@ -259,3 +308,42 @@ class TestLifecycle:
             on_event=lambda kind, chunk: events.append(kind),
         )
         assert "restart" in events
+
+
+class TestAbort:
+    def test_should_abort_kills_in_flight_work_and_keeps_deliveries(self):
+        launcher = _ScriptedLauncher(
+            lambda cid, attempt: "ok" if cid == 0 else "hang"
+        )
+        delivered, serial = [], []
+        with pytest.raises(SweepAborted, match="1 in-flight"):
+            run_chunks(
+                launcher, make_chunks(2), 2, RetryPolicy(**FAST),
+                on_done=lambda chunk, results: delivered.append(chunk.id),
+                run_serial=serial.extend,
+                should_abort=lambda: bool(delivered),
+            )
+        assert delivered == [0]
+        assert launcher.shutdowns[0] is True      # killed, not drained
+        assert serial == []                       # nothing runs after
+
+    def test_keyboard_interrupt_kills_in_flight_work_and_propagates(self):
+        class _Interrupted(_ScriptedHandle):
+            def poll(self):
+                raise KeyboardInterrupt
+
+        class _Launcher(_ScriptedLauncher):
+            def submit(self, chunk):
+                super().submit(chunk)
+                return _Interrupted(chunk, None)
+
+        launcher = _Launcher(lambda cid, attempt: "ok")
+        serial = []
+        with pytest.raises(KeyboardInterrupt):
+            run_chunks(
+                launcher, make_chunks(2), 2, RetryPolicy(**FAST),
+                on_done=lambda chunk, results: None,
+                run_serial=serial.extend,
+            )
+        assert launcher.shutdowns[0] is True
+        assert serial == []
