@@ -18,11 +18,13 @@ CI and runnable locally:
    whose faults never fired "passes" vacuously), the store must
    verify clean, and a resumed run must re-simulate nothing.
 
-Exits non-zero, with a diff, on any mismatch.
+Exits non-zero, with a diff, on any mismatch.  Both stores live in
+fresh temporary directories, removed when the check ends.
 """
 
 import difflib
 import os
+import shutil
 import sys
 import tempfile
 
@@ -73,6 +75,14 @@ def fail(message):
 def run():
     serial_dir = tempfile.mkdtemp(prefix="chaos-serial-")
     chaos_dir = tempfile.mkdtemp(prefix="chaos-faulted-")
+    try:
+        return check(serial_dir, chaos_dir)
+    finally:
+        shutil.rmtree(serial_dir, ignore_errors=True)
+        shutil.rmtree(chaos_dir, ignore_errors=True)
+
+
+def check(serial_dir, chaos_dir):
     points = grid_requests()
 
     print(f"[1/4] clean serial reference sweep "

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Dict, Iterator, Optional, Tuple
+import weakref
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.instruction import Instruction, Opcode
@@ -57,6 +58,18 @@ class TraceEntry:
             f"instruction={self.instruction!s}, address={self.address}, "
             f"taken={self.taken})"
         )
+
+
+#: kernel -> ``{(block label, index): entry}``: the one entry of each
+#: plain instruction, shared by every trace of that kernel.  Held
+#: outside the kernel, weakly, so ``Kernel.clone()`` copies none of it
+#: and it never outlives its kernel; an entry is reused only while the
+#: same instruction object sits at its position, so a CFG mutated in
+#: place is re-planned, not served stale entries.
+_EntryTable = Dict[Tuple[str, int], TraceEntry]
+_PLAIN_ENTRIES: "weakref.WeakKeyDictionary[Kernel, _EntryTable]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class Kernel:
@@ -117,28 +130,50 @@ class Kernel:
         seed: int = 0,
         max_instructions: int = DEFAULT_MAX_TRACE,
     ) -> Iterator[TraceEntry]:
-        """Generate the dynamic instruction stream for one warp.
+        """Iterate :meth:`trace_list` (same arguments, same errors)."""
+        return iter(self.trace_list(warp_id, seed, max_instructions))
+
+    def trace_list(
+        self,
+        warp_id: int = 0,
+        seed: int = 0,
+        max_instructions: int = DEFAULT_MAX_TRACE,
+    ) -> List[TraceEntry]:
+        """The dynamic instruction stream of one warp.
 
         Control flow is resolved deterministically from ``seed`` and
-        ``warp_id``; two calls with the same arguments produce identical
+        ``warp_id``; two calls with the same arguments produce equal
         traces.  Raises ``RuntimeError`` if the trace exceeds
         ``max_instructions`` without reaching ``EXIT`` (a malformed
         kernel with an unbounded loop).
+
+        The walk follows a per-block plan (:meth:`_trace_plan`): each
+        run of plain instructions -- not memory, not a branch, not
+        ``EXIT`` -- is appended as one prebuilt tuple of entries, so a
+        plain instruction has one entry object however often it runs,
+        shared by every warp, seed and call tracing this kernel.
+        Memory, branch and ``EXIT`` instructions get a fresh entry per
+        dynamic instance.  Entries are read-only.
         """
         rng = random.Random((seed << 20) ^ (warp_id * 0x9E3779B9))
         loop_remaining: Dict[str, int] = {}
         stream_position: Dict[int, int] = {}
+        plan = self._trace_plan()
+        trace: List[TraceEntry] = []
+        append, extend = trace.append, trace.extend
         label = self.cfg.entry
-        emitted = 0
         while True:
-            block = self.cfg.block(label)
+            steps, fallthrough = plan[label]
             next_label: Optional[str] = None
-            for index, instruction in enumerate(block.instructions):
-                if emitted >= max_instructions:
-                    raise RuntimeError(
-                        f"{self.name}: trace exceeded {max_instructions} "
-                        "instructions without EXIT"
-                    )
+            for run, index, instruction in steps:
+                if run:
+                    if len(trace) + len(run) > max_instructions:
+                        raise self._overlong(max_instructions)
+                    extend(run)
+                if instruction is None:
+                    continue
+                if len(trace) >= max_instructions:
+                    raise self._overlong(max_instructions)
                 address = None
                 taken = None
                 if instruction.is_memory:
@@ -146,11 +181,11 @@ class Kernel:
                         instruction, warp_id, stream_position
                     )
                 if instruction.opcode is Opcode.EXIT:
-                    yield TraceEntry(block.label, index, instruction)
-                    return
+                    append(TraceEntry(label, index, instruction))
+                    return trace
                 if instruction.is_branch:
                     taken = self._resolve_branch(
-                        block.label, instruction, loop_remaining, rng
+                        label, instruction, loop_remaining, rng
                     )
                     if taken:
                         next_label = instruction.target
@@ -158,15 +193,52 @@ class Kernel:
                         # Unconditional branches are always taken.
                         next_label = instruction.target
                         taken = True
-                yield TraceEntry(block.label, index, instruction, address, taken)
-                emitted += 1
+                append(TraceEntry(label, index, instruction, address, taken))
             if next_label is None:
-                next_label = self.cfg.layout_successor(block.label)
+                next_label = fallthrough
                 if next_label is None:
                     raise RuntimeError(
-                        f"{self.name}: fell off the end of block {block.label}"
+                        f"{self.name}: fell off the end of block {label}"
                     )
             label = next_label
+
+    def _overlong(self, max_instructions: int) -> RuntimeError:
+        return RuntimeError(
+            f"{self.name}: trace exceeded {max_instructions} "
+            "instructions without EXIT"
+        )
+
+    def _trace_plan(self) -> Dict[str, Tuple[list, Optional[str]]]:
+        """``label -> (steps, layout successor)`` for :meth:`trace_list`,
+        built from the CFG as it is now.
+
+        Each step is ``(run, index, instruction)``: a tuple of the plain
+        entries before the memory, branch or ``EXIT`` instruction at
+        ``index`` (``None`` for a block's trailing run).  Plain entries
+        come from :data:`_PLAIN_ENTRIES`, rebuilt for any position whose
+        instruction object changed.
+        """
+        shared = _PLAIN_ENTRIES.setdefault(self, {})
+        plan: Dict[str, Tuple[list, Optional[str]]] = {}
+        for block in self.cfg.blocks():
+            label = block.label
+            steps: list = []
+            run: List[TraceEntry] = []
+            for index, instruction in enumerate(block.instructions):
+                if (instruction.is_memory or instruction.is_branch
+                        or instruction.opcode is Opcode.EXIT):
+                    steps.append((tuple(run), index, instruction))
+                    run = []
+                    continue
+                entry = shared.get((label, index))
+                if entry is None or entry.instruction is not instruction:
+                    entry = shared[label, index] = TraceEntry(
+                        label, index, instruction)
+                run.append(entry)
+            if run:
+                steps.append((tuple(run), None, None))
+            plan[label] = (steps, self.cfg.layout_successor(label))
+        return plan
 
     def _resolve_branch(
         self,
@@ -205,13 +277,8 @@ class Kernel:
         offset = (warp_offset + position * spec.stride_bytes) % spec.footprint_bytes
         return spec.stream * _STREAM_SPACING + offset
 
-    def trace_list(self, warp_id: int = 0, seed: int = 0,
-                   max_instructions: int = DEFAULT_MAX_TRACE):
-        """Materialise :meth:`trace` as a list (convenience for analyses)."""
-        return list(self.trace(warp_id, seed, max_instructions))
-
     def dynamic_instruction_count(self, warp_id: int = 0, seed: int = 0) -> int:
-        return sum(1 for _ in self.trace(warp_id, seed))
+        return len(self.trace_list(warp_id, seed))
 
     def __repr__(self) -> str:
         return (

@@ -28,7 +28,7 @@ call -- a launcher only ever reports what it observed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
@@ -50,9 +50,6 @@ class Chunk:
     #: Monotonic-clock time before which this chunk must not be
     #: re-submitted (set by the scheduler's backoff on a retry).
     eligible_at: float = 0.0
-    #: Health history of this chunk's attempts ("died", "timed-out",
-    #: "error"), newest last; surfaced in degradation diagnostics.
-    history: List[str] = field(default_factory=list)
 
 
 @dataclass

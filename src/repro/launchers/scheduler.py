@@ -193,7 +193,6 @@ def run_chunks(
     def fail(handle_chunk: Chunk, status: str, charge: bool = True) -> None:
         nonlocal failure_streak
         report.note(handle_chunk, status)
-        handle_chunk.history.append(status)
         if not charge:
             handle_chunk.eligible_at = 0.0
             queue.append(handle_chunk)

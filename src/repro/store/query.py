@@ -26,7 +26,11 @@ possible) so maintenance tooling sees *every* record.
 Filters the key decides (workload, policy, fingerprints, seed, an
 explicit key set, and the latency band, which follows from the arch
 fingerprint) run on the parsed key, before its payload is read; a
-query and every query derived from it share one parse per key.
+query and every query derived from it share one parse per key.  A
+query with any such filter lists the store's keys without decoding
+them (:meth:`ResultStore.filed_keys`) and narrows them through a
+per-workload key index kept with the parse memo, so it decodes only
+the records it reads.
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -200,6 +206,40 @@ class _Latencies(dict):
 _UNSEEN = object()
 
 
+class _KeyMemo:
+    """The parsed keys one query lineage shares, indexed by workload.
+
+    Derived queries may run on several threads at once (the service
+    derives every query from one base), so the index only grows, its
+    buckets are sets, and :meth:`parse` files a key in its bucket
+    *before* it enters ``parsed``: a query that finds a key parsed
+    finds it indexed too.  Concurrent queries at worst parse a key
+    twice, to equal results.
+    """
+
+    __slots__ = ("parsed", "by_workload", "unparsed", "shared")
+
+    def __init__(self) -> None:
+        #: key -> ParsedKey, or None for a key that does not parse.
+        self.parsed: Dict[str, Optional[ParsedKey]] = {}
+        #: workload -> the parsed keys naming it.
+        self.by_workload: Dict[str, Set[str]] = {}
+        #: The keys that do not parse (a candidate for any workload).
+        self.unparsed: Set[str] = set()
+        #: One copy of each key field value the memo holds.
+        self.shared: Dict[Any, Any] = {}
+
+    def parse(self, key: str) -> Optional[ParsedKey]:
+        """Parse and index a key the memo has not seen."""
+        parsed = _parse_key(key, self.shared.setdefault)
+        if parsed is None:
+            self.unparsed.add(key)
+        else:
+            self.by_workload.setdefault(parsed.workload, set()).add(key)
+        self.parsed[key] = parsed
+        return parsed
+
+
 # -- aggregation functions ----------------------------------------------------
 
 def _geomean(values: Sequence[float]) -> float:
@@ -229,24 +269,24 @@ class Query:
     :meth:`stats`) runs.
 
     A query and every query :meth:`where`/:meth:`filter` derive from
-    it share one memo of parsed keys, so a long-lived base query (the
-    service keeps one) parses each key once however many filtered
-    queries it serves.  The memo is per key, never a key set: each
-    terminal read still lists the store's live keys.
+    it share one memo of parsed keys, indexed by workload, so a
+    long-lived base query (the service keeps one) parses each key once
+    however many filtered queries it serves.  The memo never stands in
+    for the store's key set: each terminal read lists the store's keys
+    again, so records written since (by this instance or another
+    writer) show.
     """
 
     def __init__(self, store: ResultStore) -> None:
         self._store = store
-        #: key -> ParsedKey, or None for a key that does not parse;
-        #: shared by the whole lineage (dict reads and writes are
-        #: atomic, so concurrent queries at worst parse a key twice).
-        self._parsed: Dict[str, Optional[ParsedKey]] = {}
-        #: One copy of each key field value the memo holds.
-        self._shared: Dict[Any, Any] = {}
-        # Key-decided where() constraints: an explicit key set,
-        # (getter, expected) equality checks on the parsed key fields,
-        # and (min, max) latency bands.
+        #: Shared by the whole lineage.
+        self._memo = _KeyMemo()
+        # Key-decided where() constraints: an explicit key set, the
+        # latest workload named (its index bucket holds every candidate
+        # that parses), (getter, expected) equality checks on the parsed
+        # key fields, and (min, max) latency bands.
         self._key_in: Optional[FrozenSet[str]] = None
+        self._workload: Optional[str] = None
         self._key_checks: Tuple[Tuple[Callable[[Any], Any], Any], ...] = ()
         self._latency_bands: Tuple[Tuple[Optional[float],
                                          Optional[float]], ...] = ()
@@ -271,7 +311,7 @@ class Query:
     # -- filters ------------------------------------------------------------
 
     def _derive(self, **changes: Any) -> "Query":
-        """A copy with some filter fields replaced; the parse memo is
+        """A copy with some filter fields replaced; the key memo is
         shared, not copied."""
         query = copy.copy(self)
         vars(query).update(changes)
@@ -315,6 +355,8 @@ class Query:
                 ("kernel_fingerprint", kernel_fingerprint), ("seed", seed),
             ) if value is not None
         }
+        if workload is not None:
+            changes["_workload"] = workload
         if equal:
             # attrgetter of one name yields the bare value, of several
             # a tuple; a ParsedKey and a StoredRecord both answer it.
@@ -349,31 +391,58 @@ class Query:
 
     # -- terminal reads -----------------------------------------------------
 
+    def _candidates(self) -> Iterable[str]:
+        """The keys a query with a key-decided filter may return.
+
+        Every key the store has filed (listed without decoding), less
+        those outside ``key_in``; with a workload filter, only its
+        bucket of the index and the keys that do not parse.  Parses and
+        indexes each key the memo has not seen.
+        """
+        memo = self._memo
+        keys = self._store.filed_keys()
+        if self._key_in is not None:
+            keys &= self._key_in          # before any parse
+        for key in keys.difference(memo.parsed):
+            memo.parse(key)
+        if self._workload is None:
+            return keys
+        return (keys.intersection(memo.by_workload.get(self._workload, ()))
+                | keys.intersection(memo.unparsed))
+
     def records(self) -> List[StoredRecord]:
         """Every live record passing the filter chain, sorted by key
-        (deterministic regardless of segment/shard layout)."""
+        (deterministic regardless of segment/shard layout).
+
+        With no key-decided filter every row is read, so the store's
+        live keys are listed, decoding as it scans; with one, only the
+        :meth:`_candidates` that pass it are read, so only their
+        records are decoded.
+        """
         schema_fields = _current_schema_fields()
         predicates = self._predicates
-        key_in = self._key_in
         key_filtered = bool(self._key_checks or self._latency_bands)
-        memo, share = self._parsed, self._shared.setdefault
+        memo = self._memo
+        parsed_keys = memo.parsed
         latencies = _Latencies(self._store)
         rows = []
         # Rows are read through get(), so the benchmark's traced run
         # counts every row read as a store.get span; a hit is one
         # index lookup and reads nothing from disk.
         get = self._store.get
-        for key in self._store.keys():
-            if key_in is not None and key not in key_in:
-                continue
-            parsed = memo.get(key, _UNSEEN)
+        if key_filtered or self._key_in is not None:
+            keys = self._candidates()
+        else:
+            keys = self._store.keys()
+        for key in keys:
+            parsed = parsed_keys.get(key, _UNSEEN)
             if parsed is _UNSEEN:
-                parsed = memo[key] = _parse_key(key, share)
+                parsed = memo.parse(key)
             if parsed is not None:
                 if key_filtered and not self._key_passes(parsed, latencies):
                     continue
                 payload = get(key)
-                if payload is None:   # compacted away mid-iteration
+                if payload is None:   # compacted away, or all corrupt
                     continue
                 workload, policy, arch_fp, seed, kernel_fp = parsed
                 record = StoredRecord(

@@ -49,10 +49,12 @@ payload per key read so far plus the pending lines of the rest, and a
 fresh instance serving a few keys decodes only those keys' lines.
 ``items``, ``keys`` and ``stats`` decode every pending line of a shard
 before they read it, and decode the bytes they scan as they scan them,
-so what they return and count is what an eager scan gives.  Entries
-and corrupt lines are counted when a line is decoded, torn tails when
-a segment is scanned; only ``verify`` (and ``compact``) replay every
-segment from scratch.
+so what they return and count is what an eager scan gives;
+``filed_keys`` lists decoded and pending keys alike and decodes no
+line it can file, so a filtered query decodes only the keys it reads.
+Entries and corrupt lines are counted when a line is decoded, torn
+tails when a segment is scanned; only ``verify`` (and ``compact``)
+replay every segment from scratch.
 
 One instance may be shared by many threads (the service keeps one for
 all its jobs and queries): a single lock covers shard-state creation,
@@ -67,7 +69,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.util import atomic_write_text
 
@@ -613,6 +615,28 @@ class ResultStore:
         corrupt is not live.
         """
         return (key for key, _ in self.items())
+
+    def filed_keys(self) -> Set[str]:
+        """Every key this instance has filed, decoded or still pending.
+
+        Each shard is refreshed incrementally, decoding only the lines
+        whose key their bytes do not give, and its keys are collected
+        under the lock.  A superset of the live keys -- a key whose
+        every line is corrupt stays filed until it is read -- so a
+        caller reads each key it wants through :meth:`get`, which
+        decides liveness and decodes only that key.
+        """
+        keys: Set[str] = set()
+        for shard in range(self.shards):
+            with self._lock:
+                state = self._states.get(shard)
+                if state is None:
+                    state = self._state(shard)
+                else:
+                    self._refresh(shard, state)
+                keys.update(state.index)
+                keys.update(state.pending)
+        return keys
 
     def close(self) -> None:
         """Close the writer handles.  The store stays usable: a later

@@ -1,7 +1,11 @@
 """Tests for the store query API (repro.store.query)."""
 
+import os
 import shutil
+import sys
 import tempfile
+import threading
+import time
 from dataclasses import fields as dataclass_fields
 
 import pytest
@@ -441,3 +445,163 @@ class TestFilterPushdown:
         (first, second) = (base.where(seed=0).records()[0],
                            base.where(seed=1).records()[0])
         assert first.arch_fingerprint is second.arch_fingerprint
+
+
+def cache_key(workload, policy, seed):
+    return f"{workload}__{policy}__a{ARCH_FP}__{seed}__k{KERNEL_FP}"
+
+
+class TestFilteredReads:
+    """A key-filtered query lists the store's keys without decoding
+    them and reads only its candidates; the per-workload index it
+    narrows them with never hides a key."""
+
+    def test_fresh_store_decodes_only_the_returned_keys(self, tmp_path,
+                                                        monkeypatch):
+        from repro.store import result_store
+
+        writer = ResultStore(str(tmp_path))
+        lines = {}
+        for workload in ("btree", "kmeans", "bfs"):
+            for policy in POLICIES:
+                for seed in range(4):
+                    key = cache_key(workload, policy, seed)
+                    writer.put(key, record_payload(workload=workload,
+                                                   policy=policy))
+                    lines[key] = 1
+        rewritten = cache_key("btree", "LTRF", 2)
+        writer.put(rewritten, record_payload(policy="LTRF", ipc=3.0))
+        lines[rewritten] += 1
+        writer.close()
+        decoded = []
+        real = result_store._decode_entry
+
+        def counting(line):
+            decoded.append(line)
+            return real(line)
+
+        monkeypatch.setattr(result_store, "_decode_entry", counting)
+        fresh = ResultStore(str(tmp_path))
+        rows = Query(fresh).where(workload="btree", policy="LTRF").records()
+        assert [r.key for r in rows] == sorted(
+            cache_key("btree", "LTRF", seed) for seed in range(4))
+        assert next(r for r in rows if r.key == rewritten).ipc == 3.0
+        assert len(decoded) == sum(lines[r.key] for r in rows) == 5
+        assert fresh.stats() == fresh.verify().stats
+
+    def test_indexed_base_sees_keys_written_after_it(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        store.put(cache_key("btree", "BL", 0), record_payload())
+        store.put(cache_key("kmeans", "BL", 0),
+                  record_payload(workload="kmeans"))
+        base = Query(store)
+        assert base.count() == 2                     # indexes every key
+        assert base.where(workload="btree").count() == 1
+        store.put(cache_key("btree", "BL", 1), record_payload())
+        assert [r.seed for r in base.where(workload="btree").records()] \
+            == [0, 1]
+        other = ResultStore(str(tmp_path))
+        other.put(cache_key("btree", "BL", 2), record_payload())
+        other.close()
+        assert [r.seed for r in base.where(workload="btree").records()] \
+            == [0, 1, 2]
+        assert base.where(workload="kmeans").count() == 1
+        store.close()
+
+    def test_a_key_is_indexed_before_it_counts_as_parsed(self, tmp_path):
+        """A query that runs while another is part-way through parsing a
+        new key (here: inside the index update) still finds the key --
+        the index may never lag the parse memo."""
+        store = ResultStore(str(tmp_path))
+        store.put(cache_key("btree", "BL", 0), record_payload())
+        base = Query(store)
+        inner = []
+
+        class Interleaved(dict):
+            """Runs a second query when the first key is indexed (the
+            second query's own indexing finds ``inner`` non-empty)."""
+
+            def setdefault(self, workload, bucket):
+                if not inner:
+                    inner.append(None)
+                    inner.append(base.where(workload="btree").count())
+                return super().setdefault(workload, bucket)
+
+        base._memo.by_workload = Interleaved()
+        assert base.where(workload="btree").count() == 1
+        assert inner == [None, 1]
+
+    def test_concurrent_puts_and_derived_queries(self, tmp_path):
+        """Filtered queries derived from one base on many threads, while
+        writers put new keys: no row twice, every row matching its
+        filter, every key put before the query started returned."""
+        store = ResultStore(str(tmp_path))
+        workloads = ("btree", "kmeans", "bfs")
+        base = Query(store)
+        done = []                      # keys whose put() has returned
+        problems = []
+        deadline = time.monotonic() + 1.5
+        filters = [dict(workload=w) for w in workloads] + [
+            dict(workload="btree", policy="LTRF"), dict(policy="BL")]
+
+        def write(offset, target):
+            seed = offset
+            while time.monotonic() < deadline and seed < offset + 400:
+                key = cache_key(workloads[seed % 3], POLICIES[seed % 2],
+                                seed)
+                target.put(key, record_payload(
+                    workload=workloads[seed % 3], policy=POLICIES[seed % 2]))
+                done.append(key)
+                seed += 1
+
+        def query(index):
+            turn = index
+            while time.monotonic() < deadline:
+                where = filters[turn % len(filters)]
+                turn += 1
+                before = list(done)
+                rows = base.where(**where).records()
+                keys = [r.key for r in rows]
+                if len(set(keys)) != len(keys):
+                    problems.append(f"duplicate rows for {where}")
+                if any(getattr(r, name) != value for r in rows
+                       for name, value in where.items()):
+                    problems.append(f"a row outside {where}")
+                wanted = {key for key in before
+                          if all(getattr(parse_key(key), name) == value
+                                 for name, value in where.items())}
+                missing = wanted - set(keys)
+                if missing:
+                    problems.append(f"{where} missed {sorted(missing)[:3]}")
+
+        def guarded(body, *args):
+            try:
+                body(*args)
+            except Exception as error:     # failed below, not lost
+                problems.append(repr(error))
+
+        second = ResultStore(str(tmp_path))
+        jobs = [(write, 0, store), (write, 1000, store), (write, 2000, second)]
+        jobs += [(query, index)
+                 for index in range(max(4, 2 * (os.cpu_count() or 1)))]
+        threads = [threading.Thread(target=guarded, args=job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        second.close()
+        assert problems == []
+        assert len(done) > 10
+        everything = Query(store).records()
+        for where in filters:
+            expected = [r for r in everything
+                        if all(getattr(r, name) == value
+                               for name, value in where.items())]
+            assert base.where(**where).records() == expected
+        store.close()
