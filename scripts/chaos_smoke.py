@@ -13,10 +13,13 @@ CI and runnable locally:
    death, worker hang) against real pool worker processes;
 3. require the faulted run's table to be byte-identical to the
    reference -- fault tolerance must never change results;
-4. require the survival story to be *visible*: the runner's telemetry
-   must report at least one chunk retry and one timeout (a chaos test
-   whose faults never fired "passes" vacuously), the store must
-   verify clean, and a resumed run must re-simulate nothing.
+4. require the survival story to be *visible* and exact: the runner's
+   telemetry must report exactly two chunk retries (the kill and the
+   hang, each charged once to its own chunk), one timeout, no
+   quarantine and no degradation -- a chaos test whose faults never
+   fired "passes" vacuously, and one whose counts are inflated reports
+   faults that did not happen -- the store must verify clean, and a
+   resumed run must re-simulate nothing.
 
 Exits non-zero, with a diff, on any mismatch.  Both stores live in
 fresh temporary directories, removed when the check ends.
@@ -42,8 +45,9 @@ POLICIES = ("BL", "LTRF")
 WORKLOAD = "btree"
 
 #: Kill the worker holding chunk 1; hang the one holding chunk 2 well
-#: past the chunk timeout.  Both fire on first delivery only, so the
-#: retry machinery (not luck) is what completes the sweep.
+#: past the chunk timeout.  Both fire until their chunk is first
+#: charged, so the retry machinery (not luck) completes the sweep,
+#: and each is charged exactly once whatever ran beside it.
 FAULT_PLAN = "kill:chunk=1,delay:chunk=2:30s"
 CHUNK_TIMEOUT = "6"
 
@@ -97,7 +101,6 @@ def check(serial_dir, chaos_dir):
     knobs = {
         "LTRF_FAULT_PLAN": FAULT_PLAN,
         "LTRF_CHUNK_TIMEOUT": CHUNK_TIMEOUT,
-        "LTRF_RETRY_BACKOFF": "0",
     }
     saved = {name: os.environ.get(name) for name in knobs}
     os.environ.update(knobs)
@@ -126,12 +129,12 @@ def check(serial_dir, chaos_dir):
     print("[4/4] survival story must be visible, durable, and clean")
     summary = chaotic.telemetry_summary()
     print(f"      {chaotic.render_telemetry()}")
-    if summary["chunk_retries"] < 1:
-        return fail("no chunk retries reported -- the kill fault "
-                    "never fired (vacuous chaos test)")
-    if summary["chunk_timeouts"] < 1:
-        return fail("no chunk timeouts reported -- the delay fault "
-                    "never hit LTRF_CHUNK_TIMEOUT")
+    expected = {"chunk_retries": 2, "chunk_timeouts": 1,
+                "chunks_quarantined": 0, "backend_degradations": 0}
+    for counter, count in expected.items():
+        if summary[counter] != count:
+            return fail(f"{counter} is {summary[counter]}, expected "
+                        f"{count} for one kill and one hang")
     if chaotic.stats.simulated != len(points):
         return fail(f"{chaotic.stats.simulated} of {len(points)} "
                     "points simulated -- the sweep lost work")

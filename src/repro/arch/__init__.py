@@ -6,8 +6,6 @@ from repro.arch.config import (
     WARP_REGISTER_BYTES,
     GPUConfig,
     MemoryConfig,
-    registers_demand_kb,
-    warps_needed_for_occupancy,
 )
 from repro.arch.gpu import GPU, GPUResult
 from repro.arch.main_register_file import MainRegisterFile, MRFStats
@@ -77,7 +75,5 @@ __all__ = [
     "Warp",
     "WarpControlBlock",
     "WarpState",
-    "registers_demand_kb",
-    "warps_needed_for_occupancy",
     "wcb_storage_bits",
 ]

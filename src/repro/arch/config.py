@@ -20,7 +20,6 @@ Two knobs drive the whole evaluation:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 
@@ -230,12 +229,3 @@ class GPUConfig:
         if factor < 1:
             raise ValueError("capacity factor must be >= 1")
         return self.scaled(mrf_size_kb=self.mrf_size_kb * factor)
-
-
-def registers_demand_kb(registers_per_thread: int, warps: int) -> float:
-    """Register file KB needed for ``warps`` resident warps."""
-    return registers_per_thread * warps * WARP_REGISTER_BYTES / 1024
-
-
-def warps_needed_for_occupancy(threads: int, warp_size: int = 32) -> int:
-    return math.ceil(threads / warp_size)

@@ -178,11 +178,13 @@ class RunnerStats:
     #: Times the process pool was torn down and rebuilt mid-grid
     #: (a broken or killed pool replaced).
     pool_retries: int = 0
-    # Fault-tolerance counters (see repro.launchers.scheduler): every
-    # recovery decision the chunk scheduler takes is visible here, so
-    # a sweep that survived trouble *says so* in telemetry_summary()
-    # and `repro report` instead of silently absorbing it.
-    chunk_retries: int = 0          # failed deliveries re-queued
+    # Fault-tolerance counters (see repro.launchers.pool): every
+    # recovery decision the pool's scheduling loop takes is visible
+    # here, so a sweep that survived trouble *says so* in
+    # telemetry_summary() and `repro report` instead of silently
+    # absorbing it.  A dead worker that cannot be attributed to one
+    # chunk charges no retry until a chunk dies running alone.
+    chunk_retries: int = 0          # charged failures re-queued
     chunk_timeouts: int = 0         # chunks killed at LTRF_CHUNK_TIMEOUT
     chunks_quarantined: int = 0     # retry budget exhausted -> serial
     backend_degradations: int = 0   # backend abandoned for serial

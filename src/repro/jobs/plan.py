@@ -18,23 +18,22 @@ charged here.
   the store as it completes.  ``on_point`` observes
   every completed grid point (the tracker's progress feed);
   ``should_abort`` cancels cooperatively, raising
-  :class:`~repro.launchers.scheduler.SweepAborted` only after flushed
-  records are safe.  A subset of the plan's pending map may be passed
+  :class:`~repro.launchers.SweepAborted` only after flushed records
+  are safe.  A subset of the plan's pending map may be passed
   explicitly, which is how single-flight ownership partitions one
   plan's misses across concurrent jobs.
 * :meth:`JobPlan.merge` returns records aligned with the original
   request order, independent of completion order.
 
 Parallel misses run on a local process pool
-(:mod:`repro.launchers.local`) under the chunk scheduler
-(:mod:`repro.launchers.scheduler`), which retries failed chunks with
-capped backoff, kills and reassigns chunks that blow the
-``LTRF_CHUNK_TIMEOUT`` wall-clock budget, quarantines chunks that
-exhaust their retry budget (they re-run serially in this process,
-where a real poison shows its real traceback), and degrades to serial
-in-process execution when the pool itself keeps breaking -- so a
-sweep finishes late rather than never, and every recovery action is
-counted.
+(:func:`repro.launchers.pool.run_chunks`), which retries failed
+chunks, charges a dead worker only to the chunk that caused it, kills
+and reassigns chunks that blow the ``LTRF_CHUNK_TIMEOUT`` wall-clock
+budget, quarantines chunks that exhaust their retry budget (they
+re-run serially in this process, where a real poison shows its real
+traceback), and degrades to serial in-process execution when the pool
+itself keeps breaking -- so a sweep finishes late rather than never,
+and every recovery action is counted.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ from repro.experiments.runner import (
     SimTelemetry,
     content_key,
 )
-from repro.launchers import Chunk
-from repro.launchers.scheduler import RetryPolicy, SweepAborted, run_chunks
+from repro.launchers import SweepAborted
 from repro.launchers.worker import execute_request_with_telemetry
 from repro.workloads.registry import BUILD_STATS
 
@@ -250,21 +248,20 @@ def _run_parallel(runner: Runner, items: List[tuple], jobs: int,
     Records are stored (and flushed to the result store) as each
     chunk completes, so no delivered chunk is ever lost; a chunk
     whose worker dies re-runs whole.  Failed or hung chunks are
-    retried with backoff, quarantined after exhausting their budget,
-    and -- when the pool keeps breaking -- the remainder runs serially
-    in this process, so the grid always completes; recovery actions
-    land in the runner's stats.
+    retried, quarantined after exhausting their budget, and -- when
+    the pool keeps breaking -- the remainder runs serially in this
+    process, so the grid always completes; recovery actions land in
+    the runner's stats.
     """
     # Imported here: the pool pulls in multiprocessing, which a CLI
     # start that simulates nothing in parallel should not pay for.
-    from repro.launchers.local import LocalPoolLauncher
+    from repro.launchers.pool import Chunk, RetryPolicy, run_chunks
 
     workers = min(jobs, len(items))
     chunks = [
         Chunk(id=index, items=list(chunk))
         for index, chunk in enumerate(_dispatch_chunks(items, workers))
     ]
-    launcher = LocalPoolLauncher()
     stats = runner.stats
 
     def on_done(chunk: Chunk, outcomes: list) -> None:
@@ -296,7 +293,7 @@ def _run_parallel(runner: Runner, items: List[tuple], jobs: int,
                     results, on_point, should_abort)
 
     run_chunks(
-        launcher, chunks, workers, RetryPolicy.from_env(),
+        chunks, workers, RetryPolicy.from_env(),
         on_done=on_done, run_serial=run_serial, on_event=on_event,
         should_abort=should_abort,
     )

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.experiments.runner import Runner
 from repro.jobs.plan import JobPlan, execute_plan, plan_requests
 from repro.jobs.spec import JobSpec
-from repro.launchers.scheduler import SweepAborted
+from repro.launchers import SweepAborted
 from repro.store import ResultStore
 
 QUEUED = "queued"

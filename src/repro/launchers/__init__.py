@@ -1,47 +1,16 @@
-"""Parallel sweep execution (see base.py for the contract).
-
-Grid-point misses fan out over a local process pool (local.py) under a
-scheduler (scheduler.py) that owns retries, timeouts, quarantine and
-degradation; a deterministic fault-injection harness (faults.py)
-exercises that machinery in tests and CI.
+"""Parallel sweep execution: the process pool (:mod:`.pool`), the one
+simulation a grid point runs (:mod:`.worker`) and the fault harness
+(:mod:`.faults`).  Only :class:`SweepAborted` lives here, so a serial
+sweep can catch it without loading ``multiprocessing``.
 """
 
-from repro.launchers.base import (
-    Chunk,
-    ChunkHandle,
-    ChunkOutcome,
-    Launcher,
-    worker_id,
-)
-from repro.launchers.faults import (
-    ENV_FAULT_PLAN,
-    FaultPlanError,
-    parse_fault_plan,
-)
-from repro.launchers.scheduler import (
-    ENV_CHUNK_RETRIES,
-    ENV_CHUNK_TIMEOUT,
-    ENV_RETRY_BACKOFF,
-    RetryPolicy,
-    SchedulerReport,
-    SweepAborted,
-    run_chunks,
-)
 
-__all__ = [
-    "Chunk",
-    "ChunkHandle",
-    "ChunkOutcome",
-    "ENV_CHUNK_RETRIES",
-    "ENV_CHUNK_TIMEOUT",
-    "ENV_FAULT_PLAN",
-    "ENV_RETRY_BACKOFF",
-    "FaultPlanError",
-    "Launcher",
-    "RetryPolicy",
-    "SchedulerReport",
-    "SweepAborted",
-    "parse_fault_plan",
-    "run_chunks",
-    "worker_id",
-]
+class SweepAborted(RuntimeError):
+    """A sweep was cancelled cooperatively (``should_abort`` returned
+    True) rather than failing.
+
+    Raised by the pool and by the serial path of :mod:`repro.jobs.plan`
+    once in-flight work is killed.  Every record already delivered is
+    flushed, so re-running the same grid resumes from the store; the
+    job tracker maps this onto the ``partial`` job state.
+    """

@@ -12,17 +12,17 @@ CI instead of being simulated with mock pools::
 
 The one selector, ``chunk=<id>``, matches the deterministic
 dispatch-order chunk id.  By default a fault fires only on a chunk's
-*first* delivery attempt -- modelling a transient fault the retry
-machinery must absorb -- so a retried chunk succeeds; append
-``:always`` to keep firing on every attempt, which drives the
-poisoned-chunk quarantine path instead.
+*first* attempt -- before its first charged failure, modelling a
+transient fault the retry machinery must absorb -- so a retried chunk
+succeeds; append ``:always`` to keep firing on every attempt, which
+drives the poisoned-chunk quarantine path instead.
 
 Two hard safety rails:
 
 * Faults only ever fire inside pool workers (guarded by
-  :func:`repro.launchers.base.worker_id`), never in the orchestrating
-  process -- a quarantined chunk degraded to serial in-process
-  execution runs clean.
+  :func:`worker_id`), never in the orchestrating process -- a
+  quarantined chunk degraded to serial in-process execution runs
+  clean.
 * The plan is parsed eagerly and loudly: a malformed plan raises
   :class:`FaultPlanError` rather than silently injecting nothing,
   because a chaos test whose faults never fire "passes" vacuously.
@@ -36,8 +36,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.launchers.base import worker_id
-
 ENV_FAULT_PLAN = "LTRF_FAULT_PLAN"
 
 #: Exit code of an injected kill; chosen to look like SIGKILL so the
@@ -50,6 +48,13 @@ _ACTIONS = ("kill", "delay")
 
 class FaultPlanError(ValueError):
     """Unparseable ``LTRF_FAULT_PLAN`` text."""
+
+
+def worker_id() -> Optional[str]:
+    """This process's pool-worker identity (``LTRF_WORKER_ID``), or
+    ``None`` outside pool workers: a quarantined chunk re-run serially
+    in the parent must not re-trigger the kill that quarantined it."""
+    return os.environ.get("LTRF_WORKER_ID")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ scaling, and the access-count energy model behind Figure 10."""
 from repro.power.cacti import (
     access_energy,
     bank_latency,
-    design_area,
     design_latency,
     design_leakage,
     network_latency,
@@ -19,7 +18,6 @@ from repro.power.tech import (
     TECHNOLOGIES,
     CellTechnology,
     RegisterFileDesign,
-    capacity_table,
     design,
     gpu_config_for,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "TECHNOLOGIES",
     "access_energy",
     "bank_latency",
-    "capacity_table",
     "design",
-    "design_area",
     "design_latency",
     "design_leakage",
     "gpu_config_for",

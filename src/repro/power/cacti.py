@@ -82,12 +82,6 @@ def design_latency(bank_kb: float, banks: int, technology_name: str,
     return (bank + network) / baseline
 
 
-def design_area(total_kb: float, technology_name: str) -> float:
-    """Relative array area (baseline 256KB HP-SRAM file = 1.0)."""
-    technology = TECHNOLOGIES[technology_name]
-    return (total_kb / 256) * technology.area_factor
-
-
 def design_leakage(total_kb: float, technology_name: str) -> float:
     """Relative leakage power (baseline 256KB HP-SRAM file = 1.0)."""
     technology = TECHNOLOGIES[technology_name]

@@ -15,7 +15,7 @@ HP-SRAM register file with 16 banks and a full crossbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class RegisterFileDesign:
     capacity_per_area: float
     capacity_per_power: float
     latency_scale: float
-
-    @property
-    def technology(self) -> CellTechnology:
-        return TECHNOLOGIES[self.cell]
 
     @property
     def banks(self) -> int:
@@ -111,19 +107,3 @@ def gpu_config_for(config_id: int, base, **overrides):
     )
     changes.update(overrides)
     return base.scaled(**changes)
-
-
-def capacity_table() -> Tuple[Tuple[str, ...], ...]:
-    """Table 2 rendered as rows of strings (for reports and examples)."""
-    header = ("Config", "Cell", "#Banks", "Bank Size", "Network", "Cap.",
-              "Area", "Power", "Cap./Area", "Cap./Power", "Latency")
-    rows = [header]
-    for point in TABLE2.values():
-        rows.append((
-            f"#{point.config_id}", point.cell, f"{point.banks_scale}x",
-            f"{point.bank_size_scale}x", point.network,
-            f"{point.capacity_scale}x", f"{point.area_scale}x",
-            f"{point.power_scale}x", f"{point.capacity_per_area}x",
-            f"{point.capacity_per_power}x", f"{point.latency_scale}x",
-        ))
-    return tuple(rows)

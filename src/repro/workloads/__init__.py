@@ -8,7 +8,7 @@ name -> kernel resolution layer in :mod:`repro.workloads.registry`.
 ``regpressure-128``, or a ``.kernel.json`` path.
 """
 
-from repro.workloads.generator import WorkloadSpec, build_kernel, dynamic_length
+from repro.workloads.generator import WorkloadSpec, build_kernel
 from repro.workloads.registry import (
     KernelProvider,
     UnknownWorkloadError,
@@ -21,7 +21,6 @@ from repro.workloads.suites import (
     EVALUATION_INSENSITIVE,
     EVALUATION_SENSITIVE,
     SUITE,
-    evaluation_kernels,
     get_kernel,
     get_spec,
     suite_kernels,
@@ -62,8 +61,6 @@ __all__ = [
     "WorkloadSpec",
     "build_kernel",
     "default_registry",
-    "dynamic_length",
-    "evaluation_kernels",
     "get_kernel",
     "get_spec",
     "resolve_workload",

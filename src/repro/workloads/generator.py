@@ -288,8 +288,3 @@ def _emit_segment(builder: KernelBuilder, spec: WorkloadSpec,
             builder.alu(destination, source_a, source_b, op=Opcode.IADD)
     builder.fadd(accumulator, accumulator, recent_slot())
     return stream
-
-
-def dynamic_length(spec: WorkloadSpec) -> int:
-    """Dynamic instructions of one warp's trace (for sizing sanity)."""
-    return build_kernel(spec).dynamic_instruction_count()

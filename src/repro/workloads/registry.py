@@ -383,9 +383,6 @@ class WorkloadRegistry:
             return provider.category
         return self.get_kernel(name).category
 
-    def kernels(self, names: Iterable[str]) -> List[Kernel]:
-        return [self.get_kernel(name) for name in names]
-
 
 #: The process-wide default registry, populated lazily with the paper
 #: suite and the built-in scenario families.  Lazy so that importing

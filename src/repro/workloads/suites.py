@@ -130,11 +130,6 @@ def get_kernel(name: str) -> Kernel:
     return default_registry().get_kernel(name)
 
 
-def evaluation_kernels() -> List[Kernel]:
-    """The 14 evaluation kernels, insensitive group first (plot order)."""
-    return [get_kernel(name) for name in EVALUATION]
-
-
 def suite_kernels() -> List[Kernel]:
     """All 35 kernels (Table 1 and Table 4 use the full suite)."""
     return [get_kernel(name) for name in workload_names()]

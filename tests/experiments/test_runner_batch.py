@@ -321,8 +321,7 @@ class TestContentKeyedStore:
         instead of an opaque worker death."""
         import pytest
         from repro.workloads import UnknownWorkloadError
-        monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
-        for where in ("repro.launchers.local", "repro.jobs.plan"):
+        for where in ("repro.launchers.pool", "repro.jobs.plan"):
             monkeypatch.setattr(
                 f"{where}.execute_request_with_telemetry",
                 _raise_unknown_workload,
@@ -669,12 +668,11 @@ class TestResumableSweeps:
 
     def test_broken_pool_retries_chunks_on_fresh_pool(self, tmp_path,
                                                       monkeypatch):
-        monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
         _ScriptedPool.plan = [1]    # pool 1: one chunk, then break
         _ScriptedPool.instances = 0
         _ScriptedPool.shutdowns = []
         monkeypatch.setattr(
-            "repro.launchers.local.ProcessPoolExecutor", _ScriptedPool
+            "repro.launchers.pool.ProcessPoolExecutor", _ScriptedPool
         )
         grid = self.grid()
         runner = Runner(cache_dir=str(tmp_path))
@@ -694,12 +692,11 @@ class TestResumableSweeps:
         """A backend that keeps breaking no longer loses the sweep:
         after enough consecutive failed deliveries the runner abandons
         the pool and finishes the grid serially in-process."""
-        monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
         _ScriptedPool.plan = [1] + [0] * 50   # every rebuilt pool breaks
         _ScriptedPool.instances = 0
         grid = self.grid()
         monkeypatch.setattr(
-            "repro.launchers.local.ProcessPoolExecutor", _ScriptedPool
+            "repro.launchers.pool.ProcessPoolExecutor", _ScriptedPool
         )
         runner = Runner(cache_dir=str(tmp_path))
         records = runner.simulate_many(grid, jobs=2)
@@ -719,7 +716,6 @@ class TestResumableSweeps:
         runtime registrations) exhausts its retry budget and re-runs
         serially in the parent -- completing the sweep instead of
         discarding it."""
-        monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
         from repro.launchers.worker import execute_request_with_telemetry
         from repro.workloads import UnknownWorkloadError
 
@@ -731,10 +727,10 @@ class TestResumableSweeps:
         _ScriptedPool.plan = [None]          # never breaks; fn may raise
         _ScriptedPool.instances = 0
         monkeypatch.setattr(
-            "repro.launchers.local.ProcessPoolExecutor", _ScriptedPool
+            "repro.launchers.pool.ProcessPoolExecutor", _ScriptedPool
         )
         monkeypatch.setattr(
-            "repro.launchers.local.execute_request_with_telemetry",
+            "repro.launchers.pool.execute_request_with_telemetry",
             fail_kmeans,
         )
         grid = self.grid()
@@ -763,9 +759,8 @@ class TestResumableSweeps:
             pytest.skip("needs fork start (monkeypatched worker fn)")
         grid = self.grid()
         with pytest.MonkeyPatch.context() as patcher:
-            patcher.setenv("LTRF_RETRY_BACKOFF", "0")
             patcher.setattr(
-                "repro.launchers.local.execute_request_with_telemetry",
+                "repro.launchers.pool.execute_request_with_telemetry",
                 _die_on_kmeans,
             )
             runner = Runner(cache_dir=str(tmp_path))

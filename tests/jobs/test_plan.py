@@ -11,7 +11,7 @@ from repro.experiments.runner import content_key
 from repro.ir import save_kernel
 from repro.jobs import plan as plan_module
 from repro.jobs.plan import absorb, execute_plan, plan_requests
-from repro.launchers import SweepAborted
+from repro.launchers import SweepAborted, pool
 from repro.launchers.worker import execute_request_with_telemetry
 from repro.workloads import default_registry, get_kernel
 
@@ -139,8 +139,8 @@ class TestCancellation:
         assert sorted(seen) == sorted(plan.keys)
 
 
-def quarantine_every_chunk(launcher, chunks, workers, policy, *,
-                           run_serial, **hooks):
+def quarantine_every_chunk(chunks, workers, policy, *, run_serial,
+                           **hooks):
     """A stand-in for the scheduler whose every chunk exhausts its
     retries: all of them re-run serially in this process."""
     run_serial(chunks)
@@ -190,17 +190,16 @@ class TestParallelDelivery:
         """A chunk that times out but completes anyway, then succeeds
         on its retry, delivers its points twice: each is counted,
         stored and reported to on_point exactly once."""
-        real_run_chunks = plan_module.run_chunks
+        real_run_chunks = pool.run_chunks
 
-        def deliver_twice(launcher, chunks, workers, policy, *, on_done,
-                          **hooks):
+        def deliver_twice(chunks, workers, policy, *, on_done, **hooks):
             def twice(chunk, outcomes):
                 on_done(chunk, outcomes)
                 on_done(chunk, outcomes)
-            return real_run_chunks(launcher, chunks, workers, policy,
+            return real_run_chunks(chunks, workers, policy,
                                    on_done=twice, **hooks)
 
-        monkeypatch.setattr(plan_module, "run_chunks", deliver_twice)
+        monkeypatch.setattr(pool, "run_chunks", deliver_twice)
         runner = Runner(cache_dir=str(tmp_path))
         plan = plan_requests(runner, grid())
         seen = []
@@ -227,8 +226,7 @@ class TestParallelDelivery:
             simulated.append(request)
             return execute_request_with_telemetry(request)
 
-        monkeypatch.setattr(plan_module, "run_chunks",
-                            quarantine_every_chunk)
+        monkeypatch.setattr(pool, "run_chunks", quarantine_every_chunk)
         monkeypatch.setattr(plan_module, "execute_request_with_telemetry",
                             execute)
         execute_plan(runner, plan, jobs=2)
@@ -239,8 +237,7 @@ class TestParallelDelivery:
 
     def test_abort_during_serial_rerun_keeps_flushed_points(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(plan_module, "run_chunks",
-                            quarantine_every_chunk)
+        monkeypatch.setattr(pool, "run_chunks", quarantine_every_chunk)
         runner = Runner(cache_dir=str(tmp_path))
         plan = plan_requests(runner, grid())
         seen = []

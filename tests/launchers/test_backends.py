@@ -75,7 +75,6 @@ class TestPoolFaults:
         (BrokenProcessPool), the pool is rebuilt, the charged chunk
         retries, and the sweep completes byte-identical to serial."""
         monkeypatch.setenv("LTRF_FAULT_PLAN", "kill:chunk=1")
-        monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
         grid = small_grid()
         runner = Runner(cache_dir=str(tmp_path))
         records = runner.simulate_many(grid, jobs=2)
@@ -83,12 +82,32 @@ class TestPoolFaults:
         assert runner.stats.chunk_retries >= 1
         assert_survived(runner, records, grid, tmp_path)
 
+    @pytest.mark.parametrize("plan, counter", [
+        ("kill:chunk=1", "chunk_retries"),
+        ("kill:chunk=1:always", "chunks_quarantined"),
+    ])
+    def test_a_dead_worker_is_charged_to_its_chunk_alone(
+            self, tmp_path, monkeypatch, plan, counter):
+        """One chunk's worker dies while its pool-mates run: the kill
+        costs exactly one retry, and a chunk killed on every attempt is
+        the only one quarantined -- the innocents it took down with the
+        pool re-run uncharged."""
+        monkeypatch.setenv("LTRF_FAULT_PLAN", plan)
+        grid = [
+            SimRequest(workload, policy, SMALL)
+            for workload in ("btree", "kmeans")
+            for policy in ("BL", "RFC", "LTRF")
+        ]
+        runner = Runner(cache_dir=str(tmp_path))
+        records = runner.simulate_many(grid, jobs=2)
+        assert getattr(runner.stats, counter) == 1
+        assert_survived(runner, records, grid, tmp_path)
+
     def test_mid_chunk_kill_reruns_the_chunk(self, tmp_path, monkeypatch):
         """A worker killed after finishing part of its chunk returns
         nothing; the retry re-runs the whole chunk on a fresh pool,
         and every point is stored exactly once."""
         monkeypatch.setenv("LTRF_FAULT_PLAN", "kill:chunk=0:after=1")
-        monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
         # Ten points on two latency rows: chunks hold two points each,
         # so "killed after 1 sim" dies with finished work in hand.
         grid = [
@@ -111,7 +130,6 @@ class TestPoolFaults:
         rebuilt, and the hung chunk completes on its retry."""
         monkeypatch.setenv("LTRF_FAULT_PLAN", "delay:chunk=0:60s")
         monkeypatch.setenv("LTRF_CHUNK_TIMEOUT", "4")
-        monkeypatch.setenv("LTRF_RETRY_BACKOFF", "0")
         grid = small_grid()
         runner = Runner(cache_dir=str(tmp_path))
         started = time.monotonic()
