@@ -1,11 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one paper table/figure.  A session-scoped
-runner shares the on-disk simulation cache, so a warm cache makes the
-suite fast while a cold one still completes in minutes.  The reduced
-``FAST_WORKLOADS`` subset keeps cold benchmark runs tractable; passing
-the full evaluation list reproduces the paper-scale tables (see
-EXPERIMENTS.md for full-scale results).
+Every figure benchmark regenerates one entry of
+``repro.experiments.FIGURES`` on that entry's fast workload set
+(``run_all_experiments.py --fast`` renders the same tables).  A
+session-scoped runner shares the on-disk simulation cache, so a warm
+cache makes the suite fast while a cold one still completes in
+minutes; ``run_all_experiments.py`` without ``--fast`` renders the
+full paper-scale tables.
 
 Set ``LTRF_BENCH_JOBS=N`` to fan each benchmark's simulation grid out
 over N worker processes on a cold cache (results are identical to the
@@ -23,10 +24,7 @@ import os
 
 import pytest
 
-from repro.experiments import Runner
-
-#: Two register-insensitive + three register-sensitive workloads.
-FAST_WORKLOADS = ["btree", "kmeans", "backprop", "srad", "lavamd"]
+from repro.experiments import FIGURES, Runner
 
 
 @pytest.fixture(scope="session")
@@ -35,10 +33,21 @@ def runner():
 
 
 @pytest.fixture(scope="session")
-def fast_workloads():
-    return list(FAST_WORKLOADS)
-
-
-@pytest.fixture(scope="session")
 def jobs():
     return int(os.environ.get("LTRF_BENCH_JOBS", "1"))
+
+
+@pytest.fixture
+def run_figure(benchmark, runner, jobs):
+    """Time one registry entry's fast run once; print it and return
+    its summary."""
+
+    def run(name):
+        result = benchmark.pedantic(
+            FIGURES[name].run, args=(runner,),
+            kwargs={"jobs": jobs, "fast": True}, rounds=1, iterations=1,
+        )
+        print("\n" + result.render())
+        return result.summary
+
+    return run

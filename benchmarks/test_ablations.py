@@ -1,4 +1,4 @@
-"""Ablation benchmarks for DESIGN.md's called-out design choices."""
+"""Ablation benchmarks: pass-2 merging, intervals vs strands, liveness."""
 
 from repro.experiments import table2_config, baseline_config
 from repro.experiments.report import geomean

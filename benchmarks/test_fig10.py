@@ -1,15 +1,8 @@
 """Benchmark: Figure 10 -- register file power on configuration #7."""
 
-from repro.experiments import fig10
 
-
-def test_fig10(benchmark, runner, fast_workloads, jobs):
-    result = benchmark.pedantic(
-        fig10, args=(runner, fast_workloads),
-        kwargs={"jobs": jobs}, rounds=1, iterations=1,
-    )
-    print("\n" + result.render())
-    summary = result.summary
+def test_fig10(run_figure):
+    summary = run_figure("fig10")
     # Paper: all three save power vs baseline (RFC -35%, LTRF -35%,
     # LTRF+ -46%); LTRF+ is the lowest.
     for policy in ("RFC", "LTRF", "LTRF+"):

@@ -1,15 +1,8 @@
 """Benchmark: Figure 11 -- maximum tolerable register file latency."""
 
-from repro.experiments import fig11
 
-
-def test_fig11(benchmark, runner, fast_workloads, jobs):
-    result = benchmark.pedantic(
-        fig11, args=(runner, fast_workloads),
-        kwargs={"jobs": jobs}, rounds=1, iterations=1,
-    )
-    print("\n" + result.render())
-    summary = result.summary
+def test_fig11(run_figure):
+    summary = run_figure("fig11")
     # Paper means: BL 1x, RFC 2.1x, LTRF 5.3x, LTRF+ 6.2x.  Shape:
     # BL lowest, RFC ~2x, LTRF well above RFC, LTRF+ >= LTRF.
     assert summary["BL_mean"] < summary["RFC_mean"]

@@ -1,15 +1,8 @@
 """Benchmark: Figure 14 -- LTRF vs software-managed hierarchies."""
 
-from repro.experiments import fig14
 
-
-def test_fig14(benchmark, runner, jobs):
-    result = benchmark.pedantic(
-        fig14, args=(runner, ["btree", "backprop", "srad"]),
-        kwargs={"jobs": jobs}, rounds=1, iterations=1,
-    )
-    print("\n" + result.render())
-    summary = result.summary
+def test_fig14(run_figure):
+    summary = run_figure("fig14")
     # Paper ordering of tolerable latency:
     # BL < RFC ~ SHRF < LTRF-strand < LTRF (register-interval).
     assert summary["BL_tolerable"] <= summary["RFC_tolerable"]

@@ -1,16 +1,10 @@
 """Benchmark: Figure 3 -- real vs ideal TFET-SRAM 8x register file."""
 
-from repro.experiments import fig3
 
-
-def test_fig3(benchmark, runner, fast_workloads, jobs):
-    result = benchmark.pedantic(
-        fig3, args=(runner, fast_workloads),
-        kwargs={"jobs": jobs}, rounds=1, iterations=1,
-    )
-    print("\n" + result.render())
+def test_fig3(run_figure):
+    summary = run_figure("fig3")
     # Ideal capacity helps (paper: +37% on register-sensitive);
     # the real 5.3x latency erases the gain for BL.
-    assert result.summary["ideal_sensitive_mean"] > 1.15
-    assert result.summary["real_mean"] < result.summary["ideal_mean"]
-    assert result.summary["real_mean"] < 0.8
+    assert summary["ideal_sensitive_mean"] > 1.15
+    assert summary["real_mean"] < summary["ideal_mean"]
+    assert summary["real_mean"] < 0.8

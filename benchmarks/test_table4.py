@@ -1,12 +1,8 @@
 """Benchmark: Table 4 -- real vs optimal register-interval lengths."""
 
-from repro.experiments import table4
 
-
-def test_table4(benchmark):
-    result = benchmark.pedantic(table4, rounds=1, iterations=1)
-    print("\n" + result.render())
-    summary = result.summary
+def test_table4(run_figure):
+    summary = run_figure("table4")
     # Paper: real length is 89% of optimal; both tens of instructions.
     assert summary["real_avg"] > 10
     assert 0.5 <= summary["real_over_optimal"] <= 1.05

@@ -1,90 +1,37 @@
-"""Regenerate every table and figure and write EXPERIMENTS.md.
+"""Regenerate every paper table and figure and print them.
 
 Run with:  python scripts/run_all_experiments.py [--fast] [--jobs N]
 
-``--fast`` restricts the simulated experiments to a five-workload
-subset (the benchmark harness default); the full run uses the complete
-14-workload evaluation set and takes tens of minutes cold (results are
-cached under .ltrf_cache/ or $LTRF_CACHE_DIR).  ``--jobs N`` fans each
-experiment's simulation grid out over N worker processes; the rendered
-output is byte-identical for any job count.
+Renders every entry of ``repro.experiments.FIGURES`` in paper order,
+each followed by the paper's numbers.  ``--fast`` runs each figure on
+its registry fast set (the set its benchmark uses); the full run uses
+each figure's complete workload set and takes minutes cold (results
+are cached under .ltrf_cache/ or $LTRF_CACHE_DIR).  ``--jobs N`` fans
+each experiment's simulation grid out over N worker processes; the
+rendered output is byte-identical for any job count.
 """
 
 import argparse
 import time
 
-from repro.experiments import (
-    Runner,
-    fig2, fig3, fig4, fig9, fig10, fig11, fig12, fig13, fig14,
-    overheads, storage_report, table1, table2, table4,
-)
-from repro.experiments.latency_tolerance import SWEEP_SUBSET
-from repro.workloads import EVALUATION
-
-PAPER_NOTES = {
-    "Table 1": "paper: Fermi 184KB (1.4x) / 324KB (2.5x); "
-               "Maxwell 588KB (2.3x) / 1504KB (5.9x)",
-    "Figure 2": "paper: Pascal dedicates >60% of on-chip storage to the RF",
-    "Table 2": "paper: published CACTI/NVSim numbers (incl. queueing)",
-    "Figure 3": "paper: Ideal TFET +37% avg (sensitive); real TFET loses "
-                "most of the gain",
-    "Figure 4": "paper: 8-30% hit rate for both HW and SW register caches",
-    "Figure 9a": "paper means: LTRF +32%, LTRF+ ~+33%, Ideal ~+35%; "
-                 "RFC -14%",
-    "Figure 9b": "paper means: LTRF +28%, LTRF+ +31% on config #7",
-    "Figure 10": "paper means: RFC 0.649, LTRF 0.646, LTRF+ 0.539",
-    "Figure 11": "paper means: BL 1x, RFC 2.1x, LTRF 5.3x, LTRF+ 6.2x",
-    "Figure 12": "paper: 8-reg intervals degrade at high latency; 16 is "
-                 "the sweet spot",
-    "Figure 13": "paper: 4->8 active warps +36.9% on slow MRFs; >8 flat",
-    "Figure 14": "paper tolerable: BL 1x, RFC ~2x, SHRF ~2x, "
-                 "LTRF-strand ~3x, LTRF 5.3x",
-    "Table 4": "paper: real 31.2/7/45, optimal 34.7/9/53 (real = 89% of "
-               "optimal on average)",
-    "Section 4.3": "paper: +7%/+9% code size, WCB ~5% of 256KB, 4-6x "
-                   "fewer MRF accesses",
-}
+from repro.experiments import FIGURES, Runner
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
-                        help="five-workload subset instead of the full set")
+                        help="each figure's fast workload set instead of "
+                             "the full set")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for simulation grids")
-    args = parser.parse_args()
-    workloads = list(EVALUATION)[:5] if args.fast else list(EVALUATION)
-    sweep_workloads = (
-        list(SWEEP_SUBSET)[:3] if args.fast else list(SWEEP_SUBSET)
-    )
-    jobs = args.jobs
+    args = parser.parse_args(argv)
     runner = Runner()
     sections = []
-
-    def record(result, note_key=None):
-        note = PAPER_NOTES.get(note_key or result.experiment, "")
+    for figure in FIGURES.values():
+        result = figure.run(runner, jobs=args.jobs, fast=args.fast)
         stamp = time.strftime("%H:%M:%S")
         print(f"[{stamp}] {result.experiment} done")
-        body = result.render()
-        if note:
-            body += f"\n  [{note}]"
-        sections.append(body)
-
-    record(table1())
-    record(fig2())
-    record(table2())
-    record(fig3(runner, workloads, jobs=jobs))
-    record(fig4(runner, workloads, jobs=jobs))
-    record(fig9(runner, 6, workloads, jobs=jobs), "Figure 9a")
-    record(fig9(runner, 7, workloads, jobs=jobs), "Figure 9b")
-    record(fig10(runner, workloads, jobs=jobs))
-    record(fig11(runner, workloads, jobs=jobs))
-    record(fig12(runner, sweep_workloads, jobs=jobs))
-    record(fig13(runner, sweep_workloads, jobs=jobs))
-    record(fig14(runner, sweep_workloads, jobs=jobs))
-    record(table4())
-    record(overheads(runner, workloads, jobs=jobs))
-    record(storage_report(), "Section 4.3")
+        sections.append(f"{result.render()}\n  [{figure.paper}]")
 
     for section in sections:
         print()

@@ -5,8 +5,7 @@ per-SM IPC ratios, so the single-SM model in :mod:`repro.arch.sm` is
 what the experiments use.  This wrapper exists for users who want
 chip-level numbers: it runs ``num_sms`` independent SMs over disjoint
 warp groups (GPU SMs share only the L2/DRAM, which our per-SM hierarchy
-slices statically -- see DESIGN.md's simplification notes) and
-aggregates their results.
+slices statically) and aggregates their results.
 """
 
 from __future__ import annotations

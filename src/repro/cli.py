@@ -28,8 +28,8 @@ instance (``<family>-<parameter>``), or a ``.kernel.json`` path.
 Architecture arguments resolve the same way through
 :mod:`repro.arch.registry`: a built-in name (``list-archs``) or a
 ``.arch.json`` path.  Every subcommand prints plain text; experiment
-names mirror the paper's tables and figures (see DESIGN.md's
-experiment index).
+names mirror the paper's tables and figures (the experiment index is
+:data:`repro.experiments.FIGURES`).
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ from repro.arch.registry import (
 )
 from repro.compiler import compile_kernel
 from repro.experiments import (
+    FIGURES,
     Runner,
-    fig2, fig3, fig4, fig9, fig10, fig11, fig12, fig13, fig14,
-    overheads, render_sweep_table, sweep_requests,
-    table1, table2, table4,
+    render_sweep_table,
+    sweep_requests,
 )
 from repro.experiments.runner import default_cache_dir
 from repro.ir import kernel_fingerprint, save_kernel
@@ -68,36 +68,6 @@ from repro.workloads import (
     get_kernel,
 )
 from repro.workloads.registry import KERNEL_FILE_SUFFIX, is_kernel_file_name
-
-#: Experiment registry: name -> callable(runner, jobs) -> ExperimentResult.
-EXPERIMENTS = {
-    "table1": lambda runner, jobs: table1(),
-    "fig2": lambda runner, jobs: fig2(),
-    "table2": lambda runner, jobs: table2(),
-    "fig3": lambda runner, jobs: fig3(runner, jobs=jobs),
-    "fig4": lambda runner, jobs: fig4(runner, jobs=jobs),
-    "fig9a": lambda runner, jobs: fig9(runner, 6, jobs=jobs),
-    "fig9b": lambda runner, jobs: fig9(runner, 7, jobs=jobs),
-    "fig10": lambda runner, jobs: fig10(runner, jobs=jobs),
-    "fig11": lambda runner, jobs: fig11(runner, jobs=jobs),
-    "fig12": lambda runner, jobs: fig12(runner, jobs=jobs),
-    "fig13": lambda runner, jobs: fig13(runner, jobs=jobs),
-    "fig14": lambda runner, jobs: fig14(runner, jobs=jobs),
-    "table4": lambda runner, jobs: table4(),
-    "overheads": lambda runner, jobs: overheads(runner, jobs=jobs),
-}
-
-#: Experiments that sweep a *chosen* architecture (the latency-tolerance
-#: figures perturb whatever SM they are given); everything else pins the
-#: specific paper configuration it reproduces, so ``--arch`` is an
-#: error there rather than a silently ignored flag.
-ARCH_AWARE = {
-    "fig11": lambda runner, jobs, arch: fig11(runner, jobs=jobs, arch=arch),
-    "fig12": lambda runner, jobs, arch: fig12(runner, jobs=jobs, arch=arch),
-    "fig13": lambda runner, jobs, arch: fig13(runner, jobs=jobs, arch=arch),
-    "fig14": lambda runner, jobs, arch: fig14(runner, jobs=jobs, arch=arch),
-}
-
 
 def _add_workload_argument(command) -> None:
     """Workload selection shared by simulate/sweep: name or kernel file.
@@ -194,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment",
                                 help="regenerate paper tables/figures")
     experiment.add_argument("names", nargs="+",
-                            choices=sorted(EXPERIMENTS) + ["all"])
+                            choices=sorted(FIGURES) + ["all"])
     experiment.add_argument("--jobs", type=int, default=1,
                             help="worker processes for simulation grids")
     experiment.add_argument(
@@ -475,23 +445,20 @@ def _cmd_compile(args) -> None:
 
 def _cmd_experiment(names: List[str], jobs: int,
                     arch: Optional[str] = None) -> None:
-    selected = sorted(EXPERIMENTS) if "all" in names else names
+    selected = sorted(FIGURES) if "all" in names else names
     if arch is not None:
-        unsupported = [name for name in selected if name not in ARCH_AWARE]
+        aware = [name for name in sorted(FIGURES) if FIGURES[name].arch_aware]
+        unsupported = [name for name in selected if name not in aware]
         if unsupported:
             _fail(f"--arch only applies to the latency-sweep figures "
-                  f"({', '.join(sorted(ARCH_AWARE))}); "
+                  f"({', '.join(aware)}); "
                   f"{unsupported[0]!r} reproduces a fixed paper "
                   "configuration")
         _resolve_arch_config(arch)      # fail fast, before any simulation
     runner = _make_runner()
     try:
         for name in selected:
-            if arch is not None:
-                result = ARCH_AWARE[name](runner, jobs, arch)
-            else:
-                result = EXPERIMENTS[name](runner, jobs)
-            print(result.render())
+            print(FIGURES[name].run(runner, jobs=jobs, arch=arch).render())
             print()
     except KeyboardInterrupt:
         runner.log_run(f"experiment {' '.join(selected)} (interrupted)")
@@ -712,7 +679,7 @@ def main(argv: List[str] = None) -> int:
             for name in sorted(POLICIES):
                 print(name)
         elif args.command == "list-experiments":
-            for name in sorted(EXPERIMENTS):
+            for name in sorted(FIGURES):
                 print(name)
         elif args.command == "simulate":
             _cmd_simulate(args)

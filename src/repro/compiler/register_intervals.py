@@ -52,7 +52,7 @@ def form_register_intervals(
     (:mod:`repro.compiler.pipeline`) does this automatically.
 
     ``run_pass2=False`` stops after Algorithm 1, exposing the pass-2
-    ablation called out in DESIGN.md.
+    ablation (``LTRF-pass1``; see ``benchmarks/test_ablations.py``).
     """
     if max_registers < 4:
         raise ValueError("max_registers must be at least 4 (one instruction)")

@@ -2,6 +2,7 @@
 
 from repro.experiments.capacity import fig3, fig4, fig9, fig10
 from repro.experiments.compiler_metrics import overheads, storage_report, table4
+from repro.experiments.figures import FIGURES, Figure
 from repro.experiments.latency_tolerance import (
     LATENCY_GRID,
     SWEEP_SUBSET,
@@ -28,6 +29,8 @@ from repro.experiments.static_tables import fig2, table1, table2
 
 __all__ = [
     "ExperimentResult",
+    "FIGURES",
+    "Figure",
     "LATENCY_GRID",
     "RunRecord",
     "Runner",

@@ -57,11 +57,11 @@ def fig3(runner: Runner, workloads: Optional[List[str]] = None,
         real_values.append(real)
         if category == "register-sensitive":
             sensitive_ideal.append(ideal)
-    result.summary = {
-        "ideal_mean": geomean(ideal_values),
-        "ideal_sensitive_mean": geomean(sensitive_ideal),
-        "real_mean": geomean(real_values),
-    }
+    result.summary = {"ideal_mean": geomean(ideal_values)}
+    # A mean over no register-sensitive workload is no finding at all.
+    if sensitive_ideal:
+        result.summary["ideal_sensitive_mean"] = geomean(sensitive_ideal)
+    result.summary["real_mean"] = geomean(real_values)
     return result
 
 

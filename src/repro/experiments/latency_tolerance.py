@@ -19,7 +19,7 @@ renders identically for any job count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.report import ExperimentResult, mean
 from repro.experiments.runner import Runner, SimRequest, sweep_config
@@ -168,45 +168,59 @@ def fig11(runner: Runner, workloads: Optional[List[str]] = None,
     return result
 
 
+def _mean_curves(result: ExperimentResult, runner: Runner,
+                 workloads: Optional[List[str]],
+                 columns: Sequence[Tuple[str, Dict[str, object]]],
+                 jobs: Optional[int], arch) -> List[List[float]]:
+    """Add one row per latency to ``result``: each column's normalised
+    sweep averaged over the workloads.  A column is ``(policy, config
+    overrides)``; the (column, workload, latency) grid is simulated
+    first, in that order.  Returns the mean curves, column by column."""
+    names = list(workloads) if workloads is not None else list(SWEEP_SUBSET)
+    runner.simulate_many(
+        [
+            request
+            for policy, overrides in columns
+            for name in names
+            for request in sweep_requests(policy, name, arch=arch,
+                                          **overrides)
+        ],
+        jobs=jobs,
+    )
+    curves = []
+    for policy, overrides in columns:
+        sweeps = [
+            normalized_sweep(runner, policy, name, arch=arch, **overrides)
+            for name in names
+        ]
+        curves.append([
+            mean([sweep[index] for sweep in sweeps])
+            for index in range(len(LATENCY_GRID))
+        ])
+    for index, multiple in enumerate(LATENCY_GRID):
+        result.add_row(f"{multiple:.0f}x",
+                       *(curve[index] for curve in curves))
+    return curves
+
+
 def fig12(runner: Runner, workloads: Optional[List[str]] = None,
           interval_sizes: Sequence[int] = (8, 16, 32),
           jobs: Optional[int] = None,
           arch="maxwell-like") -> ExperimentResult:
     """LTRF IPC vs latency for different registers-per-interval budgets."""
-    names = list(workloads) if workloads is not None else list(SWEEP_SUBSET)
     result = ExperimentResult(
         "Figure 12",
         "LTRF normalised IPC vs MRF latency and interval size",
         ("Relative latency",) + tuple(f"{n} regs" for n in interval_sizes),
     )
-    runner.simulate_many(
-        [
-            request
-            for size in interval_sizes
-            for name in names
-            for request in sweep_requests(
-                "LTRF", name, arch=arch, regs_per_interval=size
-            )
-        ],
-        jobs=jobs,
+    curves = _mean_curves(
+        result, runner, workloads,
+        [("LTRF", {"regs_per_interval": size}) for size in interval_sizes],
+        jobs, arch,
     )
-    curves = {}
-    for size in interval_sizes:
-        per_point = [[] for _ in LATENCY_GRID]
-        for name in names:
-            sweep = normalized_sweep(
-                runner, "LTRF", name, arch=arch, regs_per_interval=size
-            )
-            for index, value in enumerate(sweep):
-                per_point[index].append(value)
-        curves[size] = [mean(point) for point in per_point]
-    for index, multiple in enumerate(LATENCY_GRID):
-        result.add_row(
-            f"{multiple:.0f}x", *(curves[s][index] for s in interval_sizes)
-        )
     result.summary = {
-        f"regs{s}_at_{LATENCY_GRID[-1]:.0f}x": curves[s][-1]
-        for s in interval_sizes
+        f"regs{size}_at_{LATENCY_GRID[-1]:.0f}x": curve[-1]
+        for size, curve in zip(interval_sizes, curves)
     }
     return result
 
@@ -216,40 +230,18 @@ def fig13(runner: Runner, workloads: Optional[List[str]] = None,
           jobs: Optional[int] = None,
           arch="maxwell-like") -> ExperimentResult:
     """LTRF IPC vs latency for different active-warp pool sizes."""
-    names = list(workloads) if workloads is not None else list(SWEEP_SUBSET)
     result = ExperimentResult(
         "Figure 13",
         "LTRF normalised IPC vs MRF latency and active warps",
         ("Relative latency",) + tuple(f"{n} warps" for n in pools),
     )
-    runner.simulate_many(
-        [
-            request
-            for pool in pools
-            for name in names
-            for request in sweep_requests("LTRF", name, arch=arch,
-                                          active_warps=pool)
-        ],
-        jobs=jobs,
+    curves = _mean_curves(
+        result, runner, workloads,
+        [("LTRF", {"active_warps": pool}) for pool in pools], jobs, arch,
     )
-    curves = {}
-    for pool in pools:
-        per_point = [[] for _ in LATENCY_GRID]
-        for name in names:
-            sweep = normalized_sweep(
-                runner, "LTRF", name, arch=arch, active_warps=pool
-            )
-            for index, value in enumerate(sweep):
-                per_point[index].append(value)
-        curves[pool] = [mean(point) for point in per_point]
-    for index, multiple in enumerate(LATENCY_GRID):
-        result.add_row(
-            f"{multiple:.0f}x", *(curves[p][index] for p in pools)
-        )
-    slowest = len(LATENCY_GRID) - 1
     result.summary = {
-        f"warps{p}_at_{LATENCY_GRID[-1]:.0f}x": curves[p][slowest]
-        for p in pools
+        f"warps{pool}_at_{LATENCY_GRID[-1]:.0f}x": curve[-1]
+        for pool, curve in zip(pools, curves)
     }
     return result
 
@@ -258,35 +250,17 @@ def fig14(runner: Runner, workloads: Optional[List[str]] = None,
           jobs: Optional[int] = None,
           arch="maxwell-like") -> ExperimentResult:
     """Normalised IPC vs latency for all five designs."""
-    names = list(workloads) if workloads is not None else list(SWEEP_SUBSET)
     result = ExperimentResult(
         "Figure 14",
         "Normalised IPC vs MRF latency: BL/RFC/SHRF/LTRF-strand/LTRF",
         ("Relative latency",) + FIG14_POLICIES,
     )
-    runner.simulate_many(
-        [
-            request
-            for policy in FIG14_POLICIES
-            for name in names
-            for request in sweep_requests(policy, name, arch=arch)
-        ],
-        jobs=jobs,
+    curves = _mean_curves(
+        result, runner, workloads,
+        [(policy, {}) for policy in FIG14_POLICIES], jobs, arch,
     )
-    curves = {}
-    for policy in FIG14_POLICIES:
-        per_point = [[] for _ in LATENCY_GRID]
-        for name in names:
-            sweep = normalized_sweep(runner, policy, name, arch=arch)
-            for index, value in enumerate(sweep):
-                per_point[index].append(value)
-        curves[policy] = [mean(point) for point in per_point]
-    for index, multiple in enumerate(LATENCY_GRID):
-        result.add_row(
-            f"{multiple:.0f}x", *(curves[p][index] for p in FIG14_POLICIES)
-        )
     result.summary = {
-        f"{policy}_tolerable": max_tolerable_latency(curves[policy])
-        for policy in FIG14_POLICIES
+        f"{policy}_tolerable": max_tolerable_latency(curve)
+        for policy, curve in zip(FIG14_POLICIES, curves)
     }
     return result

@@ -1,9 +1,10 @@
 """Plain-text rendering of experiment results (paper-style tables).
 
 Every experiment returns an :class:`ExperimentResult`: a caption, column
-headers, and rows.  ``render`` produces the aligned text table the
-benchmarks print and EXPERIMENTS.md embeds; ``geomean`` and ``mean``
-are the aggregations the paper uses for its "on average" claims.
+headers, and rows.  ``render`` produces the aligned text table that
+``repro experiment``, ``run_all_experiments.py`` and the benchmarks
+print; ``geomean`` and ``mean`` are the aggregations the paper uses
+for its "on average" claims.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Kernels: a CFG plus metadata, and dynamic-trace generation.
 
 A :class:`Kernel` is what the compiler passes consume and what warps
-execute.  Because our simulator is trace-driven (see DESIGN.md), the
-kernel knows how to unroll itself into a *dynamic instruction trace* for
-one warp: branches are resolved using their behavioural metadata
+execute.  Because our simulator is trace-driven, the kernel knows how
+to unroll itself into a *dynamic instruction trace* for one warp:
+branches are resolved using their behavioural metadata
 (``trip_count`` for loop branches, ``taken_probability`` for
 data-dependent ones, resolved with a per-warp seeded RNG so runs are
 deterministic), and memory instructions are assigned concrete byte

@@ -288,8 +288,10 @@ class ServiceApp:
         self._closed.set()
         active = self.tracker.cancel_all()
         self._executor.shutdown(wait=True)
+        # Dispatched jobs are terminal now; a job no executor picked up
+        # is queued, and executing it aborts at once (partial + hint).
         for job in active:
-            job.wait(timeout=5.0)
+            self.tracker.execute(job.id)
         self.tracker.close()
         return active
 

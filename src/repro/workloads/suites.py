@@ -12,8 +12,7 @@ near Table 1 of the paper (Maxwell: average demand ~2.3x a 256KB file,
 maximum ~5.9x; Fermi: ~1.4x / ~2.5x of 128KB), and whose memory/compute
 mixes produce the hit-rate and latency-tolerance behaviours the
 evaluation section reports.  The *names* identify which real benchmark
-each synthetic stands in for; the behaviour is synthetic by design
-(see DESIGN.md, substitution table).
+each synthetic stands in for; the behaviour is synthetic by design.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -357,4 +358,17 @@ class TestDrain:
         assert response.status == 503
         health = body_of(app.handle("GET", "/healthz", {}, b""))
         assert health["status"] == "draining"
+        app.close()
+
+    def test_drain_finishes_a_job_no_executor_picked_up(self, tmp_path):
+        """A job that reached the tracker but never the executor ends
+        partial with its resume hint, without a wait on it."""
+        app = ServiceApp(str(tmp_path), job_workers=1)
+        job = app.tracker.submit(JobSpec.from_dict(SPEC))
+        started = time.monotonic()
+        assert app.drain() == [job]
+        assert time.monotonic() - started < 1.0
+        assert job.state == "partial"
+        assert "cancelled before execution started" in job.error
+        assert "re-submit the same spec" in job.resume_hint
         app.close()

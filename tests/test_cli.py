@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments import FIGURES
 
 
 def flat_json_dir(tmp_path, name="flat-cache"):
@@ -33,7 +34,8 @@ def test_list_policies(capsys):
 def test_list_experiments(capsys):
     main(["list-experiments"])
     out = capsys.readouterr().out
-    for name in ("fig9a", "table4"):
+    assert out.split() == sorted(FIGURES)
+    for name in ("fig9a", "table4", "storage"):
         assert name in out
 
 
@@ -58,7 +60,7 @@ def test_experiment_registry_is_complete():
     expected = {"table1", "table2", "table4", "fig2", "fig3", "fig4",
                 "fig9a", "fig9b", "fig10", "fig11", "fig12", "fig13",
                 "fig14", "overheads"}
-    assert expected <= set(EXPERIMENTS)
+    assert expected <= set(FIGURES)
 
 
 def test_unknown_command_rejected():
