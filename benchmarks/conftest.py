@@ -2,11 +2,14 @@
 
 Every figure benchmark regenerates one entry of
 ``repro.experiments.FIGURES`` on that entry's fast workload set
-(``run_all_experiments.py --fast`` renders the same tables).  A
-session-scoped runner shares the on-disk simulation cache, so a warm
-cache makes the suite fast while a cold one still completes in
-minutes; ``run_all_experiments.py`` without ``--fast`` renders the
-full paper-scale tables.
+(``run_all_experiments.py --fast`` renders the same tables).  One
+session-scoped runner shares its result store across the benchmarks:
+the store ``LTRF_CACHE_DIR`` names when it is set, otherwise a fresh
+one under pytest's temporary directory, so a run never reads records
+that older code left in ``./.ltrf_cache`` (a store key fingerprints
+the configuration and the kernel, not the simulator).
+``run_all_experiments.py`` without ``--fast`` renders the full
+paper-scale tables.
 
 Set ``LTRF_BENCH_JOBS=N`` to fan each benchmark's simulation grid out
 over N worker processes on a cold cache (results are identical to the
@@ -28,8 +31,10 @@ from repro.experiments import FIGURES, Runner
 
 
 @pytest.fixture(scope="session")
-def runner():
-    return Runner()
+def runner(tmp_path_factory):
+    if "LTRF_CACHE_DIR" in os.environ:
+        return Runner()
+    return Runner(cache_dir=str(tmp_path_factory.mktemp("bench-store")))
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,6 @@ telemetry assertions pin the amortization property itself so the timing
 gate is backed by a behavioural check.
 """
 
-import pytest
-
-from repro.compiler.cache import cache_enabled
 from repro.experiments.latency_tolerance import sweep_requests
 from repro.experiments.runner import Runner
 
@@ -29,8 +26,6 @@ def _run_sweep():
 
 
 def test_sweep_amortization(benchmark):
-    if not cache_enabled():
-        pytest.skip("LTRF_COMPILE_CACHE=0: nothing to amortise")
     runner = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
     summary = runner.telemetry_summary()
     points = summary["simulations"]

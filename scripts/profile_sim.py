@@ -4,17 +4,15 @@ Usage:
     python scripts/profile_sim.py                          # defaults
     python scripts/profile_sim.py --workload backprop --policy LTRF
     python scripts/profile_sim.py --policy BL --latency 6.3
-    python scripts/profile_sim.py --grid --top 40 --sort tottime
-    python scripts/profile_sim.py --no-static-cache -o prof.pstats
+    python scripts/profile_sim.py --grid --top 40 --sort tottime -o prof.pstats
 
 Runs a named workload x policy combination (one simulation, or
 with ``--grid`` the workload's full Figure-11-style latency sweep under
 the chosen policy) under :mod:`cProfile` and prints the top-N hotspots,
 so perf work starts from measurements instead of guesses.  Every run
 bypasses the runner's result caches (profiling a cache hit is
-meaningless); the process-wide static-artifact caches stay in their
-default state unless ``--no-static-cache`` disables them, because the
-amortised steady state is what sweeps actually execute.
+meaningless); the process-wide static-artifact caches stay on, because
+the amortised steady state is what sweeps actually execute.
 
 ``-o PATH`` additionally dumps raw pstats for ``snakeviz``/``pstats``
 post-processing.  See the README's "Profiling" section.
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import os
 import pstats
 import sys
 import time
@@ -53,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="stats sort key (default: cumulative)")
-    parser.add_argument("--no-static-cache", action="store_true",
-                        help="set LTRF_COMPILE_CACHE=0: recompile/rebuild "
-                             "static artifacts on every run")
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="also dump raw pstats to PATH")
     return parser
@@ -63,10 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_static_cache:
-        os.environ["LTRF_COMPILE_CACHE"] = "0"
 
-    # Imports follow the env setup so the cache knob is respected.
     from repro.experiments.latency_tolerance import sweep_requests
     from repro.experiments.runner import Runner, SimRequest, sweep_config
     from repro.launchers.worker import execute_request_with_telemetry

@@ -17,23 +17,31 @@ locally:
    /results?workload=...&policy=...`` is sent before and after the
    CLI writes: the service's long-lived base query must see the new
    keys;
-4. stop the service with SIGTERM, require a clean exit (the
+4. cancel a just-submitted job over a grid nothing has stored
+   (``DELETE /jobs/<id>``): it must end ``partial`` with a resume
+   hint, and re-submitting the same spec must end ``done`` with every
+   point the cancelled job flushed served as a hit and the rest
+   simulated;
+5. stop the service with SIGTERM, require a clean exit (the
    graceful-drain path), ``repro store verify`` the store, and
    require the filtered count to equal a fresh ``Query.open`` over
-   it;
-5. run the *equivalent* ``repro sweep`` CLI command over the same
-   store and require its table to be **byte-identical** to the
-   service's -- serving must add an interface, not a second rendering
-   -- and its engine line to report zero simulations (the CLI resolved
-   every point from the store the service populated).
+   it; then ``repro store compact`` the store and verify it again;
+6. run the *equivalent* ``repro sweep`` CLI command over the
+   compacted store and require its table to be **byte-identical** to
+   the service's -- serving must add an interface, not a second
+   rendering -- and its engine line to report zero simulations (the
+   CLI resolved every point from the store the service populated).
 
-Exits non-zero, with a diff, on any mismatch.
+Exits non-zero, with a diff, on any mismatch.  The temporary
+directory holding the store and the architecture file is removed
+either way.
 """
 
 import difflib
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -50,6 +58,11 @@ WORKLOAD = "btree"
 POLICIES = ["BL", "LTRF"]
 #: Simulated only by the external CLI writer, never by the service.
 EXTERNAL_POLICY = "RFC"
+#: The grid of the cancelled job: nothing else stores it, and its 14
+#: points take long enough that a DELETE sent right after the submit
+#: lands before the job finishes.
+CANCEL_WORKLOAD = "backprop"
+CANCEL_POLICIES = ["LTRF+", "SHRF"]
 
 
 def env():
@@ -83,6 +96,42 @@ def fail(message):
     sys.exit(1)
 
 
+def wait_for(url, job_id):
+    """Poll ``GET /jobs/<id>`` until the job leaves queued/running."""
+    deadline = time.monotonic() + 300.0
+    while True:
+        snapshot = json.loads(http("GET", f"{url}/jobs/{job_id}"))
+        if snapshot["state"] not in ("queued", "running"):
+            return snapshot
+        if time.monotonic() > deadline:
+            fail(f"job did not finish: {snapshot['progress']}")
+        time.sleep(0.2)
+
+
+def cancel_and_resume(url, arch_path):
+    """Cancel a job before it can finish, then resume it."""
+    spec = {"workloads": CANCEL_WORKLOAD, "policies": CANCEL_POLICIES,
+            "archs": [arch_path], "label": "service smoke cancel"}
+    job_id = json.loads(http("POST", f"{url}/sweeps", spec))["id"]
+    http("DELETE", f"{url}/jobs/{job_id}")
+    cancelled = wait_for(url, job_id)
+    flushed = cancelled["progress"]["executed"]
+    print(f"   {job_id}: {cancelled['state']} after {flushed} point(s): "
+          f"{cancelled['resume_hint']}")
+    if cancelled["state"] != "partial" \
+            or "re-submit the same spec" not in cancelled["resume_hint"]:
+        fail(f"a cancelled job must end partial with a resume hint, got "
+             f"{cancelled['state']} {cancelled['resume_hint']!r}")
+    resumed = json.loads(http("POST", f"{url}/sweeps?wait=1", spec))
+    progress = resumed["progress"]
+    print(f"   {resumed['id']}: {progress}")
+    if resumed["state"] != "done" or progress["hits"] != flushed \
+            or progress["hits"] + progress["executed"] != progress["unique"]:
+        fail(f"re-submitting the cancelled spec must serve its {flushed} "
+             f"flushed point(s) as hits and simulate the rest, got "
+             f"{resumed['state']} {progress}")
+
+
 def cli_sweep(store, policies, arch_path):
     """Run ``repro sweep`` into ``store``; its stdout."""
     cli_env = env()
@@ -97,8 +146,27 @@ def cli_sweep(store, policies, arch_path):
     return sweep.stdout
 
 
+def store_command(store, command, when):
+    """Run ``repro store <command>`` on ``store``; its first line."""
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "store", command,
+         "--dir", store],
+        capture_output=True, env=env(), text=True,
+    )
+    if run.returncode != 0:
+        fail(f"store {command} failed {when}:\n{run.stdout}{run.stderr}")
+    return run.stdout.splitlines()[0] if run.stdout else ""
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="service_smoke_")
+    try:
+        return smoke(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def smoke(tmp):
     store = os.path.join(tmp, "store")
     arch_path = os.path.join(tmp, "small.arch.json")
     write_small_arch(arch_path)
@@ -123,15 +191,7 @@ def main():
                 "archs": [arch_path], "label": "service smoke"}
         submitted = json.loads(http("POST", f"{url}/sweeps", spec))
         job_id = submitted["id"]
-
-        deadline = time.monotonic() + 300.0
-        while True:
-            snapshot = json.loads(http("GET", f"{url}/jobs/{job_id}"))
-            if snapshot["state"] not in ("queued", "running"):
-                break
-            if time.monotonic() > deadline:
-                fail(f"job did not finish: {snapshot['progress']}")
-            time.sleep(0.2)
+        snapshot = wait_for(url, job_id)
         if snapshot["state"] != "done":
             fail(f"job ended {snapshot['state']}: "
                  f"{snapshot.get('error', '')}")
@@ -179,6 +239,9 @@ def main():
         print(f"   all {external_progress['unique']} point(s) served as "
               f"hits; GET /results counts {expected} ({before} -> "
               f"{filtered} for {EXTERNAL_POLICY})")
+
+        print("== cancel a job, then resume it ==")
+        cancel_and_resume(url, arch_path)
     finally:
         print("== stopping the service (SIGTERM) ==")
         server.send_signal(signal.SIGTERM)
@@ -189,14 +252,7 @@ def main():
             fail("service did not exit on SIGTERM")
     if server.returncode != 0:
         fail(f"service exited {server.returncode}: {err}")
-    verify = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "store", "verify",
-         "--dir", store],
-        capture_output=True, env=env(), text=True,
-    )
-    if verify.returncode != 0:
-        fail(f"store verify failed after the drain:\n{verify.stdout}"
-             f"{verify.stderr}")
+    store_command(store, "verify", "after the drain")
     print("   store verify OK")
     from repro.store import Query
     stored = Query.open(store).where(workload=WORKLOAD,
@@ -204,6 +260,11 @@ def main():
     if stored != filtered:
         fail(f"the service's filtered GET /results counted {filtered} "
              f"record(s), a fresh query over the drained store {stored}")
+
+    print("== compacting the drained store ==")
+    print(f"   {store_command(store, 'compact', 'on the drained store')}")
+    store_command(store, "verify", "after compaction")
+    print("   store verify OK")
 
     print("== running the equivalent CLI sweep over the same store ==")
     lines = cli_sweep(store, POLICIES, arch_path).splitlines()

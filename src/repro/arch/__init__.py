@@ -7,7 +7,6 @@ from repro.arch.config import (
     GPUConfig,
     MemoryConfig,
 )
-from repro.arch.gpu import GPU, GPUResult
 from repro.arch.main_register_file import MainRegisterFile, MRFStats
 from repro.arch.registry import (
     ARCH_FILE_SUFFIX,
@@ -43,8 +42,6 @@ __all__ = [
     "ArchProvider",
     "ArchRegistry",
     "ArchSerializationError",
-    "GPU",
-    "GPUResult",
     "AddressAllocationUnit",
     "AllocationError",
     "EventKind",

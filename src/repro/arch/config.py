@@ -223,9 +223,3 @@ class GPUConfig:
 
     def with_latency_multiple(self, multiple: float) -> "GPUConfig":
         return self.scaled(mrf_latency_multiple=multiple)
-
-    def with_capacity_scale(self, factor: int) -> "GPUConfig":
-        """Scale MRF capacity (e.g. 8x for configurations #6/#7)."""
-        if factor < 1:
-            raise ValueError("capacity factor must be >= 1")
-        return self.scaled(mrf_size_kb=self.mrf_size_kb * factor)

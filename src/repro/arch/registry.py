@@ -127,14 +127,6 @@ class ArchRegistry:
         self._file_sources.pop(provider.name, None)
         return provider
 
-    def register_config(self, name: str, config: GPUConfig,
-                        description: str = "",
-                        replace: bool = False) -> ArchProvider:
-        return self.register(
-            ArchProvider(name, "builtin", lambda: config, description),
-            replace=replace,
-        )
-
     def register_file(self, path: str, name: Optional[str] = None,
                       replace: bool = False) -> ArchProvider:
         return self.register(ArchFileProvider(path, name), replace=replace)

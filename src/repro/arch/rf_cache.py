@@ -41,15 +41,6 @@ class RFCStats:
     fills: int = 0                    # registers loaded from the MRF
     writebacks: int = 0               # registers written back to the MRF
 
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def read_hit_rate(self) -> float:
-        total = self.read_hits + self.read_misses
-        return self.read_hits / total if total else 0.0
-
 
 class RegisterFileCache:
     """Partitioned RFC: one fixed-capacity partition per active warp."""

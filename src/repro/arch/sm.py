@@ -131,17 +131,6 @@ class SimulationResult:
     def mrf_accesses(self) -> int:
         return self.mrf_reads + self.mrf_writes
 
-    @property
-    def rfc_accesses(self) -> int:
-        return self.rfc_reads + self.rfc_writes
-
-    @property
-    def simulated_cycles_per_host_second(self) -> float:
-        """Simulated-vs-host-time throughput (0 when unmeasured)."""
-        if self.host_seconds <= 0.0:
-            return 0.0
-        return self.cycles / self.host_seconds
-
 
 class StreamingMultiprocessor:
     """Drives warps through a kernel under a register policy."""
@@ -167,23 +156,15 @@ class StreamingMultiprocessor:
     # -- top level ----------------------------------------------------------
 
     def run(self, kernel: Kernel, seed: int = 0,
-            resident_warps: Optional[int] = None,
-            executable: Optional[Kernel] = None) -> SimulationResult:
+            resident_warps: Optional[int] = None) -> SimulationResult:
         """Simulate ``kernel`` to completion and return the result.
 
         ``resident_warps`` defaults to what the register file capacity
         admits for this kernel's register demand (the TLP model).
         Policies that require compiled kernels receive the kernel via
         their factory; the SM only sees the executable trace.
-
-        ``executable`` lets a caller that already holds the policy's
-        prepared form of ``kernel`` (e.g. :class:`repro.arch.gpu.GPU`,
-        which shares one compiled artifact across all its SMs) skip the
-        per-run preparation; it must be exactly what
-        ``policy.executable_kernel(kernel)`` would return.
         """
-        if executable is None:
-            executable = self.policy.executable_kernel(kernel)
+        executable = self.policy.executable_kernel(kernel)
         if resident_warps is None:
             resident_warps = self.config.resident_warps_for(
                 kernel.register_count

@@ -18,7 +18,6 @@ Usage (after ``pip install -e .``):
     python -m repro.cli store stats
     python -m repro.cli store verify
     python -m repro.cli store compact
-    python -m repro.cli store merge --dir dest/ other-store/
     python -m repro.cli report -o report/ [--baseline-policy BL]
     python -m repro.cli diff-runs /path/to/storeA /path/to/storeB
 
@@ -45,7 +44,7 @@ from repro.analysis import (
     discover_bench_files,
     write_report,
 )
-from repro.arch import GPU, GPUConfig, arch_fingerprint, save_arch
+from repro.arch import GPUConfig, arch_fingerprint, save_arch
 from repro.arch.registry import (
     ARCH_FILE_SUFFIX,
     default_arch_registry,
@@ -121,8 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(alternative to --arch)")
     simulate.add_argument("--latency", type=float, default=None,
                           help="override the MRF latency multiple")
-    simulate.add_argument("--sms", type=int, default=1,
-                          help="also report chip-level IPC over N SMs")
 
     compile_cmd = sub.add_parser("compile", help="show prefetch regions")
     compile_cmd.add_argument(
@@ -213,8 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
                   "exits 1 on failure",
         "compact": "GC pass: rewrite each shard to one duplicate-free "
                    "segment (run while no simulations are writing)",
-        "merge": "fold another store's records into this one (e.g. "
-                 "one filled on another machine)",
     }
     for name, description in descriptions.items():
         command = store_sub.add_parser(name, help=description)
@@ -222,10 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--dir", default=None, metavar="DIR",
             help="store root (default: $LTRF_CACHE_DIR or ./.ltrf_cache)",
         )
-        if name == "merge":
-            command.add_argument(
-                "source", help="store root to merge records from"
-            )
 
     report = sub.add_parser(
         "report",
@@ -417,12 +408,6 @@ def _cmd_simulate(args) -> None:
     print(f"L1 hit rate        {result.l1_hit_rate:.2f}")
     print(f"(de)activations    {result.activations}/{result.deactivations}")
     print(f"engine             {runner.render_telemetry()}")
-    if args.sms > 1:
-        gpu = GPU(config, POLICIES[args.policy], num_sms=args.sms)
-        chip = gpu.run(get_kernel(workload))
-        print(f"chip ({args.sms} SMs)      "
-              f"ipc={chip.ipc:.3f} (slowest-SM denominator), "
-              f"per-SM-normalised ipc={chip.sm_normalized_ipc:.3f}")
 
 
 def _cmd_compile(args) -> None:
@@ -569,19 +554,18 @@ def _store_root(args) -> str:
         _fail(str(error))
 
 
-def _open_store(root: str, must_exist: bool) -> ResultStore:
-    """Open the store at ``root``.
+def _open_store(root: str) -> ResultStore:
+    """Open the existing store at ``root`` without mutating it.
 
-    With ``must_exist`` (the inspection commands) the directory is
-    never mutated: a missing directory, a missing STORE_FORMAT marker,
-    or a bad marker all fail with a one-line error instead of silently
-    initialising a store there and reporting an empty "OK".
+    A missing directory, a missing STORE_FORMAT marker, or a bad marker
+    all fail with a one-line error instead of silently initialising a
+    store there and reporting an empty "OK".
     """
-    if must_exist and not os.path.isdir(root):
+    if not os.path.isdir(root):
         _fail(f"no result store at {root!r} (nothing simulated "
               "yet, or wrong --dir/$LTRF_CACHE_DIR?)")
     try:
-        return ResultStore(root, create=not must_exist)
+        return ResultStore(root, create=False)
     except (StoreError, OSError) as error:
         _fail(str(error))
 
@@ -592,29 +576,21 @@ def _cmd_store(args) -> None:
         # Through the query API, like every other reader: `store stats`
         # and run_all_experiments' [store] line render the same
         # StoreStats, so they agree by construction.
-        query = Query(_open_store(root, must_exist=True))
+        query = Query(_open_store(root))
         print(query.stats().render())
     elif args.store_command == "verify":
-        store = _open_store(root, must_exist=True)
+        store = _open_store(root)
         report = store.verify()
         print(report.render())
         if not report.ok:
             raise _CliError(1)
     elif args.store_command == "compact":
-        print(_open_store(root, must_exist=True).compact().render())
-    elif args.store_command == "merge":
-        from repro.store import merge_store
-        source = _open_store(args.source, must_exist=True)
-        dest = _open_store(root, must_exist=False)
-        outcome = merge_store(dest, source)
-        source.close()
-        dest.close()
-        print(outcome.render())
+        print(_open_store(root).compact().render())
 
 
 def _cmd_report(args) -> None:
     root = _store_root(args)
-    query = Query(_open_store(root, must_exist=True))
+    query = Query(_open_store(root))
     report = build_report(
         query,
         baseline_policy=args.baseline_policy,
@@ -633,8 +609,8 @@ def _cmd_report(args) -> None:
 
 
 def _cmd_diff_runs(args) -> None:
-    query_a = Query(_open_store(args.store_a, must_exist=True))
-    query_b = Query(_open_store(args.store_b, must_exist=True))
+    query_a = Query(_open_store(args.store_a))
+    query_b = Query(_open_store(args.store_b))
     print(diff_runs(query_a, query_b).render())
 
 

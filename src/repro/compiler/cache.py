@@ -26,24 +26,20 @@ larger (one entry per dynamic instruction), and registry-memoised
 kernels are strongly referenced for the process lifetime, so each
 kernel's trace table is additionally capped at
 :data:`TRACE_MEMO_LIMIT` entries and cleared on overflow (a sweep
-reuses a few dozen ``(warp, seed)`` pairs; only seed-scanning or
-many-SM chip runs approach the cap, and regeneration is cheap).
+reuses a few dozen ``(warp, seed)`` pairs; only seed scans approach
+the cap, and regeneration is cheap).
 
 Cached artifacts are shared, not copied: the simulator must never
 mutate an executable kernel (compile passes clone before mutating, the
 SM and policies only read), and ``tests/compiler/test_cache.py`` pins
 that contract by serialising artifacts before and after simulation.
-
-Escape hatch: ``LTRF_COMPILE_CACHE=0`` disables every memo here --
-compiles, liveness clones and traces -- useful when bisecting a
-suspected stale-artifact bug or measuring uncached cost.  The
-hit/miss/seconds counters in :data:`STATS` feed the runner's telemetry
-either way.
+The hit/miss/seconds counters in :data:`STATS` feed the runner's
+telemetry; :func:`clear_static_cache` empties every memo, so the next
+use of each artifact rebuilds it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 from dataclasses import dataclass
@@ -54,12 +50,6 @@ from repro.compiler.register_intervals import DEFAULT_MAX_REGISTERS
 from repro.ir.kernel import Kernel, TraceEntry
 from repro.ir.liveness import annotate_dead_operands
 from repro.ir.serialize import fingerprint_of
-
-
-def cache_enabled() -> bool:
-    """False when ``LTRF_COMPILE_CACHE=0`` (checked per call, so tests
-    and operators can toggle it on a live process)."""
-    return os.environ.get("LTRF_COMPILE_CACHE", "1") != "0"
 
 
 @dataclass
@@ -108,18 +98,6 @@ def clear_static_cache() -> None:
     STATS.compile_seconds = 0.0
 
 
-def _timed_compile(kernel: Kernel, region_kind: str, max_registers: int,
-                   run_pass2: bool) -> CompiledKernel:
-    STATS.compile_cache_misses += 1
-    started = time.perf_counter()
-    compiled = compile_kernel(
-        kernel, region_kind=region_kind, max_registers=max_registers,
-        run_pass2=run_pass2,
-    )
-    STATS.compile_seconds += time.perf_counter() - started
-    return compiled
-
-
 def compiled_kernel_for(
     kernel: Kernel,
     region_kind: str = "register-interval",
@@ -131,14 +109,16 @@ def compiled_kernel_for(
     The returned artifact is shared across callers; treat it (and its
     ``kernel``) as immutable.
     """
-    if not cache_enabled():
-        return _timed_compile(kernel, region_kind, max_registers, run_pass2)
     key = (fingerprint_of(kernel), region_kind, max_registers, run_pass2)
     found = _compiled.get(key)
     if found is None:
-        found = _compiled[key] = _timed_compile(
-            kernel, region_kind, max_registers, run_pass2
+        STATS.compile_cache_misses += 1
+        started = time.perf_counter()
+        found = _compiled[key] = compile_kernel(
+            kernel, region_kind=region_kind, max_registers=max_registers,
+            run_pass2=run_pass2,
         )
+        STATS.compile_seconds += time.perf_counter() - started
     else:
         STATS.compile_cache_hits += 1
     return found
@@ -151,13 +131,6 @@ def liveness_kernel_for(kernel: Kernel) -> Kernel:
     liveness bits.  Counted in the same hit/miss/seconds telemetry as
     full compiles -- it is the same class of per-run static work.
     """
-    if not cache_enabled():
-        STATS.compile_cache_misses += 1
-        started = time.perf_counter()
-        clone = kernel.clone()
-        annotate_dead_operands(clone)
-        STATS.compile_seconds += time.perf_counter() - started
-        return clone
     key = fingerprint_of(kernel)
     found = _liveness.get(key)
     if found is None:
@@ -182,8 +155,6 @@ def cached_trace_list(kernel: Kernel, warp_id: int,
     lookups keep this on the per-run fast path.  Callers share the
     returned list and its entries; neither may be mutated.
     """
-    if not cache_enabled():
-        return kernel.trace_list(warp_id=warp_id, seed=seed)
     per_kernel = _traces.get(kernel)
     if per_kernel is None:
         per_kernel = {}

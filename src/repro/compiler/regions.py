@@ -20,7 +20,7 @@ relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.ir.cfg import CFG
 
@@ -70,11 +70,6 @@ class RegionPartition:
     def headers(self) -> List[str]:
         return [region.header for region in self.regions]
 
-    def mean_working_set(self) -> float:
-        if not self.regions:
-            return 0.0
-        return sum(r.working_set_size for r in self.regions) / len(self.regions)
-
     def validate(self, cfg: CFG) -> None:
         """Check coverage, single-entry, and working-set bound invariants."""
         assigned: Set[str] = set()
@@ -121,12 +116,3 @@ class RegionPartition:
                             f"edge {label} -> {succ} enters region "
                             f"{target_region} away from its header {header}"
                         )
-
-    def boundary_edges(self, cfg: CFG) -> List[Tuple[str, str]]:
-        """CFG edges that cross between regions (dynamic prefetch points)."""
-        edges = []
-        for label in cfg.labels():
-            for succ in cfg.successors(label):
-                if self.block_to_region[label] != self.block_to_region[succ]:
-                    edges.append((label, succ))
-        return edges

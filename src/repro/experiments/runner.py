@@ -375,8 +375,8 @@ class Runner:
         """A :class:`~repro.store.Query` over this runner's store.
 
         The sanctioned way to read everything this (or any concurrent)
-        runner has persisted -- filters, projections, group-by and
-        aggregations live on the query object.
+        runner has persisted -- filters and projections live on the
+        query object.
         """
         if self.result_store is None:
             raise ValueError(

@@ -22,7 +22,6 @@ from repro.ir.registers import (
     check_register,
     decode_bitvector,
     encode_bitvector,
-    popcount,
     register_name,
 )
 from repro.ir.serialize import (
@@ -67,7 +66,6 @@ __all__ = [
     "kernel_to_dict",
     "load_kernel",
     "loads_kernel",
-    "popcount",
     "register_name",
     "save_kernel",
 ]

@@ -70,9 +70,6 @@ class CFG:
     def labels(self) -> List[str]:
         return list(self._layout)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._blocks
-
     def __len__(self) -> int:
         return len(self._blocks)
 

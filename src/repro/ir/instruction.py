@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
-from repro.ir.registers import check_register, decode_bitvector, popcount
+from repro.ir.registers import check_register, decode_bitvector
 
 
 class Opcode(enum.Enum):
@@ -225,12 +225,6 @@ class Instruction:
         """:meth:`prefetch_registers` as the set a PREFETCH installs in
         its warp's WCB, built once per static instruction."""
         return frozenset(self.prefetch_registers())
-
-    def prefetch_count(self) -> int:
-        """Number of registers a PREFETCH names."""
-        if self.opcode is not Opcode.PREFETCH:
-            raise ValueError("not a PREFETCH instruction")
-        return popcount(self.prefetch_vector)
 
     def with_dead_srcs(self, dead: frozenset) -> "Instruction":
         """Return a copy annotated with dead source registers."""

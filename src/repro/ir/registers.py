@@ -70,8 +70,3 @@ def decode_bitvector(vector: int) -> Iterator[int]:
             yield reg
         vector >>= 1
         reg += 1
-
-
-def popcount(vector: int) -> int:
-    """Number of registers named by a bit-vector."""
-    return bin(vector).count("1")

@@ -118,15 +118,3 @@ class RegisterPolicy(ABC):
     def extra_stats(self) -> dict:
         """Policy-specific counters merged into the simulation result."""
         return {}
-
-    # -- shared helpers --------------------------------------------------------
-
-    def _collect_from_mrf(self, warp: Warp, srcs, cycle: int) -> int:
-        """Read sources from the MRF in parallel; return max latency."""
-        return self.mrf.read_group(warp.warp_id, srcs, cycle) - cycle
-
-    def _operand_port_penalty(self, instruction: Instruction) -> int:
-        """WCB address-table port limit: >2 sources cost an extra cycle."""
-        if len(instruction.srcs) > 2:
-            return self.config.wcb_extra_operand_penalty
-        return 0

@@ -25,8 +25,7 @@ class BaselinePolicy(RegisterPolicy):
 
     def operand_read_latency(self, warp: Warp, instruction: Instruction,
                              cycle: int) -> int:
-        # Direct read_group call (no _collect_from_mrf hop): this is
-        # BL's entire per-issue operand path.
+        # BL's entire per-issue operand path: one grouped MRF read.
         return self.mrf.read_group(
             warp.warp_id, instruction.srcs, cycle
         ) - cycle

@@ -1,14 +1,7 @@
 """Sharded, crash-consistent result store (see result_store.py) and
 the one query API every consumer reads it through (see query.py)."""
 
-from repro.store.merge import MergeOutcome, merge_store
-from repro.store.query import (
-    AGGREGATORS,
-    ParsedKey,
-    Query,
-    StoredRecord,
-    parse_key,
-)
+from repro.store.query import ParsedKey, Query, StoredRecord
 from repro.store.result_store import (
     DEFAULT_SHARDS,
     CompactionReport,
@@ -19,10 +12,8 @@ from repro.store.result_store import (
 )
 
 __all__ = [
-    "AGGREGATORS",
     "CompactionReport",
     "DEFAULT_SHARDS",
-    "MergeOutcome",
     "ParsedKey",
     "Query",
     "ResultStore",
@@ -30,6 +21,4 @@ __all__ = [
     "StoreStats",
     "StoredRecord",
     "VerifyReport",
-    "merge_store",
-    "parse_key",
 ]

@@ -8,8 +8,7 @@ single sanctioned read surface instead: a :class:`Query` that decodes
 raw ``key -> payload`` entries into typed :class:`StoredRecord` rows
 (workload, policy, arch/kernel fingerprints, seed, the full payload,
 and -- where the arch manifest knows the fingerprint -- the concrete
-MRF latency multiple), with filters, projections, group-by, and
-aggregations over IPC and any other numeric record field.
+MRF latency multiple), with key filters and projections.
 
 Reports (``repro report``), run diffing (``repro diff-runs``), the
 ``store`` CLI, ``run_all_experiments``'s ``[store]`` line, and
@@ -23,20 +22,19 @@ a key that does not match it -- such as one written before the
 fingerprints empty, identity recovered from the payload where
 possible) so maintenance tooling sees *every* record.
 
-Filters the key decides (workload, policy, fingerprints, seed, an
-explicit key set, and the latency band, which follows from the arch
-fingerprint) run on the parsed key, before its payload is read; a
-query and every query derived from it share one parse per key.  A
-query with any such filter lists the store's keys without decoding
-them (:meth:`ResultStore.filed_keys`) and narrows them through a
-per-workload key index kept with the parse memo, so it decodes only
-the records it reads.
+Every filter (workload, policy, fingerprints, seed, an explicit key
+set, and the latency band, which follows from the arch fingerprint) is
+decided by the key, before its payload is read; a query and every
+query derived from it share one parse per key and one resolved latency
+per arch fingerprint.  A filtered query lists the store's keys without
+decoding them (:meth:`ResultStore.filed_keys`) and narrows them
+through a per-workload key index kept with the parse memo, so it
+decodes only the records it reads.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 import re
 from operator import attrgetter
 from typing import (
@@ -78,22 +76,17 @@ class ParsedKey(NamedTuple):
     kernel_fingerprint: str
 
 
-def parse_key(key: str) -> Optional[ParsedKey]:
+def _parse_key(key: str, share: Callable[[Any, Any], Any]
+               ) -> Optional[ParsedKey]:
     """Decode a cache key, or ``None`` if it does not match the format.
 
     Parsed right to left (kernel fingerprint, seed, arch segment,
     policy) because only the workload may itself contain ``__`` -- a
-    file-backed workload is addressed by its path.
+    file-backed workload is addressed by its path.  The seed and every
+    non-empty string field pass through ``share`` (a
+    ``dict.setdefault``), so the thousands of keys naming one workload,
+    policy, fingerprint or seed can hold one copy of it.
     """
-    return _parse_key(key, {}.setdefault)
-
-
-def _parse_key(key: str, share: Callable[[Any, Any], Any]
-               ) -> Optional[ParsedKey]:
-    """:func:`parse_key` with the seed and every non-empty string field
-    passed through ``share`` (a ``dict.setdefault``), so the thousands
-    of keys naming one workload, policy, fingerprint or seed can hold
-    one copy of it."""
     base, sep, kernel_fp = key.rpartition("__k")
     if not sep or not _is_hex(kernel_fp):
         return None
@@ -133,7 +126,7 @@ class StoredRecord(NamedTuple):
     payload: Mapping[str, Any]
     #: Whether the payload decodes under the *current* ``RunRecord``
     #: schema.  Stale entries stay visible (they are what ``diff-runs``
-    #: attributes to schema drift) but are excluded from aggregations.
+    #: attributes to schema drift) but reports leave them out.
     schema_ok: bool
     #: The MRF latency multiple of the architecture this record was
     #: simulated on, resolved through the store's arch manifest;
@@ -186,18 +179,28 @@ def _decode_latency(arch_payload: Optional[dict]) -> Optional[float]:
 
 
 class _Latencies(dict):
-    """arch fingerprint -> manifest-resolved MRF latency multiple,
-    resolved on first use.  One per :meth:`Query.records` call: the
-    manifest may gain a fingerprint between two queries."""
+    """arch fingerprint -> manifest-resolved MRF latency multiple for
+    one :meth:`Query.records` call, resolved on first use.
 
-    def __init__(self, store: ResultStore) -> None:
+    A sidecar is content-addressed and never rewritten, so a resolved
+    latency goes into ``resolved``, which the query lineage shares; an
+    unresolved one stays in this call's dict only, because the manifest
+    may gain the fingerprint (``record_arch``) before the next query.
+    """
+
+    def __init__(self, store: ResultStore,
+                 resolved: Dict[str, float]) -> None:
         super().__init__()
         self._store = store
+        self._resolved = resolved
 
     def __missing__(self, fingerprint: str) -> Optional[float]:
-        latency = self[fingerprint] = _decode_latency(
-            self._store.arch_payload(fingerprint)
-        ) if fingerprint else None
+        latency = self._resolved.get(fingerprint)
+        if latency is None and fingerprint:
+            latency = _decode_latency(self._store.arch_payload(fingerprint))
+            if latency is not None:
+                self._resolved[fingerprint] = latency
+        self[fingerprint] = latency
         return latency
 
 
@@ -207,17 +210,18 @@ _UNSEEN = object()
 
 
 class _KeyMemo:
-    """The parsed keys one query lineage shares, indexed by workload.
+    """The parsed keys one query lineage shares, indexed by workload,
+    and the latencies it has resolved.
 
     Derived queries may run on several threads at once (the service
     derives every query from one base), so the index only grows, its
     buckets are sets, and :meth:`parse` files a key in its bucket
     *before* it enters ``parsed``: a query that finds a key parsed
-    finds it indexed too.  Concurrent queries at worst parse a key
-    twice, to equal results.
+    finds it indexed too.  Concurrent queries at worst parse a key (or
+    resolve a latency) twice, to equal results.
     """
 
-    __slots__ = ("parsed", "by_workload", "unparsed", "shared")
+    __slots__ = ("parsed", "by_workload", "unparsed", "shared", "latencies")
 
     def __init__(self) -> None:
         #: key -> ParsedKey, or None for a key that does not parse.
@@ -228,6 +232,8 @@ class _KeyMemo:
         self.unparsed: Set[str] = set()
         #: One copy of each key field value the memo holds.
         self.shared: Dict[Any, Any] = {}
+        #: arch fingerprint -> resolved MRF latency multiple.
+        self.latencies: Dict[str, float] = {}
 
     def parse(self, key: str) -> Optional[ParsedKey]:
         """Parse and index a key the memo has not seen."""
@@ -240,38 +246,19 @@ class _KeyMemo:
         return parsed
 
 
-# -- aggregation functions ----------------------------------------------------
-
-def _geomean(values: Sequence[float]) -> float:
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in positive) / len(positive))
-
-
-AGGREGATORS: Dict[str, Callable[[Sequence[float]], float]] = {
-    "count": len,
-    "sum": sum,
-    "min": min,
-    "max": max,
-    "mean": lambda values: sum(values) / len(values) if values else 0.0,
-    "geomean": _geomean,
-}
-
-
 class Query:
     """Lazy, chainable read API over one result store.
 
     Construct from an open :class:`ResultStore` (or a root path via
     :meth:`Query.open`); filters accumulate and nothing touches disk
     until a terminal method (:meth:`records`, :meth:`project`,
-    :meth:`group_by`, :meth:`aggregate`, :meth:`count`,
-    :meth:`stats`) runs.
+    :meth:`count`, :meth:`stats`) runs.
 
-    A query and every query :meth:`where`/:meth:`filter` derive from
-    it share one memo of parsed keys, indexed by workload, so a
-    long-lived base query (the service keeps one) parses each key once
-    however many filtered queries it serves.  The memo never stands in
+    A query and every query :meth:`where` derives from it share one
+    memo of parsed keys, indexed by workload, and of resolved
+    latencies, so a long-lived base query (the service keeps one)
+    parses each key and reads each arch sidecar once however many
+    filtered queries it serves.  The memo never stands in
     for the store's key set: each terminal read lists the store's keys
     again, so records written since (by this instance or another
     writer) show.
@@ -281,18 +268,15 @@ class Query:
         self._store = store
         #: Shared by the whole lineage.
         self._memo = _KeyMemo()
-        # Key-decided where() constraints: an explicit key set, the
-        # latest workload named (its index bucket holds every candidate
-        # that parses), (getter, expected) equality checks on the parsed
-        # key fields, and (min, max) latency bands.
+        # where() constraints, all decided by the key: an explicit key
+        # set, the latest workload named (its index bucket holds every
+        # candidate that parses), (getter, expected) equality checks on
+        # the parsed key fields, and (min, max) latency bands.
         self._key_in: Optional[FrozenSet[str]] = None
         self._workload: Optional[str] = None
         self._key_checks: Tuple[Tuple[Callable[[Any], Any], Any], ...] = ()
         self._latency_bands: Tuple[Tuple[Optional[float],
                                          Optional[float]], ...] = ()
-        #: Row predicates: filter() callables and where(schema_ok=...),
-        #: which need the payload.
-        self._predicates: Tuple[Callable[[StoredRecord], bool], ...] = ()
 
     @classmethod
     def open(cls, root: str, create: bool = False) -> "Query":
@@ -317,16 +301,11 @@ class Query:
         vars(query).update(changes)
         return query
 
-    def filter(self, predicate: Callable[[StoredRecord], bool]) -> "Query":
-        """A new query with ``predicate`` added to the filter chain."""
-        return self._derive(_predicates=self._predicates + (predicate,))
-
     def where(self, workload: Optional[str] = None,
               policy: Optional[str] = None,
               arch_fingerprint: Optional[str] = None,
               kernel_fingerprint: Optional[str] = None,
               seed: Optional[int] = None,
-              schema_ok: Optional[bool] = None,
               min_latency: Optional[float] = None,
               max_latency: Optional[float] = None,
               key_in: Optional[Sequence[str]] = None) -> "Query":
@@ -338,10 +317,10 @@ class Query:
         ``key_in`` restricts to an explicit key set -- how the service
         scopes ``GET /report/<job>`` to exactly one job's grid.
 
-        Everything but ``schema_ok`` is decided by the key, so
-        :meth:`records` drops a parseable key that fails it without
-        reading its payload; a key that does not parse is checked on its
-        row, with identity from the payload.
+        Every filter is decided by the key, so :meth:`records` drops a
+        parseable key that fails one without reading its payload; a key
+        that does not parse is checked on its row, with identity from
+        the payload.
         """
         changes: Dict[str, Any] = {}
         if key_in is not None:
@@ -368,9 +347,6 @@ class Query:
         if min_latency is not None or max_latency is not None:
             changes["_latency_bands"] = self._latency_bands + (
                 (min_latency, max_latency),)
-        if schema_ok is not None:
-            changes["_predicates"] = self._predicates + (
-                lambda r: r.schema_ok == schema_ok,)
         return self._derive(**changes)
 
     def _key_passes(self, fields: Any, latencies: "_Latencies") -> bool:
@@ -411,7 +387,7 @@ class Query:
                 | keys.intersection(memo.unparsed))
 
     def records(self) -> List[StoredRecord]:
-        """Every live record passing the filter chain, sorted by key
+        """Every live record passing the filters, sorted by key
         (deterministic regardless of segment/shard layout).
 
         With no key-decided filter every row is read, so the store's
@@ -420,11 +396,10 @@ class Query:
         records are decoded.
         """
         schema_fields = _current_schema_fields()
-        predicates = self._predicates
         key_filtered = bool(self._key_checks or self._latency_bands)
         memo = self._memo
         parsed_keys = memo.parsed
-        latencies = _Latencies(self._store)
+        latencies = _Latencies(self._store, memo.latencies)
         rows = []
         # Rows are read through get(), so the benchmark's traced run
         # counts every row read as a store.get span; a hit is one
@@ -461,9 +436,7 @@ class Query:
                 )
                 if key_filtered and not self._key_passes(record, latencies):
                     continue
-            if not predicates or all(predicate(record)
-                                     for predicate in predicates):
-                rows.append(record)
+            rows.append(record)
         rows.sort(key=attrgetter("key"))
         return rows
 
@@ -476,54 +449,6 @@ class Query:
             tuple(record.value(name) for name in names)
             for record in self.records()
         ]
-
-    def group_by(self, *names: str) -> Dict[Tuple[Any, ...],
-                                            List[StoredRecord]]:
-        """Matching records bucketed by the named fields."""
-        groups: Dict[Tuple[Any, ...], List[StoredRecord]] = {}
-        for record in self.records():
-            groups.setdefault(
-                tuple(record.value(name) for name in names), []
-            ).append(record)
-        return groups
-
-    def aggregate(self, by: Sequence[str],
-                  **aggregations: Tuple[str, str]) -> List[Dict[str, Any]]:
-        """Group-by plus named aggregations, one output row per group.
-
-        Each keyword is ``name=(aggregator, field)`` with aggregator
-        one of :data:`AGGREGATORS` (``count``/``sum``/``min``/``max``/
-        ``mean``/``geomean``) over the numeric values of ``field``
-        (e.g. ``ipc``, ``cycles``, ``latency``).  Non-numeric and
-        missing values are excluded; ``count`` counts records with a
-        usable value of its field (count over ``key`` counts all).
-        Rows come back sorted by the group tuple.
-        """
-        for name, (aggregator, _) in aggregations.items():
-            if aggregator not in AGGREGATORS:
-                raise ValueError(
-                    f"unknown aggregator {aggregator!r} for {name!r}; "
-                    f"choose from {sorted(AGGREGATORS)}"
-                )
-        rows = []
-        for group, records in sorted(self.group_by(*by).items(),
-                                     key=lambda item: _sort_token(item[0])):
-            row: Dict[str, Any] = dict(zip(by, group))
-            for name, (aggregator, field_name) in aggregations.items():
-                if aggregator == "count" and field_name in ("", "key"):
-                    row[name] = len(records)
-                    continue
-                values = [
-                    value for value in
-                    (record.value(field_name) for record in records)
-                    if isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                ]
-                row[name] = AGGREGATORS[aggregator](values) if (
-                    values or aggregator == "count"
-                ) else None
-            rows.append(row)
-        return rows
 
     # -- store-level reads --------------------------------------------------
 
@@ -539,19 +464,3 @@ class Query:
         entries = list(self._store.iter_run_logs())
         entries.sort(key=lambda entry: entry.get("time", 0))
         return entries
-
-    def arch_descriptions(self) -> Dict[str, Optional[dict]]:
-        """fingerprint -> recorded arch payload for every manifest entry."""
-        return {
-            fingerprint: self._store.arch_payload(fingerprint)
-            for fingerprint in self._store.arch_fingerprints()
-        }
-
-
-def _sort_token(group: Tuple[Any, ...]) -> Tuple:
-    # None-safe deterministic ordering for mixed group tuples.
-    return tuple(
-        (value is None, str(type(value).__name__), value if value is not None
-         else "")
-        for value in group
-    )

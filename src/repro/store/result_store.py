@@ -589,9 +589,6 @@ class ResultStore:
             state.index[key] = payload
             state.source[key] = state.writer_rank
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
     def items(self) -> Iterator[Tuple[str, dict]]:
         """Every live ``(key, payload)``, shard by shard.
 
@@ -714,16 +711,6 @@ class ResultStore:
         except (OSError, ValueError):
             return None
         return payload if isinstance(payload, dict) else None
-
-    def arch_fingerprints(self) -> List[str]:
-        """All fingerprints with a recorded architecture description."""
-        try:
-            names = os.listdir(os.path.join(self.root, _ARCH_DIR))
-        except OSError:
-            return []
-        return sorted(
-            name[:-len(".json")] for name in names if name.endswith(".json")
-        )
 
     def append_run_log(self, payload: dict) -> None:
         """Append one run-telemetry entry (a JSON-serialisable dict).

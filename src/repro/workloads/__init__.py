@@ -22,8 +22,6 @@ from repro.workloads.suites import (
     EVALUATION_SENSITIVE,
     SUITE,
     get_kernel,
-    get_spec,
-    suite_kernels,
     workload_names,
 )
 
@@ -62,9 +60,7 @@ __all__ = [
     "build_kernel",
     "default_registry",
     "get_kernel",
-    "get_spec",
     "resolve_workload",
-    "suite_kernels",
     "workload_category",
     "workload_fingerprint",
     "workload_names",

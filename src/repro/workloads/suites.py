@@ -108,15 +108,6 @@ def workload_names() -> List[str]:
     return list(SUITE)
 
 
-def get_spec(name: str) -> WorkloadSpec:
-    try:
-        return SUITE[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; available: {sorted(SUITE)}"
-        ) from None
-
-
 def get_kernel(name: str) -> Kernel:
     """Build (and memoise) the kernel for any registered workload name.
 
@@ -127,8 +118,3 @@ def get_kernel(name: str) -> Kernel:
     """
     from repro.workloads.registry import default_registry
     return default_registry().get_kernel(name)
-
-
-def suite_kernels() -> List[Kernel]:
-    """All 35 kernels (Table 1 and Table 4 use the full suite)."""
-    return [get_kernel(name) for name in workload_names()]

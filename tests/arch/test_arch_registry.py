@@ -133,16 +133,17 @@ class TestFileProviders:
 class TestRegistration:
     def test_duplicate_name_rejected(self):
         registry = ArchRegistry()
-        registry.register_config("x", GPUConfig())
+        registry.register(ArchProvider("x", "builtin", GPUConfig))
         with pytest.raises(ValueError, match="already registered"):
-            registry.register_config("x", GPUConfig())
+            registry.register(ArchProvider("x", "builtin", GPUConfig))
 
     def test_replace_drops_memoised_state(self):
         registry = ArchRegistry()
-        registry.register_config("x", GPUConfig(mrf_size_kb=256))
+        registry.register(ArchProvider(
+            "x", "builtin", lambda: GPUConfig(mrf_size_kb=256)))
         first = registry.fingerprint("x")
-        registry.register_config("x", GPUConfig(mrf_size_kb=512),
-                                 replace=True)
+        registry.register(ArchProvider(
+            "x", "builtin", lambda: GPUConfig(mrf_size_kb=512)), replace=True)
         assert registry.fingerprint("x") != first
 
     def test_provider_repr_names_source(self):

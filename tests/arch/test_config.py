@@ -124,7 +124,7 @@ class TestResidentWarps:
 
     def test_capacity_scale_restores_tlp(self):
         small = GPUConfig(mrf_size_kb=256)
-        big = small.with_capacity_scale(8)
+        big = small.scaled(mrf_size_kb=8 * small.mrf_size_kb)
         assert big.resident_warps_for(96) == 64
         assert small.resident_warps_for(96) < 64
 
@@ -138,10 +138,6 @@ class TestResidentWarps:
 class TestScaling:
     def test_with_latency_multiple(self):
         assert GPUConfig().with_latency_multiple(5.3).mrf_latency_multiple == 5.3
-
-    def test_with_capacity_scale_rejects_zero(self):
-        with pytest.raises(ValueError):
-            GPUConfig().with_capacity_scale(0)
 
     def test_scaled_replaces_fields(self):
         config = GPUConfig().scaled(active_warps=4)

@@ -99,6 +99,14 @@ class TestScheduling:
         result = sm.run(compute_kernel(), resident_warps=2)
         assert result.resident_warps == 2
 
+    def test_run_prepares_its_own_executable(self):
+        """The policy builds the executable form on every run; a caller
+        cannot hand one in."""
+        sm = StreamingMultiprocessor(small_config(), POLICIES["LTRF"])
+        kernel = compute_kernel()
+        with pytest.raises(TypeError, match="executable"):
+            sm.run(kernel, executable=sm.policy.executable_kernel(kernel))
+
     def test_all_warps_finish(self):
         kernel = memory_kernel()
         config = small_config()

@@ -6,7 +6,6 @@ import repro.compiler.cache as cache_module
 from repro.arch import GPUConfig
 from repro.arch.sm import StreamingMultiprocessor
 from repro.compiler.cache import (
-    cache_enabled,
     cached_trace_list,
     clear_static_cache,
     compiled_kernel_for,
@@ -75,40 +74,35 @@ class TestCompileCacheKeying:
         assert first is not kernel
 
 
-class TestEscapeHatch:
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv("LTRF_COMPILE_CACHE", "0")
-        assert not cache_enabled()
-        kernel = get_kernel("btree")
-        first = compiled_kernel_for(kernel)
-        second = compiled_kernel_for(kernel)
-        assert second is not first
-        assert cache_module.STATS.compile_cache_hits == 0
-        assert cache_module.STATS.compile_cache_misses == 2
-        # Trace memo is part of the same escape hatch.
-        assert cached_trace_list(kernel, 0, 0) is not cached_trace_list(
-            kernel, 0, 0
-        )
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("LTRF_COMPILE_CACHE", raising=False)
-        assert cache_enabled()
-
-    def test_uncached_latency_row_matches_cached_row(self, monkeypatch):
-        """The escape hatch changes how much static work a sweep row
-        repeats, never its results."""
+class TestRebuild:
+    def test_rebuilt_latency_row_matches_cached_row(self):
+        """Emptying the memos between points changes how much static
+        work a sweep row repeats, never its results."""
         kernel = get_kernel("backprop")
         row = [SMALL.scaled(mrf_latency_multiple=multiple)
                for multiple in (1.0, 2.0, 4.0)]
         cached = [StreamingMultiprocessor(config, POLICIES["LTRF"]).run(kernel)
                   for config in row]
         assert cache_module.STATS.compile_cache_hits == len(row) - 1
+        rebuilt = []
+        for config in row:
+            clear_static_cache()
+            rebuilt.append(
+                StreamingMultiprocessor(config, POLICIES["LTRF"]).run(kernel))
+            assert cache_module.STATS.compile_cache_misses == 1
+            assert cache_module.STATS.compile_cache_hits == 0
+        assert rebuilt == cached
+
+    def test_memoisation_has_no_off_switch(self, monkeypatch):
+        """The environment cannot turn the memos off."""
         monkeypatch.setenv("LTRF_COMPILE_CACHE", "0")
-        uncached = [
-            StreamingMultiprocessor(config, POLICIES["LTRF"]).run(kernel)
-            for config in row
-        ]
-        assert uncached == cached
+        kernel = get_kernel("btree")
+        assert compiled_kernel_for(kernel) is compiled_kernel_for(kernel)
+        assert liveness_kernel_for(kernel) is liveness_kernel_for(kernel)
+        assert cached_trace_list(kernel, 0, 0) is cached_trace_list(
+            kernel, 0, 0)
+        assert (cache_module.STATS.compile_cache_misses,
+                cache_module.STATS.compile_cache_hits) == (2, 2)
 
 
 class TestTraceMemo:

@@ -95,18 +95,7 @@ class TestRegionValidation:
         with pytest.raises(RegionError):
             partition.region_of("a")
 
-    def test_boundary_edges(self):
-        cfg = two_block_cfg()
-        partition = partition_of(
-            cfg, {"a": 0, "b": 1},
-            [
-                Region(0, "a", frozenset({"a"}), frozenset({0, 1})),
-                Region(1, "b", frozenset({"b"}), frozenset({2, 3})),
-            ],
-        )
-        assert partition.boundary_edges(cfg) == [("a", "b")]
-
-    def test_mean_working_set(self):
+    def test_headers_in_region_order(self):
         partition = partition_of(
             two_block_cfg(), {"a": 0, "b": 1},
             [
@@ -114,5 +103,5 @@ class TestRegionValidation:
                 Region(1, "b", frozenset({"b"}), frozenset({2, 3, 4, 5})),
             ],
         )
-        assert partition.mean_working_set() == 3.0
         assert partition.headers() == ["a", "b"]
+        assert partition.region_of("b").working_set_size == 4

@@ -91,13 +91,13 @@ class TestRegisterAccounting:
             Opcode.PREFETCH, prefetch_vector=encode_bitvector([4, 7])
         )
         assert ins.prefetch_registers() == (4, 7)
-        assert ins.prefetch_count() == 2
+        assert ins.prefetch_working_set == frozenset({4, 7})
 
     def test_prefetch_accessors_reject_other_opcodes(self):
         with pytest.raises(ValueError):
             iadd().prefetch_registers()
         with pytest.raises(ValueError):
-            iadd().prefetch_count()
+            iadd().prefetch_working_set
 
 
 class TestDeadOperands:

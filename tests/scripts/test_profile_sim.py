@@ -55,3 +55,12 @@ def test_compare_engines_option_removed(capsys):
         profile_sim.main(["--workload", "btree", "--compare-engines"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_no_static_cache_option_removed(capsys):
+    """The static-artifact caches have no off switch to profile."""
+    with pytest.raises(SystemExit) as excinfo:
+        profile_sim.main(["--workload", "btree", "--no-static-cache"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --no-static-cache" in \
+        capsys.readouterr().err

@@ -16,13 +16,19 @@ from repro.arch.serialize import arch_to_dict, fingerprint_of_arch
 from repro.experiments import Runner
 from repro.experiments.latency_tolerance import sweep_requests
 from repro.experiments.runner import RunRecord
-from repro.store import Query, ResultStore, parse_key
+from repro.store import Query, ResultStore
+from repro.store.query import _parse_key
 
 #: Small enough to keep every simulation in this module instantaneous.
 SMALL = dict(max_resident_warps=8, active_warps=4)
 
 ARCH_FP = "0123456789abcdef"
 KERNEL_FP = "feedfacefeedface"
+
+
+def parse_key(key):
+    """Parse ``key`` outside any query lineage's memo."""
+    return _parse_key(key, {}.setdefault)
 
 
 def record_payload(**overrides):
@@ -101,8 +107,6 @@ class TestQuery:
         query = Query.open(str(tmp_path), create=True)
         assert query.records() == []
         assert query.count() == 0
-        assert query.group_by("policy") == {}
-        assert query.aggregate(["policy"], n=("count", "key")) == []
         assert query.stats().live_keys == 0
         assert query.run_history() == []
 
@@ -142,33 +146,18 @@ class TestQuery:
         # Composes with the other filters.
         assert query.where(policy="BL", key_in=keys).count() == 2
 
-    def test_group_by_multi_arch_sweep(self, tmp_path):
-        """Each latency point is a distinct architecture fingerprint;
-        group-by splits the grid accordingly."""
+    def test_multi_arch_sweep_has_one_fingerprint_per_latency(self,
+                                                              tmp_path):
+        """Each latency point is a distinct architecture fingerprint,
+        and a projection names each (latency, policy) pair once."""
         runner = self._sweep_store(tmp_path)
-        groups = runner.results().group_by("arch_fingerprint")
-        assert len(groups) == 2
-        assert all(len(records) == 2 for records in groups.values())
-        by_latency = runner.results().group_by("latency", "policy")
-        assert set(by_latency) == {
-            (1.0, "BL"), (1.0, "LTRF"), (3.0, "BL"), (3.0, "LTRF"),
-        }
-
-    def test_aggregate(self, tmp_path):
-        runner = self._sweep_store(tmp_path)
-        rows = runner.results().aggregate(
-            ["policy"], mean_ipc=("mean", "ipc"), n=("count", "key"),
-            worst=("min", "ipc"),
-        )
-        assert [row["policy"] for row in rows] == ["BL", "LTRF"]
-        for row in rows:
-            assert row["n"] == 2
-            assert 0 < row["worst"] <= row["mean_ipc"] * 2
-
-    def test_aggregate_rejects_unknown_aggregator(self, tmp_path):
-        query = Query.open(str(tmp_path), create=True)
-        with pytest.raises(ValueError, match="median"):
-            query.aggregate(["policy"], x=("median", "ipc"))
+        rows = runner.results().project("arch_fingerprint", "latency",
+                                        "policy")
+        assert len({fingerprint for fingerprint, _, _ in rows}) == 2
+        assert len({(fingerprint, latency)
+                    for fingerprint, latency, _ in rows}) == 2
+        assert sorted((latency, policy) for _, latency, policy in rows) \
+            == [(1.0, "BL"), (1.0, "LTRF"), (3.0, "BL"), (3.0, "LTRF")]
 
     def test_project(self, tmp_path):
         runner = self._sweep_store(tmp_path)
@@ -187,7 +176,6 @@ class TestQuery:
         assert len(records) == 1
         assert not records[0].schema_ok
         assert records[0].ipc == 2.0
-        assert Query.open(str(tmp_path)).where(schema_ok=True).count() == 0
 
     def test_rows_and_parsed_keys_are_read_only(self, tmp_path):
         key = f"btree__BL__a{ARCH_FP}__3__k{KERNEL_FP}"
@@ -220,14 +208,13 @@ class TestQuery:
         history = Query(store).run_history()
         assert [entry["label"] for entry in history] == ["first", "second"]
 
-    def test_arch_descriptions(self, tmp_path):
-        store = ResultStore(str(tmp_path), create=True)
-        config = GPUConfig(**SMALL)
-        fingerprint = fingerprint_of_arch(config)
-        store.record_arch(fingerprint, arch_to_dict(config))
-        descriptions = Query(store).arch_descriptions()
-        assert set(descriptions) == {fingerprint}
-        assert descriptions[fingerprint]["active_warps"] == 4
+    def test_where_takes_no_schema_filter(self, tmp_path):
+        """Every filter is decided by the key; a stale payload is
+        flagged on its row (``schema_ok``), not filtered out."""
+        query = Query.open(str(tmp_path), create=True)
+        with pytest.raises(TypeError, match="schema_ok"):
+            query.where(schema_ok=True)
+        assert not hasattr(query, "filter")
 
 
 class TestRunnerSurface:
@@ -273,7 +260,7 @@ POLICIES = ["BL", "LTRF"]
 SEEDS = [0, 1, 7]
 KERNEL_FPS = [KERNEL_FP, "00c0ffee"]
 WHERE_FIELDS = ("workload", "policy", "arch_fingerprint",
-                "kernel_fingerprint", "seed", "schema_ok")
+                "kernel_fingerprint", "seed")
 
 
 def _entries():
@@ -314,7 +301,6 @@ def _wheres(keys):
         "arch_fingerprint": maybe(ARCH_FPS + [""]),
         "kernel_fingerprint": maybe(KERNEL_FPS + [""]),
         "seed": maybe(SEEDS),
-        "schema_ok": maybe([True, False]),
         "min_latency": maybe([0.5, 2.0, 5.0]),
         "max_latency": maybe([1.0, 2.5]),
         "key_in": st.one_of(st.none(), st.lists(
@@ -322,16 +308,7 @@ def _wheres(keys):
     })
 
 
-#: Row predicates chained after the where() calls, by name.
-FILTERS = {
-    "all": lambda r: True,
-    "ipc>=1": lambda r: r.ipc is not None and r.ipc >= 1.0,
-    "key_ok": lambda r: r.key_ok,
-    "no-latency": lambda r: r.latency is None,
-}
-
-
-def _brute_force(rows, wheres, predicate):
+def _brute_force(rows, wheres):
     """Every where() constraint, evaluated on the finished rows."""
     def passes(record, where):
         if where["key_in"] is not None and record.key not in where["key_in"]:
@@ -346,14 +323,13 @@ def _brute_force(rows, wheres, predicate):
             and (high is None or record.latency <= high)
 
     return [record for record in rows
-            if all(passes(record, where) for where in wheres)
-            and predicate(record)]
+            if all(passes(record, where) for where in wheres)]
 
 
-def _chain(query, wheres, predicate):
+def _chain(query, wheres):
     for where in wheres:
         query = query.where(**where)
-    return query.filter(predicate)
+    return query
 
 
 class TestFilterPushdown:
@@ -379,13 +355,9 @@ class TestFilterPushdown:
             for _ in range(3):
                 wheres = data.draw(st.lists(_wheres(keys), min_size=1,
                                             max_size=2))
-                name = data.draw(st.sampled_from(sorted(FILTERS)))
-                expected = _brute_force(Query(store).records(), wheres,
-                                        FILTERS[name])
-                assert _chain(Query(store), wheres, FILTERS[name]) \
-                    .records() == expected
-                assert _chain(base, wheres, FILTERS[name]).records() \
-                    == expected
+                expected = _brute_force(Query(store).records(), wheres)
+                assert _chain(Query(store), wheres).records() == expected
+                assert _chain(base, wheres).records() == expected
             store.close()
         finally:
             shutil.rmtree(root, ignore_errors=True)
@@ -434,7 +406,7 @@ class TestFilterPushdown:
             parses.append(key), original(key, share))[1])
         base = Query(store)
         assert base.where(seed=1).count() == 1
-        assert base.where(policy="BL").filter(lambda r: r.seed).count() == 2
+        assert base.where(policy="BL").count() == 3
         assert len(parses) == 3
         store.put(f"btree__LTRF__a{ARCH_FP}__0__k{KERNEL_FP}",
                   record_payload(policy="LTRF"))
@@ -445,6 +417,37 @@ class TestFilterPushdown:
         (first, second) = (base.where(seed=0).records()[0],
                            base.where(seed=1).records()[0])
         assert first.arch_fingerprint is second.arch_fingerprint
+
+    def test_derived_queries_share_resolved_latencies(self, tmp_path,
+                                                      monkeypatch):
+        """A recorded arch sidecar is read once per lineage; a missing
+        one is looked up again by each query, and resolves once
+        record_arch writes it."""
+        recorded, missing = (GPUConfig(mrf_latency_multiple=latency,
+                                       **SMALL) for latency in (3.0, 5.0))
+        recorded_fp = fingerprint_of_arch(recorded)
+        missing_fp = fingerprint_of_arch(missing)
+        store = ResultStore(str(tmp_path))
+        store.record_arch(recorded_fp, arch_to_dict(recorded))
+        for fingerprint in (recorded_fp, missing_fp):
+            store.put(f"btree__BL__a{fingerprint}__0__k{KERNEL_FP}",
+                      record_payload())
+        reads = []
+        original = ResultStore.arch_payload
+        monkeypatch.setattr(ResultStore, "arch_payload", lambda self, fp: (
+            reads.append(fp), original(self, fp))[1])
+        base = Query(store)
+        for where in (dict(workload="btree"), dict(policy="BL"),
+                      dict(seed=0)):
+            latencies = {r.arch_fingerprint: r.latency
+                         for r in base.where(**where).records()}
+            assert latencies == {recorded_fp: 3.0, missing_fp: None}
+        assert (reads.count(recorded_fp), reads.count(missing_fp)) == (1, 3)
+        store.record_arch(missing_fp, arch_to_dict(missing))
+        for _ in range(2):
+            assert base.where(min_latency=4.0).project("arch_fingerprint") \
+                == [(missing_fp,)]
+        assert (reads.count(recorded_fp), reads.count(missing_fp)) == (1, 4)
 
 
 def cache_key(workload, policy, seed):

@@ -28,7 +28,7 @@ class TestBasics:
         store = ResultStore(str(tmp_path))
         store.put("some__key", {"ipc": 1.5, "workload": "x"})
         assert store.get("some__key") == {"ipc": 1.5, "workload": "x"}
-        assert "some__key" in store
+        assert list(store.keys()) == ["some__key"]
         assert store.get("other__key") is None
 
     def test_persists_across_instances(self, tmp_path):

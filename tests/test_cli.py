@@ -509,8 +509,8 @@ class TestArchFrontend:
 
 
 class TestFaultToleranceCli:
-    """The fault-tolerance surface: no backend knobs, store merge, and
-    graceful interruption."""
+    """The fault-tolerance surface: no backend knobs, no store merge,
+    and graceful interruption."""
 
     @pytest.mark.parametrize("command", [
         ["experiment", "fig11"], ["sweep", "btree"], ["serve"],
@@ -530,24 +530,20 @@ class TestFaultToleranceCli:
         assert exit_info.value.code == 2
         assert "invalid choice: 'worker-chunk'" in capsys.readouterr().err
 
-    def test_store_merge(self, capsys, tmp_path):
-        from repro.store import ResultStore
-        source = ResultStore(str(tmp_path / "remote"))
-        source.put("a", {"v": 1})
-        source.close()
-        dest_root = str(tmp_path / "home")
-        assert main(["store", "merge", "--dir", dest_root,
-                     str(tmp_path / "remote")]) == 0
-        assert "merged 1 of 1" in capsys.readouterr().out
-        dest = ResultStore(dest_root, create=False)
-        assert dest.get("a") == {"v": 1}
-        dest.close()
+    def test_store_merge_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "merge", "--dir", str(tmp_path / "dest"),
+                  str(tmp_path / "source")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'merge'" in capsys.readouterr().err
+        assert not (tmp_path / "dest").exists()
 
-    def test_store_merge_missing_source_fails_cleanly(self, capsys,
-                                                      tmp_path):
-        assert main(["store", "merge", "--dir", str(tmp_path / "dest"),
-                     str(tmp_path / "nowhere")]) == 2
-        assert "no result store" in capsys.readouterr().err
+    def test_simulate_sms_is_gone(self, capsys):
+        """The CLI simulates one SM, the unit the paper reports."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "btree", "--policy", "BL", "--sms", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --sms" in capsys.readouterr().err
 
     def test_interrupted_sweep_exits_130_with_resume_hint(
             self, capsys, monkeypatch, tmp_path):

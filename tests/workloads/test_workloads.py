@@ -12,8 +12,6 @@ from repro.workloads import (
     WorkloadSpec,
     build_kernel,
     get_kernel,
-    get_spec,
-    suite_kernels,
     workload_names,
 )
 
@@ -48,21 +46,17 @@ class TestSuite:
         for name in EVALUATION_INSENSITIVE:
             assert SUITE[name].category == "register-insensitive"
 
-    def test_get_spec_unknown(self):
-        with pytest.raises(ValueError):
-            get_spec("doom3")
-
     def test_kernels_are_memoised(self):
         assert get_kernel("btree") is get_kernel("btree")
 
     def test_all_kernels_build_and_validate(self):
-        for kernel in suite_kernels():
-            kernel.cfg.validate()
+        for name in workload_names():
+            get_kernel(name).cfg.validate()
 
     def test_register_demand_matches_spec(self):
         """Generated kernels use (close to) the specified registers."""
         for name in workload_names():
-            spec = get_spec(name)
+            spec = SUITE[name]
             kernel = get_kernel(name)
             assert abs(kernel.register_count - spec.registers) <= 2
 
