@@ -9,22 +9,18 @@ from repro.arch.config import (
 )
 from repro.arch.main_register_file import MainRegisterFile, MRFStats
 from repro.arch.registry import (
-    ARCH_FILE_SUFFIX,
-    ArchFileProvider,
-    ArchProvider,
     ArchRegistry,
     UnknownArchError,
     arch_config,
     default_arch_registry,
-    is_arch_file_name,
 )
 from repro.arch.serialize import (
+    ARCH_FILE_SUFFIX,
     ArchSerializationError,
     arch_fingerprint,
     arch_from_dict,
     arch_to_dict,
     dumps_arch,
-    fingerprint_of_arch,
     load_arch,
     loads_arch,
     save_arch,
@@ -38,8 +34,6 @@ from repro.arch.wcb import WarpControlBlock, wcb_storage_bits
 __all__ = [
     "ARCH_FILE_SUFFIX",
     "AccessResult",
-    "ArchFileProvider",
-    "ArchProvider",
     "ArchRegistry",
     "ArchSerializationError",
     "AddressAllocationUnit",
@@ -54,8 +48,6 @@ __all__ = [
     "arch_to_dict",
     "default_arch_registry",
     "dumps_arch",
-    "fingerprint_of_arch",
-    "is_arch_file_name",
     "load_arch",
     "loads_arch",
     "save_arch",

@@ -35,14 +35,13 @@ configurations.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import fields
 from functools import lru_cache
 from typing import Any, Dict
 
 from repro.arch.config import GPUConfig, MemoryConfig
-from repro.util import atomic_write_text
+from repro.util import JsonFormat, atomic_write_text, content_hash
 
 #: Identifies the file format in the envelope.
 SCHEMA_NAME = "ltrf-arch"
@@ -53,21 +52,21 @@ SCHEMA_VERSION = 1
 
 SUPPORTED_SCHEMA_VERSIONS = frozenset({1})
 
-#: Hex digits of the SHA-256 digest exposed as the fingerprint (same
-#: budget as kernel fingerprints: readable keys, implausible accidental
-#: collisions).
-FINGERPRINT_LENGTH = 16
+#: Canonical extension for serialised architectures (what
+#: ``export-arch`` writes by default); any ``.json`` name loads.
+ARCH_FILE_SUFFIX = ".arch.json"
 
 
 class ArchSerializationError(ValueError):
     """Raised when a payload cannot be (de)serialised as an architecture."""
 
 
-#: Declared field types, for strict decoding.  Loading is strict: an
-#: unrecognized key is almost always a misspelling ("mrf_bank"), and
-#: silently substituting the field's default would produce a
-#: *valid-looking architecture with different behaviour* -- the
-#: silent-wrong-results class this module exists to prevent.
+_FORMAT = JsonFormat(SCHEMA_NAME, SUPPORTED_SCHEMA_VERSIONS,
+                     "an architecture", ArchSerializationError)
+
+#: Declared field types, for strict decoding (loading is strict, see
+#: :class:`~repro.util.JsonFormat`: a misspelled "mrf_bank" must not
+#: silently simulate the default bank count).
 _GPU_FLOAT_FIELDS = frozenset({"mrf_latency_multiple"})
 _GPU_BOOL_FIELDS = frozenset({"narrow_crossbar"})
 _GPU_STR_FIELDS = frozenset({"name"})
@@ -76,16 +75,6 @@ _GPU_KEYS = frozenset(f.name for f in fields(GPUConfig)) | {
     "schema", "schema_version",
 }
 _MEMORY_KEYS = frozenset(f.name for f in fields(MemoryConfig))
-
-
-def _check_keys(payload: Dict[str, Any], allowed: frozenset,
-                what: str) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ArchSerializationError(
-            f"unknown {what} field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
 
 
 def _decode_value(name: str, value: Any) -> Any:
@@ -159,24 +148,8 @@ def arch_from_dict(payload: Dict[str, Any]) -> GPUConfig:
     then runs the dataclasses' own ``__post_init__`` validation -- all
     failures surface as :class:`ArchSerializationError`.
     """
-    if not isinstance(payload, dict):
-        raise ArchSerializationError(
-            f"architecture payload must be a dict, "
-            f"got {type(payload).__name__}"
-        )
-    schema = payload.get("schema")
-    if schema != SCHEMA_NAME:
-        raise ArchSerializationError(
-            f"not an architecture file: schema {schema!r} != {SCHEMA_NAME!r}"
-        )
-    version = payload.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        supported = sorted(SUPPORTED_SCHEMA_VERSIONS)
-        raise ArchSerializationError(
-            f"unsupported architecture schema version {version!r} "
-            f"(this build reads {supported})"
-        )
-    _check_keys(payload, _GPU_KEYS, "architecture")
+    _FORMAT.check_envelope(payload)
+    _FORMAT.check_keys(payload, _GPU_KEYS, "architecture")
     kwargs: Dict[str, Any] = {}
     for name, value in payload.items():
         if name in ("schema", "schema_version"):
@@ -186,7 +159,7 @@ def arch_from_dict(payload: Dict[str, Any]) -> GPUConfig:
                 raise ArchSerializationError(
                     f"memory hierarchy must be a dict, got {value!r}"
                 )
-            _check_keys(value, _MEMORY_KEYS, "memory hierarchy")
+            _FORMAT.check_keys(value, _MEMORY_KEYS, "memory hierarchy")
             memory_kwargs = {
                 m: _decode_value(m, v) for m, v in value.items()
             }
@@ -215,11 +188,7 @@ def dumps_arch(config: GPUConfig, indent: int = 1) -> str:
 
 
 def loads_arch(text: str) -> GPUConfig:
-    try:
-        payload = json.loads(text)
-    except ValueError as error:
-        raise ArchSerializationError(f"invalid JSON: {error}") from None
-    return arch_from_dict(payload)
+    return arch_from_dict(_FORMAT.loads(text))
 
 
 def save_arch(config: GPUConfig, path: str) -> None:
@@ -228,32 +197,27 @@ def save_arch(config: GPUConfig, path: str) -> None:
 
 
 def load_arch(path: str) -> GPUConfig:
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as error:
-        raise ArchSerializationError(
-            f"cannot read architecture file {path!r}: {error}"
-        ) from None
-    return loads_arch(text)
+    return arch_from_dict(_FORMAT.read(path))
 
 
 # -- fingerprint --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def arch_fingerprint(config: GPUConfig) -> str:
-    """Stable content hash of an architecture.
+    """Stable content hash of an architecture, memoised per config.
 
-    SHA-256 over the canonical (sorted-keys, compact) JSON of the
-    serialised configuration with the schema envelope stripped.  The
-    same architecture always fingerprints the same, across processes
-    and schema-version bumps; any change to any field -- bank counts,
-    latencies, crossbar geometry, the memory hierarchy -- changes it.
+    :func:`~repro.util.content_hash` of the serialised configuration:
+    the same architecture always fingerprints the same, across
+    processes and schema-version bumps; any change to any field --
+    bank counts, latencies, crossbar geometry, the memory hierarchy --
+    changes it.  The runner fingerprints the architecture of every
+    request key it computes, and a latency sweep re-presents the same
+    few dozen configurations thousands of times; ``GPUConfig`` is
+    frozen (equality-hashable), so the memo is safe by construction --
+    unlike kernels, there is no mutate-after-hash hazard.
     """
-    content = arch_to_dict(config)
-    del content["schema"], content["schema_version"]
-    blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:FINGERPRINT_LENGTH]
+    return content_hash(arch_to_dict(config))
 
 
 #: Fields struck from the canonical form by the sans-latency
@@ -267,6 +231,7 @@ _MEMORY_LATENCY_FIELDS = (
 )
 
 
+@lru_cache(maxsize=None)
 def arch_fingerprint_sans_latency(config: GPUConfig) -> str:
     """:func:`arch_fingerprint` with the latency knobs struck out.
 
@@ -276,10 +241,10 @@ def arch_fingerprint_sans_latency(config: GPUConfig) -> str:
     the batch dispatcher's row key component
     (:func:`repro.jobs.plan._dispatch_chunks`): every latency
     point of a fig11/fig14-shaped grid row shares it, so one worker
-    runs the whole row and compiles its kernel once.
+    runs the whole row and compiles its kernel once.  Memoised like
+    :func:`arch_fingerprint`.
     """
     content = arch_to_dict(config)
-    del content["schema"], content["schema_version"]
     for name in _LATENCY_FIELDS:
         content.pop(name, None)
     memory = content.get("memory")
@@ -288,29 +253,4 @@ def arch_fingerprint_sans_latency(config: GPUConfig) -> str:
             memory.pop(name, None)
         if not memory:
             del content["memory"]
-    blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:FINGERPRINT_LENGTH]
-
-
-@lru_cache(maxsize=None)
-def fingerprint_of_arch_sans_latency(config: GPUConfig) -> str:
-    """:func:`arch_fingerprint_sans_latency`, memoised per frozen config.
-
-    Same rationale as :func:`fingerprint_of_arch`: a sweep re-presents
-    the same few dozen configurations thousands of times.
-    """
-    return arch_fingerprint_sans_latency(config)
-
-
-@lru_cache(maxsize=None)
-def fingerprint_of_arch(config: GPUConfig) -> str:
-    """:func:`arch_fingerprint`, memoised per (frozen, hashable) config.
-
-    The runner fingerprints the architecture of every request key it
-    computes; a latency sweep re-presents the same few dozen distinct
-    configurations thousands of times, so the serialise-and-hash is
-    pure redundant work after the first call.  ``GPUConfig`` is frozen
-    (equality-hashable), which makes the memo safe by construction --
-    unlike kernels, there is no mutate-after-hash hazard.
-    """
-    return arch_fingerprint(config)
+    return content_hash(content)

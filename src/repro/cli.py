@@ -6,8 +6,8 @@ Usage (after ``pip install -e .``):
     python -m repro.cli list-archs
     python -m repro.cli simulate backprop --policy LTRF --arch tfet-8x
     python -m repro.cli simulate regpressure-128 --policy LTRF
-    python -m repro.cli simulate --kernel-file bp.kernel.json --policy LTRF
-    python -m repro.cli simulate backprop --arch-file my-sm.arch.json
+    python -m repro.cli simulate bp.kernel.json --policy LTRF
+    python -m repro.cli simulate backprop --arch my-sm.arch.json
     python -m repro.cli compile backprop --regions strand
     python -m repro.cli export-kernel backprop -o bp.kernel.json
     python -m repro.cli export-arch maxwell-like -o m.arch.json
@@ -26,9 +26,11 @@ Workload arguments resolve through the registry
 instance (``<family>-<parameter>``), or a ``.kernel.json`` path.
 Architecture arguments resolve the same way through
 :mod:`repro.arch.registry`: a built-in name (``list-archs``) or a
-``.arch.json`` path.  Every subcommand prints plain text; experiment
-names mirror the paper's tables and figures (the experiment index is
-:data:`repro.experiments.FIGURES`).
+``.arch.json`` path.  Both registries share one mechanism
+(:mod:`repro.registry`), so a path ending in ``.json`` goes wherever a
+name goes; there is no separate file option.  Every subcommand prints
+plain text; experiment names mirror the paper's tables and figures
+(the experiment index is :data:`repro.experiments.FIGURES`).
 """
 
 from __future__ import annotations
@@ -44,12 +46,8 @@ from repro.analysis import (
     discover_bench_files,
     write_report,
 )
-from repro.arch import GPUConfig, arch_fingerprint, save_arch
-from repro.arch.registry import (
-    ARCH_FILE_SUFFIX,
-    default_arch_registry,
-    is_arch_file_name,
-)
+from repro.arch import ARCH_FILE_SUFFIX, save_arch
+from repro.arch.registry import default_arch_registry
 from repro.compiler import compile_kernel
 from repro.experiments import (
     FIGURES,
@@ -58,18 +56,14 @@ from repro.experiments import (
     sweep_requests,
 )
 from repro.experiments.runner import default_cache_dir
-from repro.ir import kernel_fingerprint, save_kernel
+from repro.ir.serialize import KERNEL_FILE_SUFFIX, save_kernel
 from repro.policies import POLICIES
+from repro.registry import is_file_name
 from repro.store import Query, ResultStore, StoreError
-from repro.workloads import (
-    UnknownWorkloadError,
-    default_registry,
-    get_kernel,
-)
-from repro.workloads.registry import KERNEL_FILE_SUFFIX, is_kernel_file_name
+from repro.workloads import UnknownWorkloadError, default_registry
 
 def _add_workload_argument(command) -> None:
-    """Workload selection shared by simulate/sweep: name or kernel file.
+    """Workload selection shared by simulate/sweep.
 
     The workload is deliberately *not* an argparse ``choices`` list:
     the registry resolves scenario-family instances and kernel files
@@ -80,11 +74,6 @@ def _add_workload_argument(command) -> None:
         "workload", nargs="?", default=None,
         help="registered workload, scenario instance (e.g. "
              "regpressure-128), or .kernel.json path",
-    )
-    command.add_argument(
-        "--kernel-file", default=None, metavar="PATH",
-        help="simulate a serialized kernel file (alternative to a "
-             "workload name)",
     )
 
 
@@ -111,13 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workload_argument(simulate)
     simulate.add_argument("--policy", default="LTRF",
                           choices=sorted(POLICIES))
-    simulate.add_argument("--arch", default=None, metavar="NAME",
+    simulate.add_argument("--arch", default="maxwell-like", metavar="NAME",
                           help="architecture by registry name (see "
                                "list-archs) or .arch.json path "
                                "(default: maxwell-like)")
-    simulate.add_argument("--arch-file", default=None, metavar="PATH",
-                          help="architecture from a .arch.json file "
-                               "(alternative to --arch)")
     simulate.add_argument("--latency", type=float, default=None,
                           help="override the MRF latency multiple")
 
@@ -268,45 +254,28 @@ def _fail(message: str, code: int = 2) -> NoReturn:
     raise _CliError(code)
 
 
-def _require_json_suffix(path: str) -> None:
-    """Enforce the file-routing rule on both the load and export sides.
-
-    A name routes to the kernel-file loader iff it ends in .json --
-    everywhere, including batch-engine worker processes, which only
-    ever see the name string -- so exporting to any other suffix would
-    produce a file this same tool refuses to consume.
-    """
-    if not is_kernel_file_name(path):
-        _fail(f"kernel files must end in .json (got {path!r}); "
-              f"e.g. {path}{KERNEL_FILE_SUFFIX}")
-
-
-def _resolve_workload(name: Optional[str],
-                      kernel_file: Optional[str] = None) -> str:
-    """Validate a workload selection and return its registry name.
+def _resolved(lookup, name: str):
+    """``lookup(name)`` through a registry method, failing cleanly.
 
     Resolution *and* materialisation happen here so every failure mode
     -- a typo'd name (difflib suggestions), an out-of-range scenario
-    parameter, a missing or malformed kernel file -- fails fast with a
-    clean one-line error instead of argparse's choices dump or a
-    traceback from deep inside the runner.  The built kernel is
-    memoised by the registry, so the subsequent simulate/compile pays
-    nothing extra.
+    parameter, a missing or malformed kernel or architecture file --
+    fails fast with a clean one-line error instead of argparse's
+    choices dump or a traceback from deep inside the runner: all are
+    ValueErrors.  The built object is memoised by the registry, so the
+    subsequent simulate/compile pays nothing extra.
     """
-    if kernel_file is not None:
-        if name is not None:
-            _fail("pass either a workload name or --kernel-file, not both")
-        _require_json_suffix(kernel_file)
-        name = kernel_file
-    if name is None:
-        _fail("a workload name or --kernel-file is required")
     try:
-        default_registry().get_kernel(name)
+        return lookup(name)
     except ValueError as error:
-        # Covers UnknownWorkloadError (difflib suggestions),
-        # KernelSerializationError (bad/missing file), and out-of-range
-        # scenario parameters -- all ValueError subclasses.
         _fail(str(error))
+
+
+def _resolve_workload(name: Optional[str]) -> str:
+    """Validate a workload selection and return its registry name."""
+    if name is None:
+        _fail("a workload name is required")
+    _resolved(default_registry().get_kernel, name)
     return name
 
 
@@ -342,62 +311,19 @@ def _interrupted(runner: Runner) -> NoReturn:
     raise _CliError(130)
 
 
-def _require_arch_json_suffix(path: str) -> None:
-    """Enforce the file-routing rule for architecture files.
-
-    Mirrors :func:`_require_json_suffix`: a name routes to the
-    ``.arch.json`` loader iff it ends in ``.json``, so exporting to (or
-    loading from) any other suffix would produce a file this same tool
-    refuses to consume.
-    """
-    if not is_arch_file_name(path):
-        _fail(f"architecture files must end in .json (got {path!r}); "
-              f"e.g. {path}{ARCH_FILE_SUFFIX}")
-
-
-def _resolve_arch_config(name: str) -> GPUConfig:
-    """Resolve an architecture name/path, failing with a clean error.
-
-    Covers :class:`~repro.arch.registry.UnknownArchError` (difflib
-    suggestions) and
-    :class:`~repro.arch.serialize.ArchSerializationError` (bad/missing
-    file, invalid field values) -- all ValueError subclasses.
-    """
-    try:
-        return default_arch_registry().get_config(name)
-    except ValueError as error:
-        _fail(str(error))
-
-
-def _select_arch(args) -> str:
-    """The architecture name/path a ``simulate`` invocation chose.
-
-    At most one of ``--arch`` and ``--arch-file`` may be given.
-    """
-    if args.arch is not None and args.arch_file is not None:
-        _fail("pass only one of --arch or --arch-file")
-    if args.arch_file is not None:
-        _require_arch_json_suffix(args.arch_file)
-        return args.arch_file
-    if args.arch is not None:
-        return args.arch
-    return "maxwell-like"
-
-
 def _cmd_simulate(args) -> None:
-    workload = _resolve_workload(args.workload, args.kernel_file)
+    workload = _resolve_workload(args.workload)
     # The default architecture is the same 272KB normalisation baseline
     # the experiments use (MRF + the 16KB RFC budget), so printed IPC
     # numbers are directly comparable to the figures.
-    arch = _select_arch(args)
-    config = _resolve_arch_config(arch)
+    config = _resolved(default_arch_registry().get_config, args.arch)
     if args.latency is not None:
         config = config.with_latency_multiple(args.latency)
     runner = _make_runner()
     result = runner.simulate(workload, args.policy, config)
     print(f"workload           {workload}")
     print(f"policy             {args.policy}")
-    print(f"arch               {arch} "
+    print(f"arch               {args.arch} "
           f"({config.mrf_size_kb}KB, {config.mrf_latency_multiple}x)")
     print(f"resident warps     {result.resident_warps}")
     print(f"cycles             {result.cycles}")
@@ -411,7 +337,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_compile(args) -> None:
-    kernel = get_kernel(_resolve_workload(args.workload))
+    kernel = _resolved(default_registry().get_kernel, args.workload)
     compiled = compile_kernel(
         kernel, region_kind=args.regions, max_registers=args.max_registers
     )
@@ -439,7 +365,8 @@ def _cmd_experiment(names: List[str], jobs: int,
                   f"({', '.join(aware)}); "
                   f"{unsupported[0]!r} reproduces a fixed paper "
                   "configuration")
-        _resolve_arch_config(arch)      # fail fast, before any simulation
+        # Fail fast, before any simulation.
+        _resolved(default_arch_registry().get_config, arch)
     runner = _make_runner()
     try:
         for name in selected:
@@ -453,10 +380,11 @@ def _cmd_experiment(names: List[str], jobs: int,
 
 
 def _cmd_sweep(args) -> None:
-    workload = _resolve_workload(args.workload, args.kernel_file)
+    workload = _resolve_workload(args.workload)
     archs = [name.strip() for name in args.arch.split(",")]
     for arch in archs:
-        _resolve_arch_config(arch)      # fail fast, before any simulation
+        # Fail fast, before any simulation.
+        _resolved(default_arch_registry().get_config, arch)
     runner = _make_runner()
     policies = [policy.strip() for policy in args.policies.split(",")]
     try:
@@ -499,35 +427,27 @@ def _cmd_serve(args) -> None:
         raise _CliError(code)
 
 
-def _cmd_export_kernel(args) -> None:
-    workload = _resolve_workload(args.workload)
-    kernel = get_kernel(workload)
-    output = args.output
+def _export(registry, name: str, output: Optional[str], noun: str,
+            suffix: str, save) -> None:
+    """The writer ``export-kernel`` and ``export-arch`` share: resolve
+    ``name`` through ``registry`` and save it to ``output``.
+
+    A name routes to a file loader iff it ends in .json -- everywhere,
+    including pool workers, which only ever see the name string -- so
+    writing any other suffix would produce a file this same tool
+    refuses to consume.
+    """
+    value, fingerprint = _resolved(registry.resolve, name)
     if output is None:
-        output = f"{workload.replace('/', '_')}{KERNEL_FILE_SUFFIX}"
-    else:
-        _require_json_suffix(output)
+        output = f"{name.replace('/', '_')}{suffix}"
+    elif not is_file_name(output):
+        _fail(f"{noun} files must end in .json (got {output!r}); "
+              f"e.g. {output}{suffix}")
     try:
-        save_kernel(kernel, output)
+        save(value, output)
     except OSError as error:
         _fail(f"cannot write {output!r}: {error}")
-    print(f"exported {workload} -> {output} "
-          f"(fingerprint {kernel_fingerprint(kernel)})")
-
-
-def _cmd_export_arch(args) -> None:
-    config = _resolve_arch_config(args.arch)
-    output = args.output
-    if output is None:
-        output = f"{args.arch.replace('/', '_')}{ARCH_FILE_SUFFIX}"
-    else:
-        _require_arch_json_suffix(output)
-    try:
-        save_arch(config, output)
-    except OSError as error:
-        _fail(f"cannot write {output!r}: {error}")
-    print(f"exported {args.arch} -> {output} "
-          f"(fingerprint {arch_fingerprint(config)})")
+    print(f"exported {name} -> {output} (fingerprint {fingerprint})")
 
 
 def _cmd_list_archs() -> None:
@@ -662,9 +582,11 @@ def main(argv: List[str] = None) -> int:
         elif args.command == "compile":
             _cmd_compile(args)
         elif args.command == "export-kernel":
-            _cmd_export_kernel(args)
+            _export(default_registry(), args.workload, args.output,
+                    "kernel", KERNEL_FILE_SUFFIX, save_kernel)
         elif args.command == "export-arch":
-            _cmd_export_arch(args)
+            _export(default_arch_registry(), args.arch, args.output,
+                    "architecture", ARCH_FILE_SUFFIX, save_arch)
         elif args.command == "list-archs":
             _cmd_list_archs()
         elif args.command == "experiment":

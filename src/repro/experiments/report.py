@@ -66,12 +66,22 @@ def render_table(title: str, headers: Sequence[str],
 
 
 def geomean(values: Sequence[float]) -> float:
-    """Geometric mean (the conventional mean for normalised speedups)."""
-    filtered = [v for v in values if v > 0]
-    if not filtered:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in filtered) / len(filtered))
+    """Geometric mean (the conventional mean for normalised speedups).
+
+    Raises ``ValueError`` on an empty list or a non-positive value:
+    a summary must not print a mean of nothing, or of a subset the
+    reader cannot see, as if it were a result.
+    """
+    if not values:
+        raise ValueError("geometric mean of no values")
+    if min(values) <= 0:
+        raise ValueError(f"geometric mean of non-positive values: "
+                         f"{[v for v in values if v <= 0]}")
+    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    """Arithmetic mean; raises ``ValueError`` on an empty list."""
+    if not values:
+        raise ValueError("mean of no values")
+    return sum(values) / len(values)

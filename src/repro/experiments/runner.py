@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.arch.config import GPUConfig
 from repro.arch.registry import arch_config
-from repro.arch.serialize import arch_to_dict, fingerprint_of_arch
+from repro.arch.serialize import arch_fingerprint, arch_to_dict
 from repro.store import Query, ResultStore
 from repro.workloads import workload_fingerprint
 
@@ -308,7 +308,7 @@ class Runner:
         # Fingerprints are memoised per process, so this costs one
         # kernel build per workload name and one hash per distinct
         # configuration.
-        arch_fp = fingerprint_of_arch(request.config)
+        arch_fp = arch_fingerprint(request.config)
         if self.result_store is not None:
             # Keep the store's arch manifest complete: every
             # fingerprint a key embeds has its full description

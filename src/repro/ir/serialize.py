@@ -29,7 +29,6 @@ kernels.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import weakref
 from typing import Any, Dict, List
@@ -39,7 +38,7 @@ from repro.ir.cfg import CFG
 from repro.ir.instruction import Instruction, MemorySpec, Opcode
 from repro.ir.kernel import Kernel
 from repro.ir.registers import encode_bitvector
-from repro.util import atomic_write_text
+from repro.util import JsonFormat, atomic_write_text, content_hash
 
 #: Identifies the file format in the envelope.
 SCHEMA_NAME = "ltrf-kernel"
@@ -50,22 +49,21 @@ SCHEMA_VERSION = 1
 
 SUPPORTED_SCHEMA_VERSIONS = frozenset({1})
 
-#: Hex digits of the SHA-256 digest exposed as the fingerprint.  16
-#: nibbles (64 bits) keeps cache keys readable while making accidental
-#: collisions across a workload suite implausible.
-FINGERPRINT_LENGTH = 16
+#: Canonical extension for serialised kernels (what ``export-kernel``
+#: writes by default); any ``.json`` name loads.
+KERNEL_FILE_SUFFIX = ".kernel.json"
 
 
 class KernelSerializationError(ValueError):
     """Raised when a payload cannot be (de)serialised as a kernel."""
 
 
-#: The exact key sets each payload level may carry.  Loading is strict:
-#: an unrecognized key is almost always a misspelling ("stride_byte"),
-#: and silently substituting the field's default would produce a
-#: *valid-looking kernel with different behaviour* -- the silent-wrong-
-#: results class this module exists to prevent.  Future format changes
-#: go through SCHEMA_VERSION, not through tolerated extra keys.
+_FORMAT = JsonFormat(SCHEMA_NAME, SUPPORTED_SCHEMA_VERSIONS, "a kernel",
+                     KernelSerializationError)
+
+#: The exact key sets each payload level may carry (loading is strict,
+#: see :class:`~repro.util.JsonFormat`).  Future format changes go
+#: through SCHEMA_VERSION, not through tolerated extra keys.
 _KERNEL_KEYS = frozenset({
     "schema", "schema_version", "name", "category", "threads_per_block",
     "entry", "blocks",
@@ -77,16 +75,6 @@ _INSTRUCTION_KEYS = frozenset({
 })
 _MEM_KEYS = frozenset({"stream", "footprint_bytes", "stride_bytes",
                        "coalesced"})
-
-
-def _check_keys(payload: Dict[str, Any], allowed: frozenset,
-                what: str) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise KernelSerializationError(
-            f"unknown {what} field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
 
 
 # -- instructions -------------------------------------------------------------
@@ -133,7 +121,7 @@ def _instruction_from_dict(payload: Dict[str, Any]) -> Instruction:
         raise KernelSerializationError(
             f"instruction payload must be a dict with an opcode: {payload!r}"
         )
-    _check_keys(payload, _INSTRUCTION_KEYS, "instruction")
+    _FORMAT.check_keys(payload, _INSTRUCTION_KEYS, "instruction")
     try:
         opcode = Opcode(payload["opcode"])
     except ValueError:
@@ -147,7 +135,7 @@ def _instruction_from_dict(payload: Dict[str, Any]) -> Instruction:
             raise KernelSerializationError(
                 f"memory spec must be a dict: {spec!r}"
             )
-        _check_keys(spec, _MEM_KEYS, "memory spec")
+        _FORMAT.check_keys(spec, _MEM_KEYS, "memory spec")
         try:
             mem = MemorySpec(
                 stream=spec["stream"],
@@ -218,28 +206,13 @@ def kernel_from_dict(payload: Dict[str, Any]) -> Kernel:
     layout order (which preserves every fall-through edge) and runs the
     kernel's own structural validation.
     """
-    if not isinstance(payload, dict):
-        raise KernelSerializationError(
-            f"kernel payload must be a dict, got {type(payload).__name__}"
-        )
-    schema = payload.get("schema")
-    if schema != SCHEMA_NAME:
-        raise KernelSerializationError(
-            f"not a kernel file: schema {schema!r} != {SCHEMA_NAME!r}"
-        )
-    version = payload.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        supported = sorted(SUPPORTED_SCHEMA_VERSIONS)
-        raise KernelSerializationError(
-            f"unsupported kernel schema version {version!r} "
-            f"(this build reads {supported})"
-        )
+    _FORMAT.check_envelope(payload)
     missing = {"name", "category", "blocks"} - set(payload)
     if missing:
         raise KernelSerializationError(
             f"kernel payload missing fields: {sorted(missing)}"
         )
-    _check_keys(payload, _KERNEL_KEYS, "kernel")
+    _FORMAT.check_keys(payload, _KERNEL_KEYS, "kernel")
     if not payload["blocks"]:
         raise KernelSerializationError("kernel payload has no blocks")
     cfg = CFG()
@@ -254,7 +227,7 @@ def kernel_from_dict(payload: Dict[str, Any]) -> Kernel:
                 raise KernelSerializationError(
                     f"block payload must be a dict: {block_payload!r}"
                 )
-            _check_keys(block_payload, _BLOCK_KEYS, "block")
+            _FORMAT.check_keys(block_payload, _BLOCK_KEYS, "block")
             instructions = [
                 _instruction_from_dict(entry)
                 for entry in block_payload.get("instructions", ())
@@ -290,11 +263,7 @@ def dumps_kernel(kernel: Kernel, indent: int = 1) -> str:
 
 
 def loads_kernel(text: str) -> Kernel:
-    try:
-        payload = json.loads(text)
-    except ValueError as error:
-        raise KernelSerializationError(f"invalid JSON: {error}") from None
-    return kernel_from_dict(payload)
+    return kernel_from_dict(_FORMAT.loads(text))
 
 
 def save_kernel(kernel: Kernel, path: str) -> None:
@@ -303,14 +272,7 @@ def save_kernel(kernel: Kernel, path: str) -> None:
 
 
 def load_kernel(path: str) -> Kernel:
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as error:
-        raise KernelSerializationError(
-            f"cannot read kernel file {path!r}: {error}"
-        ) from None
-    return loads_kernel(text)
+    return kernel_from_dict(_FORMAT.read(path))
 
 
 # -- fingerprint --------------------------------------------------------------
@@ -319,16 +281,12 @@ def load_kernel(path: str) -> Kernel:
 def kernel_fingerprint(kernel: Kernel) -> str:
     """Stable content hash of a kernel.
 
-    SHA-256 over the canonical (sorted-keys, compact) JSON of the
-    serialised kernel with the schema envelope stripped.  The same
+    :func:`~repro.util.content_hash` of the serialised kernel: the same
     kernel content always fingerprints the same, across processes and
     schema-version bumps; any change to an instruction, block, edge,
     register, memory spec, or kernel metadata changes it.
     """
-    content = kernel_to_dict(kernel)
-    del content["schema"], content["schema_version"]
-    blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:FINGERPRINT_LENGTH]
+    return content_hash(kernel_to_dict(kernel))
 
 
 #: Kernel object -> fingerprint, for kernels treated as immutable.

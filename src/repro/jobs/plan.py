@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.arch.serialize import fingerprint_of_arch_sans_latency
+from repro.arch.serialize import arch_fingerprint_sans_latency
 from repro.experiments.runner import (
     RunRecord,
     Runner,
@@ -230,7 +230,7 @@ def _dispatch_chunks(items: List[tuple], workers: int) -> List[List[tuple]]:
     for item in items:
         request = item[1]
         row = (request.workload, request.policy,
-               fingerprint_of_arch_sans_latency(request.config))
+               arch_fingerprint_sans_latency(request.config))
         by_row.setdefault(row, []).append(item)
     chunk_size = max(1, -(-len(items) // (workers * 4)))
     chunks = []

@@ -681,7 +681,7 @@ class ResultStore:
         """Persist the architecture description behind ``fingerprint``.
 
         Written once per fingerprint as ``archs/<fp>.json`` (a complete
-        ``ltrf-arch`` payload, loadable with ``--arch-file``), so the
+        ``ltrf-arch`` payload, loadable as an ``--arch`` path), so the
         query layer can resolve the ``a<fp>`` segment of a record key
         back to concrete hardware parameters.  Idempotent and cheap:
         memoised per instance, and an existing file is never rewritten

@@ -10,7 +10,6 @@ name -> kernel resolution layer in :mod:`repro.workloads.registry`.
 
 from repro.workloads.generator import WorkloadSpec, build_kernel
 from repro.workloads.registry import (
-    KernelProvider,
     UnknownWorkloadError,
     WorkloadRegistry,
     default_registry,
@@ -51,7 +50,6 @@ __all__ = [
     "EVALUATION",
     "EVALUATION_INSENSITIVE",
     "EVALUATION_SENSITIVE",
-    "KernelProvider",
     "SUITE",
     "ScenarioFamily",
     "UnknownWorkloadError",

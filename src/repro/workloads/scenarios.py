@@ -41,6 +41,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.ir.builder import KernelBuilder
 from repro.ir.kernel import Kernel
+from repro.registry import Provider
 from repro.workloads.generator import (
     WorkloadSpec,
     _ValueRotation,
@@ -112,15 +113,14 @@ class ScenarioFamily:
         if parameter is None:
             return None
         self.check_parameter(parameter)   # fail at resolve, not build
-        from repro.workloads.registry import KernelProvider
-        return KernelProvider(
+        return Provider(
             name, f"family:{self.prefix}",
             lambda: self.build(parameter),
-            category=self.category_for(parameter),
             description=(
                 f"{self.description} ({self.parameter.split(';')[0]}"
                 f" = {parameter})"
             ),
+            category=self.category_for(parameter),
         )
 
     def __repr__(self) -> str:

@@ -1,18 +1,12 @@
 """Tests for the named architecture registry."""
 
-import pickle
-
 import pytest
 
 from repro.arch import GPUConfig
 from repro.arch.registry import (
-    ArchFileProvider,
-    ArchProvider,
-    ArchRegistry,
     UnknownArchError,
     arch_config,
     default_arch_registry,
-    is_arch_file_name,
 )
 from repro.arch.serialize import arch_fingerprint, save_arch
 from repro.experiments.runner import baseline_config, table2_config
@@ -74,82 +68,6 @@ class TestUnknownNames:
     def test_unknown_name_mentions_list_archs(self):
         with pytest.raises(UnknownArchError, match="list-archs"):
             default_arch_registry().get_config("epyc")
-
-    def test_error_pickles_intact(self):
-        """Pool workers re-raise this across process boundaries."""
-        try:
-            default_arch_registry().get_config("maxwel-like")
-        except UnknownArchError as error:
-            rebuilt = pickle.loads(pickle.dumps(error))
-            assert rebuilt.name == "maxwel-like"
-            assert rebuilt.suggestions == error.suggestions
-        else:
-            pytest.fail("expected UnknownArchError")
-
-
-class TestFileProviders:
-    def test_json_names_route_to_files(self):
-        assert is_arch_file_name("custom.arch.json")
-        assert is_arch_file_name("plain.json")
-        assert not is_arch_file_name("maxwell-like")
-
-    def test_path_resolves_without_registration(self, tmp_path):
-        path = str(tmp_path / "fat.arch.json")
-        config = GPUConfig(mrf_size_kb=2048)
-        save_arch(config, path)
-        registry = ArchRegistry()
-        assert registry.get_config(path) == config
-
-    def test_registered_file_gets_a_short_name(self, tmp_path):
-        path = str(tmp_path / "fat.arch.json")
-        save_arch(GPUConfig(mrf_size_kb=2048), path)
-        registry = ArchRegistry()
-        registry.register_file(path, name="fat")
-        assert registry.get_config("fat").mrf_size_kb == 2048
-
-    def test_rewrite_invalidates_memo(self, tmp_path):
-        """A rewritten .arch.json must never serve stale content."""
-        import os
-        path = str(tmp_path / "live.arch.json")
-        save_arch(GPUConfig(mrf_size_kb=512), path)
-        registry = ArchRegistry()
-        first_config, first_fp = registry.resolve(path)
-        assert first_config.mrf_size_kb == 512
-        save_arch(GPUConfig(mrf_size_kb=1024), path)
-        # Guarantee a distinct stat signature even on coarse clocks.
-        status = os.stat(path)
-        os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns + 1))
-        second_config, second_fp = registry.resolve(path)
-        assert second_config.mrf_size_kb == 1024
-        assert second_fp != first_fp
-
-    def test_missing_file_fails_loudly(self, tmp_path):
-        from repro.arch import ArchSerializationError
-        registry = ArchRegistry()
-        with pytest.raises(ArchSerializationError, match="cannot read"):
-            registry.get_config(str(tmp_path / "absent.arch.json"))
-
-
-class TestRegistration:
-    def test_duplicate_name_rejected(self):
-        registry = ArchRegistry()
-        registry.register(ArchProvider("x", "builtin", GPUConfig))
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(ArchProvider("x", "builtin", GPUConfig))
-
-    def test_replace_drops_memoised_state(self):
-        registry = ArchRegistry()
-        registry.register(ArchProvider(
-            "x", "builtin", lambda: GPUConfig(mrf_size_kb=256)))
-        first = registry.fingerprint("x")
-        registry.register(ArchProvider(
-            "x", "builtin", lambda: GPUConfig(mrf_size_kb=512)), replace=True)
-        assert registry.fingerprint("x") != first
-
-    def test_provider_repr_names_source(self):
-        provider = ArchProvider("x", "builtin", GPUConfig)
-        assert "builtin" in repr(provider)
-        assert isinstance(ArchFileProvider("p.arch.json"), ArchProvider)
 
 
 class TestArchConfig:

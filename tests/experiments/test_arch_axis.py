@@ -1,11 +1,7 @@
 """Tests for the architecture axis: fingerprinted keys and sweeps."""
 
 from repro.arch import GPUConfig
-from repro.arch.serialize import (
-    arch_fingerprint,
-    fingerprint_of_arch,
-    save_arch,
-)
+from repro.arch.serialize import arch_fingerprint, save_arch
 from repro.experiments import Runner, SimRequest
 from repro.experiments.latency_tolerance import sweep_requests
 
@@ -80,7 +76,7 @@ class TestArchKeyedStore:
         new_key = warm.request_key(SimRequest("btree", "BL", SMALL))
         # SMALL's key in the old format, with the config hash the old
         # runner computed for it.
-        old_key = new_key.replace(f"__a{fingerprint_of_arch(SMALL)}__",
+        old_key = new_key.replace(f"__a{arch_fingerprint(SMALL)}__",
                                   "__d5c92efe19ccdeed__")
         assert old_key != new_key
         runner = Runner(cache_dir=str(tmp_path / "old"))

@@ -70,11 +70,17 @@ class TestReport:
 
     def test_geomean(self):
         assert geomean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geomean([]) == 0.0
+        with pytest.raises(ValueError, match="no values"):
+            geomean([])
+        with pytest.raises(ValueError, match="non-positive"):
+            geomean([1.0, 0.0, 4.0])
+        with pytest.raises(ValueError, match="non-positive"):
+            geomean([-2.0])
 
     def test_mean(self):
         assert mean([1.0, 3.0]) == 2.0
-        assert mean([]) == 0.0
+        with pytest.raises(ValueError, match="no values"):
+            mean([])
 
 
 class TestMaxTolerableLatency:

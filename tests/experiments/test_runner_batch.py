@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.arch import GPUConfig, StreamingMultiprocessor
-from repro.arch.serialize import fingerprint_of_arch_sans_latency
+from repro.arch.serialize import arch_fingerprint_sans_latency
 from repro.experiments import Runner, SimRequest
 from repro.experiments.latency_tolerance import LATENCY_GRID
 from repro.experiments.runner import content_key, default_cache_dir
@@ -570,7 +570,7 @@ class TestDispatchChunks:
             assert len(chunk) == len(LATENCY_GRID)
             assert len({
                 (request.workload, request.policy,
-                 fingerprint_of_arch_sans_latency(request.config))
+                 arch_fingerprint_sans_latency(request.config))
                 for _, request in chunk
             }) == 1
 

@@ -5,6 +5,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -145,3 +146,58 @@ class TestOverHttp:
         reply = b"".join(chunks)
         assert b"Connection: close" in reply
         assert b'"status": "ok"' in reply
+
+
+class TestDroppedClient:
+    #: A spec no other test submits, so every point starts cold.
+    SPEC = {
+        "workloads": "kmeans",
+        "policies": ["BL"],
+        "grid": [1.0, 2.0],
+        "overrides": {"max_resident_warps": 8, "active_warps": 4},
+    }
+
+    def test_dropped_waiting_client_does_not_cancel_its_job(self, served):
+        """A client that closes its socket while its ``?wait=1`` POST
+        waits leaves the job running: it ends done, stores each unique
+        point once, and the same request afterwards is all hits."""
+        url, app, _ = served
+        store = app.tracker.store()
+        before = store.stats()
+        known = {job["id"] for job in json.loads(get(url, "/jobs")[1])["jobs"]}
+        body = json.dumps(self.SPEC).encode()
+        port = int(url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10.0) as sock:
+            sock.sendall(b"POST /sweeps?wait=1 HTTP/1.1\r\n"
+                         b"Host: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            deadline = time.monotonic() + 60.0
+            new = set()
+            while not new and time.monotonic() < deadline:
+                jobs = json.loads(get(url, "/jobs")[1])["jobs"]
+                new = {job["id"] for job in jobs} - known
+                time.sleep(0.01)
+            assert len(new) == 1, "the submitted job never appeared"
+        (job_id,) = new
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline:
+            snapshot = json.loads(get(url, f"/jobs/{job_id}")[1])
+            if snapshot["finished"] is not None:
+                break
+            time.sleep(0.05)
+        assert snapshot["state"] == "done"
+        unique = snapshot["progress"]["unique"]
+        assert unique == 2
+
+        after = store.stats()
+        assert after.entries - before.entries == unique
+        assert after.superseded == before.superseded == 0
+
+        status, body = post(url, "/sweeps?wait=1", self.SPEC)
+        assert status == 200
+        again = json.loads(body)
+        assert again["state"] == "done"
+        assert again["progress"]["hits"] == unique
+        assert again["progress"]["executed"] == 0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch import GPUConfig
-from repro.arch.serialize import arch_to_dict, fingerprint_of_arch
+from repro.arch.serialize import arch_fingerprint, arch_to_dict
 from repro.experiments import Runner
 from repro.experiments.latency_tolerance import sweep_requests
 from repro.experiments.runner import RunRecord
@@ -86,7 +86,7 @@ class TestParseKey:
         parsed = parse_key(key)
         assert parsed is not None
         assert parsed.workload == "btree"
-        assert parsed.arch_fingerprint == fingerprint_of_arch(config)
+        assert parsed.arch_fingerprint == arch_fingerprint(config)
 
 
 class TestQuery:
@@ -249,7 +249,7 @@ class TestRunnerSurface:
 # -- filter pushdown and the shared parse memo --------------------------------
 
 KNOWN_ARCHS = {
-    fingerprint_of_arch(config): arch_to_dict(config)
+    arch_fingerprint(config): arch_to_dict(config)
     for config in (GPUConfig(mrf_latency_multiple=latency, **SMALL)
                    for latency in (1.0, 3.0))
 }
@@ -425,8 +425,8 @@ class TestFilterPushdown:
         record_arch writes it."""
         recorded, missing = (GPUConfig(mrf_latency_multiple=latency,
                                        **SMALL) for latency in (3.0, 5.0))
-        recorded_fp = fingerprint_of_arch(recorded)
-        missing_fp = fingerprint_of_arch(missing)
+        recorded_fp = arch_fingerprint(recorded)
+        missing_fp = arch_fingerprint(missing)
         store = ResultStore(str(tmp_path))
         store.record_arch(recorded_fp, arch_to_dict(recorded))
         for fingerprint in (recorded_fp, missing_fp):

@@ -244,7 +244,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "backprp"],                       # unknown workload
-        ["simulate", "--kernel-file", "kernel.txt"],   # bad suffix
+        ["simulate", "kernel.txt"],                    # not a .json name
         ["simulate", "btree", "--arch", "maxwel-like"],
         ["store", "stats", "--dir", "/nonexistent-store-dir"],
         ["report", "--dir", "/nonexistent-store-dir"],
@@ -280,10 +280,23 @@ class TestWorkloadFrontend:
         assert path in exported and "fingerprint" in exported
         assert main(["simulate", "btree", "--policy", "BL"]) == 0
         by_name = _printed_ipc(capsys.readouterr().out)
-        assert main(["simulate", "--kernel-file", path,
-                     "--policy", "BL"]) == 0
+        assert main(["simulate", path, "--policy", "BL"]) == 0
         by_file = _printed_ipc(capsys.readouterr().out)
         assert by_name == by_file
+
+    def test_sweep_kernel_path_matches_the_name(self, capsys, tmp_path):
+        """``sweep`` takes a kernel path where a name goes, and the
+        exported kernel sweeps to the named workload's curve."""
+        path = str(tmp_path / "bt.kernel.json")
+        assert main(["export-kernel", "btree", "-o", path]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "btree", "--policies", "BL"]) == 0
+        by_name = capsys.readouterr().out.splitlines()
+        assert main(["sweep", path, "--policies", "BL"]) == 0
+        by_path = capsys.readouterr().out.splitlines()
+        assert by_name[0].startswith("BL") and by_name[-1].startswith(
+            "[engine]")
+        assert by_path[:-1] == by_name[:-1]
 
     def test_unknown_workload_suggests_nearest(self, capsys):
         assert main(["simulate", "backprp"]) == 2
@@ -304,17 +317,12 @@ class TestWorkloadFrontend:
         assert "outside" in capsys.readouterr().err
 
     def test_kernel_file_with_plain_json_suffix(self, capsys, tmp_path):
-        """export -o foo.json must be loadable back via --kernel-file."""
+        """export -o foo.json must be loadable back by its path."""
         path = str(tmp_path / "bt.json")
         assert main(["export-kernel", "btree", "-o", path]) == 0
         capsys.readouterr()
-        assert main(["simulate", "--kernel-file", path,
-                     "--policy", "BL"]) == 0
+        assert main(["simulate", path, "--policy", "BL"]) == 0
         assert "IPC" in capsys.readouterr().out
-
-    def test_kernel_file_without_json_suffix_fails_cleanly(self, capsys):
-        assert main(["simulate", "--kernel-file", "kernel.txt"]) == 2
-        assert "must end in .json" in capsys.readouterr().err
 
     def test_list_workloads_includes_runtime_registrations(self, capsys):
         from repro.workloads import WorkloadSpec, default_registry
@@ -331,15 +339,14 @@ class TestWorkloadFrontend:
             registry._providers.pop("zz-runtime-test")
 
     def test_missing_kernel_file_fails_cleanly(self, capsys):
-        assert main(["simulate", "--kernel-file",
-                     "/nonexistent/x.kernel.json"]) == 2
+        assert main(["simulate", "/nonexistent/x.kernel.json"]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "Traceback" not in err
 
     def test_corrupt_kernel_file_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "bad.kernel.json"
         path.write_text("{not json")
-        assert main(["simulate", "--kernel-file", str(path)]) == 2
+        assert main(["simulate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_blocks_payload_fails_cleanly(self, capsys, tmp_path):
@@ -347,7 +354,7 @@ class TestWorkloadFrontend:
         path.write_text('{"schema": "ltrf-kernel", "schema_version": 1, '
                         '"name": "x", "category": "register-sensitive", '
                         '"blocks": ["oops"]}')
-        assert main(["simulate", "--kernel-file", str(path)]) == 2
+        assert main(["simulate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
@@ -361,14 +368,19 @@ class TestWorkloadFrontend:
         err = capsys.readouterr().err
         assert "cannot write" in err and "Traceback" not in err
 
-    def test_workload_and_kernel_file_conflict(self, capsys):
-        assert main(["simulate", "btree", "--kernel-file", "x.kernel.json"
-                     ]) == 2
-        assert "not both" in capsys.readouterr().err
-
     def test_simulate_requires_some_workload(self, capsys):
         assert main(["simulate"]) == 2
-        assert "required" in capsys.readouterr().err
+        assert "a workload name is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_kernel_file_option_removed(self, capsys, command):
+        """A .json path goes wherever a workload name goes."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "btree", "--kernel-file", "x.kernel.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel-file" in (
+            capsys.readouterr().err
+        )
 
     def test_compile_scenario_family_instance(self, capsys):
         assert main(["compile", "divergence-25"]) == 0
@@ -415,7 +427,7 @@ class TestArchFrontend:
         assert main(["simulate", "btree", "--policy", "BL"]) == 0
         by_name = _printed_ipc(capsys.readouterr().out)
         assert main(["simulate", "btree", "--policy", "BL",
-                     "--arch-file", path]) == 0
+                     "--arch", path]) == 0
         by_file = _printed_ipc(capsys.readouterr().out)
         assert by_name == by_file
 
@@ -431,7 +443,7 @@ class TestArchFrontend:
         assert "did you mean" in err and "maxwell-like" in err
 
     def test_missing_arch_file_fails_cleanly(self, capsys):
-        assert main(["simulate", "btree", "--arch-file",
+        assert main(["simulate", "btree", "--arch",
                      "/nonexistent/x.arch.json"]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "Traceback" not in err
@@ -440,24 +452,24 @@ class TestArchFrontend:
         path = tmp_path / "bad.arch.json"
         path.write_text('{"schema": "ltrf-arch", "schema_version": 1, '
                         '"mrf_bank": 8}')
-        assert main(["simulate", "btree", "--arch-file", str(path)]) == 2
+        assert main(["simulate", "btree", "--arch", str(path)]) == 2
         err = capsys.readouterr().err
         assert "mrf_bank" in err and "Traceback" not in err
-
-    def test_arch_file_without_json_suffix_fails_cleanly(self, capsys):
-        assert main(["simulate", "btree", "--arch-file", "sm.arch"]) == 2
-        assert "must end in .json" in capsys.readouterr().err
-
-    def test_arch_selectors_conflict(self, capsys):
-        assert main(["simulate", "btree", "--arch", "tfet-8x",
-                     "--arch-file", "x.arch.json"]) == 2
-        assert "only one" in capsys.readouterr().err
 
     def test_numeric_config_option_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "btree", "--config", "6"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    def test_arch_file_option_removed(self, capsys):
+        """A .json path goes wherever an --arch name goes."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "btree", "--arch-file", "x.arch.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --arch-file" in (
+            capsys.readouterr().err
+        )
 
     def test_simulate_table2_arch(self, capsys):
         """Table 2's configurations are selected by registry name."""

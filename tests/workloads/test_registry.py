@@ -1,10 +1,8 @@
 """Tests for the pluggable workload registry."""
 
-import os
-
 import pytest
 
-from repro.ir import kernel_fingerprint, save_kernel
+from repro.ir import kernel_fingerprint
 from repro.workloads import (
     SUITE,
     UnknownWorkloadError,
@@ -16,11 +14,7 @@ from repro.workloads import (
     workload_fingerprint,
     workload_names,
 )
-from repro.workloads.registry import (
-    FileProvider,
-    KernelBuildStats,
-    SpecProvider,
-)
+from repro.workloads.registry import KernelBuildStats, SpecProvider
 from repro.workloads.scenarios import BUILTIN_FAMILIES
 
 
@@ -81,58 +75,6 @@ class TestResolution:
         kernel = provider.build()
         assert kernel.name == "stream-12"
 
-    def test_rewritten_kernel_file_is_reloaded(self, tmp_path):
-        """A replaced .kernel.json must not serve the old content."""
-        registry = WorkloadRegistry()
-        path = str(tmp_path / "w.kernel.json")
-        save_kernel(get_kernel("btree"), path)
-        assert registry.fingerprint(path) == workload_fingerprint("btree")
-        os.utime(path, ns=(1, 1))   # force a distinct stat signature
-        save_kernel(get_kernel("kmeans"), path)
-        assert registry.fingerprint(path) == workload_fingerprint("kmeans")
-        assert registry.get_kernel(path).name == "kmeans"
-
-    def test_kernel_file_paths_resolve(self, tmp_path):
-        path = str(tmp_path / "exported.kernel.json")
-        save_kernel(get_kernel("btree"), path)
-        provider = default_registry().provider(path)
-        assert isinstance(provider, FileProvider)
-        kernel = default_registry().get_kernel(path)
-        assert kernel_fingerprint(kernel) == workload_fingerprint("btree")
-
-    def test_unstattable_file_is_not_memoised(self, tmp_path, monkeypatch):
-        """If the stat signature cannot be captured, the kernel must
-        not be pinned forever (rewrites would go undetected)."""
-        path = str(tmp_path / "w.kernel.json")
-        save_kernel(get_kernel("btree"), path)
-        registry = WorkloadRegistry()
-        monkeypatch.setattr(
-            WorkloadRegistry, "_file_signature",
-            staticmethod(lambda p: None),
-        )
-        first = registry.get_kernel(path)
-        second = registry.get_kernel(path)
-        assert first is not second           # rebuilt, not memoised
-        assert kernel_fingerprint(first) == kernel_fingerprint(second)
-        # The fingerprint must not outlive content we cannot watch.
-        registry.fingerprint(path)
-        assert path not in registry._fingerprints
-
-    def test_any_json_suffix_resolves_as_file(self, tmp_path):
-        path = str(tmp_path / "plain.json")
-        save_kernel(get_kernel("btree"), path)
-        assert isinstance(default_registry().provider(path), FileProvider)
-
-    def test_unknown_workload_error_pickles(self):
-        """Pool workers must be able to send this error back to the
-        parent (a non-picklable exception breaks the whole executor)."""
-        import pickle
-        original = UnknownWorkloadError("x", ["y"], ["y", "z"])
-        clone = pickle.loads(pickle.dumps(original))
-        assert clone.name == "x"
-        assert clone.suggestions == ["y"]
-        assert str(clone) == str(original)
-
     def test_unknown_family_lookup(self):
         with pytest.raises(UnknownWorkloadError):
             default_registry().family("divergance")
@@ -147,27 +89,6 @@ class TestCustomRegistry:
         kernel = registry.get_kernel("custom")
         assert kernel.name == "custom"
         assert registry.category("custom") == "register-sensitive"
-
-    def test_duplicate_registration_rejected(self):
-        registry = WorkloadRegistry()
-        spec = WorkloadSpec("dup", "register-sensitive", 48, 32)
-        registry.register_spec(spec)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register_spec(spec)
-        registry.register_spec(spec, replace=True)   # explicit wins
-
-    def test_replace_invalidates_memoised_kernel(self):
-        registry = WorkloadRegistry()
-        registry.register_spec(
-            WorkloadSpec("w", "register-sensitive", 48, 32, seed=1)
-        )
-        before = registry.fingerprint("w")
-        registry.register_spec(
-            WorkloadSpec("w", "register-sensitive", 96, 34, seed=1),
-            replace=True,
-        )
-        after = registry.fingerprint("w")
-        assert before != after
 
     def test_replace_family_invalidates_memoised_instances(self):
         """A replaced family must not serve stale kernels/fingerprints
@@ -190,14 +111,6 @@ class TestCustomRegistry:
         before = registry.fingerprint("fam-2")
         registry.register_family(family_with(8), replace=True)
         assert registry.fingerprint("fam-2") != before
-
-    def test_register_file(self, tmp_path):
-        path = str(tmp_path / "k.kernel.json")
-        save_kernel(get_kernel("bfs"), path)
-        registry = WorkloadRegistry()
-        registry.register_file(path, name="from-disk")
-        kernel = registry.get_kernel("from-disk")
-        assert kernel_fingerprint(kernel) == workload_fingerprint("bfs")
 
     def test_fresh_registry_matches_default_fingerprints(self):
         """Resolution is pure in the name: another registry (a worker
