@@ -1,11 +1,11 @@
-"""Benchmarks: result-store write/replay/compact throughput.
+"""Benchmarks: result-store write/read/compact throughput.
 
 The store sits on every cache hit and every flushed record, so its
 cost must stay negligible next to a ~1s simulation.  These benchmarks
-put a synthetic record population through the full lifecycle: append
+put a synthetic record population through the full lifecycle: puts
 (the per-record flush path of a running sweep), cold open + a read of
-every key (the index rebuild a resuming sweep pays), cold open + one
-read (a re-render that needs a few keys of a big store), cold open +
+every key (what a resuming sweep pays), cold open + one read (a
+re-render that needs a few keys of a big store), cold open +
 ``items()`` (a full query), and compaction.
 """
 
@@ -13,7 +13,7 @@ import shutil
 
 from repro.store import ResultStore
 
-#: A population large enough to span segments and shards, small enough
+#: A population large enough to span many database pages, small enough
 #: to keep the benchmark sub-second.
 RECORDS = 2000
 
@@ -95,7 +95,7 @@ def test_store_compact(benchmark, tmp_path_factory):
         root = str(tmp_path_factory.mktemp("store-compact"))
         _populate(root)
         report = ResultStore(root).compact()
-        assert report.segments_after <= report.segments_before
+        assert report.bytes_after <= report.bytes_before
         shutil.rmtree(root)
 
     benchmark.pedantic(compact_fresh, rounds=3, iterations=1)

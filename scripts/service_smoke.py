@@ -11,7 +11,7 @@ locally:
    /jobs/<id>`` to completion, and fetch the rendered table;
 3. while the service is up, run a CLI ``repro sweep`` of a policy the
    service has not simulated into the same store, then ``POST`` that
-   grid: the service keeps one long-lived store index, and it must
+   grid: the service keeps one long-lived store instance, and it must
    serve every point as a hit (no stale miss) and count the CLI's
    records in ``GET /results``.  The same filtered ``GET
    /results?workload=...&policy=...`` is sent before and after the

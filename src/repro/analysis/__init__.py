@@ -2,7 +2,7 @@
 
 Everything here reads records exclusively through the store's query
 API (:mod:`repro.store.query`); nothing below this package touches
-segments or indexes.  :mod:`repro.analysis.report` renders per-sweep
+the database.  :mod:`repro.analysis.report` renders per-sweep
 HTML/CSV reports (``repro report``); :mod:`repro.analysis.diff_runs`
 explains which grid points changed between two stores and why
 (``repro diff-runs``).

@@ -19,7 +19,7 @@ records and attributes every changed grid point to one cause:
 
 Grid points present in only one store are reported as ``only-in-a`` /
 ``only-in-b``; identical entries count as ``unchanged``.  Everything
-reads through :class:`repro.store.Query` -- no segment access here.
+reads through :class:`repro.store.Query` -- no database access here.
 """
 
 from __future__ import annotations

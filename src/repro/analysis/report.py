@@ -1,7 +1,7 @@
 """``repro report``: per-sweep HTML + CSV reports over the store.
 
 Built entirely on :class:`repro.store.Query` -- the report never
-touches segments, indexes, or raw keys beyond what the query layer
+touches the database or raw keys beyond what the query layer
 decodes.  One report covers:
 
 * **Policy-vs-policy IPC deltas** -- records are grouped into grid
@@ -14,9 +14,9 @@ decodes.  One report covers:
 * **Engine telemetry** -- aggregated from the run logs the runner
   appends after each sweep: simulations vs cache hits, cycles
   skipped, compile-cache hit rates, pool retries, host seconds.
-* **Store health** -- live/superseded record counts plus the damage
-  counters (corrupt lines, torn tails), read off the same live index
-  the records came from (``store verify`` is the full replay).
+* **Store health** -- record, architecture and run-log counts plus
+  the database size, from SQL counts (``store verify`` is the
+  row-by-row pass).
 * **Perf trajectory** -- medians per benchmark across committed
   ``BENCH_*.json`` history files (pytest-benchmark format), so a
   report shows how simulator performance moved over time.
@@ -93,15 +93,12 @@ class SweepReport:
 
     def summary_text(self) -> str:
         workloads = sorted({row.workload for row in self.delta_rows})
-        text = (
+        return (
             f"report over {self.store_root}: {self.record_count} "
             f"record(s), {len(self.policies)} policy column(s), "
             f"{len(workloads)} workload(s), {len(self.runs)} logged "
             f"run(s), {len(self.bench_files)} BENCH file(s)"
         )
-        if self.stats.corrupt_lines:
-            text += f"; {self.stats.corrupt_lines} corrupt line(s)"
-        return text
 
 
 def discover_bench_files(directory: str) -> List[str]:
@@ -142,11 +139,6 @@ def build_report(query: Query, baseline_policy: str = "BL",
     notes: List[str] = []
     records = query.records()
     stats = query.stats()
-    if stats.corrupt_lines:
-        notes.append(
-            f"store damage: {stats.corrupt_lines} corrupt line(s) "
-            f"were skipped (run `store verify` for details)"
-        )
     stale = [record for record in records if not record.schema_ok]
     if stale:
         notes.append(
@@ -431,12 +423,10 @@ def _html_document(report: SweepReport) -> str:
     sections.append(_table(
         ("metric", "value"),
         [
-            ("live records", stats.live_keys),
-            ("superseded entries", stats.superseded),
-            ("segments", stats.segments),
+            ("records", stats.records),
+            ("architecture descriptions", stats.archs),
+            ("run-log entries", stats.runs),
             ("bytes", stats.bytes),
-            ("corrupt lines", stats.corrupt_lines),
-            ("torn tails", stats.torn_tails),
         ],
     ))
 

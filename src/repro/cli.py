@@ -191,11 +191,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     descriptions = {
-        "stats": "segment/record/damage counts for the store",
-        "verify": "full consistency scan (corrupt lines, key conflicts); "
-                  "exits 1 on failure",
-        "compact": "GC pass: rewrite each shard to one duplicate-free "
-                   "segment (run while no simulations are writing)",
+        "stats": "record/architecture/run-log counts and size",
+        "verify": "full consistency scan (payloads that do not decode, "
+                  "SQLite integrity check); exits 1 on failure",
+        "compact": "VACUUM the database, dropping the space replaced "
+                   "records left",
     }
     for name, description in descriptions.items():
         command = store_sub.add_parser(name, help=description)
@@ -435,14 +435,17 @@ def _export(registry, name: str, output: Optional[str], noun: str,
     A name routes to a file loader iff it ends in .json -- everywhere,
     including pool workers, which only ever see the name string -- so
     writing any other suffix would produce a file this same tool
-    refuses to consume.
+    refuses to consume.  The suggested name completes the canonical
+    suffix: ``bt.kernel`` gets ``.json``, ``bt`` all of ``.kernel.json``.
     """
     value, fingerprint = _resolved(registry.resolve, name)
     if output is None:
         output = f"{name.replace('/', '_')}{suffix}"
     elif not is_file_name(output):
+        stem = suffix[:-len(".json")]
+        example = output + (".json" if output.endswith(stem) else suffix)
         _fail(f"{noun} files must end in .json (got {output!r}); "
-              f"e.g. {output}{suffix}")
+              f"e.g. {example}")
     try:
         save(value, output)
     except OSError as error:
@@ -495,7 +498,7 @@ def _cmd_store(args) -> None:
     if args.store_command == "stats":
         # Through the query API, like every other reader: `store stats`
         # and run_all_experiments' [store] line render the same
-        # StoreStats, so they agree by construction.
+        # StoreStats (SQL counts), so they agree by construction.
         query = Query(_open_store(root))
         print(query.stats().render())
     elif args.store_command == "verify":

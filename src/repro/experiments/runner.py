@@ -15,11 +15,11 @@ charges every batch counter in :class:`RunnerStats`, and returns
 records aligned with the input order, so ``jobs=N`` is bit-for-bit
 equivalent to serial execution.
 
-On-disk persistence lives in :mod:`repro.store`: a sharded,
-append-only, crash-consistent result store addressed by the *full*
-cache key, so naming is injective by construction.  Completed records
-are flushed to the store as they arrive, so a sweep killed mid-run
-resumes without re-simulating anything already flushed.
+On-disk persistence lives in :mod:`repro.store`: a crash-consistent
+result store on one SQLite file, addressed by the *full* cache key, so
+naming is injective by construction.  Completed records are committed
+to the store as they arrive, so a sweep killed mid-run resumes without
+re-simulating anything already committed.
 """
 
 from __future__ import annotations
@@ -260,14 +260,14 @@ class Runner:
 
     ``cache_dir`` defaults to :func:`default_cache_dir` -- the one
     place ``LTRF_CACHE_DIR`` is honoured -- and names the root of the
-    sharded :class:`~repro.store.ResultStore`; ``None`` disables
+    :class:`~repro.store.ResultStore`; ``None`` disables
     on-disk persistence entirely.
 
     ``store`` hands in an already open store to use instead of opening
     one; ``cache_dir`` then defaults to its root.  The job tracker
-    shares one instance across all its jobs this way, so its index is
-    read from disk once, not once per job.  The caller owns (and
-    closes) a store it hands in.
+    shares one instance across all its jobs this way, so its memo of
+    decoded records serves every job.  The caller owns (and closes) a
+    store it hands in.
     """
 
     def __init__(self, cache_dir: Optional[str] = _DEFAULT_CACHE,
@@ -315,9 +315,10 @@ class Runner:
             # alongside the records, so the query layer can resolve
             # `a<fp>` back to concrete hardware (e.g. latency filters
             # in `repro report`).  record_arch memoises per
-            # fingerprint, so this is a set lookup on the hot path.
-            self.result_store.record_arch(arch_fp,
-                                          arch_to_dict(request.config))
+            # fingerprint and builds the description only for one it
+            # has not recorded, so this is a set lookup on the hot path.
+            self.result_store.record_arch(
+                arch_fp, lambda: arch_to_dict(request.config))
         return (
             f"{request.workload}__{request.policy}__a{arch_fp}"
             f"__{request.seed}__k{workload_fingerprint(request.workload)}"
@@ -367,8 +368,7 @@ class Runner:
         except TypeError:
             # Stale-schema entry (fields added/renamed since it was
             # written): treat as a miss.  The re-simulated record is
-            # appended under the same key and shadows it; compaction
-            # reclaims the dead bytes.
+            # put under the same key and replaces it.
             return None
 
     def results(self) -> Query:
@@ -395,12 +395,11 @@ class Runner:
         self._memory_cache[key] = record
         if self.result_store is not None:
             payload = asdict(record)
-            # Skip the append when the store already holds this exact
+            # Skip the put when the store already holds this exact
             # payload -- the serial path absorbs records its stored()
-            # probe found (another writer flushed them), and
-            # re-appending them here would only grow dead bytes.  A
-            # *different* payload is still appended (it shadows
-            # stale-schema entries by (seq, writer) rank).
+            # probe found (another writer flushed them), and re-putting
+            # them here would only cost a write.  A *different* payload
+            # is still put (it replaces a stale-schema entry).
             if self.result_store.get(key) != payload:
                 self.result_store.put(key, payload)
 
@@ -470,11 +469,10 @@ class Runner:
     def log_run(self, label: str) -> Optional[Dict[str, object]]:
         """Persist this runner's telemetry summary into the store.
 
-        One JSONL entry under the store's ``runs/`` sidecar (written
-        through the store, never by path), labelled so reports can say
-        *which* sweep produced the numbers.  Telemetry is host-specific
-        and advisory, which is why it lives beside -- not inside -- the
-        deterministic record segments.  Returns the logged entry, or
+        One entry in the store's ``runs`` table, labelled so reports
+        can say *which* sweep produced the numbers.  Telemetry is
+        host-specific and advisory, which is why it lives beside -- not
+        inside -- the deterministic records.  Returns the logged entry, or
         ``None`` when the runner has no store or nothing happened since
         the previous :meth:`log_run` worth recording (no simulations,
         no cache traffic, no fault recovery).

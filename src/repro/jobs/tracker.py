@@ -28,10 +28,9 @@ Each job executes on its own :class:`Runner` (thread-confined), so
 per-job telemetry is a natural delta; cross-job dedup flows entirely
 through the store plus the flight registry.  All those runners share
 one thread-safe :class:`~repro.store.ResultStore` instance, opened by
-the tracker: its index is read from disk once for the tracker's life
-instead of once per job, every job appends to the same segment per
-shard and the same run-log file, and records other processes write
-still show up on the next miss.
+the tracker: one database connection and one memo of decoded records
+serve every job for the tracker's life, and records other processes
+write still show up on the next miss.
 """
 
 from __future__ import annotations
@@ -224,8 +223,8 @@ class JobTracker:
         return self._store
 
     def close(self) -> None:
-        """Close the shared store's writer handles; call once the jobs
-        have finished."""
+        """Close the shared store's connection; call once the jobs have
+        finished."""
         if self._store is not None:
             self._store.close()
 

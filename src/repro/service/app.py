@@ -26,9 +26,9 @@ Routes::
 Submissions execute on the app's own worker pool (not the server's
 request executor), so long sweeps never starve request handling.
 Jobs and the read routes share the tracker's one store instance, so a
-query reads the in-memory index instead of re-parsing the store, and
-every query derives from one base :class:`Query`, so each key is
-parsed once for the server's lifetime.
+query reads records other requests already decoded from its memo, and
+every query derives from one base :class:`Query`, so each recorded
+architecture is resolved once for the server's lifetime.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class ServiceApp:
         )
         self._closed = threading.Event()
         #: Every read route derives its query from this one, so they
-        #: share its key-parse memo; rebuilt if the store changes.
+        #: share its latency memo; rebuilt if the store changes.
         self._query: Optional[Query] = None
 
     # -- dispatch -----------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Sharded, crash-consistent result store (see result_store.py) and
-the one query API every consumer reads it through (see query.py)."""
+"""Crash-consistent result store on one SQLite file (see
+result_store.py) and the one query API every consumer reads it through
+(see query.py)."""
 
-from repro.store.query import ParsedKey, Query, StoredRecord
+from repro.store.query import Query, StoredRecord
 from repro.store.result_store import (
-    DEFAULT_SHARDS,
     CompactionReport,
+    ParsedKey,
     ResultStore,
     StoreError,
     StoreStats,
@@ -13,7 +14,6 @@ from repro.store.result_store import (
 
 __all__ = [
     "CompactionReport",
-    "DEFAULT_SHARDS",
     "ParsedKey",
     "Query",
     "ResultStore",

@@ -4,111 +4,50 @@ Every consumer used to read the store through its own ad-hoc path:
 the figures replayed ``simulate_many`` for warm records, the ``store``
 CLI called :meth:`ResultStore.stats` directly, scripts iterated
 ``store.keys()`` by hand and re-parsed payloads.  This module is the
-single sanctioned read surface instead: a :class:`Query` that decodes
-raw ``key -> payload`` entries into typed :class:`StoredRecord` rows
+single sanctioned read surface instead: a :class:`Query` that turns
+stored ``key -> payload`` entries into typed :class:`StoredRecord` rows
 (workload, policy, arch/kernel fingerprints, seed, the full payload,
 and -- where the arch manifest knows the fingerprint -- the concrete
 MRF latency multiple), with key filters and projections.
 
 Reports (``repro report``), run diffing (``repro diff-runs``), the
 ``store`` CLI, ``run_all_experiments``'s ``[store]`` line, and
-:meth:`Runner.results` are all built on it; direct segment/index
-access stays confined to :mod:`repro.store`.
+:meth:`Runner.results` are all built on it; direct database access
+stays confined to :mod:`repro.store`.
 
-Keys are parsed structurally, never trusted blindly: the format
-``<workload>__<policy>__a<arch-fp>__<seed>__k<kernel-fp>`` decodes, and
-a key that does not match it -- such as one written before the
-``a<fp>`` segment existed -- still yields a row (``key_ok`` false,
-fingerprints empty, identity recovered from the payload where
-possible) so maintenance tooling sees *every* record.
+Keys are parsed structurally, never trusted blindly: the store parses
+the format ``<workload>__<policy>__a<arch-fp>__<seed>__k<kernel-fp>``
+into its key columns when a record is put, and a key that does not
+match it -- such as one written before the ``a<fp>`` segment existed
+-- still yields a row (``key_ok`` false, fingerprints empty, identity
+recovered from the payload where possible) so maintenance tooling sees
+*every* record.
 
 Every filter (workload, policy, fingerprints, seed, an explicit key
 set, and the latency band, which follows from the arch fingerprint) is
-decided by the key, before its payload is read; a query and every
-query derived from it share one parse per key and one resolved latency
-per arch fingerprint.  A filtered query lists the store's keys without
-decoding them (:meth:`ResultStore.filed_keys`) and narrows them
-through a per-workload key index kept with the parse memo, so it
-decodes only the records it reads.
+decided by the key columns, before a payload is read.  The equality
+filters run in SQL (:meth:`ResultStore.select`), so a filtered query
+reads only the records it returns; a query and every query derived
+from it share one resolved latency per arch fingerprint.
 """
 
 from __future__ import annotations
 
 import copy
-import re
 from operator import attrgetter
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from repro.store.result_store import ResultStore, StoreStats
-
-
-#: Whether a whole string is lowercase hex digits only (no uppercase,
-#: no ``0x`` prefix); returns a match or ``None``.
-_is_hex = re.compile(r"[0-9a-f]+").fullmatch
-
-
-class ParsedKey(NamedTuple):
-    """The structured form of one result-store cache key.
-
-    A read-only named tuple rather than a frozen dataclass: the query
-    layer builds one per stored record, and a tuple is constructed in
-    about half the time.
-    """
-
-    workload: str
-    policy: str
-    #: Content fingerprint of the architecture (``a<fp>`` segment).
-    arch_fingerprint: str
-    seed: int
-    kernel_fingerprint: str
-
-
-def _parse_key(key: str, share: Callable[[Any, Any], Any]
-               ) -> Optional[ParsedKey]:
-    """Decode a cache key, or ``None`` if it does not match the format.
-
-    Parsed right to left (kernel fingerprint, seed, arch segment,
-    policy) because only the workload may itself contain ``__`` -- a
-    file-backed workload is addressed by its path.  The seed and every
-    non-empty string field pass through ``share`` (a
-    ``dict.setdefault``), so the thousands of keys naming one workload,
-    policy, fingerprint or seed can hold one copy of it.
-    """
-    base, sep, kernel_fp = key.rpartition("__k")
-    if not sep or not _is_hex(kernel_fp):
-        return None
-    parts = base.rsplit("__", 3)
-    if len(parts) != 4:
-        return None
-    workload, policy, arch_token, seed_text = parts
-    if not workload or not policy:
-        return None
-    try:
-        seed = int(seed_text)
-    except ValueError:
-        return None
-    workload = share(workload, workload)
-    policy = share(policy, policy)
-    seed = share(seed, seed)
-    kernel_fp = share(kernel_fp, kernel_fp)
-    if not arch_token.startswith("a") or not _is_hex(arch_token[1:]):
-        return None
-    arch_fp = arch_token[1:]
-    return ParsedKey(workload, policy, share(arch_fp, arch_fp), seed,
-                     kernel_fp)
 
 
 class StoredRecord(NamedTuple):
@@ -182,10 +121,11 @@ class _Latencies(dict):
     """arch fingerprint -> manifest-resolved MRF latency multiple for
     one :meth:`Query.records` call, resolved on first use.
 
-    A sidecar is content-addressed and never rewritten, so a resolved
-    latency goes into ``resolved``, which the query lineage shares; an
-    unresolved one stays in this call's dict only, because the manifest
-    may gain the fingerprint (``record_arch``) before the next query.
+    An arch description is content-addressed and never rewritten, so a
+    resolved latency goes into ``resolved``, which the query lineage
+    shares; an unresolved one stays in this call's dict only, because
+    the manifest may gain the fingerprint (``record_arch``) before the
+    next query.
     """
 
     def __init__(self, store: ResultStore,
@@ -204,46 +144,12 @@ class _Latencies(dict):
         return latency
 
 
-#: Marks a key the parse memo has not seen yet (``None`` in the memo
-#: means "seen, and not a cache key").
-_UNSEEN = object()
-
-
-class _KeyMemo:
-    """The parsed keys one query lineage shares, indexed by workload,
-    and the latencies it has resolved.
-
-    Derived queries may run on several threads at once (the service
-    derives every query from one base), so the index only grows, its
-    buckets are sets, and :meth:`parse` files a key in its bucket
-    *before* it enters ``parsed``: a query that finds a key parsed
-    finds it indexed too.  Concurrent queries at worst parse a key (or
-    resolve a latency) twice, to equal results.
-    """
-
-    __slots__ = ("parsed", "by_workload", "unparsed", "shared", "latencies")
-
-    def __init__(self) -> None:
-        #: key -> ParsedKey, or None for a key that does not parse.
-        self.parsed: Dict[str, Optional[ParsedKey]] = {}
-        #: workload -> the parsed keys naming it.
-        self.by_workload: Dict[str, Set[str]] = {}
-        #: The keys that do not parse (a candidate for any workload).
-        self.unparsed: Set[str] = set()
-        #: One copy of each key field value the memo holds.
-        self.shared: Dict[Any, Any] = {}
-        #: arch fingerprint -> resolved MRF latency multiple.
-        self.latencies: Dict[str, float] = {}
-
-    def parse(self, key: str) -> Optional[ParsedKey]:
-        """Parse and index a key the memo has not seen."""
-        parsed = _parse_key(key, self.shared.setdefault)
-        if parsed is None:
-            self.unparsed.add(key)
-        else:
-            self.by_workload.setdefault(parsed.workload, set()).add(key)
-        self.parsed[key] = parsed
-        return parsed
+#: ``where()`` field -> the ``records`` column it filters in SQL.
+_COLUMNS = {
+    "workload": "workload", "policy": "policy",
+    "arch_fingerprint": "arch_fp", "kernel_fingerprint": "kernel_fp",
+    "seed": "seed",
+}
 
 
 class Query:
@@ -255,26 +161,23 @@ class Query:
     :meth:`count`, :meth:`stats`) runs.
 
     A query and every query :meth:`where` derives from it share one
-    memo of parsed keys, indexed by workload, and of resolved
-    latencies, so a long-lived base query (the service keeps one)
-    parses each key and reads each arch sidecar once however many
-    filtered queries it serves.  The memo never stands in
-    for the store's key set: each terminal read lists the store's keys
+    memo of resolved latencies, so a long-lived base query (the service
+    keeps one) reads each recorded arch description once however many
+    filtered queries it serves.  Each terminal read queries the store
     again, so records written since (by this instance or another
     writer) show.
     """
 
     def __init__(self, store: ResultStore) -> None:
         self._store = store
-        #: Shared by the whole lineage.
-        self._memo = _KeyMemo()
+        #: arch fingerprint -> resolved MRF latency multiple; shared by
+        #: the whole lineage.
+        self._latencies: Dict[str, float] = {}
         # where() constraints, all decided by the key: an explicit key
-        # set, the latest workload named (its index bucket holds every
-        # candidate that parses), (getter, expected) equality checks on
-        # the parsed key fields, and (min, max) latency bands.
+        # set, (field, expected) equality checks on the key fields, and
+        # (min, max) latency bands.
         self._key_in: Optional[FrozenSet[str]] = None
-        self._workload: Optional[str] = None
-        self._key_checks: Tuple[Tuple[Callable[[Any], Any], Any], ...] = ()
+        self._equal: Tuple[Tuple[str, Any], ...] = ()
         self._latency_bands: Tuple[Tuple[Optional[float],
                                          Optional[float]], ...] = ()
 
@@ -295,7 +198,7 @@ class Query:
     # -- filters ------------------------------------------------------------
 
     def _derive(self, **changes: Any) -> "Query":
-        """A copy with some filter fields replaced; the key memo is
+        """A copy with some filter fields replaced; the latency memo is
         shared, not copied."""
         query = copy.copy(self)
         vars(query).update(changes)
@@ -327,23 +230,15 @@ class Query:
             wanted = frozenset(key_in)
             changes["_key_in"] = wanted if self._key_in is None \
                 else self._key_in & wanted
-        equal = {
-            name: value for name, value in (
+        equal = tuple(
+            (name, value) for name, value in (
                 ("workload", workload), ("policy", policy),
                 ("arch_fingerprint", arch_fingerprint),
                 ("kernel_fingerprint", kernel_fingerprint), ("seed", seed),
             ) if value is not None
-        }
-        if workload is not None:
-            changes["_workload"] = workload
+        )
         if equal:
-            # attrgetter of one name yields the bare value, of several
-            # a tuple; a ParsedKey and a StoredRecord both answer it.
-            expected = tuple(equal.values())
-            changes["_key_checks"] = self._key_checks + ((
-                attrgetter(*equal),
-                expected if len(expected) > 1 else expected[0],
-            ),)
+            changes["_equal"] = self._equal + equal
         if min_latency is not None or max_latency is not None:
             changes["_latency_bands"] = self._latency_bands + (
                 (min_latency, max_latency),)
@@ -353,8 +248,8 @@ class Query:
         """Whether the key-decided constraints hold for ``fields`` (a
         ParsedKey, or the row of a key that does not parse).  An unknown
         latency is never within a band."""
-        for getter, expected in self._key_checks:
-            if getter(fields) != expected:
+        for name, expected in self._equal:
+            if getattr(fields, name) != expected:
                 return False
         if self._latency_bands:
             latency = latencies[fields.arch_fingerprint]
@@ -367,57 +262,32 @@ class Query:
 
     # -- terminal reads -----------------------------------------------------
 
-    def _candidates(self) -> Iterable[str]:
-        """The keys a query with a key-decided filter may return.
-
-        Every key the store has filed (listed without decoding), less
-        those outside ``key_in``; with a workload filter, only its
-        bucket of the index and the keys that do not parse.  Parses and
-        indexes each key the memo has not seen.
-        """
-        memo = self._memo
-        keys = self._store.filed_keys()
-        if self._key_in is not None:
-            keys &= self._key_in          # before any parse
-        for key in keys.difference(memo.parsed):
-            memo.parse(key)
-        if self._workload is None:
-            return keys
-        return (keys.intersection(memo.by_workload.get(self._workload, ()))
-                | keys.intersection(memo.unparsed))
-
     def records(self) -> List[StoredRecord]:
-        """Every live record passing the filters, sorted by key
-        (deterministic regardless of segment/shard layout).
+        """Every record passing the filters, sorted by key.
 
-        With no key-decided filter every row is read, so the store's
-        live keys are listed, decoding as it scans; with one, only the
-        :meth:`_candidates` that pass it are read, so only their
-        records are decoded.
+        The equality filters select candidates in SQL, together with
+        every key that does not parse; each candidate is checked on its
+        key fields (or, for a key that does not parse, on its row)
+        before it counts.  Only the records that pass a parsed key's
+        checks are read.
         """
         schema_fields = _current_schema_fields()
-        key_filtered = bool(self._key_checks or self._latency_bands)
-        memo = self._memo
-        parsed_keys = memo.parsed
-        latencies = _Latencies(self._store, memo.latencies)
+        key_in = self._key_in
+        latencies = _Latencies(self._store, self._latencies)
         rows = []
         # Rows are read through get(), so the benchmark's traced run
-        # counts every row read as a store.get span; a hit is one
-        # index lookup and reads nothing from disk.
+        # counts every row read as a store.get span; a key this store
+        # instance has read before costs one memo lookup.
         get = self._store.get
-        if key_filtered or self._key_in is not None:
-            keys = self._candidates()
-        else:
-            keys = self._store.keys()
-        for key in keys:
-            parsed = parsed_keys.get(key, _UNSEEN)
-            if parsed is _UNSEEN:
-                parsed = memo.parse(key)
+        for key, parsed in self._store.select(
+                [(_COLUMNS[name], value) for name, value in self._equal]):
+            if key_in is not None and key not in key_in:
+                continue
             if parsed is not None:
-                if key_filtered and not self._key_passes(parsed, latencies):
+                if not self._key_passes(parsed, latencies):
                     continue
                 payload = get(key)
-                if payload is None:   # compacted away, or all corrupt
+                if payload is None:   # its payload does not decode
                     continue
                 workload, policy, arch_fp, seed, kernel_fp = parsed
                 record = StoredRecord(
@@ -434,7 +304,7 @@ class Query:
                     str(payload.get("policy", "")), "", 0, "",
                     payload, payload.keys() == schema_fields, None, False,
                 )
-                if key_filtered and not self._key_passes(record, latencies):
+                if not self._key_passes(record, latencies):
                     continue
             rows.append(record)
         rows.sort(key=attrgetter("key"))
@@ -453,10 +323,9 @@ class Query:
     # -- store-level reads --------------------------------------------------
 
     def stats(self) -> StoreStats:
-        """On-disk shape of the whole store, including the corrupt-line
-        and torn-tail damage counters reports surface.  Read off the
-        store's live index (see :meth:`ResultStore.stats`), so it costs
-        no second pass over the records."""
+        """Shape of the whole store, from SQL counts (see
+        :meth:`ResultStore.stats`), so it costs no pass over the
+        records."""
         return self._store.stats()
 
     def run_history(self) -> List[dict]:

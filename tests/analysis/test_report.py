@@ -26,18 +26,17 @@ def sweep_runner(tmp_path):
     return runner
 
 
-def append_corrupt_line(tmp_path):
-    """Append one interior corrupt line to a record segment (the
-    trailing newline keeps it from reading as a torn tail)."""
-    segments = [
-        os.path.join(directory, name)
-        for directory, _, names in os.walk(tmp_path / "store")
-        for name in names
-        if name.endswith(".jsonl") and "shard-" in directory
-    ]
-    assert segments
-    with open(segments[0], "a") as handle:
-        handle.write("{this is not json}\n")
+def store_undecodable_record(tmp_path):
+    """Store one record whose payload does not decode, behind the
+    store's back (only tampering or disk damage leaves one)."""
+    import sqlite3
+
+    from repro.store.result_store import DATABASE_FILE
+
+    path = os.path.join(tmp_path / "store", DATABASE_FILE)
+    with sqlite3.connect(path, isolation_level=None) as connection:
+        connection.execute("INSERT INTO records (key, payload) VALUES "
+                           "('btree__BL__a01__0__k02', '{this is not json}')")
 
 
 def write_bench(path, medians):
@@ -93,33 +92,37 @@ class TestBuildReport:
         assert report.baseline_policy is None
         assert any("'NOPE' absent" in note for note in report.notes)
 
-    def test_corrupt_lines_surface_in_notes(self, tmp_path):
+    def test_undecodable_record_is_left_out(self, tmp_path):
+        """A payload that does not decode is no row of the report; the
+        store health counts it, and `store verify` names it."""
         sweep_runner(tmp_path).result_store.close()
-        append_corrupt_line(tmp_path)
-        report = build_report(Query.open(str(tmp_path / "store")))
-        assert report.stats.corrupt_lines >= 1
-        assert any("corrupt line(s)" in note for note in report.notes)
-        assert "corrupt line(s)" in report.summary_text()
+        store_undecodable_record(tmp_path)
+        query = Query.open(str(tmp_path / "store"))
+        report = build_report(query)
+        assert report.record_count == 4
+        assert report.stats.records == 5
+        assert query.store.verify().corrupt == [
+            "records 'btree__BL__a01__0__k02'"]
 
-    def test_store_health_needs_no_full_replay(self, tmp_path, monkeypatch):
-        """Store health is read off the live index the records came
-        from; only `store verify` replays every segment."""
+    def test_store_health_needs_no_verify_pass(self, tmp_path,
+                                               monkeypatch):
+        """Store health comes from SQL counts; only `store verify`
+        reads every row."""
         from repro.analysis import render_html
         from repro.store import ResultStore
 
         sweep_runner(tmp_path).result_store.close()
-        append_corrupt_line(tmp_path)
 
-        def no_replay(store, shard):
-            raise AssertionError("the report replayed the store")
+        def no_verify(store):
+            raise AssertionError("the report ran a verify pass")
 
-        monkeypatch.setattr(ResultStore, "_scan_shard_full", no_replay)
+        monkeypatch.setattr(ResultStore, "verify", no_verify)
         report = build_report(Query.open(str(tmp_path / "store")))
-        assert report.stats.corrupt_lines == 1
-        assert any(note.startswith("store damage: 1 corrupt line(s)")
-                   for note in report.notes)
-        assert '<td class="t">corrupt lines</td><td>1</td>' \
-            in render_html(report)
+        assert (report.stats.records, report.stats.archs,
+                report.stats.runs) == (4, 2, 1)
+        html = render_html(report)
+        assert '<td class="t">records</td><td>4</td>' in html
+        assert '<td class="t">run-log entries</td><td>1</td>' in html
 
     def test_fault_tolerance_counters_aggregate_and_render(
             self, tmp_path):
@@ -249,15 +252,6 @@ class TestWriteReport:
         assert len(report.records) == 5
         with open(paths["records.csv"], newline="") as handle:
             assert handle.read() == expected.getvalue()
-
-    def test_corrupt_lines_rendered_in_html(self, tmp_path):
-        sweep_runner(tmp_path).result_store.close()
-        append_corrupt_line(tmp_path)
-        report = build_report(Query.open(str(tmp_path / "store")))
-        paths = write_report(report, str(tmp_path / "out"))
-        html = open(paths["report.html"]).read()
-        assert "corrupt line" in html
-        assert "note: store damage" in html
 
 
 class TestRenderHtml:

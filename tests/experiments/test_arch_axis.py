@@ -47,7 +47,7 @@ class TestArchKeyedStore:
         assert seen_fps == expected_fps
         report = runner.result_store.verify()
         assert report.ok
-        assert report.stats.live_keys == 8
+        assert report.stats.records == 8
 
     def test_archs_differing_in_one_field_never_alias(self, tmp_path):
         """Two architectures one field apart must key -- and therefore

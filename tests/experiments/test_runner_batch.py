@@ -88,36 +88,7 @@ class TestSimulateMany:
         assert warm.stats.disk_hits == 1
 
 
-def _segment_paths(root):
-    paths = []
-    for name in sorted(os.listdir(root)):
-        shard_dir = os.path.join(root, name)
-        if name.startswith("shard-") and os.path.isdir(shard_dir):
-            paths.extend(
-                os.path.join(shard_dir, segment)
-                for segment in sorted(os.listdir(shard_dir))
-                if segment.endswith(".jsonl")
-            )
-    return paths
-
-
 class TestCacheHardening:
-    def test_truncated_store_tail_regenerated(self, tmp_path):
-        """A record torn by a mid-append crash is invisible; the next
-        run re-simulates and the regenerated record matches."""
-        request = SimRequest("btree", "BL", SMALL)
-        first = Runner(cache_dir=str(tmp_path))
-        record = first.simulate(request.workload, request.policy, SMALL)
-        for path in _segment_paths(str(tmp_path)):
-            with open(path, "rb+") as handle:
-                handle.seek(0, os.SEEK_END)
-                handle.truncate(handle.tell() - 10)    # tear the tail
-        fresh = Runner(cache_dir=str(tmp_path))
-        assert fresh.lookup(fresh.request_key(request)) is None
-        regenerated = fresh.simulate(request.workload, request.policy, SMALL)
-        assert regenerated == record
-        assert fresh.stats.simulated == 1
-
     def test_stale_schema_entry_treated_as_miss_and_superseded(
             self, tmp_path):
         request = SimRequest("btree", "BL", SMALL)
@@ -128,7 +99,7 @@ class TestCacheHardening:
         )
         assert runner.lookup(key) is None
         record = runner.simulate(request.workload, request.policy, SMALL)
-        # The re-simulated record shadows the stale entry for readers.
+        # The re-simulated record replaces the stale entry.
         fresh = Runner(cache_dir=str(tmp_path))
         assert fresh.lookup(key) == record
 
@@ -190,16 +161,51 @@ class TestStoreFacade:
         runner.result_store.put(key, {"workload": "btree"})   # stale
         assert runner.stored(key) is None
 
-    def test_save_appends_only_a_changed_payload(self, tmp_path):
+    def test_save_puts_only_a_changed_payload(self, tmp_path,
+                                              monkeypatch):
+        from repro.store import ResultStore
+
         runner = Runner(cache_dir=str(tmp_path))
         record = runner.simulate("btree", "BL", SMALL)
         key = runner.request_key(SimRequest("btree", "BL", SMALL))
+        puts = []
+        put = ResultStore.put
+        monkeypatch.setattr(ResultStore, "put", lambda store, k, payload: (
+            puts.append(k), put(store, k, payload))[1])
         runner.save(key, record)
-        assert runner.result_store.stats().entries == 1
+        assert puts == []
         changed = replace(record, ipc=record.ipc + 1.0)
         runner.save(key, changed)
-        assert runner.result_store.stats().entries == 2
+        assert puts == [key]
+        assert runner.result_store.stats().records == 1
         assert Runner(cache_dir=str(tmp_path)).lookup(key) == changed
+
+    def test_keys_build_the_arch_description_once_per_config(
+            self, tmp_path, monkeypatch):
+        """request_key records every fingerprint's description in the
+        store, building it only for a fingerprint not yet recorded."""
+        from repro.arch.serialize import arch_fingerprint, arch_to_dict
+        from repro.experiments import runner as runner_module
+
+        built = []
+        monkeypatch.setattr(runner_module, "arch_to_dict", lambda config: (
+            built.append(config), arch_to_dict(config))[1])
+        runner = Runner(cache_dir=str(tmp_path))
+        keys = {
+            runner.request_key(SimRequest(workload, policy, SMALL, seed))
+            for workload in ("btree", "kmeans")
+            for policy in ("BL", "RFC", "LTRF", "LTRF+", "SHRF")
+            for seed in range(5)
+        }
+        assert len(keys) == 50
+        assert built == [SMALL]
+        slower = SMALL.with_latency_multiple(3.0)
+        runner.request_key(SimRequest("btree", "BL", slower))
+        assert built == [SMALL, slower]
+        assert runner.result_store.arch_payload(arch_fingerprint(SMALL)) \
+            == arch_to_dict(SMALL)
+        assert Runner(cache_dir=None).request_key(
+            SimRequest("btree", "BL", SMALL)) in keys
 
     def test_content_key_swaps_only_a_differing_kernel_fingerprint(self):
         key = "btree__BL__a0123__0__kfeedface"

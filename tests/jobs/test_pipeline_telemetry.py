@@ -58,12 +58,12 @@ def _grid() -> list:
 
 
 def _store_shape(root: str) -> tuple:
-    """(entries, run-log entries) on disk, read by a fresh store."""
+    """(records, run-log entries) on disk, read by a fresh store."""
     from repro.store import ResultStore
 
     store = ResultStore(root, create=False)
     try:
-        return store.stats().entries, len(list(store.iter_run_logs()))
+        return store.stats().records, len(list(store.iter_run_logs()))
     finally:
         store.close()
 

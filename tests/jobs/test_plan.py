@@ -146,6 +146,17 @@ def quarantine_every_chunk(chunks, workers, policy, *, run_serial,
     run_serial(chunks)
 
 
+def count_puts(monkeypatch):
+    """The keys of every ResultStore.put from now on, in call order."""
+    from repro.store import ResultStore
+
+    keys = []
+    original = ResultStore.put
+    monkeypatch.setattr(ResultStore, "put", lambda store, key, payload: (
+        keys.append(key), original(store, key, payload))[1])
+    return keys
+
+
 class TestAbsorb:
     """absorb() is where a delivered grid point is counted and stored."""
 
@@ -155,15 +166,18 @@ class TestAbsorb:
         record, telemetry = execute_request_with_telemetry(request)
         return runner, runner.request_key(request), record, telemetry
 
-    def test_duplicate_delivery_counts_and_stores_once(self, tmp_path):
+    def test_duplicate_delivery_counts_and_stores_once(self, tmp_path,
+                                                        monkeypatch):
         runner, key, record, telemetry = self.delivery(tmp_path)
+        puts = count_puts(monkeypatch)
         results = {}
         assert absorb(runner, results, key, record, telemetry)
         assert not absorb(runner, results, key, record, telemetry)
         assert results == {key: record}
         assert runner.stats.simulated == 1
         assert runner.stats.simulated_cycles == telemetry.cycles
-        assert runner.result_store.stats().entries == 1
+        assert puts == [key]
+        assert runner.result_store.stats().records == 1
 
     def test_flushed_record_is_a_simulation_without_telemetry(
             self, tmp_path):
@@ -202,11 +216,13 @@ class TestParallelDelivery:
         monkeypatch.setattr(pool, "run_chunks", deliver_twice)
         runner = Runner(cache_dir=str(tmp_path))
         plan = plan_requests(runner, grid())
+        puts = count_puts(monkeypatch)
         seen = []
         execute_plan(runner, plan, jobs=2, on_point=seen.append)
         assert sorted(seen) == sorted(plan.keys)
         assert runner.stats.simulated == len(grid())
-        assert runner.result_store.stats().entries == len(grid())
+        assert sorted(puts) == sorted(plan.keys)
+        assert runner.result_store.stats().records == len(grid())
 
     def test_serial_rerun_serves_points_flushed_before_quarantine(
             self, tmp_path, monkeypatch):

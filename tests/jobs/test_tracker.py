@@ -151,12 +151,19 @@ class TestLifecycle:
 
 
 class TestSharedStore:
-    def test_jobs_append_to_one_segment_per_shard_and_one_run_log(
-            self, tmp_path):
+    def test_jobs_share_one_store_instance_and_run_log(self, tmp_path,
+                                                       monkeypatch):
         """Every job runs on the tracker's one store instance: K cold
-        jobs leave one segment per shard they touched (more jobs than
-        shards, so per-job writers could not manage that) and one
-        run-log file, which still holds one per-job entry each."""
+        jobs open the store once, and the run log holds one per-job
+        entry each, in order."""
+        opens = []
+        original = ResultStore.__init__
+
+        def counting_init(store, *args, **kwargs):
+            opens.append(args)
+            original(store, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "__init__", counting_init)
         tracker = JobTracker(str(tmp_path))
         jobs = [
             tracker.run(fast_spec(policies=("BL",), grid=(2.0,), seed=seed,
@@ -165,21 +172,15 @@ class TestSharedStore:
         ]
         tracker.close()
         assert [job.state for job in jobs] == ["done"] * len(jobs)
-        store = Query.open(str(tmp_path)).store
-        touched = {store.shard_of(key) for job in jobs for key in job.keys}
-        assert len(touched) < len(jobs)
-        for shard in range(store.shards):
-            directory = tmp_path / f"shard-{shard:02x}"
-            segments = list(directory.glob("seg-*.jsonl")) \
-                if directory.is_dir() else []
-            assert len(segments) == (1 if shard in touched else 0)
-        assert len(list((tmp_path / "runs").iterdir())) == 1
+        assert len(opens) == 1
         history = run_log(str(tmp_path))
         assert [entry["label"] for entry in history] == [
             f"{job.id}: cold {seed}" for seed, job in enumerate(jobs, 1)
         ]
         assert [entry["simulations"] for entry in history] == [1] * len(jobs)
+        store = tracker.store()
         assert Query(store).count() == len(jobs)
+        assert store.stats().runs == len(jobs)
 
     def test_runner_uses_the_store_handed_in(self, tmp_path):
         store = ResultStore(str(tmp_path))

@@ -121,17 +121,17 @@ class TestRoutes:
         scoped = Query.open(app.store_dir).where(key_in=job.keys)
         assert scoped.count() == 4
 
-    def test_report_needs_no_full_replay(self, app, monkeypatch):
-        """The report's store health comes off the shared live index;
-        a request never replays every segment."""
+    def test_report_needs_no_verify_pass(self, app, monkeypatch):
+        """The report's store health comes from SQL counts; a request
+        never reads every row of the store."""
         from repro.store import ResultStore
 
         job_id = submit_and_wait(app)["id"]
 
-        def no_replay(store, shard):
-            raise AssertionError("GET /report replayed the store")
+        def no_verify(store):
+            raise AssertionError("GET /report ran a verify pass")
 
-        monkeypatch.setattr(ResultStore, "_scan_shard_full", no_replay)
+        monkeypatch.setattr(ResultStore, "verify", no_verify)
         assert app.handle("GET", f"/report/{job_id}", {}, b"").status == 200
 
     def test_wait_falsy_values_do_not_block(self, app):
@@ -286,7 +286,7 @@ class TestSharedStore:
         from repro.experiments import Runner, sweep_requests
 
         submit_and_wait(app)
-        # The query loads every shard into the app's index.
+        # The query reads every record into the app's store memo.
         assert body_of(app.handle("GET", "/results", {}, b""))["count"] == 4
         external = Runner(cache_dir=app.store_dir)
         external.simulate_many(
@@ -301,23 +301,28 @@ class TestSharedStore:
         external.result_store.close()
         assert body_of(app.handle("GET", "/results", {}, b""))["count"] == 7
 
-    def test_read_routes_parse_each_key_once(self, app, monkeypatch):
+    def test_read_routes_resolve_each_arch_once(self, app, monkeypatch):
         """Every query the read routes run derives from the app's one
-        base query, so a key is parsed once however many requests
-        filter it."""
-        from repro.store import query as query_module
+        base query, so an architecture is resolved once however many
+        requests filter on latency, and no route parses a key: the
+        store parsed each one when it was put."""
+        from repro.store import ResultStore, result_store
 
         job_id = submit_and_wait(app)["id"]
-        parses = []
-        parse = query_module._parse_key
-        monkeypatch.setattr(query_module, "_parse_key", lambda key, share: (
-            parses.append(key), parse(key, share))[1])
+        parses, resolved = [], []
+        parse = result_store._parse_key
+        monkeypatch.setattr(result_store, "_parse_key", lambda key: (
+            parses.append(key), parse(key))[1])
+        arch_payload = ResultStore.arch_payload
+        monkeypatch.setattr(ResultStore, "arch_payload", lambda store, fp: (
+            resolved.append(fp), arch_payload(store, fp))[1])
         for params in ({}, {"policy": "BL"},
                        {"workload": "btree", "min_latency": "2"}):
             assert app.handle("GET", "/results", params, b"").status == 200
         assert app.handle("GET", f"/report/{job_id}", {}, b"").status \
             == 200
-        assert len(parses) == len(set(parses)) == 4
+        assert parses == []
+        assert len(resolved) == len(set(resolved)) == 2
 
     def test_jobs_and_queries_open_the_store_once(self, app, monkeypatch):
         from repro.store import ResultStore

@@ -17,7 +17,7 @@ from repro.experiments import Runner
 from repro.experiments.latency_tolerance import sweep_requests
 from repro.experiments.runner import RunRecord
 from repro.store import Query, ResultStore
-from repro.store.query import _parse_key
+from repro.store.result_store import _parse_key
 
 #: Small enough to keep every simulation in this module instantaneous.
 SMALL = dict(max_resident_warps=8, active_warps=4)
@@ -27,8 +27,8 @@ KERNEL_FP = "feedfacefeedface"
 
 
 def parse_key(key):
-    """Parse ``key`` outside any query lineage's memo."""
-    return _parse_key(key, {}.setdefault)
+    """Parse ``key`` as the store parses it into its key columns."""
+    return _parse_key(key)
 
 
 def record_payload(**overrides):
@@ -107,7 +107,7 @@ class TestQuery:
         query = Query.open(str(tmp_path), create=True)
         assert query.records() == []
         assert query.count() == 0
-        assert query.stats().live_keys == 0
+        assert query.stats().records == 0
         assert query.run_history() == []
 
     def test_records_are_typed_and_sorted(self, tmp_path):
@@ -365,8 +365,9 @@ class TestFilterPushdown:
     def test_rejected_keys_are_not_read(self, tmp_path, monkeypatch):
         """Keys the filters rule out never reach get(); keys that do
         not parse are read, since their identity is in the payload.
-        A key_in set is checked before any parse."""
-        from repro.store import query as query_module
+        A key_in set is checked before any read, and no query parses a
+        key: the store parsed each one when it was put."""
+        from repro.store import result_store
 
         store = ResultStore(str(tmp_path))
         matching = f"btree__BL__a{ARCH_FP}__0__k{KERNEL_FP}"
@@ -383,40 +384,36 @@ class TestFilterPushdown:
         assert sorted(reads) == [matching, "not-a-cache-key"]
         reads.clear()
         parses = []
-        parse = query_module._parse_key
-        monkeypatch.setattr(query_module, "_parse_key", lambda key, share: (
-            parses.append(key), parse(key, share))[1])
+        parse = result_store._parse_key
+        monkeypatch.setattr(result_store, "_parse_key", lambda key: (
+            parses.append(key), parse(key))[1])
         assert Query(store).where(key_in=[matching]).count() == 1
-        assert reads == parses == [matching]
+        assert Query(store).where(workload="btree").count() == 2
+        assert reads == [matching, matching, "not-a-cache-key"]
+        assert parses == []
 
-    def test_derived_queries_share_one_parse_per_key(self, tmp_path,
-                                                     monkeypatch):
-        """Queries derived from one base parse each key once, new keys
-        included, and share one copy of each key field; a fresh query
-        parses afresh."""
-        from repro.store import query as query_module
+    def test_keys_are_parsed_once_when_put(self, tmp_path, monkeypatch):
+        """put() parses each key into the store's key columns; queries,
+        derived or fresh, parse none and still see keys put since."""
+        from repro.store import result_store
 
         store = ResultStore(str(tmp_path))
+        parses = []
+        original = result_store._parse_key
+        monkeypatch.setattr(result_store, "_parse_key", lambda key: (
+            parses.append(key), original(key))[1])
         for seed in range(3):
             store.put(f"btree__BL__a{ARCH_FP}__{seed}__k{KERNEL_FP}",
                       record_payload())
-        parses = []
-        original = query_module._parse_key
-        monkeypatch.setattr(query_module, "_parse_key", lambda key, share: (
-            parses.append(key), original(key, share))[1])
+        assert len(parses) == 3
         base = Query(store)
         assert base.where(seed=1).count() == 1
         assert base.where(policy="BL").count() == 3
-        assert len(parses) == 3
         store.put(f"btree__LTRF__a{ARCH_FP}__0__k{KERNEL_FP}",
                   record_payload(policy="LTRF"))
         assert base.where(policy="LTRF").count() == 1    # a new key shows
+        assert Query(ResultStore(str(tmp_path))).count() == 4
         assert len(parses) == 4
-        Query(store).records()                           # a fresh lineage
-        assert len(parses) == 8
-        (first, second) = (base.where(seed=0).records()[0],
-                           base.where(seed=1).records()[0])
-        assert first.arch_fingerprint is second.arch_fingerprint
 
     def test_derived_queries_share_resolved_latencies(self, tmp_path,
                                                       monkeypatch):
@@ -455,41 +452,39 @@ def cache_key(workload, policy, seed):
 
 
 class TestFilteredReads:
-    """A key-filtered query lists the store's keys without decoding
-    them and reads only its candidates; the per-workload index it
-    narrows them with never hides a key."""
+    """A key-filtered query selects its candidates in SQL and reads
+    only them; it never hides a key, however recently put."""
 
     def test_fresh_store_decodes_only_the_returned_keys(self, tmp_path,
                                                         monkeypatch):
         from repro.store import result_store
 
         writer = ResultStore(str(tmp_path))
-        lines = {}
         for workload in ("btree", "kmeans", "bfs"):
             for policy in POLICIES:
                 for seed in range(4):
-                    key = cache_key(workload, policy, seed)
-                    writer.put(key, record_payload(workload=workload,
-                                                   policy=policy))
-                    lines[key] = 1
+                    writer.put(cache_key(workload, policy, seed),
+                               record_payload(workload=workload,
+                                              policy=policy))
         rewritten = cache_key("btree", "LTRF", 2)
         writer.put(rewritten, record_payload(policy="LTRF", ipc=3.0))
-        lines[rewritten] += 1
         writer.close()
         decoded = []
-        real = result_store._decode_entry
+        real = result_store._decode
 
-        def counting(line):
-            decoded.append(line)
-            return real(line)
+        def counting(text):
+            decoded.append(text)
+            return real(text)
 
-        monkeypatch.setattr(result_store, "_decode_entry", counting)
+        monkeypatch.setattr(result_store, "_decode", counting)
         fresh = ResultStore(str(tmp_path))
         rows = Query(fresh).where(workload="btree", policy="LTRF").records()
         assert [r.key for r in rows] == sorted(
             cache_key("btree", "LTRF", seed) for seed in range(4))
         assert next(r for r in rows if r.key == rewritten).ipc == 3.0
-        assert len(decoded) == sum(lines[r.key] for r in rows) == 5
+        assert len(decoded) == len(rows) == 4
+        Query(fresh).where(workload="btree", policy="LTRF").records()
+        assert len(decoded) == 4             # read again from the memo
         assert fresh.stats() == fresh.verify().stats
 
     def test_indexed_base_sees_keys_written_after_it(self, tmp_path):
@@ -510,29 +505,6 @@ class TestFilteredReads:
             == [0, 1, 2]
         assert base.where(workload="kmeans").count() == 1
         store.close()
-
-    def test_a_key_is_indexed_before_it_counts_as_parsed(self, tmp_path):
-        """A query that runs while another is part-way through parsing a
-        new key (here: inside the index update) still finds the key --
-        the index may never lag the parse memo."""
-        store = ResultStore(str(tmp_path))
-        store.put(cache_key("btree", "BL", 0), record_payload())
-        base = Query(store)
-        inner = []
-
-        class Interleaved(dict):
-            """Runs a second query when the first key is indexed (the
-            second query's own indexing finds ``inner`` non-empty)."""
-
-            def setdefault(self, workload, bucket):
-                if not inner:
-                    inner.append(None)
-                    inner.append(base.where(workload="btree").count())
-                return super().setdefault(workload, bucket)
-
-        base._memo.by_workload = Interleaved()
-        assert base.where(workload="btree").count() == 1
-        assert inner == [None, 1]
 
     def test_concurrent_puts_and_derived_queries(self, tmp_path):
         """Filtered queries derived from one base on many threads, while

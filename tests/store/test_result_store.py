@@ -1,26 +1,35 @@
-"""Tests for the sharded append-only result store."""
+"""Tests for the SQLite result store."""
 
 import json
 import os
+import signal
+import sqlite3
+import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.store import Query, ResultStore, StoreError
-from repro.store.result_store import FORMAT_FILE
+from repro.store.result_store import DATABASE_FILE, FORMAT_FILE
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
 
 
-def _segment_paths(root):
-    paths = []
-    for name in sorted(os.listdir(root)):
-        shard_dir = os.path.join(root, name)
-        if not name.startswith("shard-") or not os.path.isdir(shard_dir):
-            continue
-        for segment in sorted(os.listdir(shard_dir)):
-            if segment.endswith(".jsonl"):
-                paths.append(os.path.join(shard_dir, segment))
-    return paths
+def raw_connection(root):
+    """A connection of the test's own to the store's database file."""
+    return sqlite3.connect(os.path.join(root, DATABASE_FILE),
+                           isolation_level=None)
+
+
+def python(code, *args, **popen):
+    """Start ``python -c code args`` with ``src`` on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, **popen)
 
 
 class TestBasics:
@@ -40,6 +49,7 @@ class TestBasics:
         assert fresh.get("k1") == {"v": 1}
         assert fresh.get("k2") == {"v": 2}
         assert sorted(fresh.keys()) == ["k1", "k2"]
+        assert dict(fresh.items()) == {"k1": {"v": 1}, "k2": {"v": 2}}
 
     def test_last_write_wins(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -49,47 +59,113 @@ class TestBasics:
         store.close()
         fresh = ResultStore(str(tmp_path))
         assert fresh.get("k") == {"v": 2}
-        stats = fresh.stats()
-        assert stats.entries == 2
-        assert stats.live_keys == 1
-        assert stats.superseded == 1
+        assert fresh.stats().records == 1
+
+    def test_store_usable_after_close(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        store.put("k1", {"v": 1})
+        store.close()
+        store.close()                            # closing twice is fine
+        assert ResultStore(str(tmp_path)).get("k1") == {"v": 1}
+        store.put("k2", {"v": 2})                # reopens
+        assert sorted(store.keys()) == ["k1", "k2"]
+        store.close()
+
+    def test_database_is_in_wal_mode(self, tmp_path):
+        ResultStore(str(tmp_path)).put("k", {"v": 1})
+        with raw_connection(str(tmp_path)) as connection:
+            (mode,), = connection.execute("PRAGMA journal_mode")
+        assert mode == "wal"
 
     def test_format_marker_written_and_checked(self, tmp_path):
         ResultStore(str(tmp_path))
         marker = tmp_path / FORMAT_FILE
-        assert marker.exists()
+        assert json.loads(marker.read_text()) == {
+            "format": "ltrf-store", "version": 2}
         marker.write_text(json.dumps(
-            {"format": "ltrf-store", "version": 999, "shards": 16}
+            {"format": "ltrf-store", "version": 999}
         ))
         with pytest.raises(StoreError, match="v999"):
+            ResultStore(str(tmp_path))
+
+    def test_jsonl_store_refused_with_a_remedy(self, tmp_path):
+        """A store of the JSONL format this build replaced is refused,
+        naming the directory and what to do; nothing is written."""
+        root = tmp_path / "old-cache"
+        (root / "shard-00").mkdir(parents=True)
+        (root / FORMAT_FILE).write_text(json.dumps(
+            {"format": "ltrf-store", "version": 1, "shards": 16}))
+        for create in (True, False):
+            with pytest.raises(StoreError) as raised:
+                ResultStore(str(root), create=create)
+            message = str(raised.value)
+            assert str(root) in message
+            assert "delete it" in message
+            assert "LTRF_CACHE_DIR/--dir" in message
+            assert "re-run cold" in message
+        assert sorted(os.listdir(root)) == [FORMAT_FILE, "shard-00"]
+
+    @pytest.mark.parametrize("marker", ["not json\n", "[1, 2]\n"])
+    def test_unreadable_marker_is_a_store_error(self, tmp_path, marker):
+        (tmp_path / FORMAT_FILE).write_text(marker)
+        with pytest.raises(StoreError, match="unreadable store marker"):
+            ResultStore(str(tmp_path))
+
+    def test_unreadable_database_is_a_store_error(self, tmp_path):
+        ResultStore(str(tmp_path)).close()
+        (tmp_path / DATABASE_FILE).write_bytes(b"not a database " * 100)
+        with pytest.raises(StoreError, match="unreadable store database"):
             ResultStore(str(tmp_path))
 
     def test_open_without_create_requires_marker(self, tmp_path):
         with pytest.raises(StoreError, match="not a result store"):
             ResultStore(str(tmp_path), create=False)
-        assert not (tmp_path / FORMAT_FILE).exists()   # untouched
+        assert os.listdir(tmp_path) == []         # untouched
         ResultStore(str(tmp_path)).put("k", {"v": 1})
         reader = ResultStore(str(tmp_path), create=False)
         assert reader.get("k") == {"v": 1}
 
-    def test_shard_count_read_from_marker(self, tmp_path):
-        ResultStore(str(tmp_path), shards=4).put("k", {"v": 1})
-        # A reader opened with the default shard count must still
-        # address keys the way the creator did.
-        fresh = ResultStore(str(tmp_path))
-        assert fresh.shards == 4
-        assert fresh.get("k") == {"v": 1}
-
     def test_foreign_files_ignored(self, tmp_path):
         store = ResultStore(str(tmp_path))
         store.put("k", {"v": 1})
-        (tmp_path / "README.txt").write_text("not a segment")
-        shard_dir = os.path.dirname(_segment_paths(str(tmp_path))[0])
-        with open(os.path.join(shard_dir, "notes.txt"), "w") as handle:
-            handle.write("also not a segment")
+        (tmp_path / "README.txt").write_text("not a store file")
         fresh = ResultStore(str(tmp_path))
         assert fresh.get("k") == {"v": 1}
         assert fresh.verify().ok
+
+    def test_importing_the_cli_does_not_load_sqlite3(self):
+        child = python("import sys, repro.cli; "
+                       "print('sqlite3' in sys.modules)")
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert out.strip() == "False"
+
+
+class TestKeyColumns:
+    def test_put_files_a_cache_key_under_its_columns(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        key = "runs__dir/x.kernel.json__LTRF+__a0123abcd__7__kfeedface"
+        store.put(key, {"v": 1})
+        store.put("not-a-cache-key", {"v": 2})
+        with raw_connection(str(tmp_path)) as connection:
+            rows = connection.execute(
+                "SELECT key, workload, policy, arch_fp, seed, kernel_fp "
+                "FROM records ORDER BY key").fetchall()
+        assert rows == [
+            ("not-a-cache-key", None, None, None, None, None),
+            (key, "runs__dir/x.kernel.json", "LTRF+", "0123abcd", 7,
+             "feedface"),
+        ]
+
+    def test_select_keeps_unparsed_keys_as_candidates(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        store.put("btree__BL__a01__0__k02", {"v": 1})
+        store.put("kmeans__BL__a01__0__k02", {"v": 2})
+        store.put("odd-key", {"workload": "btree"})
+        assert [key for key, _ in store.select([("workload", "btree")])] \
+            == ["btree__BL__a01__0__k02", "odd-key"]
+        assert [parsed is None for _, parsed in store.select()] \
+            == [False, False, True]
 
 
 class TestInjectiveNaming:
@@ -141,330 +217,252 @@ class TestInjectiveNaming:
             assert fresh.get(key) == {"i": index}
 
 
-class TestSegments:
-    def test_rotation_bounds_segment_size(self, tmp_path):
-        store = ResultStore(str(tmp_path), shards=1, segment_bytes=200)
-        for index in range(20):
-            store.put(f"key-{index}", {"v": index})
-        segments = _segment_paths(str(tmp_path))
-        assert len(segments) > 1
+class TestReads:
+    def test_a_read_key_is_served_from_the_memo(self, tmp_path,
+                                                monkeypatch):
+        from repro.store import result_store
+
+        ResultStore(str(tmp_path)).put("k", {"v": 1})
+        decoded = []
+        real = result_store._decode
+        monkeypatch.setattr(result_store, "_decode", lambda text: (
+            decoded.append(text), real(text))[1])
         fresh = ResultStore(str(tmp_path))
-        for index in range(20):
-            assert fresh.get(f"key-{index}") == {"v": index}
+        assert fresh.get("k") == {"v": 1}
+        assert fresh.get("k") == {"v": 1}
+        assert len(decoded) == 1
 
-    def test_two_stores_write_disjoint_segments(self, tmp_path):
-        a = ResultStore(str(tmp_path), shards=1)
-        b = ResultStore(str(tmp_path), shards=1)
-        a.put("ka", {"v": "a"})
-        b.put("kb", {"v": "b"})
-        assert len(_segment_paths(str(tmp_path))) == 2
-        # Each store observes the other's published records.
-        assert a.get("kb") == {"v": "b"}
-        assert b.get("ka") == {"v": "a"}
+    def test_a_miss_sees_another_writers_commit(self, tmp_path):
+        reader = ResultStore(str(tmp_path))
+        writer = ResultStore(str(tmp_path))
+        assert reader.get("k") is None
+        writer.put("k", {"v": 1})
+        assert reader.get("k") == {"v": 1}
+        assert list(reader.keys()) == ["k"]
 
-    def test_compaction_merges_and_drops_dead_entries(self, tmp_path):
-        store = ResultStore(str(tmp_path), shards=1, segment_bytes=150)
-        for index in range(10):
-            store.put(f"key-{index}", {"v": index})
-        store.put("key-0", {"v": "rewritten"})
+    def test_corrupt_payload_reads_as_missing_and_fails_verify(
+            self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        store.put("good__BL__a01__0__k02", {"workload": "good"})
+        with raw_connection(str(tmp_path)) as connection:
+            connection.execute(
+                "INSERT INTO records (key, payload) VALUES (?, ?)",
+                ("bad", "{this is not json}"))
+            connection.execute(
+                "INSERT INTO records (key, payload) VALUES (?, ?)",
+                ("list", "[1, 2]"))
+        fresh = ResultStore(str(tmp_path))
+        assert fresh.get("bad") is None and fresh.get("list") is None
+        assert [r.key for r in Query(fresh).records()] \
+            == ["good__BL__a01__0__k02"]
+        report = fresh.verify()
+        assert not report.ok
+        assert report.corrupt == ["records 'bad'", "records 'list'"]
+        assert report.stats == fresh.stats()
+        assert report.stats.records == 3
+        assert "CORRUPT     2 row(s)" in report.render()
+        assert report.render().endswith("verdict     FAILED")
+
+
+class TestMaintenance:
+    def test_stats_equal_verify_after_puts_reputs_and_compact(
+            self, tmp_path):
+        """Store health from SQL counts equals the row-by-row pass of
+        verify, on the writing instance and on a fresh one."""
+        store = ResultStore(str(tmp_path))
+        other = ResultStore(str(tmp_path))
+
+        def check(expected):
+            for reader in (store, other, ResultStore(str(tmp_path))):
+                stats = reader.stats()
+                assert stats == reader.verify().stats
+                assert (stats.records, stats.archs, stats.runs) == expected
+
+        check((0, 0, 0))
+        for index in range(30):
+            (store, other)[index % 2].put(f"k{index}", {"v": index})
+        store.record_arch("0123", {"mrf_latency_multiple": 2.0})
+        other.append_run_log({"label": "one"})
+        check((30, 1, 1))
+        for index in range(0, 30, 3):
+            other.put(f"k{index}", {"v": -index, "pad": "x" * 200})
+        check((30, 1, 1))
         report = store.compact()
-        assert report.shards_compacted == 1
-        assert report.segments_after == 1
-        assert report.entries_dropped == 1
-        assert len(_segment_paths(str(tmp_path))) == 1
-        # Both the compacting instance and a fresh one serve the data.
-        assert store.get("key-0") == {"v": "rewritten"}
-        fresh = ResultStore(str(tmp_path))
-        assert fresh.get("key-0") == {"v": "rewritten"}
-        for index in range(1, 10):
-            assert fresh.get(f"key-{index}") == {"v": index}
-        assert fresh.stats().superseded == 0
+        assert report.bytes_after <= report.bytes_before
+        check((30, 1, 1))
+        assert store.verify().ok
+        assert store.stats().render() + "\n  verdict     OK" \
+            == store.verify().render()
 
-    def test_compaction_is_idempotent_and_store_usable_after(self,
-                                                             tmp_path):
-        store = ResultStore(str(tmp_path), shards=2)
-        store.put("k1", {"v": 1})
-        store.compact()
-        second = store.compact()
-        assert second.shards_compacted == 0
-        store.put("k2", {"v": 2})      # writing after compact rotates
-        assert store.get("k1") == {"v": 1}
-        assert store.get("k2") == {"v": 2}
+    def test_compact_reclaims_replaced_records(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        for index in range(300):
+            store.put(f"k{index}", {"v": index, "pad": "x" * 500})
+        for index in range(300):
+            store.put(f"k{index}", {"v": index})
+        report = store.compact()
+        assert report.bytes_after < report.bytes_before
+        assert report.render() == (f"compacted {tmp_path}: "
+                                   f"{report.bytes_before} -> "
+                                   f"{report.bytes_after} bytes")
+        again = store.compact()
+        assert again.bytes_before == again.bytes_after == report.bytes_after
+        store.put("k-new", {"v": "new"})        # usable afterwards
+        fresh = ResultStore(str(tmp_path))
+        assert fresh.get("k7") == {"v": 7}
+        assert fresh.get("k-new") == {"v": "new"}
+        assert fresh.stats().records == 301
 
     def test_compaction_of_empty_store(self, tmp_path):
         report = ResultStore(str(tmp_path)).compact()
-        assert report.shards_compacted == 0
-        assert report.segments_before == 0
+        assert report.bytes_after <= report.bytes_before
 
-
-class TestCrashConsistency:
-    def test_truncated_final_segment_tolerated(self, tmp_path):
-        store = ResultStore(str(tmp_path), shards=1)
-        store.put("k1", {"v": 1})
-        store.put("k2", {"v": 2})
-        store.close()
-        (segment,) = _segment_paths(str(tmp_path))
-        with open(segment, "ab") as handle:           # crash mid-append
-            handle.write(b'{"k": "k3", "r": {"v"')
-        fresh = ResultStore(str(tmp_path))
-        assert fresh.get("k1") == {"v": 1}
-        assert fresh.get("k2") == {"v": 2}
-        assert fresh.get("k3") is None
-        stats = fresh.stats()
-        assert stats.torn_tails == 1
-        assert stats.corrupt_lines == 0
-        assert fresh.verify().ok    # torn tails are tolerated by design
-
-    def test_compaction_reclaims_torn_tail(self, tmp_path):
-        store = ResultStore(str(tmp_path), shards=1)
-        store.put("k1", {"v": 1})
-        store.close()
-        (segment,) = _segment_paths(str(tmp_path))
-        with open(segment, "ab") as handle:
-            handle.write(b"{torn")
-        fresh = ResultStore(str(tmp_path))
-        fresh.compact()
-        stats = fresh.stats()
-        assert stats.torn_tails == 0
-        assert fresh.get("k1") == {"v": 1}
-
-    def test_corrupt_interior_line_skipped_and_flagged(self, tmp_path):
-        store = ResultStore(str(tmp_path), shards=1)
-        store.put("k1", {"v": 1})
-        store.close()
-        (segment,) = _segment_paths(str(tmp_path))
-        with open(segment, "ab") as handle:
-            handle.write(b"garbage that is not json\n")
-            handle.write(b'{"k": "k2", "r": {"v": 2}}\n')
-        fresh = ResultStore(str(tmp_path))
-        assert fresh.get("k1") == {"v": 1}
-        assert fresh.get("k2") == {"v": 2}   # entries after the damage load
-        report = fresh.verify()
-        assert not report.ok
-        assert report.stats.corrupt_lines == 1
-        # Compaction drops the damage; verify is clean afterwards.
-        fresh.compact()
-        assert fresh.verify().ok
-        assert fresh.get("k2") == {"v": 2}
-
-    def test_concurrent_writer_partial_line_then_completed(self, tmp_path):
-        """A reader polling during another writer's append sees nothing
-        until the line is complete, then sees the full record."""
-        reader = ResultStore(str(tmp_path), shards=1)
-        writer = ResultStore(str(tmp_path), shards=1)
-        writer.put("k1", {"v": 1})
-        assert reader.get("k1") == {"v": 1}
-        # Hand-roll a partial append on the writer's own segment, as
-        # the OS would expose a flush that raced with the read.
-        line = json.dumps({"k": "k2", "r": {"v": 2}}) + "\n"
-        segment = writer._states[writer.shard_of("k2")].writer_path
-        with open(segment, "ab") as handle:
-            handle.write(line[:9].encode())
-            handle.flush()
-            assert reader.get("k2") is None          # partial: invisible
-            handle.write(line[9:].encode())
-        assert reader.get("k2") == {"v": 2}          # completed: visible
-        assert reader.get("k1") == {"v": 1}
-
-    def test_dead_writer_torn_segment_then_rerun_wins_by_rank(
-            self, tmp_path):
-        """A concurrent writer dies mid-append (a killed sweep worker):
-        its torn final line stays invisible to a live reader's delta
-        rescan, a later writer's re-run of the lost point wins by
-        (seq, writer) rank, and verify stays green throughout."""
-        reader = ResultStore(str(tmp_path), shards=1)
-        dying = ResultStore(str(tmp_path), shards=1)
-        dying.put("done", {"v": 1})
-        segment = dying._states[dying.shard_of("lost")].writer_path
-        with open(segment, "ab") as handle:   # killed mid-append
-            handle.write(b'{"k": "lost", "r": {"v')
-        # (never closed -- the writer process is gone)
-        assert reader.get("done") == {"v": 1}
-        assert reader.get("lost") is None        # torn: invisible
-
-        rerun = ResultStore(str(tmp_path), shards=1)  # higher seq
-        rerun.put("lost", {"v": 2})
-        rerun.put("done", {"v": 1})              # idempotent re-put
-        # The live reader's delta rescan picks up the re-run...
-        assert reader.get("lost") == {"v": 2}
-        assert reader.get("done") == {"v": 1}
-        # ...and a fresh full replay agrees: the re-run's segment
-        # outranks the dead writer's.
-        fresh = ResultStore(str(tmp_path), shards=1)
-        assert fresh.get("lost") == {"v": 2}
-        report = fresh.verify()
-        assert report.ok
-        assert report.stats.torn_tails == 1
-
-    def test_live_index_matches_full_replay_winner(self, tmp_path):
-        """Two writers' active segments grow concurrently; a live
-        reader applying deltas out of rank order must still converge
-        on the same winner a fresh full replay picks (the higher
-        (seq, writer) segment), not on whichever delta arrived last."""
-        a = ResultStore(str(tmp_path), shards=1)
-        b = ResultStore(str(tmp_path), shards=1)
-        a.put("warmup", {"v": 0})             # A owns seg-1
-        b.put("k", {"v": "from-b"})           # B owns seg-2
-        reader = ResultStore(str(tmp_path), shards=1)
-        assert reader.get("k") == {"v": "from-b"}
-        a.put("k", {"v": "from-a"})           # later wall-clock, lower seq
-        reader.get("missing")                 # force a delta refresh
-        live_view = reader.get("k")
-        replay_view = ResultStore(str(tmp_path), shards=1).get("k")
-        assert live_view == replay_view == {"v": "from-b"}
-
-    def test_verify_flags_conflicting_payloads_for_one_key(self, tmp_path):
-        """Two *distinct* payloads under one key (aliasing/corruption,
-        or a record-schema change) must fail verification."""
+    def test_run_log_and_arch_manifest(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        store.put("k", {"v": 1})
-        store.put("k", {"v": 999})
+        built = []
+
+        def describe():
+            built.append(None)
+            return {"mrf_latency_multiple": 3.0}
+
+        for _ in range(3):
+            store.record_arch("00ff", describe)
+        assert len(built) == 1
+        store.record_arch("00ff", {"ignored": True})   # never rewritten
+        store.append_run_log({"label": "a"})
+        store.append_run_log({"label": "b"})
+        with raw_connection(str(tmp_path)) as connection:
+            connection.execute("INSERT INTO runs (payload) VALUES ('{')")
+        fresh = ResultStore(str(tmp_path))
+        assert fresh.arch_payload("00ff") == {"mrf_latency_multiple": 3.0}
+        assert fresh.arch_payload("beef") is None
+        assert [entry["label"] for entry in fresh.iter_run_logs()] \
+            == ["a", "b"]
+
+
+KILLED_WRITER = """
+import sys
+from repro.store import ResultStore
+
+store = ResultStore(sys.argv[1])
+index = 0
+while True:
+    key = f"k{index}"
+    store.put(key, {"index": index, "pad": "x" * (index % 300)})
+    print(key, flush=True)
+    index += 1
+"""
+
+WRITER = """
+import os, sys, time
+from repro.store import ResultStore
+
+root, tag, count, go = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+print("ready", flush=True)
+while not os.path.exists(go):
+    time.sleep(0.001)
+store = ResultStore(root)
+for index in range(count):
+    store.put(f"{tag}-{index}", {"tag": tag, "index": index})
+store.close()
+"""
+
+
+class TestProcesses:
+    def test_sigkilled_writer_loses_no_returned_put(self, tmp_path):
+        """A writer killed mid-loop: every put it reported as returned
+        is in the store with its payload, and verify is clean."""
+        root = str(tmp_path / "store")
+        child = python(KILLED_WRITER, root)
+        reported = []
+        deadline = time.monotonic() + 60.0
+        while len(reported) < 200 and time.monotonic() < deadline:
+            line = child.stdout.readline()
+            if not line:
+                break
+            reported.append(line.strip())
+        child.send_signal(signal.SIGKILL)
+        child.communicate(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert len(reported) >= 200, "the writer stopped early"
+        store = ResultStore(root, create=False)
+        for key in reported:
+            index = int(key[1:])
+            assert store.get(key) == {"index": index,
+                                      "pad": "x" * (index % 300)}
         report = store.verify()
-        assert not report.ok
-        assert report.conflicts == {"k": 2}
-        # Identical re-puts (the normal racing-writers case) are fine.
-        clean = ResultStore(str(tmp_path / "clean"))
-        clean.put("k", {"v": 1})
-        clean.put("k", {"v": 1})
-        assert clean.verify().ok
+        assert report.ok
+        assert report.stats.records >= len(reported)
 
+    def test_two_processes_write_one_store_at_once(self, tmp_path):
+        """Two processes create one store and put disjoint keys into it
+        at the same time: both finish, no "database is locked", and
+        every key is readable."""
+        root, go = tmp_path / "store", tmp_path / "go"
+        count = 1500
+        children = [python(WRITER, root, tag, count, go)
+                    for tag in ("a", "b")]
+        for child in children:
+            assert child.stdout.readline().strip() == "ready"
+        go.write_text("")
+        for child in children:
+            _, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            assert "locked" not in err
+        store = ResultStore(str(root), create=False)
+        for tag in ("a", "b"):
+            for index in range(count):
+                assert store.get(f"{tag}-{index}") == {"tag": tag,
+                                                       "index": index}
+        assert store.stats().records == 2 * count
+        assert store.verify().ok
 
-def _write_lines(root, lines):
-    """A one-shard store whose only segment holds ``lines``."""
-    ResultStore(root, shards=1)
-    directory = os.path.join(root, "shard-00")
-    os.makedirs(directory)
-    with open(os.path.join(directory, "seg-000001-raw.jsonl"), "wb") as out:
-        out.write(b"".join(line + b"\n" for line in lines))
+    def test_pool_workers_never_call_the_store(self, tmp_path,
+                                               monkeypatch):
+        """A jobs=2 sweep forks pool workers from a process with an open
+        connection, which SQLite forbids using across fork(): every
+        store call comes from the sweeping process."""
+        from repro.arch import GPUConfig
+        from repro.experiments import Runner, SimRequest
+        from repro.launchers import pool
 
+        log = tmp_path / "pids"
 
-class TestLazyDecode:
-    """A fresh instance decodes a key's lines when the key is first
-    read; what it serves and counts equals the eager full replay."""
+        def logged(function):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                return function(*args, **kwargs)
+            return wrapper
 
-    def test_entry_decode_agrees_with_json_loads(self):
-        from repro.store.result_store import _decode_entry
+        for name in ("get", "put", "keys", "items", "select", "close",
+                     "record_arch", "arch_payload", "append_run_log",
+                     "iter_run_logs", "stats", "verify", "compact",
+                     "_connection"):
+            monkeypatch.setattr(ResultStore, name,
+                                logged(getattr(ResultStore, name)))
+        worker_log = tmp_path / "workers"
 
-        def reference(line):
-            try:
-                entry = json.loads(line)
-                key, payload = entry["k"], entry["r"]
-            except (ValueError, TypeError, KeyError):
-                return None
-            if isinstance(key, str) and isinstance(payload, dict):
-                return key, payload
-            return None
+        def run_in_worker(request):
+            with open(worker_log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return simulate(request)
 
-        lines = [
-            b'{"k": "a", "r": {"v": 1}}',
-            b'{"k": "a", "r": {"v": 1}} \t\r\n ',
-            b'{"k": "a", "r": {"v": 1}} x',
-            b'{"k": "a", "r": {"v": 1}}\x0c',
-            b'{"k": "a", "r": {"v": 1}}{}',
-            b' {"k": "a", "r": {"v": 1}}',
-            b'\xef\xbb\xbf{"k": "a", "r": {}}',
-            b'{\x00"\x00k\x00"\x00',
-            b'{"k": "\xff", "r": {}}',
-            b'{"k": "\xed\xa0\x80", "r": {}}',
-            b'{"k": "caf\xc3\xa9", "r": {}}',
-            b'{"k": "a", "r": {}, "k": "b"}',
-            b'{"k": 1, "r": {}}', b'{"k": "a", "r": [1]}',
-            b'{', b'{}', b'{"k"', b'[1]', b'"k"',
-        ]
-        for line in lines:
-            assert _decode_entry(line) == reference(line), line
-
-    def test_one_get_decodes_only_that_keys_lines(self, tmp_path,
-                                                  monkeypatch):
-        from repro.store import result_store
-
-        writer = ResultStore(str(tmp_path), shards=1)
-        for index in range(20):
-            writer.put(f"key-{index}", {"v": index})
-        writer.put("key-7", {"v": "rewritten"})
-        writer.close()
-        decoded = []
-        real = result_store._decode_entry
-
-        def counting(line):
-            decoded.append(line)
-            return real(line)
-
-        monkeypatch.setattr(result_store, "_decode_entry", counting)
-        fresh = ResultStore(str(tmp_path))
-        assert fresh.get("key-7") == {"v": "rewritten"}
-        assert len(decoded) == 2
-        assert fresh.get("key-7") == {"v": "rewritten"}
-        assert len(decoded) == 2
-        assert fresh.stats() == fresh.verify().stats
-        assert fresh.stats().entries == 21
-
-    def test_corrupt_newest_line_keeps_older_payload(self, tmp_path):
-        _write_lines(str(tmp_path), [
-            b'{"k": "a", "r": {"v": 1}}',
-            b'{"k": "a", "r": [2]}',
-            b'{"k": "b", "r": {"v": 3}',
-        ])
-        fresh = ResultStore(str(tmp_path))
-        assert fresh.get("a") == {"v": 1}
-        assert fresh.get("b") is None
-        assert fresh.get("a") == {"v": 1}
-        stats = fresh.stats()
-        assert (stats.entries, stats.corrupt_lines, stats.live_keys) \
-            == (1, 2, 1)
-        assert fresh.stats() == stats == fresh.verify().stats
-
-    def test_refused_lines_filed_under_their_decoded_key(self, tmp_path):
-        lines = [
-            # Escaped key: the key holds a quote.
-            json.dumps({"k": 'q"x', "r": {"v": 1}}).encode(),
-            # A member named "k" is a second "k" member.
-            b'{"k": "decoy", "r": {"v": 2}, "\\u006b": "hidden"}',
-            b'{"k": "decoy", "r": {"v": 3}, "k": "second"}',
-            b'{"k": "plain", "r": {"v": 4, "tag": "k"}}',
-            b'{"k": "nested", "r": {"k": "inner"}}',
-            b'{"k": "decoy", "r": {"v": 5}}',
-        ]
-        _write_lines(str(tmp_path), lines)
-        replay = ResultStore(str(tmp_path))._scan_shard_full(0)[0]
-        assert set(replay) == {'q"x', "hidden", "second", "plain",
-                               "nested", "decoy"}
-        for key in [*replay, "inner"]:
-            assert ResultStore(str(tmp_path)).get(key) == replay.get(key)
-        fresh = ResultStore(str(tmp_path))
-        assert dict(fresh.items()) == replay
-        assert fresh.stats() == fresh.verify().stats
-
-    def test_scan_decoded_line_after_pending_line_wins(self, tmp_path):
-        _write_lines(str(tmp_path), [
-            b'{"k": "a", "r": {"v": 1}}',
-            b'{"k": "a", "r": {"v": 2, "s": "\\u00e9"}}',
-        ])
-        assert ResultStore(str(tmp_path)).get("a") == {"v": 2, "s": "é"}
-
-    def test_full_read_after_partial_read_replays_in_order(self, tmp_path):
-        """items() decodes the bytes it scans; a key's lines left
-        pending by an earlier scan still go before them."""
-        reader = ResultStore(str(tmp_path), shards=1)
-        writer = ResultStore(str(tmp_path), shards=1)
-        writer.put("a", {"v": 1})
-        writer.put("b", {"v": 1})
-        assert reader.get("b") == {"v": 1}       # "a" stays pending
-        writer.put("a", {"v": 2})
-        writer.close()
-        assert dict(reader.items()) == {"a": {"v": 2}, "b": {"v": 1}}
-        assert reader.stats() == reader.verify().stats
-
-    def test_newer_line_refreshed_by_another_keys_miss(self, tmp_path):
-        reader = ResultStore(str(tmp_path), shards=1)
-        writer = ResultStore(str(tmp_path), shards=1)
-        writer.put("a", {"v": 1})
-        assert reader.get("a") == {"v": 1}
-        writer.put("a", {"v": 2})
-        writer.close()
-        assert reader.get("missing") is None     # refreshes the shard
-        assert reader.get("a") == {"v": 2}
-        assert reader.stats() == reader.verify().stats
+        simulate = pool.execute_request_with_telemetry
+        monkeypatch.setattr(pool, "execute_request_with_telemetry",
+                            run_in_worker)
+        small = GPUConfig(max_resident_warps=8, active_warps=4)
+        runner = Runner(cache_dir=str(tmp_path / "store"))
+        runner.simulate_many([
+            SimRequest(workload, policy, small)
+            for workload in ("btree", "kmeans") for policy in ("BL", "RFC")
+        ], jobs=2)
+        runner.log_run("fork test")
+        assert runner.stats.simulated == 4
+        workers = set(worker_log.read_text().split())
+        assert workers and str(os.getpid()) not in workers
+        assert set(log.read_text().split()) == {str(os.getpid())}
+        assert runner.results().count() == 4
 
 
 class TestSharedInstance:
@@ -473,7 +471,7 @@ class TestSharedInstance:
         put into the same instance (the service's shape), and a thread
         gets from another instance: no iteration error, every put
         readable and counted, every get a put payload, and the live
-        view equals a fresh full replay."""
+        view equals a fresh instance's."""
         store = ResultStore(str(tmp_path))
         fresh_reader = ResultStore(str(tmp_path))
         # The first query imports the record schema; do it up front so
@@ -544,7 +542,7 @@ class TestSharedInstance:
 
     def test_derived_queries_race_puts_on_one_base(self, tmp_path):
         """Filtered queries derived from one base query (the service's
-        shape) race writers on its shared parse memo: every row they
+        shape) race writers on one store instance: every row they
         return satisfies their filter, and afterwards each filter on
         the base equals a brute force over a fresh query."""
         store = ResultStore(str(tmp_path))

@@ -118,23 +118,54 @@ class TestStoreCommand:
         root = self._populated(tmp_path)
         assert main(["store", "stats", "--dir", root]) == 0
         out = capsys.readouterr().out
-        assert "1 live key(s)" in out and "ltrf-store v1" in out
+        assert "records     1\n" in out and "ltrf-store v2" in out
 
     def test_verify_ok(self, capsys, tmp_path):
         root = self._populated(tmp_path)
         assert main(["store", "verify", "--dir", root]) == 0
         assert "verdict     OK" in capsys.readouterr().out
 
-    def test_verify_fails_on_conflict(self, capsys, tmp_path):
-        from repro.store import ResultStore
+    def test_verify_fails_on_undecodable_payload(self, capsys, tmp_path):
+        import os
+        import sqlite3
+
+        from repro.store.result_store import DATABASE_FILE
         root = self._populated(tmp_path)
-        store = ResultStore(root)
-        (key,) = store.keys()
-        store.put(key, {"workload": "btree", "tampered": True})
-        store.close()
+        with sqlite3.connect(os.path.join(root, DATABASE_FILE),
+                             isolation_level=None) as connection:
+            connection.execute("UPDATE records SET payload = '{tampered'")
         assert main(["store", "verify", "--dir", root]) == 1
         out = capsys.readouterr().out
-        assert "FAILED" in out and "CONFLICTS" in out
+        assert "FAILED" in out and "CORRUPT     1 row(s)" in out
+
+    def test_jsonl_store_refused_by_every_command(self, capsys, tmp_path,
+                                                  monkeypatch):
+        """A store of the replaced JSONL format fails every command
+        that opens it with one line naming the remedy, exit 2."""
+        import json
+        import os
+
+        root = tmp_path / "old"
+        root.mkdir()
+        (root / "STORE_FORMAT").write_text(json.dumps(
+            {"format": "ltrf-store", "version": 1, "shards": 16}))
+        monkeypatch.setenv("LTRF_CACHE_DIR", str(root))
+        for argv in (["store", "stats"], ["store", "verify"],
+                     ["store", "compact"], ["simulate", "btree"],
+                     ["sweep", "btree", "--policies", "BL"],
+                     ["experiment", "table1"],
+                     ["report", "-o", str(tmp_path / "out")],
+                     ["diff-runs", str(root), str(root)],
+                     ["serve", "--port", "0"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, (argv, captured.err)
+            assert lines[0].startswith(f"error: {root} holds a JSONL "
+                                       "result store")
+            assert "delete it, or point LTRF_CACHE_DIR/--dir elsewhere, " \
+                "and re-run cold" in lines[0]
+        assert sorted(os.listdir(root)) == ["STORE_FORMAT"]
 
     def test_compact(self, capsys, tmp_path):
         root = self._populated(tmp_path)
@@ -358,9 +389,16 @@ class TestWorkloadFrontend:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
-    def test_export_rejects_non_json_output(self, capsys):
-        assert main(["export-kernel", "btree", "-o", "bt.kernel"]) == 2
-        assert "must end in .json" in capsys.readouterr().err
+    @pytest.mark.parametrize("output, suggested", [
+        ("bt.kernel", "bt.kernel.json"), ("bt", "bt.kernel.json"),
+        ("bt.arch", "bt.arch.kernel.json"),
+    ])
+    def test_export_rejects_non_json_output(self, capsys, output,
+                                            suggested):
+        assert main(["export-kernel", "btree", "-o", output]) == 2
+        err = capsys.readouterr().err
+        assert "must end in .json" in err
+        assert err.endswith(f"; e.g. {suggested}\n")
 
     def test_export_to_unwritable_path_fails_cleanly(self, capsys):
         assert main(["export-kernel", "btree", "-o",
@@ -478,9 +516,15 @@ class TestArchFrontend:
         out = capsys.readouterr().out
         assert "table2-6" in out and "IPC" in out
 
-    def test_export_arch_rejects_non_json_output(self, capsys):
-        assert main(["export-arch", "maxwell-like", "-o", "m.arch"]) == 2
-        assert "must end in .json" in capsys.readouterr().err
+    @pytest.mark.parametrize("output, suggested", [
+        ("m.arch", "m.arch.json"), ("m", "m.arch.json"),
+    ])
+    def test_export_arch_rejects_non_json_output(self, capsys, output,
+                                                 suggested):
+        assert main(["export-arch", "maxwell-like", "-o", output]) == 2
+        err = capsys.readouterr().err
+        assert "must end in .json" in err
+        assert err.endswith(f"; e.g. {suggested}\n")
 
     def test_export_arch_unknown_name(self, capsys):
         assert main(["export-arch", "maxwel-like"]) == 2
