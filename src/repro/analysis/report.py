@@ -16,7 +16,8 @@ decodes.  One report covers:
   skipped, compile-cache hit rates, pool retries, host seconds.
 * **Store health** -- record, architecture and run-log counts plus
   the database size, from SQL counts (``store verify`` is the
-  row-by-row pass).
+  row-by-row pass), and the damage counter: records the query selected
+  but left out because their payload does not decode.
 * **Perf trajectory** -- medians per benchmark across committed
   ``BENCH_*.json`` history files (pytest-benchmark format), so a
   report shows how simulator performance moved over time.
@@ -83,6 +84,8 @@ class SweepReport:
     telemetry: Dict[str, float]
     runs: List[dict]
     stats: StoreStats
+    #: Records the query selected whose payload does not decode.
+    corrupt_records: int
     #: [(label, {benchmark: median_seconds})] oldest file first.
     bench_files: List[Tuple[str, Dict[str, float]]]
     notes: List[str]
@@ -93,12 +96,15 @@ class SweepReport:
 
     def summary_text(self) -> str:
         workloads = sorted({row.workload for row in self.delta_rows})
-        return (
+        text = (
             f"report over {self.store_root}: {self.record_count} "
             f"record(s), {len(self.policies)} policy column(s), "
             f"{len(workloads)} workload(s), {len(self.runs)} logged "
             f"run(s), {len(self.bench_files)} BENCH file(s)"
         )
+        if self.corrupt_records:
+            text += f"; {self.corrupt_records} corrupt record(s)"
+        return text
 
 
 def discover_bench_files(directory: str) -> List[str]:
@@ -137,8 +143,14 @@ def build_report(query: Query, baseline_policy: str = "BL",
                  bench_paths: Sequence[str] = ()) -> SweepReport:
     """Assemble a :class:`SweepReport` from one store query."""
     notes: List[str] = []
-    records = query.records()
+    undecodable: List[str] = []
+    records = query.records(undecodable=undecodable)
     stats = query.stats()
+    if undecodable:
+        notes.append(
+            f"store damage: {len(undecodable)} corrupt record(s) "
+            f"were skipped (run `store verify` for details)"
+        )
     stale = [record for record in records if not record.schema_ok]
     if stale:
         notes.append(
@@ -219,6 +231,7 @@ def build_report(query: Query, baseline_policy: str = "BL",
         telemetry=telemetry,
         runs=runs,
         stats=stats,
+        corrupt_records=len(undecodable),
         bench_files=bench_files,
         notes=notes,
     )
@@ -427,6 +440,7 @@ def _html_document(report: SweepReport) -> str:
             ("architecture descriptions", stats.archs),
             ("run-log entries", stats.runs),
             ("bytes", stats.bytes),
+            ("corrupt records", report.corrupt_records),
         ],
     ))
 

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.arch.config import GPUConfig
 from repro.arch.registry import arch_config
 from repro.arch.serialize import arch_fingerprint, arch_to_dict
-from repro.store import Query, ResultStore
+from repro.store import SEED_RANGE, Query, ResultStore
 from repro.workloads import workload_fingerprint
 
 
@@ -310,6 +310,11 @@ class Runner:
         # configuration.
         arch_fp = arch_fingerprint(request.config)
         if self.result_store is not None:
+            # Refused before anything is simulated: the store's seed
+            # column holds a signed 64-bit integer.
+            if request.seed not in SEED_RANGE:
+                raise ValueError(f"seed {request.seed} is not a signed "
+                                 "64-bit integer")
             # Keep the store's arch manifest complete: every
             # fingerprint a key embeds has its full description
             # alongside the records, so the query layer can resolve

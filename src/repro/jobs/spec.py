@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from repro.experiments.latency_tolerance import LATENCY_GRID
+from repro.store.result_store import SEED_RANGE
 
 
 class JobSpecError(ValueError):
@@ -189,6 +190,9 @@ class JobSpec:
                                f"got {self.jobs!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise JobSpecError(f"seed must be an integer, "
+                               f"got {self.seed!r}")
+        if self.seed not in SEED_RANGE:
+            raise JobSpecError(f"seed must be a signed 64-bit integer, "
                                f"got {self.seed!r}")
         for workload in self.workloads:
             try:

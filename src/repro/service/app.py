@@ -49,7 +49,7 @@ from repro.jobs.tracker import (
     UnknownJobError,
 )
 from repro.store.query import Query
-from repro.store.result_store import StoreError
+from repro.store.result_store import SEED_RANGE, StoreError
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,9 @@ class ServiceApp:
             return _error(400, f"bad filter value: {error}")
         if limit is not None and limit < 0:
             return _error(400, f"limit must be >= 0, got {limit}")
+        if seed is not None and seed not in SEED_RANGE:
+            return _error(400, f"seed must be a signed 64-bit integer, "
+                               f"got {seed}")
         try:
             query = self._open_query().where(
                 workload=params.get("workload"),

@@ -6,6 +6,7 @@ from repro.store.query import Query, StoredRecord
 from repro.store.result_store import (
     CompactionReport,
     ParsedKey,
+    SEED_RANGE,
     ResultStore,
     StoreError,
     StoreStats,
@@ -17,6 +18,7 @@ __all__ = [
     "ParsedKey",
     "Query",
     "ResultStore",
+    "SEED_RANGE",
     "StoreError",
     "StoreStats",
     "StoredRecord",

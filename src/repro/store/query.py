@@ -144,14 +144,6 @@ class _Latencies(dict):
         return latency
 
 
-#: ``where()`` field -> the ``records`` column it filters in SQL.
-_COLUMNS = {
-    "workload": "workload", "policy": "policy",
-    "arch_fingerprint": "arch_fp", "kernel_fingerprint": "kernel_fp",
-    "seed": "seed",
-}
-
-
 class Query:
     """Lazy, chainable read API over one result store.
 
@@ -262,7 +254,8 @@ class Query:
 
     # -- terminal reads -----------------------------------------------------
 
-    def records(self) -> List[StoredRecord]:
+    def records(self, undecodable: Optional[List[str]] = None
+                ) -> List[StoredRecord]:
         """Every record passing the filters, sorted by key.
 
         The equality filters select candidates in SQL, together with
@@ -270,6 +263,11 @@ class Query:
         key fields (or, for a key that does not parse, on its row)
         before it counts.  Only the records that pass a parsed key's
         checks are read.
+
+        A record whose payload does not decode is left out; with
+        ``undecodable`` given, its key is appended there, for each such
+        record the filters do not rule out (for a key that does not
+        parse, only ``key_in`` can).
         """
         schema_fields = _current_schema_fields()
         key_in = self._key_in
@@ -279,16 +277,18 @@ class Query:
         # counts every row read as a store.get span; a key this store
         # instance has read before costs one memo lookup.
         get = self._store.get
-        for key, parsed in self._store.select(
-                [(_COLUMNS[name], value) for name, value in self._equal]):
+        for key, parsed in self._store.select(self._equal):
             if key_in is not None and key not in key_in:
                 continue
+            if parsed is not None and not self._key_passes(parsed,
+                                                           latencies):
+                continue
+            payload = get(key)
+            if payload is None:   # its payload does not decode
+                if undecodable is not None:
+                    undecodable.append(key)
+                continue
             if parsed is not None:
-                if not self._key_passes(parsed, latencies):
-                    continue
-                payload = get(key)
-                if payload is None:   # its payload does not decode
-                    continue
                 workload, policy, arch_fp, seed, kernel_fp = parsed
                 record = StoredRecord(
                     key, workload, policy, arch_fp, seed, kernel_fp,
@@ -296,9 +296,6 @@ class Query:
                     latencies[arch_fp],
                 )
             else:
-                payload = get(key)
-                if payload is None:
-                    continue
                 record = StoredRecord(
                     key, str(payload.get("workload", "")),
                     str(payload.get("policy", "")), "", 0, "",

@@ -18,17 +18,20 @@ Layout::
 
 Tables::
 
-    records(key PRIMARY KEY, payload, workload, policy, arch_fp, seed,
-            kernel_fp) WITHOUT ROWID
+    records(key PRIMARY KEY, payload, workload, policy,
+            arch_fingerprint, seed, kernel_fingerprint) WITHOUT ROWID
     archs(fingerprint PRIMARY KEY, payload) WITHOUT ROWID
     runs(id INTEGER PRIMARY KEY, payload)
 
 A payload is sort-keyed JSON text.  :meth:`ResultStore.put` parses the
-key once into the five key columns (all NULL for a key that does not
-parse as a cache key), so the query layer filters on them in SQL
-instead of parsing keys.  ``archs`` holds the architecture description
-behind each fingerprint a key names, and ``runs`` one run-telemetry
-entry per completed run.
+key once into the five key columns, named after the fields of
+:class:`ParsedKey` (all NULL for a key that does not parse as a cache
+key), so the query layer filters on them in SQL instead of parsing
+keys.  ``seed`` holds a signed 64-bit integer (:data:`SEED_RANGE`); the
+runner, the job spec and the service refuse any other seed where it
+comes in.  ``archs`` holds the architecture description behind each
+fingerprint a key names, and ``runs`` one run-telemetry entry per
+completed run.
 
 Durability: WAL mode at ``synchronous=OFF``, one autocommit per
 ``put``.  A ``put`` that returned is in the write-ahead log, which the
@@ -67,7 +70,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.util import atomic_write_text
@@ -85,8 +87,8 @@ _BUSY_TIMEOUT_S = 30.0
 #: is in the file itself.
 _SCHEMA = (
     "CREATE TABLE records (key TEXT PRIMARY KEY, payload TEXT NOT NULL, "
-    "workload TEXT, policy TEXT, arch_fp TEXT, seed INTEGER, "
-    "kernel_fp TEXT) WITHOUT ROWID",
+    "workload TEXT, policy TEXT, arch_fingerprint TEXT, seed INTEGER, "
+    "kernel_fingerprint TEXT) WITHOUT ROWID",
     "CREATE TABLE archs (fingerprint TEXT PRIMARY KEY, "
     "payload TEXT NOT NULL) WITHOUT ROWID",
     "CREATE TABLE runs (id INTEGER PRIMARY KEY, payload TEXT NOT NULL)",
@@ -103,6 +105,9 @@ _UNPARSED = (None,) * 5
 _encode = json.JSONEncoder(sort_keys=True).encode
 #: Each table with the column that names its rows (for ``verify``).
 _TABLES = (("records", "key"), ("archs", "fingerprint"), ("runs", "id"))
+#: The seeds a key can carry: ``records.seed`` is a signed 64-bit
+#: integer, which is all SQLite binds.
+SEED_RANGE = range(-2 ** 63, 2 ** 63)
 
 
 class StoreError(Exception):
@@ -389,23 +394,27 @@ class ResultStore:
 
     def items(self) -> Iterator[Tuple[str, dict]]:
         """Every stored ``(key, payload)`` whose payload decodes, as of
-        one read."""
+        one read.  Each payload is decoded from the row read, not served
+        from the memo, so another writer's re-put shows."""
         for key, text in self._rows("SELECT key, payload FROM records"):
-            payload = self._memo.get(key) or _decode(text)
+            payload = _decode(text)
             if payload is not None:
                 yield key, payload
 
     def select(self, equal: Sequence[Tuple[str, Any]] = ()) -> List[tuple]:
         """``(key, ParsedKey or None)`` of every record whose key
-        columns equal each ``(column, value)`` of ``equal``, and of
+        columns equal each ``(field, value)`` of ``equal``, and of
         every record whose key does not parse: a filter can hold for
         such a record only through its payload, which the caller
-        checks.  ``column`` is a ``records`` column name."""
-        sql = ("SELECT key, workload, policy, arch_fp, seed, kernel_fp "
-               "FROM records")
+        checks.  ``field`` is a :class:`ParsedKey` field name, which is
+        also its column's name."""
+        sql = "SELECT key, " + ", ".join(ParsedKey._fields) + " FROM records"
         if equal:
+            unknown = {field for field, _ in equal} - set(ParsedKey._fields)
+            if unknown:
+                raise ValueError(f"no key column {sorted(unknown)}")
             sql += " WHERE workload IS NULL OR (" + " AND ".join(
-                f"{column} = ?" for column, _ in equal) + ")"
+                f"{field} = ?" for field, _ in equal) + ")"
         rows = self._rows(sql, [value for _, value in equal])
         return [(row[0], None if row[1] is None else ParsedKey._make(row[1:]))
                 for row in rows]
@@ -425,21 +434,19 @@ class ResultStore:
     # -- architecture manifest and run-telemetry log ------------------------
 
     def record_arch(self, fingerprint: str,
-                    payload: Union[dict, Callable[[], dict]]) -> None:
+                    build: Callable[[], dict]) -> None:
         """Persist the architecture description behind ``fingerprint``.
 
-        ``payload`` is the complete ``ltrf-arch`` payload, or a function
-        that builds it; it is built and written only for a fingerprint
-        this instance has not recorded, so a caller can pass the
-        function on every key it computes.  The query layer resolves
-        the ``a<fp>`` segment of a record key through it.  An existing
-        row is never rewritten (the fingerprint pins its content).
+        ``build`` returns the complete ``ltrf-arch`` payload; it is
+        called, and the row written, only for a fingerprint this
+        instance has not recorded, so a caller can pass it on every key
+        it computes.  The query layer resolves the ``a<fp>`` segment of
+        a record key through it.  An existing row is never rewritten
+        (the fingerprint pins its content).
         """
         if fingerprint in self._archs_recorded:
             return
-        if callable(payload):
-            payload = payload()
-        text = _encode(payload)
+        text = _encode(build())
         with self._lock:
             self._connection().execute(
                 "INSERT OR IGNORE INTO archs VALUES (?, ?)",

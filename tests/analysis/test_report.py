@@ -26,17 +26,19 @@ def sweep_runner(tmp_path):
     return runner
 
 
-def store_undecodable_record(tmp_path):
-    """Store one record whose payload does not decode, behind the
-    store's back (only tampering or disk damage leaves one)."""
+def store_corrupt_record(tmp_path):
+    """Overwrite one stored record's payload with text that does not
+    decode, behind the store's back (only tampering or disk damage
+    leaves one)."""
     import sqlite3
 
     from repro.store.result_store import DATABASE_FILE
 
     path = os.path.join(tmp_path / "store", DATABASE_FILE)
     with sqlite3.connect(path, isolation_level=None) as connection:
-        connection.execute("INSERT INTO records (key, payload) VALUES "
-                           "('btree__BL__a01__0__k02', '{this is not json}')")
+        connection.execute(
+            "UPDATE records SET payload = '{this is not json}' WHERE key = "
+            "(SELECT min(key) FROM records)")
 
 
 def write_bench(path, medians):
@@ -92,26 +94,25 @@ class TestBuildReport:
         assert report.baseline_policy is None
         assert any("'NOPE' absent" in note for note in report.notes)
 
-    def test_undecodable_record_is_left_out(self, tmp_path):
-        """A payload that does not decode is no row of the report; the
-        store health counts it, and `store verify` names it."""
+    def test_corrupt_lines_surface_in_notes(self, tmp_path):
         sweep_runner(tmp_path).result_store.close()
-        store_undecodable_record(tmp_path)
-        query = Query.open(str(tmp_path / "store"))
-        report = build_report(query)
-        assert report.record_count == 4
-        assert report.stats.records == 5
-        assert query.store.verify().corrupt == [
-            "records 'btree__BL__a01__0__k02'"]
+        store_corrupt_record(tmp_path)
+        report = build_report(Query.open(str(tmp_path / "store")))
+        assert report.corrupt_records >= 1
+        assert any("corrupt record(s)" in note for note in report.notes)
+        assert "corrupt record(s)" in report.summary_text()
+        assert report.record_count == report.stats.records - 1 == 3
 
     def test_store_health_needs_no_verify_pass(self, tmp_path,
                                                monkeypatch):
-        """Store health comes from SQL counts; only `store verify`
+        """Store health comes from SQL counts and the damage counter
+        from the report's own read of its records; only `store verify`
         reads every row."""
         from repro.analysis import render_html
         from repro.store import ResultStore
 
         sweep_runner(tmp_path).result_store.close()
+        store_corrupt_record(tmp_path)
 
         def no_verify(store):
             raise AssertionError("the report ran a verify pass")
@@ -120,9 +121,13 @@ class TestBuildReport:
         report = build_report(Query.open(str(tmp_path / "store")))
         assert (report.stats.records, report.stats.archs,
                 report.stats.runs) == (4, 2, 1)
+        assert report.corrupt_records == 1
+        assert any(note.startswith("store damage: 1 corrupt record(s)")
+                   for note in report.notes)
         html = render_html(report)
         assert '<td class="t">records</td><td>4</td>' in html
         assert '<td class="t">run-log entries</td><td>1</td>' in html
+        assert '<td class="t">corrupt records</td><td>1</td>' in html
 
     def test_fault_tolerance_counters_aggregate_and_render(
             self, tmp_path):
@@ -252,6 +257,15 @@ class TestWriteReport:
         assert len(report.records) == 5
         with open(paths["records.csv"], newline="") as handle:
             assert handle.read() == expected.getvalue()
+
+    def test_corrupt_lines_rendered_in_html(self, tmp_path):
+        sweep_runner(tmp_path).result_store.close()
+        store_corrupt_record(tmp_path)
+        report = build_report(Query.open(str(tmp_path / "store")))
+        paths = write_report(report, str(tmp_path / "out"))
+        html = open(paths["report.html"]).read()
+        assert "corrupt record" in html
+        assert "note: store damage" in html
 
 
 class TestRenderHtml:

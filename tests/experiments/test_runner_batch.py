@@ -207,6 +207,17 @@ class TestStoreFacade:
         assert Runner(cache_dir=None).request_key(
             SimRequest("btree", "BL", SMALL)) in keys
 
+    def test_a_seed_the_store_cannot_hold_is_refused_before_simulating(
+            self, tmp_path):
+        runner = Runner(cache_dir=str(tmp_path))
+        for seed in (2 ** 63, -2 ** 63 - 1):
+            with pytest.raises(ValueError, match="signed 64-bit"):
+                runner.simulate_many([SimRequest("btree", "BL", SMALL, seed)])
+        assert runner.stats.simulated == 0
+        assert Runner(cache_dir=None).request_key(
+            SimRequest("btree", "BL", SMALL, 2 ** 63)).startswith(
+                "btree__BL__a")
+
     def test_content_key_swaps_only_a_differing_kernel_fingerprint(self):
         key = "btree__BL__a0123__0__kfeedface"
         assert content_key(key, "") == key

@@ -37,6 +37,16 @@ class TestFromDict:
         with pytest.raises(JobSpecError, match="seed"):
             JobSpec.from_dict({"workloads": "btree", "seed": True})
 
+    def test_rejects_seed_outside_64_bits(self):
+        """The store keeps a seed as a signed 64-bit integer."""
+        for seed in (2 ** 63, -2 ** 63 - 1):
+            spec = JobSpec.from_dict({"workloads": "btree", "seed": seed})
+            with pytest.raises(JobSpecError,
+                               match="seed must be a signed 64-bit"):
+                spec.validate()
+        for seed in (2 ** 63 - 1, -2 ** 63):
+            JobSpec.from_dict({"workloads": "btree", "seed": seed}).validate()
+
     def test_rejects_bad_grid(self):
         with pytest.raises(JobSpecError, match="grid"):
             JobSpec.from_dict({"workloads": "btree", "grid": [1.0, -2.0]})

@@ -197,6 +197,30 @@ class TestErrors:
         response = app.handle("GET", "/results", {"seed": "many"}, b"")
         assert response.status == 400
 
+    def test_seed_outside_64_bits_400(self, app):
+        """The store keeps a seed as a signed 64-bit integer, so a sweep
+        or a results filter with a larger one is refused where it comes
+        in, before anything is simulated or read."""
+        from repro.store import ResultStore
+
+        response = app.handle(
+            "POST", "/sweeps", {"wait": "1"},
+            json.dumps(dict(SPEC, seed=2 ** 63)).encode(),
+        )
+        assert response.status == 400
+        assert "seed must be a signed 64-bit integer" \
+            in body_of(response)["error"]
+        assert app.tracker.jobs() == []
+        ResultStore(app.store_dir).close()
+        for seed in ("99999999999999999999", str(-2 ** 63 - 1)):
+            response = app.handle("GET", "/results", {"seed": seed}, b"")
+            assert response.status == 400
+            assert "seed" in body_of(response)["error"]
+        response = app.handle("GET", "/results", {"seed": str(2 ** 63 - 1)},
+                              b"")
+        assert response.status == 200
+        assert body_of(response)["count"] == 0
+
     def test_negative_results_limit_400(self, app):
         response = app.handle("GET", "/results", {"limit": "-1"}, b"")
         assert response.status == 400

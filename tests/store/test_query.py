@@ -201,6 +201,42 @@ class TestQuery:
         assert record.workload == "mystery"     # recovered from payload
         assert record.schema_ok                 # payload shape is current
 
+    def test_undecodable_records_are_left_out_and_named(self, tmp_path):
+        """A record whose payload does not decode is no row; the caller
+        that asks gets its key whenever the filters do not rule it out
+        (an unparsed key's filters need its payload, so only key_in
+        can)."""
+        import sqlite3
+
+        from repro.store.result_store import DATABASE_FILE
+
+        store = ResultStore(str(tmp_path))
+        good, bad_btree, bad_kmeans = (
+            f"{workload}__{policy}__a{ARCH_FP}__0__k{KERNEL_FP}"
+            for workload, policy in (("btree", "BL"), ("btree", "LTRF"),
+                                     ("kmeans", "BL")))
+        for key in (good, bad_btree, bad_kmeans, "odd-key"):
+            store.put(key, record_payload())
+        with sqlite3.connect(os.path.join(str(tmp_path), DATABASE_FILE),
+                             isolation_level=None) as connection:
+            connection.execute("UPDATE records SET payload = '{' "
+                               "WHERE key != ?", (good,))
+        fresh = ResultStore(str(tmp_path))
+
+        def read(query):
+            undecodable = []
+            keys = [record.key for record in
+                    query.records(undecodable=undecodable)]
+            return keys, sorted(undecodable)
+
+        assert read(Query(fresh)) == (
+            [good], sorted([bad_btree, bad_kmeans, "odd-key"]))
+        assert read(Query(fresh).where(workload="btree")) == (
+            [good], [bad_btree, "odd-key"])
+        assert read(Query(fresh).where(key_in=[good, bad_kmeans])) == (
+            [good], [bad_kmeans])
+        assert [record.key for record in Query(fresh).records()] == [good]
+
     def test_run_history_sorted_by_time(self, tmp_path):
         store = ResultStore(str(tmp_path), create=True)
         store.append_run_log({"label": "second", "time": 200.0})
@@ -345,7 +381,7 @@ class TestFilterPushdown:
         try:
             store = ResultStore(root)
             for fingerprint, payload in KNOWN_ARCHS.items():
-                store.record_arch(fingerprint, payload)
+                store.record_arch(fingerprint, lambda: payload)
             for key, payload in entries:
                 store.put(key, payload)
             base = Query(store)
@@ -425,7 +461,7 @@ class TestFilterPushdown:
         recorded_fp = arch_fingerprint(recorded)
         missing_fp = arch_fingerprint(missing)
         store = ResultStore(str(tmp_path))
-        store.record_arch(recorded_fp, arch_to_dict(recorded))
+        store.record_arch(recorded_fp, lambda: arch_to_dict(recorded))
         for fingerprint in (recorded_fp, missing_fp):
             store.put(f"btree__BL__a{fingerprint}__0__k{KERNEL_FP}",
                       record_payload())
@@ -440,7 +476,7 @@ class TestFilterPushdown:
                          for r in base.where(**where).records()}
             assert latencies == {recorded_fp: 3.0, missing_fp: None}
         assert (reads.count(recorded_fp), reads.count(missing_fp)) == (1, 3)
-        store.record_arch(missing_fp, arch_to_dict(missing))
+        store.record_arch(missing_fp, lambda: arch_to_dict(missing))
         for _ in range(2):
             assert base.where(min_latency=4.0).project("arch_fingerprint") \
                 == [(missing_fp,)]

@@ -149,8 +149,8 @@ class TestKeyColumns:
         store.put("not-a-cache-key", {"v": 2})
         with raw_connection(str(tmp_path)) as connection:
             rows = connection.execute(
-                "SELECT key, workload, policy, arch_fp, seed, kernel_fp "
-                "FROM records ORDER BY key").fetchall()
+                "SELECT key, workload, policy, arch_fingerprint, seed, "
+                "kernel_fingerprint FROM records ORDER BY key").fetchall()
         assert rows == [
             ("not-a-cache-key", None, None, None, None, None),
             (key, "runs__dir/x.kernel.json", "LTRF+", "0123abcd", 7,
@@ -166,6 +166,18 @@ class TestKeyColumns:
             == ["btree__BL__a01__0__k02", "odd-key"]
         assert [parsed is None for _, parsed in store.select()] \
             == [False, False, True]
+
+    def test_select_filters_only_on_key_fields(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        store.put("btree__BL__a01__7__k02", {"v": 1})
+        assert store.select([("arch_fingerprint", "01"), ("seed", 7),
+                             ("kernel_fingerprint", "02")]) \
+            == [("btree__BL__a01__7__k02",
+                 ("btree", "BL", "01", 7, "02"))]
+        with pytest.raises(ValueError, match="no key column"):
+            store.select([("payload", "x")])
+        with pytest.raises(ValueError, match="no key column"):
+            store.select([("1 = 1) OR (1", 1)])
 
 
 class TestInjectiveNaming:
@@ -240,6 +252,17 @@ class TestReads:
         assert reader.get("k") == {"v": 1}
         assert list(reader.keys()) == ["k"]
 
+    def test_items_serve_another_writers_re_put(self, tmp_path):
+        """get() serves a key it has read from the memo; items() decodes
+        every row it reads, so it shows a re-put by another writer."""
+        reader = ResultStore(str(tmp_path))
+        writer = ResultStore(str(tmp_path))
+        writer.put("k", {"v": 1})
+        assert reader.get("k") == {"v": 1}
+        writer.put("k", {"v": 2})
+        assert dict(reader.items()) == {"k": {"v": 2}}
+        assert reader.get("k") == {"v": 1}
+
     def test_corrupt_payload_reads_as_missing_and_fails_verify(
             self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -281,7 +304,7 @@ class TestMaintenance:
         check((0, 0, 0))
         for index in range(30):
             (store, other)[index % 2].put(f"k{index}", {"v": index})
-        store.record_arch("0123", {"mrf_latency_multiple": 2.0})
+        store.record_arch("0123", lambda: {"mrf_latency_multiple": 2.0})
         other.append_run_log({"label": "one"})
         check((30, 1, 1))
         for index in range(0, 30, 3):
@@ -328,7 +351,8 @@ class TestMaintenance:
         for _ in range(3):
             store.record_arch("00ff", describe)
         assert len(built) == 1
-        store.record_arch("00ff", {"ignored": True})   # never rewritten
+        ResultStore(str(tmp_path)).record_arch(        # never rewritten
+            "00ff", lambda: {"ignored": True})
         store.append_run_log({"label": "a"})
         store.append_run_log({"label": "b"})
         with raw_connection(str(tmp_path)) as connection:

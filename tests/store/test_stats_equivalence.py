@@ -1,8 +1,10 @@
 """Property: ``ResultStore.stats()``, from SQL counts, equals the
 row-by-row pass ``verify().stats`` after any interleaving of puts,
 re-puts, manifest and run-log writes, damaged payloads and compaction
--- on every live instance and on a fresh one -- and every instance
-serves the last payload put under each key."""
+-- on every live instance and on a fresh one -- and ``items()`` of
+every instance yields the last payload put under each key that is not
+damaged.  (``get()`` may serve a key an instance has already read from
+its memo; ``test_result_store.py`` pins that.)"""
 
 import shutil
 import sqlite3
@@ -49,7 +51,8 @@ class StoreOperations(RuleBasedStateMachine):
 
     @rule(which=WHICH, fingerprint=st.sampled_from(["01", "03", "05"]))
     def record_arch(self, which, fingerprint):
-        self.stores[which].record_arch(fingerprint, {"fp": fingerprint})
+        self.stores[which].record_arch(fingerprint,
+                                       lambda: {"fp": fingerprint})
 
     @rule(which=WHICH)
     def append_run_log(self, which):
@@ -71,12 +74,12 @@ class StoreOperations(RuleBasedStateMachine):
     @invariant()
     def stats_equal_row_by_row_pass(self):
         fresh = ResultStore(self.root, create=False)
+        intact = {key: payload for key, payload in self.model.items()
+                  if payload is not None}
         for store in (*self.stores, fresh):
             assert store.stats() == store.verify().stats
+            assert dict(store.items()) == intact
         assert fresh.stats().records == len(self.model)
-        assert dict(fresh.items()) == {
-            key: payload for key, payload in self.model.items()
-            if payload is not None}
         damaged = sorted(f"records {key!r}"
                          for key, payload in self.model.items()
                          if payload is None)
