@@ -10,7 +10,7 @@ the pure read path (``GET /jobs/<id>``).
 New benchmarks are reported, not gated, until they enter
 ``BENCH_baseline.json`` (see scripts/check_bench_regression.py), and
 these stay load benchmarks rather than simulator benchmarks -- the
-deeper hot/cold/mixed story lives in ``scripts/load_gen.py``.
+deeper hot/cold/mixed story lives in ``perfbench/service_mix.py``.
 """
 
 import asyncio

@@ -4,8 +4,8 @@ One kernel, one compiled policy, N latency points -- the shape every
 latency-tolerance figure repeats.  The kernel build, the LTRF compile,
 and the warp traces are identical at every point, so with the
 static-artifact cache the sweep should pay for them roughly once, not N
-times.  The benchmark runs with a fresh result-cache-free runner per
-round (the result caches would trivialise it) while the process-wide
+times.  The benchmark runs each round on a runner over a fresh, empty
+store (stored results would trivialise it) while the process-wide
 static caches stay live, exactly as they do inside a real sweep; the
 telemetry assertions pin the amortization property itself so the timing
 gate is backed by a behavioural check.
@@ -19,14 +19,15 @@ WORKLOAD = "backprop"
 POLICY = "LTRF"
 
 
-def _run_sweep():
-    runner = Runner(cache_dir=None)
+def _run_sweep(store_dir):
+    runner = Runner(cache_dir=store_dir)
     runner.simulate_many(sweep_requests(POLICY, WORKLOAD))
     return runner
 
 
-def test_sweep_amortization(benchmark):
-    runner = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
+def test_sweep_amortization(benchmark, tmp_path):
+    runner = benchmark.pedantic(_run_sweep, args=(str(tmp_path),),
+                                rounds=1, iterations=1)
     summary = runner.telemetry_summary()
     points = summary["simulations"]
     assert points == 7

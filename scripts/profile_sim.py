@@ -10,9 +10,9 @@ Runs a named workload x policy combination (one simulation, or
 with ``--grid`` the workload's full Figure-11-style latency sweep under
 the chosen policy) under :mod:`cProfile` and prints the top-N hotspots,
 so perf work starts from measurements instead of guesses.  Every run
-bypasses the runner's result caches (profiling a cache hit is
-meaningless); the process-wide static-artifact caches stay on, because
-the amortised steady state is what sweeps actually execute.
+bypasses the result store (profiling a cache hit is meaningless); the
+process-wide static-artifact caches stay on, because the amortised
+steady state is what sweeps actually execute.
 
 ``-o PATH`` additionally dumps raw pstats for ``snakeviz``/``pstats``
 post-processing.  See the README's "Profiling" section.
@@ -24,6 +24,7 @@ import argparse
 import cProfile
 import pstats
 import sys
+import tempfile
 import time
 
 
@@ -77,21 +78,24 @@ def main(argv=None) -> int:
     requests = list(requests) * args.repeat
 
     # Execute requests directly rather than through simulate_many: the
-    # batch engine deduplicates identical requests (and memoises
+    # batch engine deduplicates identical requests (and serves stored
     # results), which would collapse --repeat to a single simulation.
     # Each request here genuinely simulates; only the process-wide
     # static-artifact caches amortise across them, which is the
-    # steady-state behaviour --repeat exists to expose.
-    runner = Runner(cache_dir=None)   # aggregates telemetry only
-    profiler = cProfile.Profile()
-    started = time.perf_counter()
-    profiler.enable()
-    for request in requests:
-        _, telemetry = execute_request_with_telemetry(request)
-        runner.stats.simulated += 1
-        runner.stats.note_telemetry(telemetry)
-    profiler.disable()
-    wall = time.perf_counter() - started
+    # steady-state behaviour --repeat exists to expose.  The runner
+    # only aggregates telemetry, on a throwaway store.
+    with tempfile.TemporaryDirectory(prefix="profile_sim_") as scratch:
+        runner = Runner(cache_dir=scratch)
+        profiler = cProfile.Profile()
+        started = time.perf_counter()
+        profiler.enable()
+        for request in requests:
+            _, telemetry = execute_request_with_telemetry(request)
+            runner.stats.simulated += 1
+            runner.stats.note_telemetry(telemetry)
+        profiler.disable()
+        wall = time.perf_counter() - started
+        runner.result_store.close()
 
     shape = "grid" if args.grid else f"{args.latency}x"
     print(f"profiled {len(requests)} simulation(s): {args.workload} x "

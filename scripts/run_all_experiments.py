@@ -38,12 +38,10 @@ def main(argv=None) -> None:
         print(section)
     print()
     print(f"[engine] {runner.render_telemetry()}")
-    if runner.result_store is not None:
-        runner.log_run("run_all_experiments"
-                       + (" --fast" if args.fast else ""))
-        # Same StoreStats.summary_line() that `store stats` renders, so
-        # the two can never drift apart.
-        print(f"[store] {runner.results().stats().summary_line()}")
+    runner.log_run("run_all_experiments" + (" --fast" if args.fast else ""))
+    # Same StoreStats.summary_line() that `store stats` renders, so the
+    # two can never drift apart.
+    print(f"[store] {runner.results().stats().summary_line()}")
 
 
 if __name__ == "__main__":

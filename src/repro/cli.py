@@ -59,7 +59,7 @@ from repro.experiments.runner import default_cache_dir
 from repro.ir.serialize import KERNEL_FILE_SUFFIX, save_kernel
 from repro.policies import POLICIES
 from repro.registry import is_file_name
-from repro.store import Query, ResultStore, StoreError
+from repro.store import Query, ResultStore, StoreError, check_workload_name
 from repro.workloads import UnknownWorkloadError, default_registry
 
 def _add_workload_argument(command) -> None:
@@ -275,6 +275,7 @@ def _resolve_workload(name: Optional[str]) -> str:
     """Validate a workload selection and return its registry name."""
     if name is None:
         _fail("a workload name is required")
+    _resolved(check_workload_name, name)
     _resolved(default_registry().get_kernel, name)
     return name
 
@@ -303,11 +304,9 @@ def _interrupted(runner: Runner) -> NoReturn:
     """
     stats = runner.stats
     remaining = max(0, stats.batch_dispatched - stats.simulated)
-    where = runner.cache_dir if runner.cache_dir is not None \
-        else "(no store: cache_dir=None)"
-    print(f"\ninterrupted: completed points are flushed to {where}; "
-          f"about {remaining} dispatched point(s) remain -- re-run "
-          "the same command to resume", file=sys.stderr)
+    print(f"\ninterrupted: completed points are flushed to "
+          f"{runner.cache_dir}; about {remaining} dispatched point(s) "
+          "remain -- re-run the same command to resume", file=sys.stderr)
     raise _CliError(130)
 
 

@@ -13,8 +13,8 @@ on a fixed grid and interpolate the crossing linearly.
 Each figure declares its full ``(workload, policy, latency)`` grid up
 front and warms the cache through :meth:`Runner.simulate_many` (the
 batch engine), so ``jobs=N`` runs the grid on worker processes; the
-per-sweep normalisation below then consumes pure memory-cache hits and
-renders identically for any job count.
+per-sweep normalisation below then reads records the store's memo
+holds and renders identically for any job count.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Every experiment reduces to "simulate workload X under policy P on
 configuration C".  The runner centralises that: it computes each grid
-point's content-addressed cache key, memoises results both in memory
-and on disk, and returns slim :class:`RunRecord` objects.  The latency
+point's content-addressed cache key, fronts one result store that
+holds every record (its memo of decoded payloads is the only record
+cache), and returns slim :class:`RunRecord` objects.  The latency
 sweeps of Figures 11-14 revisit the same grid points, so caching cuts
 the full reproduction from thousands of simulations to a few hundred.
 
@@ -32,7 +33,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.arch.config import GPUConfig
 from repro.arch.registry import arch_config
 from repro.arch.serialize import arch_fingerprint, arch_to_dict
-from repro.store import SEED_RANGE, Query, ResultStore
+from repro.store import SEED_RANGE, Query, ResultStore, check_workload_name
 from repro.workloads import workload_fingerprint
 
 
@@ -58,15 +59,10 @@ def default_cache_dir() -> str:
                 "LTRF_CACHE_DIR is set but empty.  Set it to the "
                 "directory the result store should live in, unset it "
                 "to use ./.ltrf_cache under the current working "
-                "directory, or pass Runner(cache_dir=None) to disable "
-                "on-disk persistence."
+                "directory."
             )
         return configured
     return os.path.join(os.getcwd(), ".ltrf_cache")
-
-
-#: Sentinel distinguishing "use the default" from "no disk cache" (None).
-_DEFAULT_CACHE = object()
 
 
 @dataclass(frozen=True)
@@ -169,8 +165,9 @@ def content_key(key: str, kernel_fingerprint: str) -> str:
 class RunnerStats:
     """Cache/engine counters, exposed for tests and tooling."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
+    #: Planned grid points the store served (at plan time, at a
+    #: single-flight claim, or a follower's read-back).
+    hits: int = 0
     simulated: int = 0
     batch_requests: int = 0
     batch_deduplicated: int = 0
@@ -203,10 +200,6 @@ class RunnerStats:
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
     compile_seconds: float = 0.0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
 
     @property
     def simulated_cycles_per_host_second(self) -> float:
@@ -258,10 +251,12 @@ class RunnerStats:
 class Runner:
     """Cached simulation front-end used by all experiments.
 
-    ``cache_dir`` defaults to :func:`default_cache_dir` -- the one
-    place ``LTRF_CACHE_DIR`` is honoured -- and names the root of the
-    :class:`~repro.store.ResultStore`; ``None`` disables
-    on-disk persistence entirely.
+    A runner fronts exactly one :class:`~repro.store.ResultStore`, and
+    the store's memo of decoded payloads is its only record cache:
+    what a runner serves is what its store holds.  ``cache_dir`` names
+    the store's root and defaults to :func:`default_cache_dir` -- the
+    one place ``LTRF_CACHE_DIR`` is honoured.  A throwaway run passes a
+    temporary directory.
 
     ``store`` hands in an already open store to use instead of opening
     one; ``cache_dir`` then defaults to its root.  The job tracker
@@ -270,30 +265,25 @@ class Runner:
     store it hands in.
     """
 
-    def __init__(self, cache_dir: Optional[str] = _DEFAULT_CACHE,
+    def __init__(self, cache_dir: Optional[str] = None,
                  store: Optional[ResultStore] = None) -> None:
         if store is None:
-            if cache_dir is _DEFAULT_CACHE:
-                cache_dir = default_cache_dir()
-            if cache_dir is not None:
-                store = ResultStore(cache_dir)
-        elif cache_dir is _DEFAULT_CACHE or cache_dir == store.root:
-            cache_dir = store.root
-        else:
+            store = ResultStore(cache_dir if cache_dir is not None
+                                else default_cache_dir())
+        elif cache_dir is not None and cache_dir != store.root:
             raise ValueError(
                 f"cache_dir {cache_dir!r} is not the root of the store "
                 f"handed in ({store.root!r})"
             )
-        self.cache_dir = cache_dir
-        self.result_store: Optional[ResultStore] = store
-        self._memory_cache: Dict[str, RunRecord] = {}
+        self.cache_dir = store.root
+        self.result_store = store
         self.stats = RunnerStats()
         #: Counter snapshot at the last :meth:`log_run`, so run-log
         #: entries are per-sweep deltas (summable by reports) while
         #: ``self.stats`` keeps process-lifetime totals.
         self._logged_stats = RunnerStats()
 
-    # -- cache plumbing -----------------------------------------------------
+    # -- store plumbing -----------------------------------------------------
 
     def request_key(self, request: SimRequest) -> str:
         """The cache key of one grid point."""
@@ -309,62 +299,42 @@ class Runner:
         # kernel build per workload name and one hash per distinct
         # configuration.
         arch_fp = arch_fingerprint(request.config)
-        if self.result_store is not None:
-            # Refused before anything is simulated: the store's seed
-            # column holds a signed 64-bit integer.
-            if request.seed not in SEED_RANGE:
-                raise ValueError(f"seed {request.seed} is not a signed "
-                                 "64-bit integer")
-            # Keep the store's arch manifest complete: every
-            # fingerprint a key embeds has its full description
-            # alongside the records, so the query layer can resolve
-            # `a<fp>` back to concrete hardware (e.g. latency filters
-            # in `repro report`).  record_arch memoises per
-            # fingerprint and builds the description only for one it
-            # has not recorded, so this is a set lookup on the hot path.
-            self.result_store.record_arch(
-                arch_fp, lambda: arch_to_dict(request.config))
+        # Refused before anything is simulated: the store's seed
+        # column holds a signed 64-bit integer, and its keys are UTF-8.
+        if request.seed not in SEED_RANGE:
+            raise ValueError(f"seed {request.seed} is not a signed "
+                             "64-bit integer")
+        check_workload_name(request.workload)
+        # Keep the store's arch manifest complete: every fingerprint a
+        # key embeds has its full description alongside the records,
+        # so the query layer can resolve `a<fp>` back to concrete
+        # hardware (e.g. latency filters in `repro report`).
+        # record_arch memoises per fingerprint and builds the
+        # description only for one it has not recorded, so this is a
+        # set lookup on the hot path.
+        self.result_store.record_arch(
+            arch_fp, lambda: arch_to_dict(request.config))
         return (
             f"{request.workload}__{request.policy}__a{arch_fp}"
             f"__{request.seed}__k{workload_fingerprint(request.workload)}"
         )
 
-    def lookup(self, key: str, planned: bool = False) -> Optional[RunRecord]:
-        """The cached record under ``key``, or ``None`` on a miss.
+    def lookup(self, key: str) -> Optional[RunRecord]:
+        """The record the store holds under ``key``, or ``None``.
 
-        The public read path (memory cache, then the result store):
-        figure renderers and scripts consume warm records through this
-        -- and through :meth:`results` for whole-store queries --
-        instead of poking the runner's cache internals.
+        The one read path: planning, the pre-simulation probe, figure
+        renderers and scripts read records through this (and
+        whole-store queries through :meth:`results`).  The store's memo
+        serves a key already read or put; a miss reads the database,
+        so a point another writer flushed in the meantime is served.
 
-        A hit is charged to :attr:`stats` only when ``planned``: the
-        read serves a grid point the runner was asked for (at plan
-        time, at a single-flight claim, or a follower's read-back).  Reading back
-        a point already served -- every render-time read in
-        ``normalized_sweep`` -- is free, so a cold sweep reports no
-        hits and a warm one one per point.
+        A read charges no counter.  The stages that serve a planned
+        grid point from the store (:func:`~repro.jobs.plan.plan_requests`
+        and the tracker's single-flight claims) count its hit
+        themselves, so reading back a point already served -- every
+        render-time read in ``normalized_sweep`` -- is free: a cold
+        sweep reports no hits and a warm one one per point.
         """
-        if key in self._memory_cache:
-            if planned:
-                self.stats.memory_hits += 1
-            return self._memory_cache[key]
-        record = self.stored(key)
-        if record is None:
-            return None
-        if planned:
-            self.stats.disk_hits += 1
-        self._memory_cache[key] = record
-        return record
-
-    def stored(self, key: str) -> Optional[RunRecord]:
-        """The record the result store holds under ``key``, or ``None``.
-
-        Reads the store alone: no memory cache, no counters.  The
-        pipeline probes a planned miss with it before simulating, so a
-        point some other writer flushed in the meantime is served.
-        """
-        if self.result_store is None:
-            return None
         payload = self.result_store.get(key)
         if payload is None:
             return None
@@ -383,30 +353,23 @@ class Runner:
         runner has persisted -- filters and projections live on the
         query object.
         """
-        if self.result_store is None:
-            raise ValueError(
-                "this Runner has no result store (cache_dir=None); "
-                "construct it with a cache directory to query results"
-            )
         return Query(self.result_store)
 
     def save(self, key: str, record: RunRecord) -> None:
-        """Cache ``record`` under ``key`` in memory and in the store.
+        """Put ``record`` under ``key`` in the store.
 
         Flushed immediately (not at merge time): anything saved here
         survives a mid-sweep crash, which is what makes sweeps
         resumable.
         """
-        self._memory_cache[key] = record
-        if self.result_store is not None:
-            payload = asdict(record)
-            # Skip the put when the store already holds this exact
-            # payload -- the serial path absorbs records its stored()
-            # probe found (another writer flushed them), and re-putting
-            # them here would only cost a write.  A *different* payload
-            # is still put (it replaces a stale-schema entry).
-            if self.result_store.get(key) != payload:
-                self.result_store.put(key, payload)
+        payload = asdict(record)
+        # Skip the put when the store already holds this exact
+        # payload -- the serial path absorbs records its lookup()
+        # probe found (another writer flushed them), and re-putting
+        # them here would only cost a write.  A *different* payload
+        # is still put (it replaces a stale-schema entry).
+        if self.result_store.get(key) != payload:
+            self.result_store.put(key, payload)
 
     # -- simulation ---------------------------------------------------------
 
@@ -423,7 +386,7 @@ class Runner:
         """Run a whole grid of simulations, optionally in parallel.
 
         Requests are deduplicated (against each other and against the
-        memory/disk cache) before dispatch; only genuine misses are
+        store) before dispatch; only genuine misses are
         simulated.  With ``jobs`` > 1 the misses run on a process
         pool.  The returned list is aligned with ``requests`` and
         independent of completion order, so results are identical for
@@ -478,9 +441,9 @@ class Runner:
         can say *which* sweep produced the numbers.  Telemetry is
         host-specific and advisory, which is why it lives beside -- not
         inside -- the deterministic records.  Returns the logged entry, or
-        ``None`` when the runner has no store or nothing happened since
-        the previous :meth:`log_run` worth recording (no simulations,
-        no cache traffic, no fault recovery).
+        ``None`` when nothing happened since the previous
+        :meth:`log_run` worth recording (no simulations, no cache
+        traffic, no fault recovery).
 
         Each entry covers only the activity **since the previous
         log_run** of this runner: reports sum entries, so a long-lived
@@ -489,8 +452,6 @@ class Runner:
         first sweep's counters inside the second entry.
         :meth:`telemetry_summary` keeps returning lifetime totals.
         """
-        if self.result_store is None:
-            return None
         delta = self.stats.delta_since(self._logged_stats)
         summary = self.telemetry_summary(delta)
         recovered = (delta.chunk_retries + delta.chunk_timeouts
@@ -503,8 +464,6 @@ class Runner:
             "time": time.time(),
             "pool_retries": delta.pool_retries,
             "batch_requests": delta.batch_requests,
-            "memory_hits": delta.memory_hits,
-            "disk_hits": delta.disk_hits,
         }
         entry.update(summary)
         self.result_store.append_run_log(entry)

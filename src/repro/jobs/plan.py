@@ -10,9 +10,9 @@ batch counter in :class:`~repro.experiments.runner.RunnerStats` is
 charged here.
 
 * :func:`plan_requests` computes every request's store key, charges
-  the batch counters, dedupes the grid against itself and the
-  memory/disk cache, and splits it into resolved ``results`` (store
-  hits, served immediately) and ``pending`` misses.
+  the batch counters, dedupes the grid against itself and the store,
+  and splits it into resolved ``results`` (store hits, served
+  immediately) and ``pending`` misses.
 * :func:`execute_plan` runs misses -- in-process serially, or fanned
   out over a process pool for ``jobs > 1`` -- flushing each record to
   the store as it completes.  ``on_point`` observes
@@ -77,7 +77,7 @@ class JobPlan:
 
     @property
     def store_hits(self) -> int:
-        """Points resolved at plan time (memory or disk cache)."""
+        """Points the store served at plan time."""
         return len(self.requests) - self.deduplicated - len(self.pending)
 
     @property
@@ -98,15 +98,15 @@ class JobPlan:
 
 def plan_requests(runner: Runner,
                   requests: Iterable[SimRequest]) -> JobPlan:
-    """Resolve a request grid against the runner's caches.
+    """Resolve a request grid against the runner's store.
 
     Charges ``batch_requests``/``batch_deduplicated``/
-    ``batch_dispatched``, the planned hits (through
-    :meth:`Runner.lookup`), and the kernel builds of the grid's
-    workloads that no telemetry has reported yet: key computation may
-    build a workload in this process, and the CLI builds it even
-    earlier to validate it, while the per-request telemetry only sees
-    builds inside the executing process.
+    ``batch_dispatched``, one hit per point the store served, and the
+    kernel builds of the grid's workloads that no telemetry has
+    reported yet: key computation may build a workload in this
+    process, and the CLI builds it even earlier to validate it, while
+    the per-request telemetry only sees builds inside the executing
+    process.
     """
     requests = list(requests)
     keys = [runner.request_key(request) for request in requests]
@@ -124,9 +124,10 @@ def plan_requests(runner: Runner,
             stats.batch_deduplicated += 1
             plan.deduplicated += 1
             continue
-        cached = runner.lookup(key, planned=True)
+        cached = runner.lookup(key)
         if cached is not None:
             plan.results[key] = cached
+            stats.hits += 1
         else:
             plan.pending[key] = request
     stats.batch_dispatched += len(plan.pending)
@@ -191,7 +192,7 @@ def _run_serial(runner: Runner, items: List[tuple],
                 ) -> None:
     """Run ``(key, request)`` misses one at a time in this process.
 
-    Each key is probed against the store first (:meth:`Runner.stored`),
+    Each key is probed against the store first (:meth:`Runner.lookup`),
     so a record a concurrent writer already flushed is absorbed
     instead of simulated again.
     """
@@ -204,7 +205,7 @@ def _run_serial(runner: Runner, items: List[tuple],
                 f"sweep aborted after {done} of {len(items)} pending "
                 "point(s); completed records are flushed"
             )
-        record = runner.stored(key)
+        record = runner.lookup(key)
         telemetry = None
         if record is None:
             record, telemetry = execute_request_with_telemetry(request)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from repro.experiments.latency_tolerance import LATENCY_GRID
-from repro.store.result_store import SEED_RANGE
+from repro.store.result_store import SEED_RANGE, check_workload_name
 
 
 class JobSpecError(ValueError):
@@ -76,7 +76,7 @@ class JobSpec:
     ``overrides`` are :class:`GPUConfig` field deltas applied on top of
     each architecture (exactly the ``**config_overrides`` of
     :func:`~repro.experiments.latency_tolerance.sweep_requests`), which
-    is how tests and load generators submit fast small-SM jobs without
+    is how tests and benchmarks submit fast small-SM jobs without
     shipping an ``.arch.json``.
     """
 
@@ -196,6 +196,7 @@ class JobSpec:
                                f"got {self.seed!r}")
         for workload in self.workloads:
             try:
+                check_workload_name(workload)
                 default_registry().get_kernel(workload)
             except ValueError as error:
                 raise JobSpecError(str(error)) from None

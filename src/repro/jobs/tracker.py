@@ -18,7 +18,7 @@ arriving together would all see a miss and simulate N times.  The
 tracker registers every in-flight cache key; the first job to claim a
 key simulates it, concurrent jobs needing the same key execute their
 own claims first and then *wait* for the owner's flush, reading the
-record back through :meth:`Runner.lookup` -- a disk hit, so run-log
+record back through :meth:`Runner.lookup` -- a hit, so run-log
 telemetry shows exactly one simulation per unique point no matter how
 many identical jobs were in flight.  If an owner dies or is cancelled
 before flushing, waiters wake, re-probe, and claim the key themselves,
@@ -192,12 +192,12 @@ class JobTracker:
     shared store once the jobs have finished.
     """
 
-    def __init__(self, store_dir: Optional[str],
+    def __init__(self, store_dir: str,
                  runner_factory: Optional[Callable[[JobSpec], Runner]]
                  = None) -> None:
         self.store_dir = store_dir
         self._runner_factory = runner_factory or (
-            lambda spec: Runner(cache_dir=store_dir, store=self.store())
+            lambda spec: Runner(store=self.store())
         )
         self._store: Optional[ResultStore] = None
         self._jobs: Dict[str, Job] = {}
@@ -208,15 +208,15 @@ class JobTracker:
 
     # -- the shared store ---------------------------------------------------
 
-    def store(self, create: bool = True) -> Optional[ResultStore]:
+    def store(self, create: bool = True) -> ResultStore:
         """The one store instance every job (and the service's queries)
-        reads and writes; ``None`` without a store directory.
+        reads and writes.
 
         Opened on first use.  With ``create=False`` a directory that is
         not a store yet raises :class:`~repro.store.StoreError` and is
         left untouched, so read-only callers never initialise one.
         """
-        if self._store is None and self.store_dir is not None:
+        if self._store is None:
             with self._lock:
                 if self._store is None:
                     self._store = ResultStore(self.store_dir, create=create)
@@ -312,12 +312,10 @@ class JobTracker:
             job.error = str(abort)
             flushed = job.progress["hits"] + job.progress["executed"] \
                 + job.progress["waited"]
-            where = self.store_dir if self.store_dir is not None \
-                else "(no store)"
             job.resume_hint = (
                 f"{flushed} of {job.progress['unique'] or '?'} unique "
-                f"point(s) are flushed to {where}; re-submit the same "
-                "spec to resume from the store"
+                f"point(s) are flushed to {self.store_dir}; re-submit the "
+                "same spec to resume from the store"
             )
         except Exception as error:     # noqa: BLE001 - job boundary
             job.state = FAILED
@@ -362,9 +360,10 @@ class JobTracker:
             for key in owned:
                 # Another job may have flushed and released this key
                 # between our plan and our claim: it is a hit now.
-                record = runner.lookup(key, planned=True)
+                record = runner.lookup(key)
                 if record is not None:
                     plan.results[key] = record
+                    runner.stats.hits += 1
                     job.progress["hits"] += 1
                     self._flights.release(key, job.id)
             if owned:
@@ -390,8 +389,8 @@ class JobTracker:
         """Resolve one key another in-flight job owns.
 
         Waits for the owner's flush and reads it back through the
-        store (a disk hit -- the single-flight accounting that keeps
-        "one simulation per unique point" true in run logs).  If the
+        store (a hit -- the single-flight accounting that keeps "one
+        simulation per unique point" true in run logs).  If the
         owner vanished without flushing, claims the key and executes
         it here.
         """
@@ -404,9 +403,10 @@ class JobTracker:
             event = self._flights.watch(key)
             if event is not None and not event.wait(_WAIT_POLL_SECONDS):
                 continue        # still in flight; re-check cancellation
-            record = runner.lookup(key, planned=True)
+            record = runner.lookup(key)
             if record is not None:
                 plan.results[key] = record
+                runner.stats.hits += 1
                 job.progress["waited"] += 1
                 return
             # The owner died or aborted before flushing: take the key.

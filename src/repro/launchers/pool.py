@@ -59,20 +59,10 @@ class Chunk:
 _NO_CHUNK = Chunk(id=-1, items=[])
 
 
-def _env_number(name: str, parse, what: str):
-    text = os.environ.get(name)
-    if text is None or not text.strip():
-        return None
-    try:
-        return parse(text)
-    except ValueError:
-        raise ValueError(f"{name} must be {what}, got {text!r}") from None
-
-
 @dataclass
 class RetryPolicy:
-    """The retry budget and the chunk timeout (``LTRF_CHUNK_RETRIES``
-    and ``LTRF_CHUNK_TIMEOUT`` override them in :meth:`from_env`)."""
+    """The retry budget and the chunk timeout (``LTRF_CHUNK_TIMEOUT``
+    sets the timeout in :meth:`from_env`)."""
 
     #: Charged failed deliveries per chunk before quarantine.
     max_attempts: int = 3
@@ -83,13 +73,14 @@ class RetryPolicy:
     @classmethod
     def from_env(cls) -> "RetryPolicy":
         policy = cls()
-        timeout = _env_number("LTRF_CHUNK_TIMEOUT", float,
-                              "a number of seconds")
-        if timeout is not None:
+        text = os.environ.get("LTRF_CHUNK_TIMEOUT", "")
+        if text.strip():
+            try:
+                timeout = float(text)
+            except ValueError:
+                raise ValueError("LTRF_CHUNK_TIMEOUT must be a number of "
+                                 f"seconds, got {text!r}") from None
             policy.timeout = timeout if timeout > 0 else None
-        retries = _env_number("LTRF_CHUNK_RETRIES", int, "an integer")
-        if retries is not None:
-            policy.max_attempts = max(1, retries)
         return policy
 
 

@@ -7,6 +7,8 @@ orchestrating process.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 
 def execute_request_with_telemetry(request):
     """Run one simulation, bypassing every result cache.
@@ -38,26 +40,12 @@ def execute_request_with_telemetry(request):
         request.config, policy_by_name(request.policy)
     )
     result = sm.run(kernel, seed=request.seed)
-    record = RunRecord(
-        workload=request.workload,
-        policy=request.policy,
-        ipc=result.ipc,
-        cycles=result.cycles,
-        instructions=result.instructions,
-        prefetch_operations=result.prefetch_operations,
-        resident_warps=result.resident_warps,
-        activations=result.activations,
-        deactivations=result.deactivations,
-        mrf_reads=result.mrf_reads,
-        mrf_writes=result.mrf_writes,
-        rfc_reads=result.rfc_reads,
-        rfc_writes=result.rfc_writes,
-        rfc_read_hits=result.rfc_read_hits,
-        rfc_read_misses=result.rfc_read_misses,
-        rfc_fills=result.rfc_fills,
-        rfc_writebacks=result.rfc_writebacks,
-        l1_hit_rate=result.l1_hit_rate,
-    )
+    # Every record field but the workload (named as requested, which
+    # may be a path) is the result attribute of the same name.
+    record = RunRecord(workload=request.workload, **{
+        spec.name: getattr(result, spec.name)
+        for spec in fields(RunRecord) if spec.name != "workload"
+    })
     hits_after, misses_after, compile_seconds_after = (
         COMPILE_STATS.snapshot()
     )

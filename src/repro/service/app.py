@@ -92,7 +92,7 @@ class ServiceApp:
     executor threads.
     """
 
-    def __init__(self, store_dir: Optional[str],
+    def __init__(self, store_dir: str,
                  job_workers: int = 2,
                  tracker: Optional[JobTracker] = None) -> None:
         self.store_dir = store_dir
@@ -199,7 +199,7 @@ class ServiceApp:
     def _open_query(self) -> Query:
         """The base query over the tracker's shared store, or raise
         with a readable message; never initialises a store."""
-        if self.store_dir is None or not os.path.isdir(self.store_dir):
+        if not os.path.isdir(self.store_dir):
             raise StoreError(
                 f"no result store at {self.store_dir!r} (nothing "
                 "simulated yet?)"

@@ -152,8 +152,8 @@ class ServiceServer:
                 pass
 
     def stop(self) -> None:
-        """Programmatic shutdown trigger (tests and the load generator
-        use this in place of a signal).  Thread-safe."""
+        """Programmatic shutdown trigger (tests use this in place of a
+        signal).  Thread-safe."""
         loop = self._loop
         if loop is not None and loop.is_running():
             loop.call_soon_threadsafe(self._stop.set)

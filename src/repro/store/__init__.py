@@ -11,6 +11,7 @@ from repro.store.result_store import (
     StoreError,
     StoreStats,
     VerifyReport,
+    check_workload_name,
 )
 
 __all__ = [
@@ -23,4 +24,5 @@ __all__ = [
     "StoreStats",
     "StoredRecord",
     "VerifyReport",
+    "check_workload_name",
 ]

@@ -29,9 +29,10 @@ key once into the five key columns, named after the fields of
 key), so the query layer filters on them in SQL instead of parsing
 keys.  ``seed`` holds a signed 64-bit integer (:data:`SEED_RANGE`); the
 runner, the job spec and the service refuse any other seed where it
-comes in.  ``archs`` holds the architecture description behind each
-fingerprint a key names, and ``runs`` one run-telemetry entry per
-completed run.
+comes in, and a workload name that is not UTF-8 the same way
+(:func:`check_workload_name`).  ``archs`` holds the architecture
+description behind each fingerprint a key names, and ``runs`` one
+run-telemetry entry per completed run.
 
 Durability: WAL mode at ``synchronous=OFF``, one autocommit per
 ``put``.  A ``put`` that returned is in the write-ahead log, which the
@@ -108,6 +109,24 @@ _TABLES = (("records", "key"), ("archs", "fingerprint"), ("runs", "id"))
 #: The seeds a key can carry: ``records.seed`` is a signed 64-bit
 #: integer, which is all SQLite binds.
 SEED_RANGE = range(-2 ** 63, 2 ** 63)
+
+
+def check_workload_name(name: str) -> None:
+    """Raise ValueError unless ``name`` can head a key.
+
+    SQLite binds keys as UTF-8 text, and a path that is not valid
+    UTF-8 reaches Python with lone surrogates in it, which do not
+    encode.  The runner, the CLI and the job spec refuse such a name
+    before anything is simulated, as they refuse a seed outside
+    :data:`SEED_RANGE`.
+    """
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(
+            f"workload {name!r} is not valid UTF-8, which result store "
+            "keys must be; rename the file"
+        ) from None
 
 
 class StoreError(Exception):

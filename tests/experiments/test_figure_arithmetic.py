@@ -58,6 +58,15 @@ def simulate(monkeypatch):
     return install
 
 
+@pytest.fixture
+def runner(tmp_path):
+    """A runner on a fresh store, so no test's stub records serve
+    another test."""
+    runner = Runner(cache_dir=str(tmp_path))
+    yield runner
+    runner.result_store.close()
+
+
 def step(request):
     """The latency grid index of a sweep request (0 at 1x)."""
     return LATENCY_GRID.index(request.config.mrf_latency_multiple)
@@ -83,18 +92,18 @@ def _hit_model(request):
 
 
 class TestFig4:
-    def test_rows_and_summary(self, simulate):
+    def test_rows_and_summary(self, simulate, runner):
         simulate(_hit_model)
-        result = fig4(Runner(cache_dir=None), ["btree", "kmeans"])
+        result = fig4(runner, ["btree", "kmeans"])
         assert result.rows == [("btree", INSENSITIVE, 0.25, 0.5),
                                ("kmeans", INSENSITIVE, 0.1, 0.75)]
         assert result.summary == pytest.approx({
             "hw_min": 0.1, "hw_max": 0.25, "hw_mean": 0.175,
             "sw_mean": 0.625})
 
-    def test_both_caches_run_on_the_baseline_sm(self, simulate):
+    def test_both_caches_run_on_the_baseline_sm(self, simulate, runner):
         served = simulate(_hit_model)
-        fig4(Runner(cache_dir=None), ["btree", "kmeans"])
+        fig4(runner, ["btree", "kmeans"])
         assert [(r.workload, r.policy) for r in served] == list(HITS)
         assert {r.config for r in served} == {arch_config("maxwell-like")}
 
@@ -116,7 +125,7 @@ def _traffic_model(request):
 
 
 class TestFig10:
-    def test_rows_and_means(self, simulate):
+    def test_rows_and_means(self, simulate, runner):
         """Energy per instruction, by hand.  The BL baseline (config
         #1, HP SRAM): 1.0 per MRF access plus 0.5 x 1.6 = 0.8 leakage,
         so 2.8 for btree (2 accesses) and 4.8 for kmeans (4).  On
@@ -125,7 +134,7 @@ class TestFig10:
         leakage; with a WCB (LTRF, LTRF+) 0.15 per RFC access or fill
         and 0.04 leakage."""
         simulate(_traffic_model)
-        result = fig10(Runner(cache_dir=None), ["btree", "kmeans"])
+        result = fig10(runner, ["btree", "kmeans"])
         cached = 0.95 * 0.2 + 0.0128 + 0.3 + 0.05           # 0.5528
         ltrf = cached + 0.15 * 1.2 + 0.04                    # 0.7728
         ltrf_plus = 0.95 * 0.1 + 0.0128 + 0.3 + 0.05 + 0.15 + 0.04
@@ -144,9 +153,9 @@ class TestFig10:
                 zip(expected["btree"], expected["kmeans"]))
         })
 
-    def test_policies_run_on_dwm_against_a_bl_baseline(self, simulate):
+    def test_policies_run_on_dwm_against_a_bl_baseline(self, simulate, runner):
         served = simulate(_traffic_model)
-        fig10(Runner(cache_dir=None), ["btree"])
+        fig10(runner, ["btree"])
         assert [(r.policy, r.config) for r in served] == [
             ("BL", baseline_config()), ("RFC", arch_config("dwm-8x")),
             ("LTRF", arch_config("dwm-8x")), ("LTRF+", arch_config("dwm-8x")),
@@ -178,12 +187,12 @@ def _curve_model(request):
 
 
 class TestFig11:
-    def test_rows_and_means(self, simulate):
+    def test_rows_and_means(self, simulate, runner):
         """BL losing 10% per step crosses 95% halfway to 2x (1.5x);
         btree's RFC crosses 2/7 of the way from 0.97 at 3x to 0.90 at
         4x; a curve that never crosses tolerates the whole grid (7x)."""
         simulate(_curve_model)
-        result = fig11(Runner(cache_dir=None), ["btree", "backprop"])
+        result = fig11(runner, ["btree", "backprop"])
         assert [row[:2] for row in result.rows] == [
             ("btree", INSENSITIVE), ("backprop", SENSITIVE)]
         btree, backprop = (row[2:] for row in result.rows)
@@ -193,27 +202,28 @@ class TestFig11:
             "BL_mean": 1.375, "RFC_mean": (6 + 2 / 7 + 1 / 6) / 2,
             "LTRF_mean": (12 + 1 / 6) / 2, "LTRF+_mean": (1.3125 + 3.5) / 2})
 
-    def test_dip_and_recovery_stops_at_the_first_crossing(self, simulate):
+    def test_dip_and_recovery_stops_at_the_first_crossing(self, simulate,
+                                                          runner):
         """1.00 -> 0.84 crosses 0.95 at 0.05/0.16 of the first step;
         the recovery to 0.96 at 3x does not count."""
         simulate(_curve_model)
-        result = fig11(Runner(cache_dir=None), ["btree"])
+        result = fig11(runner, ["btree"])
         assert result.rows[0][5] == pytest.approx(1.3125)
 
-    def test_loss_sets_the_threshold(self, simulate):
+    def test_loss_sets_the_threshold(self, simulate, runner):
         """At 15% loss BL (10% per step) crosses halfway from 2x to
         3x, and backprop's LTRF+ holds 0.94 at 4x, then falls to 0.5."""
         simulate(_curve_model)
-        result = fig11(Runner(cache_dir=None), ["btree", "backprop"],
+        result = fig11(runner, ["btree", "backprop"],
                        loss=0.15)
         assert result.rows[0][2] == pytest.approx(2.5)
         assert result.rows[1][5] == pytest.approx(4 + 0.09 / 0.44)
         assert result.caption == "Maximum tolerable RF latency (<= 15% " \
             "IPC loss)"
 
-    def test_every_series_sweeps_the_whole_grid(self, simulate):
+    def test_every_series_sweeps_the_whole_grid(self, simulate, runner):
         served = simulate(_curve_model)
-        fig11(Runner(cache_dir=None), ["btree"], arch="tfet-8x")
+        fig11(runner, ["btree"], arch="tfet-8x")
         assert [(r.policy, step(r)) for r in served] == [
             (policy, index) for policy in ("BL", "RFC", "LTRF", "LTRF+")
             for index in range(len(LATENCY_GRID))]
@@ -245,19 +255,19 @@ def assert_mean_rows(result, drops):
 
 
 class TestFig12And13:
-    def test_fig12_rows_and_summary(self, simulate):
+    def test_fig12_rows_and_summary(self, simulate, runner):
         simulate(_sized_model("regs_per_interval",
                               {8: 0.05, 16: 0.01, 32: 0.02}))
-        result = fig12(Runner(cache_dir=None), ["btree", "backprop"])
+        result = fig12(runner, ["btree", "backprop"])
         assert result.headers == ("Relative latency", "8 regs", "16 regs",
                                   "32 regs")
         assert_mean_rows(result, (0.05, 0.01, 0.02))
         assert result.summary == pytest.approx({
             "regs8_at_7x": 0.55, "regs16_at_7x": 0.91, "regs32_at_7x": 0.82})
 
-    def test_fig13_rows_and_summary(self, simulate):
+    def test_fig13_rows_and_summary(self, simulate, runner):
         simulate(_sized_model("active_warps", {4: 0.04, 8: 0.02, 16: 0.02}))
-        result = fig13(Runner(cache_dir=None), ["btree", "backprop"])
+        result = fig13(runner, ["btree", "backprop"])
         assert result.headers == ("Relative latency", "4 warps", "8 warps",
                                   "16 warps")
         assert_mean_rows(result, (0.04, 0.02, 0.02))
@@ -265,12 +275,12 @@ class TestFig12And13:
             "warps4_at_7x": 0.64, "warps8_at_7x": 0.82,
             "warps16_at_7x": 0.82})
 
-    def test_columns_sweep_their_own_setting(self, simulate):
+    def test_columns_sweep_their_own_setting(self, simulate, runner):
         """The grid goes column by column, then workload, then
         latency, each point carrying its column's setting."""
         served = simulate(_sized_model("active_warps",
                                        {4: 0.04, 8: 0.02, 16: 0.02}))
-        fig13(Runner(cache_dir=None), ["btree", "backprop"])
+        fig13(runner, ["btree", "backprop"])
         assert [(r.config.active_warps, r.workload, step(r))
                 for r in served] == [
             (pool, name, index) for pool in (4, 8, 16)
@@ -295,25 +305,25 @@ def _fig14_model(request):
 
 
 class TestFig14:
-    def test_rows_and_tolerable_latencies(self, simulate):
+    def test_rows_and_tolerable_latencies(self, simulate, runner):
         """The mean curves lose 1.5x each design's btree drop per step:
         BL 15% crosses 95% a third of the way to 2x; RFC 4.5% holds at
         2x (0.955) and crosses 1/9 of the way to 3x; SHRF 3% holds to
         2x and crosses 2/3 of the way to 3x; LTRF-strand 1.5% crosses
         1/3 of the way from 4x to 5x; LTRF never crosses."""
         simulate(_fig14_model)
-        result = fig14(Runner(cache_dir=None), ["btree", "backprop"])
+        result = fig14(runner, ["btree", "backprop"])
         assert_mean_rows(result, FIG14_DROPS.values())
         assert result.summary == pytest.approx({
             "BL_tolerable": 1 + 1 / 3, "RFC_tolerable": 2 + 1 / 9,
             "SHRF_tolerable": 2 + 2 / 3, "LTRF-strand_tolerable": 4 + 1 / 3,
             "LTRF_tolerable": 7.0})
 
-    def test_tolerable_is_read_off_the_mean_curve(self, simulate):
+    def test_tolerable_is_read_off_the_mean_curve(self, simulate, runner):
         """btree's BL alone tolerates 1.5x and backprop's 1.25x, but
         the figure reads the averaged curve: 4/3x, not their mean."""
         simulate(_fig14_model)
-        summary = fig14(Runner(cache_dir=None), ["btree", "backprop"]).summary
+        summary = fig14(runner, ["btree", "backprop"]).summary
         assert summary["BL_tolerable"] == pytest.approx(4 / 3)
         assert summary["BL_tolerable"] != pytest.approx((1.5 + 1.25) / 2)
 
@@ -331,22 +341,22 @@ def _mrf_model(request):
 
 
 class TestOverheads:
-    def test_mrf_reduction_rows_and_mean(self, simulate):
+    def test_mrf_reduction_rows_and_mean(self, simulate, runner):
         """btree: 4.0 BL accesses per instruction over LTRF's 0.8 is
         5.0x; kmeans: 3.0 over 1.0 is 3.0x; the mean is 4.0x."""
         served = simulate(_mrf_model)
-        result = overheads(Runner(cache_dir=None), ["btree", "kmeans"])
+        result = overheads(runner, ["btree", "kmeans"])
         assert [(row[0], row[3]) for row in result.rows] == [
             ("btree", "5.0x"), ("kmeans", "3.0x")]
         assert result.summary["mrf_reduction_mean"] == pytest.approx(4.0)
         assert {(r.policy, r.config) for r in served} == {
             ("BL", baseline_config()), ("LTRF", arch_config("tfet-8x"))}
 
-    def test_code_size_and_wcb_storage(self, simulate):
+    def test_code_size_and_wcb_storage(self, simulate, runner):
         """Code growth is the compiled kernel's own report; the WCB
         holds 64 warps x (256 x 5 + 3 + 2 x 256) bits, 5.5% of 256KB."""
         simulate(_mrf_model)
-        result = overheads(Runner(cache_dir=None), ["btree", "kmeans"])
+        result = overheads(runner, ["btree", "kmeans"])
         reports = [compile_kernel(get_kernel(name)).code_size
                    for name in ("btree", "kmeans")]
         assert [row[1:3] for row in result.rows] == [

@@ -58,7 +58,8 @@ class TestSimulateMany:
 
     def test_parallel_matches_serial_byte_identical(self, tmp_path):
         requests = small_grid()
-        serial = Runner(cache_dir=None).simulate_many(requests)
+        serial = Runner(cache_dir=str(tmp_path / "serial")).simulate_many(
+            requests)
         parallel = Runner(cache_dir=str(tmp_path)).simulate_many(
             requests, jobs=4
         )
@@ -85,7 +86,7 @@ class TestSimulateMany:
         warm.simulate_many([request], jobs=4)
         assert warm.stats.simulated == 0
         assert warm.stats.batch_dispatched == 0
-        assert warm.stats.disk_hits == 1
+        assert warm.stats.hits == 1
 
 
 class TestCacheHardening:
@@ -139,27 +140,27 @@ class TestStoreFacade:
         request = SimRequest("btree", "BL", SMALL)
         assert single.simulate("btree", "BL", SMALL) \
             == batch.simulate_many([request])[0]
-        for name in ("simulated", "memory_hits", "disk_hits",
-                     "batch_requests", "batch_deduplicated",
-                     "batch_dispatched"):
+        for name in ("simulated", "hits", "batch_requests",
+                     "batch_deduplicated", "batch_dispatched"):
             assert getattr(single.stats, name) \
                 == getattr(batch.stats, name), name
         assert (single.stats.batch_requests,
                 single.stats.batch_dispatched) == (1, 1)
 
-    def test_stored_reads_the_store_alone(self, tmp_path):
+    def test_lookup_reads_the_store_and_charges_nothing(self, tmp_path):
+        """A read sees another writer's flush and charges no counter;
+        planning the point is what counts its hit."""
         runner = Runner(cache_dir=str(tmp_path))
         key = runner.request_key(SimRequest("btree", "BL", SMALL))
-        assert runner.stored(key) is None
+        assert runner.lookup(key) is None
         record = Runner(cache_dir=str(tmp_path)).simulate("btree", "BL",
                                                           SMALL)
-        assert runner.stored(key) == record
+        assert runner.lookup(key) == runner.lookup(key) == record
         assert runner.stats.hits == 0
-        # Nothing was cached in memory: a planned read is a disk hit.
-        assert runner.lookup(key, planned=True) == record
-        assert (runner.stats.memory_hits, runner.stats.disk_hits) == (0, 1)
+        assert runner.simulate("btree", "BL", SMALL) == record
+        assert (runner.stats.simulated, runner.stats.hits) == (0, 1)
         runner.result_store.put(key, {"workload": "btree"})   # stale
-        assert runner.stored(key) is None
+        assert runner.lookup(key) is None
 
     def test_save_puts_only_a_changed_payload(self, tmp_path,
                                               monkeypatch):
@@ -204,7 +205,7 @@ class TestStoreFacade:
         assert built == [SMALL, slower]
         assert runner.result_store.arch_payload(arch_fingerprint(SMALL)) \
             == arch_to_dict(SMALL)
-        assert Runner(cache_dir=None).request_key(
+        assert Runner(cache_dir=str(tmp_path / "other")).request_key(
             SimRequest("btree", "BL", SMALL)) in keys
 
     def test_a_seed_the_store_cannot_hold_is_refused_before_simulating(
@@ -214,9 +215,18 @@ class TestStoreFacade:
             with pytest.raises(ValueError, match="signed 64-bit"):
                 runner.simulate_many([SimRequest("btree", "BL", SMALL, seed)])
         assert runner.stats.simulated == 0
-        assert Runner(cache_dir=None).request_key(
-            SimRequest("btree", "BL", SMALL, 2 ** 63)).startswith(
-                "btree__BL__a")
+
+    def test_a_workload_name_the_store_cannot_hold_is_refused(
+            self, tmp_path):
+        """Store keys are UTF-8 text; a path that is not valid UTF-8
+        fails in request_key, before anything is simulated or
+        written."""
+        runner = Runner(cache_dir=str(tmp_path))
+        name = os.fsdecode(b"bt\xff.kernel.json")
+        with pytest.raises(ValueError, match="not valid UTF-8"):
+            runner.simulate_many([SimRequest(name, "BL", SMALL)])
+        assert runner.stats.simulated == 0
+        assert runner.result_store.stats().archs == 0
 
     def test_content_key_swaps_only_a_differing_kernel_fingerprint(self):
         key = "btree__BL__a0123__0__kfeedface"
@@ -231,17 +241,18 @@ class TestStoreFacade:
 class TestCacheKeyFingerprint:
     """The cache key must pin the kernel *content*, not just its name."""
 
-    def test_key_embeds_kernel_fingerprint(self):
+    def test_key_embeds_kernel_fingerprint(self, tmp_path):
         from repro.workloads import workload_fingerprint
-        runner = Runner(cache_dir=None)
+        runner = Runner(cache_dir=str(tmp_path))
         key = runner.request_key(SimRequest("btree", "BL", SMALL))
         assert key.endswith(f"__k{workload_fingerprint('btree')}")
 
-    def test_changed_kernel_content_changes_key(self, monkeypatch):
+    def test_changed_kernel_content_changes_key(self, monkeypatch,
+                                                tmp_path):
         """A generator/spec edit must invalidate old entries (the seed
         key was name+policy+config+seed only: silently wrong results)."""
         import repro.experiments.runner as runner_module
-        runner = Runner(cache_dir=None)
+        runner = Runner(cache_dir=str(tmp_path))
         request = SimRequest("btree", "BL", SMALL)
         before = runner.request_key(request)
         monkeypatch.setattr(
@@ -370,7 +381,7 @@ class TestDefaultCacheDir:
         monkeypatch.chdir(tmp_path)
         assert default_cache_dir() == str(tmp_path / ".ltrf_cache")
 
-    def test_empty_env_var_is_a_loud_error(self, monkeypatch):
+    def test_empty_env_var_is_a_loud_error(self, monkeypatch, tmp_path):
         """Empty-string is distinguished from absent: it almost always
         means a misquoted export, and must not silently fall back."""
         import pytest
@@ -380,7 +391,7 @@ class TestDefaultCacheDir:
         with pytest.raises(ValueError, match="set but empty"):
             Runner()                # honoured at construction time
         # Explicit cache_dir arguments bypass the env entirely.
-        assert Runner(cache_dir=None).cache_dir is None
+        assert Runner(cache_dir=str(tmp_path)).cache_dir == str(tmp_path)
 
 
 class TestTelemetry:
@@ -404,7 +415,7 @@ class TestTelemetry:
             runner.stats.host_seconds, runner.stats.simulated_cycles,
             dict(runner.stats.event_counts),
         )
-        runner.simulate("btree", "BL", SMALL)     # memory-cache hit
+        runner.simulate("btree", "BL", SMALL)     # a store hit
         assert (
             runner.stats.host_seconds, runner.stats.simulated_cycles,
             dict(runner.stats.event_counts),
@@ -679,8 +690,9 @@ class TestResumableSweeps:
         resumed = Runner(cache_dir=str(tmp_path))
         records = resumed.simulate_many(grid)
         assert resumed.stats.simulated == len(grid) - 4
-        assert resumed.stats.disk_hits == 4
-        direct = Runner(cache_dir=None).simulate_many(grid)
+        assert resumed.stats.hits == 4
+        direct = Runner(cache_dir=str(tmp_path / "direct")).simulate_many(
+            grid)
         assert records == direct
 
     def test_broken_pool_retries_chunks_on_fresh_pool(self, tmp_path,
@@ -702,7 +714,8 @@ class TestResumableSweeps:
         assert runner.stats.pool_retries >= 1
         assert runner.stats.chunk_retries >= 1
         assert runner.stats.simulated == len(grid)
-        assert records == Runner(cache_dir=None).simulate_many(grid)
+        assert records == Runner(
+            cache_dir=str(tmp_path / "direct")).simulate_many(grid)
 
     def test_persistently_broken_pool_degrades_to_serial(
             self, tmp_path, monkeypatch):
@@ -720,7 +733,8 @@ class TestResumableSweeps:
         assert runner.stats.simulated == len(grid)      # grid completed
         assert (runner.stats.backend_degradations
                 + runner.stats.chunks_quarantined) >= 1
-        assert records == Runner(cache_dir=None).simulate_many(grid)
+        assert records == Runner(
+            cache_dir=str(tmp_path / "direct")).simulate_many(grid)
         # Everything was flushed along the way: a rerun repeats nothing.
         resumed = Runner(cache_dir=str(tmp_path))
         resumed.simulate_many(grid)
@@ -759,7 +773,8 @@ class TestResumableSweeps:
         assert runner.stats.chunk_retries >= 1
         assert (runner.stats.chunks_quarantined
                 + runner.stats.backend_degradations) >= 1
-        assert records == Runner(cache_dir=None).simulate_many(grid)
+        assert records == Runner(
+            cache_dir=str(tmp_path / "direct")).simulate_many(grid)
 
     def test_real_worker_death_completes_sweep(self, tmp_path):
         """Fork-start integration check -- the kill-a-worker
@@ -786,7 +801,8 @@ class TestResumableSweeps:
         assert runner.stats.chunk_retries >= 1
         assert runner.stats.simulated == len(grid)      # zero lost
         # Byte-identical to an unfaulted serial run.
-        serial = Runner(cache_dir=None).simulate_many(grid)
+        serial = Runner(cache_dir=str(tmp_path / "serial")).simulate_many(
+            grid)
         assert [json.dumps(asdict(r), sort_keys=True) for r in records] \
             == [json.dumps(asdict(r), sort_keys=True) for r in serial]
         # Zero repeated after resume.

@@ -1,9 +1,9 @@
 """Telemetry golden for the batch pipeline.
 
-Pins what the pipeline *reports* -- simulations, memory and disk hits,
-batch requested/deduplicated/dispatched, kernel builds, store records
-written and run-log entries -- for one fixed grid, run three ways over
-one store:
+Pins what the pipeline *reports* -- simulations, hits, batch
+requested/deduplicated/dispatched, kernel builds, store records written
+and run-log entries -- for one fixed grid, run three ways over one
+store:
 
 1. ``cold``: in a fresh process, through ``Runner.simulate_many``;
 2. ``warm``: the same, in another fresh process;
@@ -42,8 +42,8 @@ LATENCIES = (1.0, 3.0, 7.0)
 SMALL = {"max_resident_warps": 8, "active_warps": 4}
 
 #: ``RunnerStats`` counters pinned for every run.
-COUNTERS = ("simulated", "memory_hits", "disk_hits", "batch_requests",
-            "batch_deduplicated", "batch_dispatched", "kernel_builds")
+COUNTERS = ("simulated", "hits", "batch_requests", "batch_deduplicated",
+            "batch_dispatched", "kernel_builds")
 
 
 def _grid() -> list:

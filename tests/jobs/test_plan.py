@@ -186,7 +186,7 @@ class TestAbsorb:
         assert runner.stats.simulated == 1
         assert runner.stats.hits == 0
         assert runner.stats.host_seconds == 0.0
-        assert runner.stored(key) == record
+        assert runner.lookup(key) == record
 
     def test_record_is_stored_under_the_content_simulated(self, tmp_path):
         runner, key, record, telemetry = self.delivery(tmp_path)
@@ -194,8 +194,8 @@ class TestAbsorb:
         results = {}
         absorb(runner, results, key, record, shifted)
         assert results == {key: record}
-        assert runner.stored(key) is None
-        assert runner.stored(content_key(key, "feedface")) == record
+        assert runner.lookup(key) is None
+        assert runner.lookup(content_key(key, "feedface")) == record
 
 
 class TestParallelDelivery:
@@ -261,7 +261,7 @@ class TestParallelDelivery:
             execute_plan(runner, plan, jobs=2, on_point=seen.append,
                          should_abort=lambda: len(seen) >= 1)
         (key,) = seen
-        assert Runner(cache_dir=str(tmp_path)).stored(key) \
+        assert Runner(cache_dir=str(tmp_path)).lookup(key) \
             == plan.results[key]
 
 
@@ -287,9 +287,9 @@ class TestFrontEndBuilds:
         save_kernel(get_kernel("btree"), path)
         default_registry().get_kernel(path)
         request = SimRequest(path, "BL", SMALL)
-        first = Runner(cache_dir=None)
+        first = Runner(cache_dir=str(tmp_path / "first"))
         plan_requests(first, [request, request])
         assert first.stats.kernel_builds == 1
-        second = Runner(cache_dir=None)
+        second = Runner(cache_dir=str(tmp_path / "second"))
         plan_requests(second, [request])
         assert second.stats.kernel_builds == 0

@@ -93,6 +93,18 @@ class TestValidate:
         with pytest.raises(JobSpecError, match=match):
             spec.validate()
 
+    def test_rejects_a_workload_path_that_is_not_utf8(self, tmp_path):
+        """The kernel file exists, but its name cannot be stored under."""
+        import os
+
+        from repro.ir import save_kernel
+        from repro.workloads import get_kernel
+
+        path = str(tmp_path / os.fsdecode(b"bt\xff.kernel.json"))
+        save_kernel(get_kernel("btree"), path)
+        with pytest.raises(JobSpecError, match="not valid UTF-8"):
+            JobSpec(workloads=(path,)).validate()
+
     def test_rejects_bad_override_field(self):
         spec = JobSpec(workloads=("btree",),
                        overrides={"warp_speed": 9})

@@ -46,7 +46,7 @@ def dumps(records):
 def assert_survived(runner, records, grid, tmp_path):
     """The shared acceptance contract of every fault scenario."""
     assert runner.stats.simulated == len(grid)          # zero lost
-    serial = Runner(cache_dir=None).simulate_many(grid)
+    serial = Runner(cache_dir=str(tmp_path / "serial")).simulate_many(grid)
     assert dumps(records) == dumps(serial)              # byte-identical
     resumed = Runner(cache_dir=str(tmp_path))
     resumed.simulate_many(grid)
@@ -61,7 +61,7 @@ class TestPoolSweeps:
         records = runner.simulate_many(grid, jobs=2)
         assert runner.stats.simulated == len(grid)
         assert dumps(records) == dumps(
-            Runner(cache_dir=None).simulate_many(grid)
+            Runner(cache_dir=str(tmp_path / "serial")).simulate_many(grid)
         )
         # A clean run reports no fault-tolerance noise.
         assert "fault tolerance" not in runner.render_telemetry()
@@ -158,7 +158,7 @@ class TestPoolFaults:
         assert time.monotonic() - started < 15
         assert delivered and plan.keys[0] not in delivered
         reader = Runner(cache_dir=str(tmp_path))
-        assert all(reader.stored(key) is not None for key in delivered)
+        assert all(reader.lookup(key) is not None for key in delivered)
         reader.simulate_many(grid)
         assert reader.stats.simulated == len(grid) - len(delivered)
-        assert reader.stats.disk_hits == len(delivered)
+        assert reader.stats.hits == len(delivered)

@@ -163,33 +163,19 @@ class TestRetries:
 
     def test_from_env_overrides(self, monkeypatch):
         monkeypatch.setenv("LTRF_CHUNK_TIMEOUT", "7.5")
-        monkeypatch.setenv("LTRF_CHUNK_RETRIES", "5")
         policy = RetryPolicy.from_env()
         assert policy.timeout == 7.5
-        assert policy.max_attempts == 5
+        assert policy.max_attempts == 3
 
     def test_from_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("LTRF_CHUNK_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="LTRF_CHUNK_TIMEOUT"):
             RetryPolicy.from_env()
 
-    @pytest.mark.parametrize("name, text, field, expected", [
-        ("LTRF_CHUNK_TIMEOUT", "0", "timeout", None),     # disabled
-        ("LTRF_CHUNK_TIMEOUT", "-5", "timeout", None),
-        ("LTRF_CHUNK_RETRIES", "0", "max_attempts", 1),   # at least one
-        ("LTRF_CHUNK_RETRIES", " ", "max_attempts", 3),   # blank: default
-    ])
-    def test_from_env_clamps_out_of_range_values(self, monkeypatch, name,
-                                                 text, field, expected):
-        for variable in ("LTRF_CHUNK_TIMEOUT", "LTRF_CHUNK_RETRIES"):
-            monkeypatch.delenv(variable, raising=False)
-        monkeypatch.setenv(name, text)
-        assert getattr(RetryPolicy.from_env(), field) == expected
-
-    def test_from_env_rejects_non_integer_retries(self, monkeypatch):
-        monkeypatch.setenv("LTRF_CHUNK_RETRIES", "2.5")
-        with pytest.raises(ValueError, match="LTRF_CHUNK_RETRIES"):
-            RetryPolicy.from_env()
+    @pytest.mark.parametrize("text", ["0", "-5", " "])  # off, off, unset
+    def test_from_env_clamps_out_of_range_values(self, monkeypatch, text):
+        monkeypatch.setenv("LTRF_CHUNK_TIMEOUT", text)
+        assert RetryPolicy.from_env().timeout is None
 
 
 class TestDeadWorkerCharge:

@@ -167,6 +167,16 @@ class TestErrors:
         assert response.status == 400
         assert "polices" in body_of(response)["error"]
 
+    def test_workload_name_that_is_not_utf8_400(self, app):
+        """JSON can carry a lone surrogate; no store key can."""
+        response = app.handle(
+            "POST", "/sweeps", {},
+            json.dumps(dict(SPEC, workloads="bt\udcff.kernel.json")).encode(),
+        )
+        assert response.status == 400
+        assert "not valid UTF-8" in body_of(response)["error"]
+        assert app.tracker.jobs() == []
+
     def test_backend_key_400(self, app):
         """Sweeps always run on the process pool; a spec that still
         names a backend is a spec with an unknown key."""

@@ -254,11 +254,6 @@ class TestQuery:
 
 
 class TestRunnerSurface:
-    def test_results_requires_a_store(self):
-        runner = Runner(cache_dir=None)
-        with pytest.raises(ValueError, match="no result store"):
-            runner.results()
-
     def test_lookup_round_trip(self, tmp_path):
         from repro.experiments.runner import SimRequest
         runner = Runner(cache_dir=str(tmp_path))

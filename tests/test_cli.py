@@ -329,6 +329,26 @@ class TestWorkloadFrontend:
             "[engine]")
         assert by_path[:-1] == by_name[:-1]
 
+    @pytest.mark.parametrize("argv", [["simulate", "--policy", "BL"],
+                                      ["sweep", "--policies", "BL"]])
+    def test_non_utf8_kernel_path_fails_cleanly(self, capsys, tmp_path,
+                                                argv):
+        """A path that is not valid UTF-8 cannot be stored under, so it
+        is refused with one line before anything is simulated."""
+        import os
+
+        from repro.ir import save_kernel
+        from repro.workloads import get_kernel
+
+        path = str(tmp_path / os.fsdecode(b"bt\xff.kernel.json"))
+        save_kernel(get_kernel("btree"), path)
+        assert main(argv[:1] + [path] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: workload ")
+        assert "not valid UTF-8" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_unknown_workload_suggests_nearest(self, capsys):
         assert main(["simulate", "backprp"]) == 2
         err = capsys.readouterr().err
