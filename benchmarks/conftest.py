@@ -9,15 +9,12 @@ one under pytest's temporary directory, so a run never reads records
 that older code left in ``./.ltrf_cache`` (a store key fingerprints
 the configuration and the kernel, not the simulator).
 ``run_all_experiments.py`` without ``--fast`` renders the full
-paper-scale tables.
-
-Set ``LTRF_BENCH_JOBS=N`` to fan each benchmark's simulation grid out
-over N worker processes on a cold cache (results are identical to the
-serial run; see Runner.simulate_many).
+paper-scale tables.  Every figure benchmark simulates serially, in
+this process.
 
 These benchmarks double as the CI perf-regression gate: the ``bench``
-job runs them cold and serial (fresh ``LTRF_CACHE_DIR``,
-``LTRF_BENCH_JOBS=1``) so the medians measure simulator speed, then
+job runs them cold (fresh ``LTRF_CACHE_DIR``) so the medians measure
+simulator speed, then
 ``scripts/check_bench_regression.py`` compares them against the
 committed ``BENCH_baseline.json`` (see the README's "Performance
 gate" section, including how to re-baseline intentionally).
@@ -37,20 +34,15 @@ def runner(tmp_path_factory):
     return Runner(cache_dir=str(tmp_path_factory.mktemp("bench-store")))
 
 
-@pytest.fixture(scope="session")
-def jobs():
-    return int(os.environ.get("LTRF_BENCH_JOBS", "1"))
-
-
 @pytest.fixture
-def run_figure(benchmark, runner, jobs):
+def run_figure(benchmark, runner):
     """Time one registry entry's fast run once; print it and return
     its summary."""
 
     def run(name):
         result = benchmark.pedantic(
             FIGURES[name].run, args=(runner,),
-            kwargs={"jobs": jobs, "fast": True}, rounds=1, iterations=1,
+            kwargs={"fast": True}, rounds=1, iterations=1,
         )
         print("\n" + result.render())
         return result.summary

@@ -10,12 +10,10 @@ records and attributes every changed grid point to one cause:
 * ``kernel`` -- same workload/policy/seed/architecture, different
   kernel fingerprint: the workload's source changed, so the cached
   key rotated.
-* ``schema`` -- the keys match but at least one side's payload
-  predates the current ``RunRecord`` schema: the record format moved,
-  not the physics.
-* ``payload`` -- keys match, both payloads are schema-current, and
-  the stored results still differ byte-for-byte: a genuine behaviour
-  change (the one cause worth bisecting).
+* ``payload`` -- keys match and the stored results differ
+  byte-for-byte: a genuine behaviour change (the one cause worth
+  bisecting).  A change to the record's fields bumps the store's
+  format version, so both sides always hold the same schema.
 
 Grid points present in only one store are reported as ``only-in-a`` /
 ``only-in-b``; identical entries count as ``unchanged``.  Everything
@@ -30,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.store.query import Query, StoredRecord
 
 #: Attribution causes, in render order.
-CAUSES = ("unchanged", "payload", "config", "kernel", "schema",
-          "only-in-a", "only-in-b")
+CAUSES = ("unchanged", "payload", "config", "kernel", "only-in-a",
+          "only-in-b")
 
 
 @dataclass(frozen=True)
@@ -55,14 +53,6 @@ class DiffEntry:
             return (f"{point}: kernel changed "
                     f"({_fp(self.a.kernel_fingerprint)} -> "
                     f"{_fp(self.b.kernel_fingerprint)})")
-        if self.cause == "schema":
-            sides = []
-            if not self.a.schema_ok:
-                sides.append("A")
-            if not self.b.schema_ok:
-                sides.append("B")
-            return (f"{point}: record schema drift "
-                    f"(stale payload in {'/'.join(sides)})")
         if self.cause == "payload":
             return (f"{point}: result payload differs "
                     f"(ipc {_num(self.a.ipc)} -> {_num(self.b.ipc)})")
@@ -130,11 +120,11 @@ def diff_runs(query_a: Query, query_b: Query) -> DiffReport:
     """Pair the records of two stores and attribute every difference.
 
     Pairing is three passes, most-specific first: exact key matches
-    resolve to ``unchanged`` / ``schema`` / ``payload``; leftovers that
-    agree on everything but the architecture fingerprint become
-    ``config``; leftovers that agree on everything but the kernel
-    fingerprint become ``kernel``; the rest are one-sided.  Each record
-    is consumed by at most one pairing.
+    resolve to ``unchanged`` / ``payload``; leftovers that agree on
+    everything but the architecture fingerprint become ``config``;
+    leftovers that agree on everything but the kernel fingerprint
+    become ``kernel``; the rest are one-sided.  Each record is consumed
+    by at most one pairing.
     """
     records_a = {record.key: record for record in query_a.records()}
     records_b = {record.key: record for record in query_b.records()}
@@ -147,13 +137,8 @@ def diff_runs(query_a: Query, query_b: Query) -> DiffReport:
         if b is None:
             unmatched_a.append(a)
             continue
-        if not (a.schema_ok and b.schema_ok):
-            cause = "schema" if dict(a.payload) != dict(b.payload) \
-                else "unchanged"
-        elif dict(a.payload) != dict(b.payload):
-            cause = "payload"
-        else:
-            cause = "unchanged"
+        cause = "payload" if dict(a.payload) != dict(b.payload) \
+            else "unchanged"
         entries.append(DiffEntry(cause, a.workload, a.policy, a.seed, a, b))
     unmatched_b: List[StoredRecord] = list(records_b.values())
 

@@ -151,17 +151,11 @@ def build_report(query: Query, baseline_policy: str = "BL",
             f"store damage: {len(undecodable)} corrupt record(s) "
             f"were skipped (run `store verify` for details)"
         )
-    stale = [record for record in records if not record.schema_ok]
-    if stale:
-        notes.append(
-            f"{len(stale)} record(s) predate the current schema and "
-            "are excluded from IPC aggregation"
-        )
 
     points: Dict[Tuple, DeltaRow] = {}
     policies = set()
     for record in records:
-        if not record.schema_ok or record.ipc is None:
+        if record.ipc is None:
             continue
         policies.add(record.policy)
         group = (record.workload, record.arch_fingerprint, record.seed,
@@ -241,7 +235,7 @@ def build_report(query: Query, baseline_policy: str = "BL",
 
 _RECORD_COLUMNS = (
     "key", "workload", "policy", "arch_fingerprint", "latency", "seed",
-    "kernel_fingerprint", "schema_ok", "ipc", "cycles", "instructions",
+    "kernel_fingerprint", "ipc", "cycles", "instructions",
 )
 
 
@@ -254,7 +248,7 @@ def _write_records_csv(report: SweepReport, path: str) -> None:
         writer.writerows(
             (record.key, record.workload, record.policy,
              record.arch_fingerprint, record.latency, record.seed,
-             record.kernel_fingerprint, record.schema_ok,
+             record.kernel_fingerprint,
              record.payload.get("ipc"), record.payload.get("cycles"),
              record.payload.get("instructions"))
             for record in report.records
@@ -374,7 +368,7 @@ def _html_document(report: SweepReport) -> str:
             text_columns=2,
         ))
     else:
-        sections.append("<p>no schema-current records with IPC</p>")
+        sections.append("<p>no records with IPC</p>")
 
     sections.append("<h2>Engine telemetry</h2>")
     if report.runs:

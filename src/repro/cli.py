@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff-runs",
         help="pair the records of two stores and attribute every "
-             "difference to a cause (config/kernel/schema/payload)",
+             "difference to a cause (config/kernel/payload)",
     )
     diff.add_argument("store_a", metavar="A", help="store root of run A")
     diff.add_argument("store_b", metavar="B", help="store root of run B")
@@ -303,7 +303,10 @@ def _interrupted(runner: Runner) -> NoReturn:
     same command resumes from the store instead of starting over.
     """
     stats = runner.stats
-    remaining = max(0, stats.batch_dispatched - stats.simulated)
+    # Unique points of the grid that are neither served from the store
+    # (at plan or execute time) nor simulated.
+    remaining = max(0, stats.batch_requests - stats.batch_deduplicated
+                    - stats.hits - stats.simulated)
     print(f"\ninterrupted: completed points are flushed to "
           f"{runner.cache_dir}; about {remaining} dispatched point(s) "
           "remain -- re-run the same command to resume", file=sys.stderr)

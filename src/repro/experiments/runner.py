@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional
 
 from repro.arch.config import GPUConfig
@@ -165,8 +165,10 @@ def content_key(key: str, kernel_fingerprint: str) -> str:
 class RunnerStats:
     """Cache/engine counters, exposed for tests and tooling."""
 
-    #: Planned grid points the store served (at plan time, at a
-    #: single-flight claim, or a follower's read-back).
+    #: Planned grid points the store served, at plan time or when
+    #: execution probed a pending point before simulating it (a
+    #: concurrent writer's flush, a single-flight owner's flush).
+    #: Charged in one place, ``repro.jobs.plan._serve_stored``.
     hits: int = 0
     simulated: int = 0
     batch_requests: int = 0
@@ -328,12 +330,12 @@ class Runner:
         serves a key already read or put; a miss reads the database,
         so a point another writer flushed in the meantime is served.
 
-        A read charges no counter.  The stages that serve a planned
-        grid point from the store (:func:`~repro.jobs.plan.plan_requests`
-        and the tracker's single-flight claims) count its hit
-        themselves, so reading back a point already served -- every
-        render-time read in ``normalized_sweep`` -- is free: a cold
-        sweep reports no hits and a warm one one per point.
+        A read charges no counter.  The batch pipeline serves a planned
+        or pending grid point from the store through one helper in
+        :mod:`repro.jobs.plan`, which counts its hit, so reading back a
+        point already served -- every render-time read in
+        ``normalized_sweep`` -- is free: a cold sweep reports no hits
+        and a warm one one per point.
         """
         payload = self.result_store.get(key)
         if payload is None:
@@ -341,9 +343,9 @@ class Runner:
         try:
             return RunRecord(**payload)
         except TypeError:
-            # Stale-schema entry (fields added/renamed since it was
-            # written): treat as a miss.  The re-simulated record is
-            # put under the same key and replaces it.
+            # A payload that does not build a RunRecord is a miss, just
+            # as get() reads an undecodable one: the re-simulated record
+            # is put under the same key and replaces it.
             return None
 
     def results(self) -> Query:
@@ -354,22 +356,6 @@ class Runner:
         query object.
         """
         return Query(self.result_store)
-
-    def save(self, key: str, record: RunRecord) -> None:
-        """Put ``record`` under ``key`` in the store.
-
-        Flushed immediately (not at merge time): anything saved here
-        survives a mid-sweep crash, which is what makes sweeps
-        resumable.
-        """
-        payload = asdict(record)
-        # Skip the put when the store already holds this exact
-        # payload -- the serial path absorbs records its lookup()
-        # probe found (another writer flushed them), and re-putting
-        # them here would only cost a write.  A *different* payload
-        # is still put (it replaces a stale-schema entry).
-        if self.result_store.get(key) != payload:
-            self.result_store.put(key, payload)
 
     # -- simulation ---------------------------------------------------------
 

@@ -15,13 +15,13 @@ charged here.
   immediately) and ``pending`` misses.
 * :func:`execute_plan` runs misses -- in-process serially, or fanned
   out over a process pool for ``jobs > 1`` -- flushing each record to
-  the store as it completes.  ``on_point`` observes
-  every completed grid point (the tracker's progress feed);
-  ``should_abort`` cancels cooperatively, raising
-  :class:`~repro.launchers.SweepAborted` only after flushed records
-  are safe.  A subset of the plan's pending map may be passed
-  explicitly, which is how single-flight ownership partitions one
-  plan's misses across concurrent jobs.
+  the store as it completes.  ``on_point(key, simulated)`` observes
+  every grid point it resolves, simulated or served from the store
+  (the tracker's progress feed); ``should_abort`` cancels
+  cooperatively, raising :class:`~repro.launchers.SweepAborted` only
+  after flushed records are safe.  A subset of the plan's pending map
+  may be passed explicitly, which is how single-flight ownership
+  partitions one plan's misses across concurrent jobs.
 * :meth:`JobPlan.merge` returns records aligned with the original
   request order, independent of completion order.
 
@@ -38,7 +38,7 @@ and every recovery action is counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.arch.serialize import arch_fingerprint_sans_latency
@@ -101,12 +101,12 @@ def plan_requests(runner: Runner,
     """Resolve a request grid against the runner's store.
 
     Charges ``batch_requests``/``batch_deduplicated``/
-    ``batch_dispatched``, one hit per point the store served, and the
-    kernel builds of the grid's workloads that no telemetry has
-    reported yet: key computation may build a workload in this
-    process, and the CLI builds it even earlier to validate it, while
-    the per-request telemetry only sees builds inside the executing
-    process.
+    ``batch_dispatched``, one hit per point the store served (through
+    :func:`_serve_stored`), and the kernel builds of the grid's
+    workloads that no telemetry has reported yet: key computation may
+    build a workload in this process, and the CLI builds it even
+    earlier to validate it, while the per-request telemetry only sees
+    builds inside the executing process.
     """
     requests = list(requests)
     keys = [runner.request_key(request) for request in requests]
@@ -124,66 +124,90 @@ def plan_requests(runner: Runner,
             stats.batch_deduplicated += 1
             plan.deduplicated += 1
             continue
-        cached = runner.lookup(key)
-        if cached is not None:
-            plan.results[key] = cached
-            stats.hits += 1
-        else:
+        if not _serve_stored(runner, plan.results, key):
             plan.pending[key] = request
     stats.batch_dispatched += len(plan.pending)
     return plan
 
 
+def _serve_stored(runner: Runner, results: Dict[str, RunRecord], key: str,
+                  on_point: Optional[Callable[[str, bool], None]] = None
+                  ) -> bool:
+    """Serve ``key`` from the store if it holds it; ``False`` if not.
+
+    The one place a planned or pending grid point is served from the
+    store: the record goes into ``results``, the runner charges one
+    hit, and ``on_point`` hears ``(key, False)``.  Planning probes every
+    point, and execution probes each pending one again before it would
+    simulate, so a point another writer flushed after the plan is a
+    hit wherever it is found, never a second simulation.
+    """
+    record = runner.lookup(key)
+    if record is None:
+        return False
+    results[key] = record
+    runner.stats.hits += 1
+    if on_point is not None:
+        on_point(key, False)
+    return True
+
+
 def execute_plan(runner: Runner, plan: JobPlan,
                  jobs: Optional[int] = None,
                  pending: Optional[Dict[str, SimRequest]] = None,
-                 on_point: Optional[Callable[[str], None]] = None,
+                 on_point: Optional[Callable[[str, bool], None]] = None,
                  should_abort: Optional[Callable[[], bool]] = None,
                  ) -> JobPlan:
     """Execute a plan's misses, flushing records as they complete.
 
     ``pending`` defaults to the whole plan's miss map; a single-flight
-    owner passes just the subset it claimed.  With ``jobs > 1`` misses
-    fan out over a process pool; otherwise they run serially
-    in-process.  Either way each point is probed against the
-    store first (counter-free), so a point some concurrent writer
-    completed between plan and execute is served, not re-simulated --
-    the store is the dedup substrate across processes and jobs.
+    owner passes just the subset it claimed.  Every point is probed
+    against the store before it is simulated (:func:`_serve_stored`),
+    so a point some concurrent writer completed between plan and
+    execute is served as a hit, not re-simulated -- the store is the
+    dedup substrate across processes and jobs.  With ``jobs > 1``
+    every point is probed up front and what is left fans out over a
+    process pool; otherwise, or when one point or none is left, points
+    run serially in-process, each probed just before it would
+    simulate.  ``on_point(key, simulated)`` hears every point this call
+    resolves, a hit with ``simulated`` false.
     """
     if pending is None:
         pending = plan.pending
     items = [(key, request) for key, request in pending.items()
              if key not in plan.results]
     if jobs is not None and jobs > 1 and len(items) > 1:
-        _run_parallel(runner, items, jobs, plan.results, on_point,
-                      should_abort)
-    else:
-        _run_serial(runner, items, plan.results, on_point, should_abort)
+        # Pool workers never read the store: probe before dispatch.
+        items = [(key, request) for key, request in items
+                 if not _serve_stored(runner, plan.results, key, on_point)]
+        if len(items) > 1:
+            _run_parallel(runner, items, jobs, plan.results, on_point,
+                          should_abort)
+            return plan
+    _run_serial(runner, items, plan.results, on_point, should_abort)
     return plan
 
 
 def absorb(runner: Runner, results: Dict[str, RunRecord], key: str,
-           record: RunRecord, telemetry: Optional[SimTelemetry]) -> bool:
-    """Fold one delivered grid point into ``results``, the runner's
+           record: RunRecord, telemetry: SimTelemetry) -> bool:
+    """Fold one simulated grid point into ``results``, the runner's
     counters and its store; ``False`` if ``key`` was already delivered.
 
     The ``key in results`` guard is what keeps ``stats.simulated``
     honest under retries: a chunk that times out but completes anyway,
     then succeeds on its retry, delivers some keys twice -- they count
-    (and store) exactly once.  ``telemetry`` is ``None`` for a record
-    the serial path found already stored (another writer flushed it
-    after this plan was made): it counts as a simulation of this
-    sweep, not a cache hit, with no telemetry to fold in.
+    (and store) exactly once.  The record is put at once, not at merge
+    time, under the kernel content the run simulated
+    (:func:`content_key`): anything delivered survives a mid-sweep
+    crash, which is what makes sweeps resumable.
     """
     if key in results:
         return False
     results[key] = record
     runner.stats.simulated += 1
-    if telemetry is None:
-        runner.save(key, record)
-    else:
-        runner.stats.note_telemetry(telemetry)
-        runner.save(content_key(key, telemetry.kernel_fingerprint), record)
+    runner.stats.note_telemetry(telemetry)
+    runner.result_store.put(content_key(key, telemetry.kernel_fingerprint),
+                            asdict(record))
     return True
 
 
@@ -192,9 +216,9 @@ def _run_serial(runner: Runner, items: List[tuple],
                 ) -> None:
     """Run ``(key, request)`` misses one at a time in this process.
 
-    Each key is probed against the store first (:meth:`Runner.lookup`),
-    so a record a concurrent writer already flushed is absorbed
-    instead of simulated again.
+    Each key is probed against the store just before it would simulate
+    (:func:`_serve_stored`), so a record a concurrent writer already
+    flushed is served as a hit instead of simulated again.
     """
     for key, request in items:
         if key in results:
@@ -205,13 +229,12 @@ def _run_serial(runner: Runner, items: List[tuple],
                 f"sweep aborted after {done} of {len(items)} pending "
                 "point(s); completed records are flushed"
             )
-        record = runner.lookup(key)
-        telemetry = None
-        if record is None:
-            record, telemetry = execute_request_with_telemetry(request)
+        if _serve_stored(runner, results, key, on_point):
+            continue
+        record, telemetry = execute_request_with_telemetry(request)
         absorb(runner, results, key, record, telemetry)
         if on_point is not None:
-            on_point(key)
+            on_point(key, True)
 
 
 def _dispatch_chunks(items: List[tuple], workers: int) -> List[List[tuple]]:
@@ -271,7 +294,7 @@ def _run_parallel(runner: Runner, items: List[tuple], jobs: int,
         ):
             if absorb(runner, results, key, record, telemetry) \
                     and on_point is not None:
-                on_point(key)
+                on_point(key, True)
 
     def on_event(kind: str, chunk: Chunk) -> None:
         if kind == "retry":

@@ -16,13 +16,17 @@ cooperative cancellation.
 the store dedupes *completed* work, but N identical submissions
 arriving together would all see a miss and simulate N times.  The
 tracker registers every in-flight cache key; the first job to claim a
-key simulates it, concurrent jobs needing the same key execute their
-own claims first and then *wait* for the owner's flush, reading the
-record back through :meth:`Runner.lookup` -- a hit, so run-log
-telemetry shows exactly one simulation per unique point no matter how
-many identical jobs were in flight.  If an owner dies or is cancelled
-before flushing, waiters wake, re-probe, and claim the key themselves,
-so single-flight never turns one job's failure into everyone's.
+key executes it, concurrent jobs needing the same key execute their
+own claims first and then *wait* for the owner's release.  The tracker
+only claims keys: each claimed key goes through
+:func:`~repro.jobs.plan.execute_plan`, whose store probe serves a key
+someone already flushed as a hit and simulates it otherwise.  So a
+waiter that claims the key after the owner's flush reads it back as a
+hit, and run-log telemetry shows exactly one simulation per unique
+point no matter how many identical jobs were in flight.  If an owner
+dies or is cancelled before flushing, the waiter's claim finds no
+record and simulates the key itself, so single-flight never turns one
+job's failure into everyone's.
 
 Each job executes on its own :class:`Runner` (thread-confined), so
 per-job telemetry is a natural delta; cross-job dedup flows entirely
@@ -88,10 +92,9 @@ class Job:
         self.error = ""
         self.resume_hint = ""
         #: total: requests in the grid; unique: after dedup; hits:
-        #: served from the store at plan or claim time; executed:
-        #: misses this job simulated (or absorbed from a concurrent
-        #: flush); waited: misses served by another in-flight job's
-        #: flush.
+        #: served from the store at plan or execute time; executed:
+        #: misses this job simulated; waited: misses served by another
+        #: in-flight job's flush.
         self.progress: Dict[str, int] = {
             "total": 0, "unique": 0, "hits": 0, "executed": 0,
             "waited": 0,
@@ -351,30 +354,20 @@ class JobTracker:
         def should_abort() -> bool:
             return job.cancelled()
 
-        def on_point(key: str) -> None:
-            job.progress["executed"] += 1
-            self._flights.release(key, job.id)
-
         owned, followed = self._flights.claim(list(plan.pending), job.id)
         try:
-            for key in owned:
-                # Another job may have flushed and released this key
-                # between our plan and our claim: it is a hit now.
-                record = runner.lookup(key)
-                if record is not None:
-                    plan.results[key] = record
-                    runner.stats.hits += 1
-                    job.progress["hits"] += 1
-                    self._flights.release(key, job.id)
+            # A key another job flushed and released between our plan
+            # and our claim is served by execute_plan's probe: a hit.
             if owned:
                 execute_plan(
                     runner, plan, jobs=spec.jobs,
                     pending={key: plan.pending[key] for key in owned},
-                    on_point=on_point, should_abort=should_abort,
+                    on_point=self._progress(job, "hits"),
+                    should_abort=should_abort,
                 )
         finally:
             # Wake waiters for anything we claimed but never flushed
-            # (abort/failure); they re-probe and claim for themselves.
+            # (abort/failure); they claim it and probe for themselves.
             for key in owned:
                 self._flights.release(key, job.id)
         for key in followed:
@@ -384,17 +377,26 @@ class JobTracker:
         job.records = [asdict(record) for record in records]
         job.table = self._render_table(runner, spec)
 
+    def _progress(self, job: Job,
+                  served: str) -> Callable[[str, bool], None]:
+        """The ``on_point`` feed of one :func:`execute_plan` call: a
+        simulated key counts as ``executed``, a key the store served as
+        ``served``; either way the job's claim on it is released."""
+        def on_point(key: str, simulated: bool) -> None:
+            job.progress["executed" if simulated else served] += 1
+            self._flights.release(key, job.id)
+        return on_point
+
     def _follow(self, job: Job, runner: Runner, plan: JobPlan,
                 key: str, should_abort: Callable[[], bool]) -> None:
         """Resolve one key another in-flight job owns.
 
-        Waits for the owner's flush and reads it back through the
-        store (a hit -- the single-flight accounting that keeps "one
-        simulation per unique point" true in run logs).  If the
-        owner vanished without flushing, claims the key and executes
-        it here.
+        Waits for the owner's release, claims the key and executes it
+        here.  The execution's store probe serves the owner's flush as
+        ``waited`` (a hit -- the single-flight accounting that keeps
+        "one simulation per unique point" true in run logs); if the
+        owner vanished without flushing, it simulates the key.
         """
-        request = plan.pending[key]
         while True:
             if should_abort():
                 raise SweepAborted(
@@ -403,21 +405,12 @@ class JobTracker:
             event = self._flights.watch(key)
             if event is not None and not event.wait(_WAIT_POLL_SECONDS):
                 continue        # still in flight; re-check cancellation
-            record = runner.lookup(key)
-            if record is not None:
-                plan.results[key] = record
-                runner.stats.hits += 1
-                job.progress["waited"] += 1
-                return
-            # The owner died or aborted before flushing: take the key.
             owned, _ = self._flights.claim([key], job.id)
             if owned:
                 try:
                     execute_plan(
-                        runner, plan, pending={key: request},
-                        on_point=lambda done_key: job.progress.__setitem__(
-                            "executed", job.progress["executed"] + 1
-                        ),
+                        runner, plan, pending={key: plan.pending[key]},
+                        on_point=self._progress(job, "waited"),
                         should_abort=should_abort,
                     )
                 finally:

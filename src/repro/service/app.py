@@ -92,13 +92,9 @@ class ServiceApp:
     executor threads.
     """
 
-    def __init__(self, store_dir: str,
-                 job_workers: int = 2,
-                 tracker: Optional[JobTracker] = None) -> None:
+    def __init__(self, store_dir: str, job_workers: int = 2) -> None:
         self.store_dir = store_dir
-        self.tracker = tracker if tracker is not None else JobTracker(
-            store_dir
-        )
+        self.tracker = JobTracker(store_dir)
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, job_workers),
             thread_name_prefix="sweep-job",

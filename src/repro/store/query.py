@@ -60,13 +60,10 @@ class StoredRecord(NamedTuple):
     arch_fingerprint: str
     seed: int
     kernel_fingerprint: str
-    #: The raw stored payload (a ``RunRecord``-shaped dict for current
-    #: entries; possibly an older schema for stale ones).
+    #: The raw stored payload, a ``RunRecord``-shaped dict.  A change
+    #: to the record's fields bumps the store's format version, so no
+    #: store this build reads holds another schema.
     payload: Mapping[str, Any]
-    #: Whether the payload decodes under the *current* ``RunRecord``
-    #: schema.  Stale entries stay visible (they are what ``diff-runs``
-    #: attributes to schema drift) but reports leave them out.
-    schema_ok: bool
     #: The MRF latency multiple of the architecture this record was
     #: simulated on, resolved through the store's arch manifest;
     #: ``None`` when the fingerprint has no recorded description.
@@ -90,20 +87,8 @@ class StoredRecord(NamedTuple):
 
 _RECORD_FIELDS = frozenset(
     ("key", "workload", "policy", "arch_fingerprint", "seed",
-     "kernel_fingerprint", "latency", "schema_ok", "key_ok")
+     "kernel_fingerprint", "latency", "key_ok")
 )
-
-
-def _current_schema_fields() -> frozenset:
-    # Deferred: repro.experiments.runner imports repro.store, so the
-    # RunRecord schema cannot be imported at module load without a
-    # cycle.  The field set is what decides schema_ok -- RunRecord
-    # construction itself would also coerce types, but stored payloads
-    # are produced by asdict(RunRecord), so shape is the honest check.
-    from dataclasses import fields as dataclass_fields
-
-    from repro.experiments.runner import RunRecord
-    return frozenset(spec.name for spec in dataclass_fields(RunRecord))
 
 
 def _decode_latency(arch_payload: Optional[dict]) -> Optional[float]:
@@ -174,14 +159,14 @@ class Query:
                                          Optional[float]], ...] = ()
 
     @classmethod
-    def open(cls, root: str, create: bool = False) -> "Query":
+    def open(cls, root: str) -> "Query":
         """Open the store at ``root`` read-only-safely and query it.
 
         Propagates :class:`~repro.store.result_store.StoreError` for a
         directory that is not a store, exactly like ``ResultStore``
         with ``create=False``.
         """
-        return cls(ResultStore(root, create=create))
+        return cls(ResultStore(root, create=False))
 
     @property
     def store(self) -> ResultStore:
@@ -269,7 +254,6 @@ class Query:
         record the filters do not rule out (for a key that does not
         parse, only ``key_in`` can).
         """
-        schema_fields = _current_schema_fields()
         key_in = self._key_in
         latencies = _Latencies(self._store, self._latencies)
         rows = []
@@ -292,14 +276,13 @@ class Query:
                 workload, policy, arch_fp, seed, kernel_fp = parsed
                 record = StoredRecord(
                     key, workload, policy, arch_fp, seed, kernel_fp,
-                    payload, payload.keys() == schema_fields,
-                    latencies[arch_fp],
+                    payload, latencies[arch_fp],
                 )
             else:
                 record = StoredRecord(
                     key, str(payload.get("workload", "")),
                     str(payload.get("policy", "")), "", 0, "",
-                    payload, payload.keys() == schema_fields, None, False,
+                    payload, None, False,
                 )
                 if not self._key_passes(record, latencies):
                     continue

@@ -36,7 +36,6 @@ def make_store(tmp_path, name, entries):
 class TestDiffRuns:
     def test_all_causes_attributed(self, tmp_path):
         """One grid point per cause; every attribution must be exact."""
-        stale = {"workload": "btree", "policy": "BL", "ipc": 9.0}
         store_a = make_store(tmp_path, "a", {
             key(workload="same"): payload(workload="same"),
             key(workload="drift"): payload(workload="drift", ipc=1.0),
@@ -44,7 +43,6 @@ class TestDiffRuns:
                 payload(workload="rearch"),
             key(workload="rekernel", kernel=KERNEL_A):
                 payload(workload="rekernel"),
-            key(workload="schemad"): stale,
             key(workload="gone-b"): payload(workload="gone-b"),
         })
         store_b = make_store(tmp_path, "b", {
@@ -54,7 +52,6 @@ class TestDiffRuns:
                 payload(workload="rearch"),
             key(workload="rekernel", kernel=KERNEL_B):
                 payload(workload="rekernel"),
-            key(workload="schemad"): payload(workload="schemad"),
             key(workload="gone-a"): payload(workload="gone-a"),
         })
         report = diff_runs(store_a, store_b)
@@ -66,17 +63,16 @@ class TestDiffRuns:
             "drift": "payload",
             "rearch": "config",
             "rekernel": "kernel",
-            "schemad": "schema",
             "gone-b": "only-in-a",
             "gone-a": "only-in-b",
         }
         counts = report.cause_counts()
         assert counts["unchanged"] == 1
-        assert report.changed == 6
+        assert report.changed == 5
         # At least three distinct change causes, per the acceptance bar.
         distinct = {entry.cause for entry in report.entries
                     if entry.cause != "unchanged"}
-        assert {"config", "kernel", "schema", "payload"} <= distinct
+        assert {"config", "kernel", "payload"} <= distinct
 
     def test_identical_stores_agree(self, tmp_path):
         entries = {key(): payload()}
@@ -104,8 +100,8 @@ class TestDiffRuns:
         assert "[config] 1 point(s)" in rendered
 
     def test_matching_stale_payloads_are_unchanged(self, tmp_path):
-        """Schema drift is only a *cause* when the entries differ; two
-        identical stale records mean nothing changed between runs."""
+        """Two identical payloads under one key mean nothing changed
+        between runs, whatever fields they hold."""
         stale = {"workload": "btree", "policy": "BL", "ipc": 9.0}
         store_a = make_store(tmp_path, "a", {key(): dict(stale)})
         store_b = make_store(tmp_path, "b", {key(): dict(stale)})

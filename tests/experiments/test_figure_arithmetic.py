@@ -24,12 +24,22 @@ from repro.experiments.latency_tolerance import (
     fig13,
     fig14,
 )
-from repro.experiments.runner import RunRecord, Runner, baseline_config
+from repro.experiments.runner import (
+    RunRecord,
+    Runner,
+    SimTelemetry,
+    baseline_config,
+)
 from repro.jobs import plan as plan_module
 from repro.workloads import get_kernel
 
 INSENSITIVE = "register-insensitive"
 SENSITIVE = "register-sensitive"
+
+
+#: What the stub SM reports for each run: no host time, no events.
+NO_TELEMETRY = SimTelemetry(host_seconds=0.0, cycles=0, instructions=0,
+                            cycles_skipped=0, event_counts={})
 
 
 def record(request, **values):
@@ -49,7 +59,7 @@ def simulate(monkeypatch):
     def install(model):
         def execute(request):
             served.append(request)
-            return model(request), None
+            return model(request), NO_TELEMETRY
 
         monkeypatch.setattr(plan_module, "execute_request_with_telemetry",
                             execute)

@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 
@@ -161,25 +161,6 @@ class TestStoreFacade:
         assert (runner.stats.simulated, runner.stats.hits) == (0, 1)
         runner.result_store.put(key, {"workload": "btree"})   # stale
         assert runner.lookup(key) is None
-
-    def test_save_puts_only_a_changed_payload(self, tmp_path,
-                                              monkeypatch):
-        from repro.store import ResultStore
-
-        runner = Runner(cache_dir=str(tmp_path))
-        record = runner.simulate("btree", "BL", SMALL)
-        key = runner.request_key(SimRequest("btree", "BL", SMALL))
-        puts = []
-        put = ResultStore.put
-        monkeypatch.setattr(ResultStore, "put", lambda store, k, payload: (
-            puts.append(k), put(store, k, payload))[1])
-        runner.save(key, record)
-        assert puts == []
-        changed = replace(record, ipc=record.ipc + 1.0)
-        runner.save(key, changed)
-        assert puts == [key]
-        assert runner.result_store.stats().records == 1
-        assert Runner(cache_dir=str(tmp_path)).lookup(key) == changed
 
     def test_keys_build_the_arch_description_once_per_config(
             self, tmp_path, monkeypatch):
@@ -441,18 +422,26 @@ class TestTelemetry:
 
     def test_cache_entry_schema_unchanged_by_telemetry(self, tmp_path):
         """Telemetry must never leak into the on-disk record: entries
-        stay byte-compatible with the pre-event-engine cache format."""
+        stay byte-compatible with the pre-event-engine cache format.
+        The field set belongs to the store's format version: nothing
+        reads a store's payloads against another schema, so a changed
+        field set must come with a new version that refuses the old
+        format."""
+        from repro.store.result_store import FORMAT_VERSION
+
         runner = Runner(cache_dir=str(tmp_path))
         request = SimRequest("btree", "BL", SMALL)
         runner.simulate("btree", "BL", SMALL)
         payload = runner.result_store.get(runner.request_key(request))
-        assert set(payload) == {
+        assert (FORMAT_VERSION, set(payload)) == (2, {
             "workload", "policy", "ipc", "cycles", "instructions",
             "prefetch_operations", "resident_warps", "activations",
             "deactivations", "mrf_reads", "mrf_writes", "rfc_reads",
             "rfc_writes", "rfc_read_hits", "rfc_read_misses", "rfc_fills",
             "rfc_writebacks", "l1_hit_rate",
-        }
+        }), ("a RunRecord field change must bump FORMAT_VERSION and "
+             "refuse the old format, the way ResultStore._check_format "
+             "refuses v1")
 
 
 

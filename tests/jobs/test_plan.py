@@ -9,7 +9,9 @@ from repro.arch import GPUConfig
 from repro.experiments import Runner, SimRequest
 from repro.experiments.runner import content_key
 from repro.ir import save_kernel
+from repro.jobs import JobSpec, JobTracker
 from repro.jobs import plan as plan_module
+from repro.jobs import tracker as tracker_module
 from repro.jobs.plan import absorb, execute_plan, plan_requests
 from repro.launchers import SweepAborted, pool
 from repro.launchers.worker import execute_request_with_telemetry
@@ -71,6 +73,11 @@ class TestPlanExecuteMerge:
 
 
 class TestStoreRace:
+    #: btree, BL and LTRF at 1x and 3x, on the small SM.
+    SPEC = JobSpec(workloads=("btree",), policies=("BL", "LTRF"),
+                   grid=(1.0, 3.0),
+                   overrides={"max_resident_warps": 8, "active_warps": 4})
+
     def test_point_flushed_between_plan_and_execute_not_resimulated(
             self, tmp_path, monkeypatch):
         """A concurrent writer completing a point after we planned it
@@ -90,20 +97,85 @@ class TestStoreRace:
         def boom(_request):
             raise AssertionError(
                 "the point was already in the store; execute_plan must "
-                "absorb it instead of simulating again"
+                "serve it instead of simulating again"
             )
 
         monkeypatch.setattr(
             "repro.jobs.plan.execute_request_with_telemetry", boom
         )
-        execute_plan(runner, plan)
+        seen = []
+        execute_plan(runner, plan,
+                     on_point=lambda key, simulated: seen.append(simulated))
         assert plan.merge() == [expected]
-        # The store read is charged as a (telemetry-free) simulation,
-        # not a cache hit: at plan time the key was a verified miss, so
-        # this is the dead-worker/concurrent-flush accounting the
-        # parallel scheduler has always used.
-        assert runner.stats.simulated == 1
+        # The store read is a hit wherever it is found: nothing was
+        # simulated here, so nothing is charged as a simulation.
+        assert (runner.stats.simulated, runner.stats.hits) == (0, 1)
         assert runner.stats.host_seconds == 0.0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("path", ["serial", "pool", "tracker"])
+    def test_point_flushed_after_the_plan_is_one_hit_on_every_path(
+            self, tmp_path, monkeypatch, path):
+        """A second runner flushes one point of a planned 4-point
+        grid.  However the plan executes -- serially, on the pool, or
+        as a tracker job that claims its keys after the flush -- that
+        point is one hit and exactly the other three are simulated."""
+        requests = self.SPEC.to_requests()
+        assert len(requests) == 4
+
+        def flush():
+            Runner(cache_dir=str(tmp_path)).simulate_many(requests[:1])
+
+        if path == "tracker":
+            runners = []
+            real_plan = tracker_module.plan_requests
+
+            def make_runner(_spec):
+                runners.append(Runner(store=tracker.store()))
+                return runners[-1]
+
+            def plan_then_flush(runner, grid):
+                plan = real_plan(runner, grid)
+                flush()
+                return plan
+
+            monkeypatch.setattr(tracker_module, "plan_requests",
+                                plan_then_flush)
+            tracker = JobTracker(str(tmp_path), runner_factory=make_runner)
+            job = tracker.run(self.SPEC)
+            assert job.state == "done"
+            assert job.progress == {"total": 4, "unique": 4, "hits": 1,
+                                    "executed": 3, "waited": 0}
+            (runner,) = runners
+        else:
+            runner = Runner(cache_dir=str(tmp_path))
+            plan = plan_requests(runner, requests)
+            flush()
+            seen = {}
+            execute_plan(runner, plan, jobs=2 if path == "pool" else None,
+                         on_point=seen.__setitem__)
+            assert seen == {key: key != plan.keys[0] for key in plan.keys}
+        assert (runner.stats.simulated, runner.stats.hits) == (3, 1)
+
+    def test_pool_path_dispatches_nothing_when_every_point_was_flushed(
+            self, tmp_path, monkeypatch):
+        """Every pending point flushed after the plan: ``jobs=2``
+        serves them all from the store, simulates nothing and never
+        starts the pool."""
+        requests = self.SPEC.to_requests()
+        runner = Runner(cache_dir=str(tmp_path))
+        plan = plan_requests(runner, requests)
+        expected = Runner(cache_dir=str(tmp_path)).simulate_many(requests)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("every point is stored; nothing may run")
+
+        monkeypatch.setattr(pool, "run_chunks", boom)
+        monkeypatch.setattr(plan_module, "execute_request_with_telemetry",
+                            boom)
+        execute_plan(runner, plan, jobs=2)
+        assert plan.merge() == expected
+        assert (runner.stats.simulated, runner.stats.hits) == (0, 4)
 
 
 class TestCancellation:
@@ -116,7 +188,8 @@ class TestCancellation:
             return len(seen) >= 2
 
         with pytest.raises(SweepAborted, match="flushed"):
-            execute_plan(runner, plan, on_point=seen.append,
+            execute_plan(runner, plan,
+                         on_point=lambda key, simulated: seen.append(key),
                          should_abort=should_abort)
         assert len(seen) == 2
         assert len(plan.results) == 2
@@ -135,7 +208,8 @@ class TestCancellation:
         runner = Runner(cache_dir=str(tmp_path))
         plan = plan_requests(runner, grid())
         seen = []
-        execute_plan(runner, plan, on_point=seen.append)
+        execute_plan(runner, plan,
+                     on_point=lambda key, simulated: seen.append(key))
         assert sorted(seen) == sorted(plan.keys)
 
 
@@ -179,15 +253,6 @@ class TestAbsorb:
         assert puts == [key]
         assert runner.result_store.stats().records == 1
 
-    def test_flushed_record_is_a_simulation_without_telemetry(
-            self, tmp_path):
-        runner, key, record, _ = self.delivery(tmp_path)
-        assert absorb(runner, {}, key, record, None)
-        assert runner.stats.simulated == 1
-        assert runner.stats.hits == 0
-        assert runner.stats.host_seconds == 0.0
-        assert runner.lookup(key) == record
-
     def test_record_is_stored_under_the_content_simulated(self, tmp_path):
         runner, key, record, telemetry = self.delivery(tmp_path)
         shifted = replace(telemetry, kernel_fingerprint="feedface")
@@ -218,7 +283,8 @@ class TestParallelDelivery:
         plan = plan_requests(runner, grid())
         puts = count_puts(monkeypatch)
         seen = []
-        execute_plan(runner, plan, jobs=2, on_point=seen.append)
+        execute_plan(runner, plan, jobs=2,
+                     on_point=lambda key, simulated: seen.append(key))
         assert sorted(seen) == sorted(plan.keys)
         assert runner.stats.simulated == len(grid())
         assert sorted(puts) == sorted(plan.keys)
@@ -226,30 +292,33 @@ class TestParallelDelivery:
 
     def test_serial_rerun_serves_points_flushed_before_quarantine(
             self, tmp_path, monkeypatch):
-        """A point a dying worker flushed before its chunk was
-        quarantined is served from the store on the serial re-run:
-        counted as a simulation without telemetry, not simulated
-        again."""
+        """A point another writer flushed after dispatch, before its
+        chunk was quarantined, is served from the store on the serial
+        re-run: a hit, not simulated again."""
         requests = grid()
         runner = Runner(cache_dir=str(tmp_path))
         plan = plan_requests(runner, requests)
-        # The dying worker's flush, after our plan.
-        (flushed,) = Runner(cache_dir=str(tmp_path)).simulate_many(
-            requests[:1])
-        simulated = []
+        flushed, simulated = [], []
 
         def execute(request):
             simulated.append(request)
             return execute_request_with_telemetry(request)
 
-        monkeypatch.setattr(pool, "run_chunks", quarantine_every_chunk)
-        monkeypatch.setattr(plan_module, "execute_request_with_telemetry",
-                            execute)
+        def flush_then_quarantine(chunks, workers, policy, *, run_serial,
+                                  **hooks):
+            # The other writer's flush, after the pre-dispatch probe.
+            flushed.extend(Runner(cache_dir=str(tmp_path)).simulate_many(
+                requests[:1]))
+            monkeypatch.setattr(plan_module,
+                                "execute_request_with_telemetry", execute)
+            run_serial(chunks)
+
+        monkeypatch.setattr(pool, "run_chunks", flush_then_quarantine)
         execute_plan(runner, plan, jobs=2)
         assert sorted(simulated, key=repr) == sorted(requests[1:], key=repr)
-        assert plan.merge()[0] == flushed
-        assert runner.stats.simulated == len(requests)
-        assert runner.stats.hits == 0
+        assert plan.merge()[0] == flushed[0]
+        assert runner.stats.simulated == len(requests) - 1
+        assert runner.stats.hits == 1
 
     def test_abort_during_serial_rerun_keeps_flushed_points(
             self, tmp_path, monkeypatch):
@@ -258,7 +327,8 @@ class TestParallelDelivery:
         plan = plan_requests(runner, grid())
         seen = []
         with pytest.raises(SweepAborted, match="flushed"):
-            execute_plan(runner, plan, jobs=2, on_point=seen.append,
+            execute_plan(runner, plan, jobs=2,
+                         on_point=lambda key, simulated: seen.append(key),
                          should_abort=lambda: len(seen) >= 1)
         (key,) = seen
         assert Runner(cache_dir=str(tmp_path)).lookup(key) \

@@ -153,7 +153,9 @@ class TestPoolFaults:
         delivered = []
         started = time.monotonic()
         with pytest.raises(SweepAborted):
-            execute_plan(runner, plan, jobs=2, on_point=delivered.append,
+            execute_plan(runner, plan, jobs=2,
+                         on_point=lambda key, simulated: delivered.append(
+                             key),
                          should_abort=lambda: bool(delivered))
         assert time.monotonic() - started < 15
         assert delivered and plan.keys[0] not in delivered

@@ -104,7 +104,7 @@ class TestQuery:
         return runner
 
     def test_empty_store(self, tmp_path):
-        query = Query.open(str(tmp_path), create=True)
+        query = Query(ResultStore(str(tmp_path)))
         assert query.records() == []
         assert query.count() == 0
         assert query.stats().records == 0
@@ -115,7 +115,7 @@ class TestQuery:
         records = runner.results().records()
         assert len(records) == 4
         assert [r.key for r in records] == sorted(r.key for r in records)
-        assert all(r.schema_ok and r.key_ok for r in records)
+        assert all(r.key_ok for r in records)
         assert {r.policy for r in records} == {"BL", "LTRF"}
         assert all(isinstance(r.ipc, float) for r in records)
 
@@ -167,16 +167,6 @@ class TestQuery:
         assert len(rows) == 2
         assert all(row[0] == "btree" for row in rows)
 
-    def test_stale_schema_flagged_but_visible(self, tmp_path):
-        store = ResultStore(str(tmp_path), create=True)
-        store.put(f"btree__BL__a{ARCH_FP}__0__k{KERNEL_FP}",
-                  {"workload": "btree", "policy": "BL", "ipc": 2.0})
-        store.close()
-        records = Query.open(str(tmp_path)).records()
-        assert len(records) == 1
-        assert not records[0].schema_ok
-        assert records[0].ipc == 2.0
-
     def test_rows_and_parsed_keys_are_read_only(self, tmp_path):
         key = f"btree__BL__a{ARCH_FP}__3__k{KERNEL_FP}"
         store = ResultStore(str(tmp_path), create=True)
@@ -185,8 +175,8 @@ class TestQuery:
         (record,) = Query(store).records()
         assert (record.key, record.workload, record.policy, record.seed,
                 record.arch_fingerprint, record.kernel_fingerprint,
-                record.schema_ok, record.key_ok, record.latency) == (
-            key, "btree", "BL", 3, ARCH_FP, KERNEL_FP, True, True, None)
+                record.key_ok, record.latency) == (
+            key, "btree", "BL", 3, ARCH_FP, KERNEL_FP, True, None)
         with pytest.raises(AttributeError):
             record.policy = "LTRF"
         with pytest.raises(AttributeError):
@@ -199,7 +189,6 @@ class TestQuery:
         (record,) = Query.open(str(tmp_path)).records()
         assert not record.key_ok
         assert record.workload == "mystery"     # recovered from payload
-        assert record.schema_ok                 # payload shape is current
 
     def test_undecodable_records_are_left_out_and_named(self, tmp_path):
         """A record whose payload does not decode is no row; the caller
@@ -245,9 +234,9 @@ class TestQuery:
         assert [entry["label"] for entry in history] == ["first", "second"]
 
     def test_where_takes_no_schema_filter(self, tmp_path):
-        """Every filter is decided by the key; a stale payload is
-        flagged on its row (``schema_ok``), not filtered out."""
-        query = Query.open(str(tmp_path), create=True)
+        """Every filter is decided by the key; no filter reads the
+        payload's shape."""
+        query = Query(ResultStore(str(tmp_path)))
         with pytest.raises(TypeError, match="schema_ok"):
             query.where(schema_ok=True)
         assert not hasattr(query, "filter")

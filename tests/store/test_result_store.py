@@ -498,9 +498,6 @@ class TestSharedInstance:
         view equals a fresh instance's."""
         store = ResultStore(str(tmp_path))
         fresh_reader = ResultStore(str(tmp_path))
-        # The first query imports the record schema; do it up front so
-        # the readers iterate while the writers run.
-        Query(store).records()
         writers, readers, puts = 2, 2, 400
         errors = []
         writing = threading.Event()
@@ -571,7 +568,6 @@ class TestSharedInstance:
         the base equals a brute force over a fresh query."""
         store = ResultStore(str(tmp_path))
         base = Query(store)
-        base.records()               # imports the record schema up front
         filters = [{"workload": "btree"}, {"policy": "LTRF"},
                    {"workload": "kmeans", "policy": "BL"}, {"seed": 7}]
         writers, puts = 2, 300

@@ -624,14 +624,18 @@ class TestFaultToleranceCli:
     def test_interrupted_sweep_exits_130_with_resume_hint(
             self, capsys, monkeypatch, tmp_path):
         """Ctrl-C mid-grid: no traceback, exit 130, and a one-line
-        hint naming the store and the points remaining."""
+        hint naming the store and the points remaining: the unique
+        points neither served from the store nor simulated."""
         from repro.experiments import Runner
         monkeypatch.setenv("LTRF_CACHE_DIR", str(tmp_path / "store"))
 
         def interrupt(self, requests, jobs=None):
             requests = list(requests)
+            assert len(requests) == 14
+            self.stats.batch_requests += len(requests)
             self.stats.batch_dispatched += len(requests)
-            self.stats.simulated += 1        # one point "completed"
+            self.stats.hits += 2             # flushed by another writer
+            self.stats.simulated += 3        # three points "completed"
             raise KeyboardInterrupt
 
         monkeypatch.setattr(Runner, "simulate_many", interrupt)
@@ -639,7 +643,7 @@ class TestFaultToleranceCli:
         err = capsys.readouterr().err
         assert "interrupted: completed points are flushed to" in err
         assert "re-run the same command to resume" in err
-        assert "point(s) remain" in err
+        assert "about 9 dispatched point(s) remain" in err
 
     def test_interrupted_experiment_exits_130(self, capsys, monkeypatch,
                                               tmp_path):
