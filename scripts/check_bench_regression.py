@@ -4,15 +4,14 @@ Usage:
     python scripts/check_bench_regression.py CURRENT.json [BASELINE.json]
     python scripts/check_bench_regression.py CURRENT.json --update
 
-Exits non-zero if the median of any benchmark regresses more than the
-threshold (default 25%, override with ``--threshold`` or the
-``LTRF_BENCH_THRESHOLD`` environment variable, e.g. ``0.25``) against
-the committed baseline.  Any difference between the two benchmark sets
-is called out in an explicit NOTICE block: benchmarks present only in
-the current run are new (reported, not gated, not failures);
-benchmarks that disappeared fail the gate so the baseline never
-silently rots; entries without a usable median (interrupted runs,
-harness drift) are reported and ignored rather than crashing the gate.
+Exits non-zero if the median of any benchmark regresses more than
+:data:`THRESHOLD` (25%) against the committed baseline.  Any
+difference between the two benchmark sets is called out in an
+explicit NOTICE block: benchmarks present only in the current run are
+new (reported, not gated, not failures); benchmarks that disappeared
+fail the gate so the baseline never silently rots; entries without a
+usable median (interrupted runs, harness drift) are reported and
+ignored rather than crashing the gate.
 
 ``--update`` rewrites the baseline from the current run (keeping only
 the fields the gate compares, so the committed file stays small and
@@ -28,6 +27,9 @@ import json
 import math
 import os
 import sys
+
+#: Allowed median regression, as a fraction of the baseline median.
+THRESHOLD = 0.25
 
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -128,11 +130,6 @@ def main(argv=None) -> int:
     parser.add_argument("current", help="benchmark JSON from this run")
     parser.add_argument("baseline", nargs="?", default=DEFAULT_BASELINE)
     parser.add_argument(
-        "--threshold", type=float,
-        default=float(os.environ.get("LTRF_BENCH_THRESHOLD", "0.25")),
-        help="allowed median regression fraction (default 0.25 = +25%%)",
-    )
-    parser.add_argument(
         "--update", action="store_true",
         help="rewrite the baseline from the current run instead of gating",
     )
@@ -187,15 +184,15 @@ def main(argv=None) -> int:
         # (static tables) from tripping the relative gate on timer
         # noise; any benchmark long enough to measure is gated by the
         # relative threshold alone.
-        allowed = base * (1.0 + args.threshold) + 0.05
+        allowed = base * (1.0 + THRESHOLD) + 0.05
         flag = ""
         if now > allowed:
             flag = "  << REGRESSION"
             failures.append(
                 f"{name}: median {now:.4f}s vs baseline {base:.4f}s "
-                f"({ratio:.2f}x > {1.0 + args.threshold:.2f}x allowed)"
+                f"({ratio:.2f}x > {1.0 + THRESHOLD:.2f}x allowed)"
             )
-        elif now < base * (1.0 - args.threshold) - 0.05:
+        elif now < base * (1.0 - THRESHOLD) - 0.05:
             # The mirror image of the regression test (same relative
             # threshold, same absolute timer-noise slack).
             flag = "  << IMPROVEMENT"
@@ -206,7 +203,7 @@ def main(argv=None) -> int:
         lines.append(f"  {name}: {base:.4f}s -> {now:.4f}s "
                      f"({ratio:.2f}x){flag}")
 
-    print(f"perf gate: threshold +{args.threshold:.0%}, "
+    print(f"perf gate: threshold +{THRESHOLD:.0%}, "
           f"{len(baseline)} baselined benchmark(s)")
     print("\n".join(lines))
 
@@ -240,7 +237,7 @@ def main(argv=None) -> int:
         # regressions: an un-rebaselined improvement quietly raises the
         # regression headroom for every future PR.
         print(f"\nIMPROVEMENT: {len(improvements)} benchmark(s) ran "
-              f">{args.threshold:.0%} faster than the baseline:")
+              f">{THRESHOLD:.0%} faster than the baseline:")
         for line in improvements:
             print(f"  {line}")
         print("  If intentional, tighten the gate by re-baselining: "

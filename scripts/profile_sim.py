@@ -90,9 +90,8 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         profiler.enable()
         for request in requests:
-            _, telemetry = execute_request_with_telemetry(request)
-            runner.stats.simulated += 1
-            runner.stats.note_telemetry(telemetry)
+            _, _, stats = execute_request_with_telemetry(request)
+            runner.stats.add(stats)
         profiler.disable()
         wall = time.perf_counter() - started
         runner.result_store.close()

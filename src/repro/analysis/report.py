@@ -11,9 +11,11 @@ decodes.  One report covers:
   Architectures resolve to their MRF latency multiple through the
   store's arch manifest, so a fig11-style sweep reads as a latency
   axis rather than opaque fingerprints.
-* **Engine telemetry** -- aggregated from the run logs the runner
-  appends after each sweep: simulations vs cache hits, cycles
-  skipped, compile-cache hit rates, pool retries, host seconds.
+* **Engine telemetry** -- every counter the runner logs
+  (:data:`repro.experiments.runner.LOGGED_COUNTERS`: simulations vs
+  cache hits, host seconds, cycles skipped, batch and compile-cache
+  counts, pool and chunk recovery), summed over the run logs the
+  runner appends after each sweep, plus the compile-cache hit rate.
 * **Store health** -- record, architecture and run-log counts plus
   the database size, from SQL counts (``store verify`` is the
   row-by-row pass), and the damage counter: records the query selected
@@ -37,21 +39,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.runner import LOGGED_COUNTERS
 from repro.store.query import Query, StoredRecord
 from repro.store.result_store import StoreStats
-
-#: Telemetry counters summed across run-log entries.
-_TELEMETRY_TOTALS = (
-    "simulations", "cache_hits", "host_seconds", "simulated_cycles",
-    "simulated_instructions", "cycles_skipped", "kernel_builds",
-    "kernel_build_seconds", "compile_cache_hits", "compile_cache_misses",
-    "compile_seconds", "pool_retries",
-    # Fault-tolerance counters from the chunk scheduler (absent in run
-    # logs written before the distributed backends existed -- again
-    # read as zero).
-    "chunk_retries", "chunk_timeouts", "chunks_quarantined",
-    "backend_degradations",
-)
 
 
 @dataclass
@@ -189,9 +179,11 @@ def build_report(query: Query, baseline_policy: str = "BL",
         )
 
     runs = query.run_history()
-    telemetry = {name: 0.0 for name in _TELEMETRY_TOTALS}
+    # Every logged counter, summed over the run log; one an entry lacks
+    # (it predates the counter) reads as zero.
+    telemetry = {name: 0 for name in LOGGED_COUNTERS.values()}
     for entry in runs:
-        for name in _TELEMETRY_TOTALS:
+        for name in telemetry:
             value = entry.get(name)
             if isinstance(value, (int, float)) \
                     and not isinstance(value, bool):
@@ -372,30 +364,10 @@ def _html_document(report: SweepReport) -> str:
 
     sections.append("<h2>Engine telemetry</h2>")
     if report.runs:
-        telemetry = report.telemetry
         sections.append(_table(
             ("metric", "total"),
-            [
-                ("simulations", int(telemetry["simulations"])),
-                ("cache hits", int(telemetry["cache_hits"])),
-                ("host seconds", telemetry["host_seconds"]),
-                ("simulated cycles", int(telemetry["simulated_cycles"])),
-                ("cycles skipped", int(telemetry["cycles_skipped"])),
-                ("kernel builds", int(telemetry["kernel_builds"])),
-                ("compile cache hits",
-                 int(telemetry["compile_cache_hits"])),
-                ("compile cache misses",
-                 int(telemetry["compile_cache_misses"])),
-                ("compile cache hit rate",
-                 telemetry["compile_cache_hit_rate"]),
-                ("pool retries", int(telemetry["pool_retries"])),
-                ("chunk retries", int(telemetry["chunk_retries"])),
-                ("chunk timeouts", int(telemetry["chunk_timeouts"])),
-                ("chunks quarantined",
-                 int(telemetry["chunks_quarantined"])),
-                ("backend degradations",
-                 int(telemetry["backend_degradations"])),
-            ],
+            [(name.replace("_", " "), value)
+             for name, value in report.telemetry.items()],
         ))
         sections.append(_table(
             ("run", "time", "simulations", "cache hits", "host seconds",

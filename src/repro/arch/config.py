@@ -100,8 +100,10 @@ class GPUConfig:
             raise ValueError("active_warps must be >= 1")
         if self.max_resident_warps < self.active_warps:
             raise ValueError("max_resident_warps must cover the active pool")
-        if self.mrf_latency_multiple < 1.0:
-            raise ValueError("mrf_latency_multiple is relative; must be >= 1")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not 1.0 <= self.mrf_latency_multiple < float("inf"):
+            raise ValueError("mrf_latency_multiple is relative; must be "
+                             "finite and >= 1")
         if self.regs_per_interval < 4:
             raise ValueError("regs_per_interval must be >= 4")
         # .arch.json makes the remaining fields arbitrary user input;

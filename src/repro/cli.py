@@ -49,12 +49,7 @@ from repro.analysis import (
 from repro.arch import ARCH_FILE_SUFFIX, save_arch
 from repro.arch.registry import default_arch_registry
 from repro.compiler import compile_kernel
-from repro.experiments import (
-    FIGURES,
-    Runner,
-    render_sweep_table,
-    sweep_requests,
-)
+from repro.experiments import FIGURES, Runner, render_sweep_table
 from repro.experiments.runner import default_cache_dir
 from repro.ir.serialize import KERNEL_FILE_SUFFIX, save_kernel
 from repro.policies import POLICIES
@@ -254,19 +249,20 @@ def _fail(message: str, code: int = 2) -> NoReturn:
     raise _CliError(code)
 
 
-def _resolved(lookup, name: str):
-    """``lookup(name)`` through a registry method, failing cleanly.
+def _resolved(lookup, *args, **kwargs):
+    """``lookup(*args, **kwargs)``, failing cleanly on a ValueError.
 
     Resolution *and* materialisation happen here so every failure mode
     -- a typo'd name (difflib suggestions), an out-of-range scenario
-    parameter, a missing or malformed kernel or architecture file --
-    fails fast with a clean one-line error instead of argparse's
-    choices dump or a traceback from deep inside the runner: all are
-    ValueErrors.  The built object is memoised by the registry, so the
+    parameter, a missing or malformed kernel or architecture file, a
+    latency multiple or register budget the model refuses -- fails
+    fast with a clean one-line error instead of argparse's choices
+    dump or a traceback from deep inside the runner: all are
+    ValueErrors.  A built object is memoised by its registry, so the
     subsequent simulate/compile pays nothing extra.
     """
     try:
-        return lookup(name)
+        return lookup(*args, **kwargs)
     except ValueError as error:
         _fail(str(error))
 
@@ -320,7 +316,7 @@ def _cmd_simulate(args) -> None:
     # numbers are directly comparable to the figures.
     config = _resolved(default_arch_registry().get_config, args.arch)
     if args.latency is not None:
-        config = config.with_latency_multiple(args.latency)
+        config = _resolved(config.with_latency_multiple, args.latency)
     runner = _make_runner()
     result = runner.simulate(workload, args.policy, config)
     print(f"workload           {workload}")
@@ -340,9 +336,8 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_compile(args) -> None:
     kernel = _resolved(default_registry().get_kernel, args.workload)
-    compiled = compile_kernel(
-        kernel, region_kind=args.regions, max_registers=args.max_registers
-    )
+    compiled = _resolved(compile_kernel, kernel, region_kind=args.regions,
+                         max_registers=args.max_registers)
     print(f"{args.workload}: {compiled.partition.region_count()} "
           f"{args.regions} region(s), "
           f"{compiled.prefetch_count} PREFETCH operation(s)")
@@ -383,28 +378,29 @@ def _cmd_experiment(names: List[str], jobs: int,
 
 def _cmd_sweep(args) -> None:
     workload = _resolve_workload(args.workload)
-    archs = [name.strip() for name in args.arch.split(",")]
-    for arch in archs:
-        # Fail fast, before any simulation.
-        _resolved(default_arch_registry().get_config, arch)
-    runner = _make_runner()
-    policies = [policy.strip() for policy in args.policies.split(",")]
+    # The grid is checked and expanded by the job layer, so `repro
+    # sweep` and `POST /sweeps` refuse the same input with the same
+    # text, all before anything is simulated.  ``--jobs`` stays out of
+    # the spec: 0 or 1 runs serially here.
+    from repro.jobs import JobSpec, JobSpecError
+
     try:
-        runner.simulate_many(
-            [
-                request
-                for arch in archs
-                for policy in policies
-                for request in sweep_requests(policy, workload, arch=arch)
-            ],
-            jobs=args.jobs,
-        )
+        spec = JobSpec(
+            workloads=(workload,),
+            policies=tuple(name.strip() for name in args.policies.split(",")),
+            archs=tuple(name.strip() for name in args.arch.split(",")),
+        ).validate()
+    except JobSpecError as error:
+        _fail(str(error))
+    runner = _make_runner()
+    try:
+        runner.simulate_many(spec.to_requests(), jobs=args.jobs)
     except KeyboardInterrupt:
         runner.log_run(f"sweep {workload} (interrupted)")
         _interrupted(runner)
     # One shared renderer with the job tracker (`repro serve`), so the
     # service's completed-job table is byte-identical to this output.
-    print(render_sweep_table(runner, workload, policies, archs))
+    print(render_sweep_table(runner, workload, spec.policies, spec.archs))
     runner.log_run(f"sweep {workload}")
     print(f"[engine] {runner.render_telemetry()}")
 
@@ -424,7 +420,11 @@ def _cmd_serve(args) -> None:
     except (StoreError, OSError) as error:
         app.close()
         _fail(str(error))
-    code = serve(app, host=args.host, port=args.port)
+    try:
+        code = serve(app, host=args.host, port=args.port)
+    except (OSError, OverflowError) as error:  # port taken or out of range
+        app.close()
+        _fail(str(error))
     if code:
         raise _CliError(code)
 

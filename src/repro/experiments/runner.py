@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, List, Optional
 
 from repro.arch.config import GPUConfig
@@ -112,40 +112,6 @@ class SimRequest:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SimTelemetry:
-    """Host-side execution report for one simulation.
-
-    Kept out of :class:`RunRecord` on purpose: records are cached on
-    disk and must stay byte-identical across engines and machines,
-    while telemetry (wall-clock, event counts) is inherently
-    run-specific.  The runner aggregates it so figures can report
-    simulated-vs-host-time statistics alongside their tables.
-    """
-
-    host_seconds: float
-    cycles: int
-    instructions: int
-    cycles_skipped: int
-    event_counts: Dict[str, int]
-    #: Content fingerprint of the kernel this run actually simulated.
-    #: For generated workloads it always equals the fingerprint in the
-    #: request's cache key; for file-backed workloads the file may be
-    #: rewritten between the caller's key computation and the (worker's)
-    #: execution, and the record is stored under the content that
-    #: produced it (see :func:`content_key`).
-    kernel_fingerprint: str = ""
-    # Static-work accounting for this run (the kernel builds it claimed
-    # and its compile-cache deltas): how much host time went
-    # into building/compiling rather than simulating, and whether the
-    # compiled artifact came from the static-artifact cache.
-    kernel_builds: int = 0
-    kernel_build_seconds: float = 0.0
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    compile_seconds: float = 0.0
-
-
 def content_key(key: str, kernel_fingerprint: str) -> str:
     """The key a freshly simulated record must be *stored* under.
 
@@ -163,14 +129,41 @@ def content_key(key: str, kernel_fingerprint: str) -> str:
 
 @dataclass
 class RunnerStats:
-    """Cache/engine counters, exposed for tests and tooling."""
+    """Every counter of the batch pipeline, from the simulation to the
+    report.
 
+    One simulation reports its own counters as a ``RunnerStats`` with
+    ``simulated=1``
+    (:func:`repro.launchers.worker.execute_request_with_telemetry`),
+    which :func:`repro.jobs.plan.absorb` folds in with :meth:`add`; the
+    pipeline charges the rest.  :meth:`Runner.telemetry_summary`, the
+    run log and ``repro report`` carry every counter under its
+    :data:`LOGGED_COUNTERS` name, so a counter added here reaches all
+    three with no other edit.  Counters stay out of :class:`RunRecord`:
+    records must be byte-identical across engines and machines, while
+    host time and event counts are run-specific.
+    """
+
+    simulated: int = 0
     #: Planned grid points the store served, at plan time or when
     #: execution probed a pending point before simulating it (a
     #: concurrent writer's flush, a single-flight owner's flush).
     #: Charged in one place, ``repro.jobs.plan._serve_stored``.
     hits: int = 0
-    simulated: int = 0
+    # Simulated-vs-host-time statistics of the runs simulated.
+    host_seconds: float = 0.0
+    simulated_cycles: int = 0
+    simulated_instructions: int = 0
+    cycles_skipped: int = 0
+    event_counts: Dict[str, int] = field(default_factory=dict)
+    # Static work (kernel builds + policy compiles), so sweeps can see
+    # how much of their wall-clock is amortisable front-end work and
+    # whether the compile cache earns its keep.
+    kernel_builds: int = 0
+    kernel_build_seconds: float = 0.0
+    compile_cache_hits: int = 0
+    compile_cache_misses: int = 0
+    compile_seconds: float = 0.0
     batch_requests: int = 0
     batch_deduplicated: int = 0
     batch_dispatched: int = 0
@@ -186,22 +179,7 @@ class RunnerStats:
     chunk_retries: int = 0          # charged failures re-queued
     chunk_timeouts: int = 0         # chunks killed at LTRF_CHUNK_TIMEOUT
     chunks_quarantined: int = 0     # retry budget exhausted -> serial
-    backend_degradations: int = 0   # backend abandoned for serial
-    # Aggregated simulation telemetry (simulated-vs-host-time stats).
-    host_seconds: float = 0.0
-    simulated_cycles: int = 0
-    simulated_instructions: int = 0
-    cycles_skipped: int = 0
-    event_counts: Dict[str, int] = field(default_factory=dict)
-    # Aggregated static-work telemetry (kernel builds + policy
-    # compiles), so sweeps can see how much of their wall-clock is
-    # amortisable front-end work and whether the compile cache earns
-    # its keep.
-    kernel_builds: int = 0
-    kernel_build_seconds: float = 0.0
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    compile_seconds: float = 0.0
+    backend_degradations: int = 0   # process pool abandoned for serial
 
     @property
     def simulated_cycles_per_host_second(self) -> float:
@@ -209,14 +187,28 @@ class RunnerStats:
             return 0.0
         return self.simulated_cycles / self.host_seconds
 
+    @property
+    def faults_survived(self) -> int:
+        """Recovery moves of the pool's scheduling loop (a rebuilt pool
+        aside); zero on a clean run."""
+        return (self.chunk_retries + self.chunk_timeouts
+                + self.chunks_quarantined + self.backend_degradations)
+
+    def add(self, other: "RunnerStats") -> "RunnerStats":
+        """Fold ``other``'s counters into these; returns ``self``."""
+        for spec in fields(self):
+            if spec.name == "event_counts":
+                for kind, count in other.event_counts.items():
+                    self.event_counts[kind] = (
+                        self.event_counts.get(kind, 0) + count)
+            else:
+                setattr(self, spec.name, getattr(self, spec.name)
+                        + getattr(other, spec.name))
+        return self
+
     def copy(self) -> "RunnerStats":
         """An independent snapshot of every counter."""
-        clone = RunnerStats(**{
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self) if spec.name != "event_counts"
-        })
-        clone.event_counts = dict(self.event_counts)
-        return clone
+        return RunnerStats().add(self)
 
     def delta_since(self, baseline: "RunnerStats") -> "RunnerStats":
         """Counter-wise ``self - baseline``: what happened since the
@@ -235,19 +227,16 @@ class RunnerStats:
         }
         return delta
 
-    def note_telemetry(self, telemetry: "SimTelemetry") -> None:
-        """Fold one simulation's execution report into the aggregate."""
-        self.host_seconds += telemetry.host_seconds
-        self.simulated_cycles += telemetry.cycles
-        self.simulated_instructions += telemetry.instructions
-        self.cycles_skipped += telemetry.cycles_skipped
-        self.kernel_builds += telemetry.kernel_builds
-        self.kernel_build_seconds += telemetry.kernel_build_seconds
-        self.compile_cache_hits += telemetry.compile_cache_hits
-        self.compile_cache_misses += telemetry.compile_cache_misses
-        self.compile_seconds += telemetry.compile_seconds
-        for kind, count in telemetry.event_counts.items():
-            self.event_counts[kind] = self.event_counts.get(kind, 0) + count
+
+#: Every scalar :class:`RunnerStats` counter, field name -> the name it
+#: is logged under in :meth:`Runner.telemetry_summary`, the run log and
+#: ``repro report`` (``simulated`` and ``hits`` read ``simulations``
+#: and ``cache_hits`` there), in field order.
+LOGGED_COUNTERS: Dict[str, str] = {
+    spec.name: {"simulated": "simulations",
+                "hits": "cache_hits"}.get(spec.name, spec.name)
+    for spec in fields(RunnerStats) if spec.name != "event_counts"
+}
 
 
 class Runner:
@@ -390,8 +379,9 @@ class Runner:
 
     def telemetry_summary(
             self, stats: Optional[RunnerStats] = None) -> Dict[str, object]:
-        """Simulated-vs-host-time statistics for everything this runner
-        actually simulated (cache hits contribute nothing).
+        """Every :class:`RunnerStats` counter under its
+        :data:`LOGGED_COUNTERS` name, ``event_counts``, and the derived
+        ``simulated_cycles_per_host_second``.
 
         ``stats`` defaults to the runner's lifetime counters; pass a
         :meth:`RunnerStats.delta_since` slice to summarise one sweep of
@@ -399,26 +389,13 @@ class Runner:
         """
         if stats is None:
             stats = self.stats
-        return {
-            "simulations": stats.simulated,
-            "cache_hits": stats.hits,
-            "host_seconds": stats.host_seconds,
-            "simulated_cycles": stats.simulated_cycles,
-            "simulated_instructions": stats.simulated_instructions,
-            "cycles_skipped": stats.cycles_skipped,
-            "simulated_cycles_per_host_second":
-                stats.simulated_cycles_per_host_second,
-            "event_counts": dict(stats.event_counts),
-            "kernel_builds": stats.kernel_builds,
-            "kernel_build_seconds": stats.kernel_build_seconds,
-            "compile_cache_hits": stats.compile_cache_hits,
-            "compile_cache_misses": stats.compile_cache_misses,
-            "compile_seconds": stats.compile_seconds,
-            "chunk_retries": stats.chunk_retries,
-            "chunk_timeouts": stats.chunk_timeouts,
-            "chunks_quarantined": stats.chunks_quarantined,
-            "backend_degradations": stats.backend_degradations,
+        summary: Dict[str, object] = {
+            LOGGED_COUNTERS.get(name, name): value
+            for name, value in asdict(stats).items()
         }
+        summary["simulated_cycles_per_host_second"] = (
+            stats.simulated_cycles_per_host_second)
+        return summary
 
     def log_run(self, label: str) -> Optional[Dict[str, object]]:
         """Persist this runner's telemetry summary into the store.
@@ -439,19 +416,10 @@ class Runner:
         :meth:`telemetry_summary` keeps returning lifetime totals.
         """
         delta = self.stats.delta_since(self._logged_stats)
-        summary = self.telemetry_summary(delta)
-        recovered = (delta.chunk_retries + delta.chunk_timeouts
-                     + delta.chunks_quarantined + delta.backend_degradations)
-        if not summary["simulations"] and not summary["cache_hits"] \
-                and not recovered:
+        if not (delta.simulated or delta.hits or delta.faults_survived):
             return None
-        entry: Dict[str, object] = {
-            "label": label,
-            "time": time.time(),
-            "pool_retries": delta.pool_retries,
-            "batch_requests": delta.batch_requests,
-        }
-        entry.update(summary)
+        entry: Dict[str, object] = {"label": label, "time": time.time()}
+        entry.update(self.telemetry_summary(delta))
         self.result_store.append_run_log(entry)
         self._logged_stats = self.stats.copy()
         return entry
@@ -477,12 +445,7 @@ class Runner:
             f"{summary['compile_cache_misses']} miss(es) in "
             f"{summary['compile_seconds']:.2f}s"
         )
-        faults_survived = (
-            summary["chunk_retries"] + summary["chunk_timeouts"]
-            + summary["chunks_quarantined"]
-            + summary["backend_degradations"]
-        )
-        if faults_survived:
+        if self.stats.faults_survived:
             # Only rendered when something actually went wrong, so a
             # clean run's paragraph is unchanged.
             text += (

@@ -43,10 +43,10 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.arch.serialize import arch_fingerprint_sans_latency
 from repro.experiments.runner import (
+    RunnerStats,
     RunRecord,
     Runner,
     SimRequest,
-    SimTelemetry,
     content_key,
 )
 from repro.launchers import SweepAborted
@@ -103,10 +103,10 @@ def plan_requests(runner: Runner,
     Charges ``batch_requests``/``batch_deduplicated``/
     ``batch_dispatched``, one hit per point the store served (through
     :func:`_serve_stored`), and the kernel builds of the grid's
-    workloads that no telemetry has reported yet: key computation may
-    build a workload in this process, and the CLI builds it even
-    earlier to validate it, while the per-request telemetry only sees
-    builds inside the executing process.
+    workloads that no run has reported yet: key computation may build
+    a workload in this process, and the CLI builds it even earlier to
+    validate it, while a run's own counters only see builds inside the
+    executing process.
     """
     requests = list(requests)
     keys = [runner.request_key(request) for request in requests]
@@ -189,24 +189,28 @@ def execute_plan(runner: Runner, plan: JobPlan,
 
 
 def absorb(runner: Runner, results: Dict[str, RunRecord], key: str,
-           record: RunRecord, telemetry: SimTelemetry) -> bool:
-    """Fold one simulated grid point into ``results``, the runner's
-    counters and its store; ``False`` if ``key`` was already delivered.
+           record: RunRecord, kernel_fingerprint: str,
+           stats: RunnerStats) -> bool:
+    """Fold one simulated grid point -- what
+    :func:`~repro.launchers.worker.execute_request_with_telemetry`
+    returns for it -- into ``results``, the runner's counters and its
+    store; ``False`` if ``key`` was already delivered.
 
-    The ``key in results`` guard is what keeps ``stats.simulated``
-    honest under retries: a chunk that times out but completes anyway,
-    then succeeds on its retry, delivers some keys twice -- they count
-    (and store) exactly once.  The record is put at once, not at merge
-    time, under the kernel content the run simulated
-    (:func:`content_key`): anything delivered survives a mid-sweep
-    crash, which is what makes sweeps resumable.
+    ``stats`` is the run's own :class:`RunnerStats` (``simulated=1``
+    and its counters), added to the runner's.  The ``key in results``
+    guard is what keeps ``stats.simulated`` honest under retries: a
+    chunk that times out but completes anyway, then succeeds on its
+    retry, delivers some keys twice -- they count (and store) exactly
+    once.  The record is put at once, not at merge time, under the
+    kernel content the run simulated (:func:`content_key`): anything
+    delivered survives a mid-sweep crash, which is what makes sweeps
+    resumable.
     """
     if key in results:
         return False
     results[key] = record
-    runner.stats.simulated += 1
-    runner.stats.note_telemetry(telemetry)
-    runner.result_store.put(content_key(key, telemetry.kernel_fingerprint),
+    runner.stats.add(stats)
+    runner.result_store.put(content_key(key, kernel_fingerprint),
                             asdict(record))
     return True
 
@@ -231,8 +235,7 @@ def _run_serial(runner: Runner, items: List[tuple],
             )
         if _serve_stored(runner, results, key, on_point):
             continue
-        record, telemetry = execute_request_with_telemetry(request)
-        absorb(runner, results, key, record, telemetry)
+        absorb(runner, results, key, *execute_request_with_telemetry(request))
         if on_point is not None:
             on_point(key, True)
 
@@ -289,10 +292,8 @@ def _run_parallel(runner: Runner, items: List[tuple], jobs: int,
     stats = runner.stats
 
     def on_done(chunk: Chunk, outcomes: list) -> None:
-        for (key, _request), (record, telemetry) in zip(
-            chunk.items, outcomes
-        ):
-            if absorb(runner, results, key, record, telemetry) \
+        for (key, _request), outcome in zip(chunk.items, outcomes):
+            if absorb(runner, results, key, *outcome) \
                     and on_point is not None:
                 on_point(key, True)
 

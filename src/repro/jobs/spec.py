@@ -3,17 +3,18 @@
 A :class:`JobSpec` names everything one latency-tolerance sweep needs
 -- workloads, policies, architectures, the latency grid, seed and
 worker count -- in plain JSON-serialisable data.  It is the
-submission format of the HTTP service (``POST /sweeps``) and the unit
-the :class:`~repro.jobs.tracker.JobTracker` schedules, but carries no
-execution state itself: :meth:`JobSpec.to_requests` expands it into
-the same :class:`~repro.experiments.runner.SimRequest` grid the CLI
-``sweep`` command builds, so a job and the equivalent CLI invocation
-resolve to identical cache keys and therefore dedupe against each
-other through the store.
+submission format of the HTTP service (``POST /sweeps``), the unit
+the :class:`~repro.jobs.tracker.JobTracker` schedules and the grid of
+the CLI ``sweep`` command, but carries no execution state itself:
+:meth:`JobSpec.to_requests` expands it into the
+:class:`~repro.experiments.runner.SimRequest` grid, so a job and the
+equivalent CLI invocation resolve to identical cache keys and
+therefore dedupe against each other through the store.
 
 Validation is strict and early (:meth:`JobSpec.validate`): unknown
-policies, workloads and architectures fail at submission time with
-one readable message instead of surfacing later as a failed job.
+policies, workloads and architectures, and latency multiples that are
+not finite or below 1x, fail at submission time with one readable
+message instead of surfacing later as a failed job.
 """
 
 from __future__ import annotations
@@ -58,13 +59,14 @@ def _tuple_of_latencies(value) -> Tuple[float, ...]:
         raise JobSpecError(
             f"grid must be a number or a list of numbers, got {value!r}"
         ) from None
+    # Written so NaN fails too: every comparison with NaN is false.
     if not items or not all(
         isinstance(item, (int, float)) and not isinstance(item, bool)
-        and item > 0 for item in items
+        and 1 <= item < float("inf") for item in items
     ):
         raise JobSpecError(
-            f"grid must be a non-empty list of positive latency "
-            f"multiples, got {value!r}"
+            f"grid must be a non-empty list of finite latency multiples "
+            f"of at least 1, got {value!r}"
         )
     return tuple(float(item) for item in items)
 

@@ -8,16 +8,14 @@ tolerance: the per-warp capacity is just as small as RFC's (the upper
 level must be provisioned across all resident warps), and registers are
 still moved from the MRF on first use, exposing the MRF latency.
 
-Relative to :class:`~repro.policies.rfc.RFCPolicy` this model adds the
-two compile-time advantages the original design claims:
-
-* **better packing** -- the compiler allocates values to the cache
-  deliberately instead of caching every write, which we model as an
-  effectively doubled slice capacity;
-* **dead-value elision** -- values whose last use has passed (the
-  dead-operand bits from static liveness) are dropped from the cache
-  without write-back, removing most background MRF write traffic
-  (the design's stated goal: fewer register-file accesses).
+Relative to :class:`~repro.policies.rfc.RFCPolicy` this model adds one
+compile-time advantage, **dead-value elision**: values whose last use
+has passed (the dead-operand bits from static liveness) are dropped
+from the cache without write-back, removing most background MRF write
+traffic (the design's stated goal: fewer register-file accesses).
+SHRF's slices are the same size as RFC's: compiler-directed
+allocation avoids LRU pathologies, but it cannot exceed the same
+per-warp storage budget.
 
 The result matches the paper's findings: SHRF's register cache hit rate
 sits near RFC's (Figure 4, "SW Register File Cache"), its latency
@@ -38,15 +36,6 @@ class SHRFPolicy(RFCPolicy):
     """Compile-time managed register caching (strand-scoped lifetimes)."""
 
     name = "SHRF"
-    #: Compiler-directed allocation avoids LRU pathologies but cannot
-    #: exceed the same per-warp storage budget.
-    PACKING_ADVANTAGE = 1
-
-    def __init__(self, config, mrf, rfc) -> None:
-        super().__init__(config, mrf, rfc)
-        self.slice_capacity = max(
-            1, self.PACKING_ADVANTAGE * self.slice_capacity
-        )
 
     def executable_kernel(self, kernel: Kernel) -> Kernel:
         """SHRF needs the dead-operand bits of static liveness.

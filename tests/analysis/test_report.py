@@ -4,10 +4,17 @@ import csv
 import io
 import json
 import os
+from dataclasses import fields
 
-from repro.analysis import build_report, discover_bench_files, write_report
+from repro.analysis import (
+    build_report,
+    discover_bench_files,
+    render_html,
+    write_report,
+)
 from repro.experiments import Runner
 from repro.experiments.latency_tolerance import sweep_requests
+from repro.experiments.runner import LOGGED_COUNTERS, RunnerStats
 from repro.store import Query
 
 SMALL = dict(max_resident_warps=8, active_warps=4)
@@ -181,6 +188,38 @@ class TestBuildReport:
         text = open(paths["report.html"]).read()
         assert "replay-era run" in text
         assert "replay:" not in text
+
+    def test_every_counter_reaches_log_summary_and_report(self, tmp_path):
+        """Each :class:`RunnerStats` counter, set to a distinct value,
+        reaches the run-log entry, ``telemetry_summary()`` and the
+        report's totals (and their HTML row) under its logged name.  The
+        loop runs over the fields, so it covers a counter added later
+        without an edit here."""
+        runner = Runner(cache_dir=str(tmp_path / "store"))
+        for value, spec in enumerate(fields(RunnerStats), start=1):
+            setattr(runner.stats, spec.name,
+                    {"scoreboard_release": value}
+                    if spec.name == "event_counts" else value)
+        expected = {spec.name: getattr(runner.stats, spec.name)
+                    for spec in fields(RunnerStats)}
+        entry = runner.log_run("every counter")
+        (stored,) = runner.results().run_history()
+        summary = runner.telemetry_summary()
+        report = build_report(runner.results())
+        html = render_html(report)
+        assert set(LOGGED_COUNTERS) == set(expected) - {"event_counts"}
+        for name, value in expected.items():
+            logged = LOGGED_COUNTERS.get(name, name)
+            assert entry[logged] == stored[logged] == value, name
+            assert summary[logged] == value, name
+            if name in LOGGED_COUNTERS:
+                total = report.telemetry[logged]
+                assert total == value, name
+                label = logged.replace("_", " ")
+                cell = f"{total:.3f}" if isinstance(total, float) \
+                    else str(total)
+                assert f'<td class="t">{label}</td><td>{cell}</td>' \
+                    in html, name
 
     def test_bench_trajectory(self, tmp_path):
         write_bench(tmp_path / "BENCH_1.json", {"bench::a": 1.5})

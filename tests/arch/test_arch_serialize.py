@@ -241,6 +241,20 @@ class TestSchemaChecks:
         with pytest.raises(ArchSerializationError, match="memory"):
             arch_from_dict(self.envelope(memory={"dram_latency": 0}))
 
+    @pytest.mark.parametrize("multiple", ["NaN", "Infinity", "0.5"])
+    def test_rejects_latency_multiple_the_model_refuses(self, tmp_path,
+                                                         multiple):
+        """JSON text can carry NaN and Infinity; an .arch.json with
+        either, or below 1x, fails to load instead of crashing the MRF
+        at first use."""
+        path = tmp_path / "bad.arch.json"
+        path.write_text(
+            f'{{"schema": "{SCHEMA_NAME}", "schema_version": '
+            f'{SCHEMA_VERSION}, "mrf_latency_multiple": {multiple}}}')
+        with pytest.raises(ArchSerializationError,
+                           match="mrf_latency_multiple"):
+            load_arch(str(path))
+
     def test_rejects_invalid_json_text(self):
         with pytest.raises(ArchSerializationError, match="JSON"):
             loads_arch("{not json")

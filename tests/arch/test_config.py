@@ -18,8 +18,12 @@ class TestValidation:
             GPUConfig(max_resident_warps=4, active_warps=8)
 
     def test_rejects_sub_baseline_latency(self):
-        with pytest.raises(ValueError):
-            GPUConfig(mrf_latency_multiple=0.5)
+        """NaN and infinity fail here too, not at first use in the MRF."""
+        for multiple in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mrf_latency_multiple"):
+                GPUConfig(mrf_latency_multiple=multiple)
+            with pytest.raises(ValueError, match="mrf_latency_multiple"):
+                GPUConfig().with_latency_multiple(multiple)
 
     def test_rejects_tiny_interval(self):
         with pytest.raises(ValueError):

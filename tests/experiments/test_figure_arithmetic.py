@@ -25,9 +25,9 @@ from repro.experiments.latency_tolerance import (
     fig14,
 )
 from repro.experiments.runner import (
+    RunnerStats,
     RunRecord,
     Runner,
-    SimTelemetry,
     baseline_config,
 )
 from repro.jobs import plan as plan_module
@@ -35,11 +35,6 @@ from repro.workloads import get_kernel
 
 INSENSITIVE = "register-insensitive"
 SENSITIVE = "register-sensitive"
-
-
-#: What the stub SM reports for each run: no host time, no events.
-NO_TELEMETRY = SimTelemetry(host_seconds=0.0, cycles=0, instructions=0,
-                            cycles_skipped=0, event_counts={})
 
 
 def record(request, **values):
@@ -59,7 +54,8 @@ def simulate(monkeypatch):
     def install(model):
         def execute(request):
             served.append(request)
-            return model(request), NO_TELEMETRY
+            # One simulation, with no host time and no events.
+            return model(request), "", RunnerStats(simulated=1)
 
         monkeypatch.setattr(plan_module, "execute_request_with_telemetry",
                             execute)

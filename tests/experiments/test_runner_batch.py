@@ -291,27 +291,21 @@ class TestContentKeyedStore:
 
     def test_store_rekeys_when_simulated_content_differs(self, tmp_path,
                                                          monkeypatch):
-        from repro.experiments.runner import SimTelemetry
         from repro.launchers.worker import execute_request_with_telemetry
         runner = Runner(cache_dir=str(tmp_path))
         request = SimRequest("btree", "BL", SMALL)
         key = runner.request_key(request)
-        record, telemetry = execute_request_with_telemetry(request)
-        shifted = SimTelemetry(
-            host_seconds=telemetry.host_seconds,
-            cycles=telemetry.cycles, instructions=telemetry.instructions,
-            cycles_skipped=telemetry.cycles_skipped,
-            event_counts=telemetry.event_counts,
-            kernel_fingerprint="feedfacefeedface",
-        )
+        record, _, stats = execute_request_with_telemetry(request)
         monkeypatch.setattr(
             "repro.jobs.plan.execute_request_with_telemetry",
-            lambda req: (record, shifted),
+            lambda req: (record, "feedfacefeedface", stats),
         )
         runner.simulate("btree", "BL", SMALL)
         expected = f"{key.rsplit('__k', 1)[0]}__kfeedfacefeedface"
         assert runner.result_store.get(expected) == asdict(record)
         assert runner.result_store.get(key) is None
+        assert runner.stats.simulated == 1
+        assert runner.stats.simulated_cycles == stats.simulated_cycles
 
     def test_normal_runs_store_under_request_key(self, tmp_path):
         runner = Runner(cache_dir=str(tmp_path))

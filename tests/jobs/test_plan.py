@@ -1,7 +1,7 @@
 """Tests for the plan/execute/merge pipeline behind simulate_many."""
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 
@@ -237,27 +237,26 @@ class TestAbsorb:
     def delivery(self, tmp_path):
         runner = Runner(cache_dir=str(tmp_path))
         request = SimRequest("btree", "BL", SMALL)
-        record, telemetry = execute_request_with_telemetry(request)
-        return runner, runner.request_key(request), record, telemetry
+        return (runner, runner.request_key(request),
+                *execute_request_with_telemetry(request))
 
     def test_duplicate_delivery_counts_and_stores_once(self, tmp_path,
                                                         monkeypatch):
-        runner, key, record, telemetry = self.delivery(tmp_path)
+        runner, key, record, fingerprint, stats = self.delivery(tmp_path)
         puts = count_puts(monkeypatch)
         results = {}
-        assert absorb(runner, results, key, record, telemetry)
-        assert not absorb(runner, results, key, record, telemetry)
+        assert absorb(runner, results, key, record, fingerprint, stats)
+        assert not absorb(runner, results, key, record, fingerprint, stats)
         assert results == {key: record}
+        assert runner.stats == stats
         assert runner.stats.simulated == 1
-        assert runner.stats.simulated_cycles == telemetry.cycles
         assert puts == [key]
         assert runner.result_store.stats().records == 1
 
     def test_record_is_stored_under_the_content_simulated(self, tmp_path):
-        runner, key, record, telemetry = self.delivery(tmp_path)
-        shifted = replace(telemetry, kernel_fingerprint="feedface")
+        runner, key, record, _, stats = self.delivery(tmp_path)
         results = {}
-        absorb(runner, results, key, record, shifted)
+        absorb(runner, results, key, record, "feedface", stats)
         assert results == {key: record}
         assert runner.lookup(key) is None
         assert runner.lookup(content_key(key, "feedface")) == record

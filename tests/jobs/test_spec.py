@@ -48,10 +48,14 @@ class TestFromDict:
             JobSpec.from_dict({"workloads": "btree", "seed": seed}).validate()
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(JobSpecError, match="grid"):
-            JobSpec.from_dict({"workloads": "btree", "grid": [1.0, -2.0]})
-        with pytest.raises(JobSpecError, match="grid"):
-            JobSpec.from_dict({"workloads": "btree", "grid": []})
+        """A latency multiple is finite and at least 1; NaN and
+        infinity, which JSON can carry, fail here and not in the MRF."""
+        for grid in ([1.0, -2.0], [], [0.5], [float("nan")],
+                     [float("inf")], [1.0, float("-inf")]):
+            with pytest.raises(JobSpecError, match="grid"):
+                JobSpec.from_dict({"workloads": "btree", "grid": grid})
+            with pytest.raises(JobSpecError, match="grid"):
+                JobSpec(workloads=("btree",), grid=tuple(grid)).validate()
 
     def test_rejects_backend_key(self):
         """Misses always run on the process pool; naming a backend is

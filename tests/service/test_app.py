@@ -189,6 +189,17 @@ class TestErrors:
             "unknown job spec key(s): backend (expected a subset of ")
         assert app.tracker.jobs() == []
 
+    @pytest.mark.parametrize("multiple", [0.5, float("inf"), float("nan")])
+    def test_latency_below_one_or_not_finite_400(self, app, multiple):
+        """A latency multiple the model refuses is refused at
+        submission, even with ``wait=1``, not run as a failed job (JSON
+        text carries infinity and NaN as ``Infinity`` and ``NaN``)."""
+        body = json.dumps(dict(SPEC, grid=[multiple])).encode()
+        response = app.handle("POST", "/sweeps", {"wait": "1"}, body)
+        assert response.status == 400
+        assert "grid must be" in body_of(response)["error"]
+        assert app.tracker.jobs() == []
+
     def test_engine_field_400(self, app):
         """Jobs always run on the event engine; the field is gone."""
         response = app.handle(

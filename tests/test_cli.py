@@ -282,11 +282,45 @@ class TestErrorContract:
         ["diff-runs", "/nonexistent-a", "/nonexistent-b"],
         ["export-kernel", "btree", "-o", "bt.kernel"],
         ["list-workloads", "--family", "nope"],
+        ["sweep", "btree", "--policies", "BL,NOPE"],
+        ["sweep", "btree", "--policies", "BL,"],
+        ["simulate", "btree", "--latency", "0.5"],
+        ["simulate", "btree", "--latency", "nan"],
+        ["compile", "btree", "--max-registers", "2"],
+        ["serve", "--port", "99999"],
     ])
-    def test_exit_2_with_error_prefix(self, capsys, argv):
+    def test_exit_2_with_error_prefix(self, capsys, monkeypatch, tmp_path,
+                                      argv):
+        """Bad input is refused before anything is simulated: the
+        store is left without a record."""
+        from repro.store import ResultStore
+
+        store = tmp_path / "store"
+        monkeypatch.setenv("LTRF_CACHE_DIR", str(store))
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        if store.exists():
+            opened = ResultStore(str(store), create=False)
+            assert opened.stats().records == 0
+            opened.close()
+
+    def test_serve_on_a_bound_port(self, capsys, tmp_path):
+        """A port another socket holds is one error line, not an
+        OSError traceback."""
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            assert main(["serve", "--port", str(port),
+                         "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "address already in use" in err
         assert "Traceback" not in err
 
     def test_no_tool_prints_errors_to_stdout(self, capsys):
