@@ -13,7 +13,6 @@ these stay load benchmarks rather than simulator benchmarks -- the
 deeper hot/cold/mixed story lives in ``perfbench/service_mix.py``.
 """
 
-import asyncio
 import json
 import threading
 import urllib.request
@@ -37,25 +36,8 @@ def service_url(tmp_path_factory):
     store = str(tmp_path_factory.mktemp("service-bench-store"))
     app = ServiceApp(store, job_workers=1)
     server = ServiceServer(app, host="127.0.0.1", port=0)
-    ready = threading.Event()
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-
-        async def main() -> None:
-            task = loop.create_task(server.run())
-            while server.port == 0:
-                await asyncio.sleep(0.01)
-            ready.set()
-            await task
-
-        loop.run_until_complete(main())
-        loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
+    thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
-    assert ready.wait(timeout=30.0), "service did not come up"
     url = f"http://127.0.0.1:{server.port}"
     _post_sweep(url)                     # warm the store once
     yield url

@@ -23,7 +23,8 @@ locally:
    point the cancelled job flushed served as a hit and the rest
    simulated;
 5. stop the service with SIGTERM, require a clean exit (the
-   graceful-drain path), ``repro store verify`` the store, and
+   graceful-drain path: exit 0, the drain line on stderr and no
+   traceback there), ``repro store verify`` the store, and
    require the filtered count to equal a fresh ``Query.open`` over
    it; then ``repro store compact`` the store and verify it again;
 6. run the *equivalent* ``repro sweep`` CLI command over the
@@ -252,6 +253,9 @@ def smoke(tmp):
             fail("service did not exit on SIGTERM")
     if server.returncode != 0:
         fail(f"service exited {server.returncode}: {err}")
+    if "Traceback" in err or "shutting down: draining jobs..." not in err:
+        fail(f"the service's stderr must show the drain and no "
+             f"traceback, got:\n{err}")
     store_command(store, "verify", "after the drain")
     print("   store verify OK")
     from repro.store import Query

@@ -369,28 +369,19 @@ def _html_document(report: SweepReport) -> str:
             [(name.replace("_", " "), value)
              for name, value in report.telemetry.items()],
         ))
+        counters = list(LOGGED_COUNTERS.values())
         sections.append(_table(
-            ("run", "time", "simulations", "cache hits", "host seconds",
-             "cycles skipped", "pool retries", "chunk retries",
-             "timeouts", "quarantined"),
+            ["run", "time"] + [name.replace("_", " ") for name in counters],
             [
-                (
+                [
                     entry.get("label", "?"),
                     time.strftime(
                         "%Y-%m-%d %H:%M:%S",
                         time.localtime(entry.get("time", 0)),
                     ) if entry.get("time") else "",
-                    entry.get("simulations"),
-                    entry.get("cache_hits"),
-                    entry.get("host_seconds"),
-                    entry.get("cycles_skipped"),
-                    entry.get("pool_retries"),
-                    # Pre-backend run logs lack these keys entirely:
-                    # render as 0, not blank.
-                    entry.get("chunk_retries", 0),
-                    entry.get("chunk_timeouts", 0),
-                    entry.get("chunks_quarantined", 0),
-                )
+                ]
+                # A counter the entry predates reads 0, as in the totals.
+                + [entry.get(name, 0) for name in counters]
                 for entry in report.runs
             ],
             text_columns=2,

@@ -412,19 +412,15 @@ def _cmd_serve(args) -> None:
         _fail("--job-workers must be at least 1")
     from repro.service import ServiceApp, serve
 
-    app = ServiceApp(root, job_workers=args.job_workers)
-    # Open the shared store eagerly (and fail cleanly on a bad root)
-    # so /results and /report work from the first request.
     try:
-        app.tracker.store()
+        app = ServiceApp(root, job_workers=args.job_workers)
     except (StoreError, OSError) as error:
-        app.close()
         _fail(str(error))
     try:
         code = serve(app, host=args.host, port=args.port)
     except (OSError, OverflowError) as error:  # port taken or out of range
         app.close()
-        _fail(str(error))
+        _fail(f"cannot serve on {args.host}:{args.port}: {error}")
     if code:
         raise _CliError(code)
 

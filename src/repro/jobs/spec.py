@@ -12,13 +12,16 @@ equivalent CLI invocation resolve to identical cache keys and
 therefore dedupe against each other through the store.
 
 Validation is strict and early (:meth:`JobSpec.validate`): unknown
-policies, workloads and architectures, and latency multiples that are
-not finite or below 1x, fail at submission time with one readable
-message instead of surfacing later as a failed job.
+policies, workloads and architectures, latency multiples that are not
+finite or below 1x, an override of the latency the grid sets, and more
+worker processes than the machine has CPUs fail at submission time
+with one readable message instead of surfacing later as a failed job
+(or a fork per grid point).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
@@ -87,7 +90,8 @@ class JobSpec:
     archs: Tuple[str, ...] = ("maxwell-like",)
     grid: Tuple[float, ...] = LATENCY_GRID
     seed: int = 0
-    #: Worker processes for this job's miss grid.
+    #: Worker processes for this job's miss grid; at most the
+    #: machine's CPU count.
     jobs: int = 1
     overrides: Mapping[str, object] = field(default_factory=dict)
     #: Free-form tag carried into the run log.
@@ -190,6 +194,10 @@ class JobSpec:
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise JobSpecError(f"jobs must be a positive integer, "
                                f"got {self.jobs!r}")
+        cpus = os.cpu_count() or 1
+        if self.jobs > cpus:
+            raise JobSpecError(f"jobs must be at most {cpus}, the "
+                               f"machine's CPU count, got {self.jobs}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise JobSpecError(f"seed must be an integer, "
                                f"got {self.seed!r}")
@@ -207,6 +215,11 @@ class JobSpec:
                 default_arch_registry().get_config(arch)
             except ValueError as error:
                 raise JobSpecError(str(error)) from None
+        if "mrf_latency_multiple" in self.overrides:
+            raise JobSpecError(
+                "overrides may not set mrf_latency_multiple: the grid "
+                "sets the latency of each point"
+            )
         if self.overrides:
             # Apply the deltas once so a typo'd field name fails here.
             from repro.arch.registry import arch_config

@@ -31,10 +31,10 @@ job's failure into everyone's.
 Each job executes on its own :class:`Runner` (thread-confined), so
 per-job telemetry is a natural delta; cross-job dedup flows entirely
 through the store plus the flight registry.  All those runners share
-one thread-safe :class:`~repro.store.ResultStore` instance, opened by
-the tracker: one database connection and one memo of decoded records
-serve every job for the tracker's life, and records other processes
-write still show up on the next miss.
+one thread-safe :class:`~repro.store.ResultStore` instance, which the
+tracker opens when it is built: one database connection and one memo
+of decoded records serve every job for the tracker's life, and records
+other processes write still show up on the next miss.
 """
 
 from __future__ import annotations
@@ -187,49 +187,35 @@ class _FlightRegistry:
 class JobTracker:
     """Submit, execute, observe and cancel sweep jobs over one store.
 
-    ``runner_factory`` builds the per-job :class:`Runner`; the default
-    hands every job the tracker's shared :meth:`store`, which is what
-    makes the store the cross-job dedup substrate.  ``execute`` is thread-safe and
-    blocking -- the HTTP service calls it on executor threads;
-    synchronous callers use :meth:`run`.  :meth:`close` closes the
-    shared store once the jobs have finished.
+    Construction opens (and if need be creates) the store at
+    ``store_dir`` as :attr:`store`.  ``runner_factory`` builds the
+    per-job :class:`Runner`; the default hands every job that one
+    store, which is what makes the store the cross-job dedup substrate.
+    ``execute`` is thread-safe and blocking -- the HTTP service calls
+    it on worker threads; synchronous callers use :meth:`run`.
+    :meth:`close` closes the shared store once the jobs have finished.
     """
 
     def __init__(self, store_dir: str,
                  runner_factory: Optional[Callable[[JobSpec], Runner]]
                  = None) -> None:
         self.store_dir = store_dir
+        #: The one store instance every job (and the service's queries)
+        #: reads and writes.
+        self.store = ResultStore(store_dir)
         self._runner_factory = runner_factory or (
-            lambda spec: Runner(store=self.store())
+            lambda spec: Runner(store=self.store)
         )
-        self._store: Optional[ResultStore] = None
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
         self._counter = 0
         self._flights = _FlightRegistry()
 
-    # -- the shared store ---------------------------------------------------
-
-    def store(self, create: bool = True) -> ResultStore:
-        """The one store instance every job (and the service's queries)
-        reads and writes.
-
-        Opened on first use.  With ``create=False`` a directory that is
-        not a store yet raises :class:`~repro.store.StoreError` and is
-        left untouched, so read-only callers never initialise one.
-        """
-        if self._store is None:
-            with self._lock:
-                if self._store is None:
-                    self._store = ResultStore(self.store_dir, create=create)
-        return self._store
-
     def close(self) -> None:
         """Close the shared store's connection; call once the jobs have
         finished."""
-        if self._store is not None:
-            self._store.close()
+        self.store.close()
 
     # -- lifecycle ----------------------------------------------------------
 

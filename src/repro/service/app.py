@@ -4,10 +4,9 @@
 table from ``(method, path, params, body)`` to a plain
 :class:`Response`.  Keeping it synchronous and transport-free means
 
-* the asyncio server (:mod:`repro.service.server`) stays a thin shell
-  -- it parses HTTP, runs :meth:`ServiceApp.handle` on an executor
-  thread so the event loop never blocks on a simulation, and writes
-  the response back;
+* the HTTP server (:mod:`repro.service.server`) stays a thin shell
+  -- the stdlib parses each request on its connection's own thread,
+  which runs :meth:`ServiceApp.handle` and writes the response back;
 * tests drive every route as a direct function call, no sockets.
 
 Routes::
@@ -23,22 +22,22 @@ Routes::
     GET    /report/<id>        the analysis HTML report, scoped to the
                                job's grid keys
 
-Submissions execute on the app's own worker pool (not the server's
-request executor), so long sweeps never starve request handling.
-Jobs and the read routes share the tracker's one store instance, so a
-query reads records other requests already decoded from its memo, and
-every query derives from one base :class:`Query`, so each recorded
-architecture is resolved once for the server's lifetime.
+Submissions execute on the app's own worker pool (not on request
+threads), so the number of concurrent sweeps stays bounded however
+many clients wait.  Jobs and the read routes share the store the
+tracker opened at construction, so a query reads records other
+requests already decoded from its memo, and every query derives from
+one base :class:`Query`, so each recorded architecture is resolved
+once for the app's lifetime.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.jobs.spec import JobSpec, JobSpecError
 from repro.jobs.tracker import (
@@ -49,7 +48,7 @@ from repro.jobs.tracker import (
     UnknownJobError,
 )
 from repro.store.query import Query
-from repro.store.result_store import SEED_RANGE, StoreError
+from repro.store.result_store import SEED_RANGE
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,10 @@ class ServiceApp:
 
     ``job_workers`` bounds how many submitted sweeps execute
     concurrently; further submissions queue in order.  All state is
-    thread-safe -- the server calls :meth:`handle` from arbitrary
-    executor threads.
+    thread-safe -- the server calls :meth:`handle` from one thread per
+    request.  Construction opens (and if need be creates) the store at
+    ``store_dir``, raising :class:`~repro.store.StoreError` or
+    :class:`OSError` on a directory that cannot be one.
     """
 
     def __init__(self, store_dir: str, job_workers: int = 2) -> None:
@@ -101,8 +102,8 @@ class ServiceApp:
         )
         self._closed = threading.Event()
         #: Every read route derives its query from this one, so they
-        #: share its latency memo; rebuilt if the store changes.
-        self._query: Optional[Query] = None
+        #: share its latency memo.
+        self._query = Query(self.tracker.store)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -192,20 +193,6 @@ class ServiceApp:
                                "exists once the job is done")
         return Response(200, "text/plain; charset=utf-8", job.table)
 
-    def _open_query(self) -> Query:
-        """The base query over the tracker's shared store, or raise
-        with a readable message; never initialises a store."""
-        if not os.path.isdir(self.store_dir):
-            raise StoreError(
-                f"no result store at {self.store_dir!r} (nothing "
-                "simulated yet?)"
-            )
-        store = self.tracker.store(create=False)
-        query = self._query
-        if query is None or query.store is not store:
-            query = self._query = Query(store)
-        return query
-
     def _results(self, params: Mapping[str, str]) -> Response:
         unknown = sorted(
             set(params) - {"workload", "policy", "seed", "min_latency",
@@ -227,17 +214,13 @@ class ServiceApp:
         if seed is not None and seed not in SEED_RANGE:
             return _error(400, f"seed must be a signed 64-bit integer, "
                                f"got {seed}")
-        try:
-            query = self._open_query().where(
-                workload=params.get("workload"),
-                policy=params.get("policy"),
-                seed=seed,
-                min_latency=min_latency,
-                max_latency=max_latency,
-            )
-        except (StoreError, OSError) as error:
-            return _error(404, str(error))
-        records = query.records()
+        records = self._query.where(
+            workload=params.get("workload"),
+            policy=params.get("policy"),
+            seed=seed,
+            min_latency=min_latency,
+            max_latency=max_latency,
+        ).records()
         rows = []
         for record in records[:limit] if limit is not None else records:
             row: Dict[str, object] = {
@@ -263,11 +246,7 @@ class ServiceApp:
         if job.state in (QUEUED, RUNNING) or job.keys is None:
             return _error(409, f"job {job_id} is {job.state}; the report "
                                "exists once the job has run")
-        try:
-            query = self._open_query().where(key_in=job.keys)
-        except (StoreError, OSError) as error:
-            return _error(404, str(error))
-        report = build_report(query)
+        report = build_report(self._query.where(key_in=job.keys))
         if report.record_count == 0:
             return _error(404, f"no stored records for job {job_id}'s "
                                "grid (store compacted away?)")

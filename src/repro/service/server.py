@@ -1,12 +1,12 @@
-"""The asyncio HTTP shell around :class:`~repro.service.app.ServiceApp`.
+"""The HTTP shell around :class:`~repro.service.app.ServiceApp`.
 
-Stdlib only: :func:`asyncio.start_server` accepts connections, a small
-HTTP/1.1 parser reads one request per connection (``Connection:
-close`` semantics -- load generators measure per-request latency, and
-the simulation cost dwarfs connection setup), and every
-:meth:`ServiceApp.handle` call runs on an executor thread so the event
-loop never blocks on a simulation, a store scan, or a ``?wait=1``
-submission.
+Stdlib only: :class:`ServiceServer` is a
+:class:`http.server.ThreadingHTTPServer`, so each connection gets a
+thread of its own, which reads one request (``Connection: close``
+semantics -- load generators measure per-request latency, and the
+simulation cost dwarfs connection setup) and runs
+:meth:`ServiceApp.handle` on it.  A simulation, a store scan or a
+``?wait=1`` submission blocks only the request that asked for it.
 
 Shutdown is signal-driven and graceful: SIGINT/SIGTERM stop accepting
 connections, cooperatively cancel every active job (each finishes its
@@ -18,181 +18,129 @@ grid point per running job.
 
 from __future__ import annotations
 
-import asyncio
 import signal
 import sys
-from typing import Dict, Optional, Tuple
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.service.app import Response, ServiceApp
-
-_REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
-    413: "Payload Too Large", 500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+from repro.service.app import ServiceApp
 
 #: Largest accepted request body (a JobSpec is tiny; this is a
 #: fat-finger guard, not a DoS defence).
 MAX_BODY_BYTES = 1 << 20
 
-#: Header-section bounds: no route needs more than a handful of
-#: headers, so cap both count and total bytes rather than letting a
-#: slow client grow the dict for the whole read timeout.
-MAX_HEADER_LINES = 100
+#: Largest accepted header section, counted as ``name: value`` lines.
+#: No route needs more than a handful of headers; the stdlib already
+#: refuses more than 100 of them.
 MAX_HEADER_BYTES = 16 << 10
 
 
-def _encode(response: Response) -> bytes:
-    body = response.body.encode("utf-8")
-    reason = _REASONS.get(response.status, "Unknown")
-    head = (
-        f"HTTP/1.1 {response.status} {reason}\r\n"
-        f"Content-Type: {response.content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
-    )
-    return head.encode("ascii") + body
+class _Handler(BaseHTTPRequestHandler):
+    """Hands one request to the server's app on the connection's own
+    thread and writes its response back."""
 
+    protocol_version = "HTTP/1.1"
+    #: A request line without a version is answered in HTTP/1.1 too;
+    #: the stdlib's default, HTTP/0.9, has no status line.
+    default_request_version = "HTTP/1.1"
+    #: Seconds a read or write on the connection may block.
+    timeout = 30.0
+    #: Errors the shell answers itself are one plain-text line.
+    error_content_type = "text/plain; charset=utf-8"
+    error_message_format = "%(message)s\n"
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one HTTP/1.1 request; ``None`` on EOF, ValueError on a
-    malformed one."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    try:
-        method, target, _version = (
-            request_line.decode("ascii").strip().split(" ", 2)
+    def _dispatch(self) -> None:
+        header_bytes = sum(len(name) + len(value) + 4
+                           for name, value in self.headers.items())
+        if header_bytes > MAX_HEADER_BYTES:
+            self.send_error(431, f"request headers over {MAX_HEADER_BYTES} "
+                                 "bytes")
+            return
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            self.send_error(400, "malformed Content-Length")
+            return
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.send_error(400, f"body too large ({length} bytes)")
+            return
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self.send_error(400, "request body ended early")
+            return
+        target = urlsplit(self.path)
+        response = self.server.app.handle(
+            self.command, target.path or "/",
+            dict(parse_qsl(target.query, keep_blank_values=True)), body,
         )
-    except (UnicodeDecodeError, ValueError):
-        raise ValueError("malformed request line") from None
-    headers: Dict[str, str] = {}
-    header_bytes = 0
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        header_bytes += len(line)
-        if len(headers) >= MAX_HEADER_LINES \
-                or header_bytes > MAX_HEADER_BYTES:
-            raise ValueError("too many request headers")
-        name, sep, value = line.decode("latin-1").partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise ValueError("malformed Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise ValueError(f"body too large ({length} bytes)")
-    body = await reader.readexactly(length) if length else b""
-    split = urlsplit(target)
-    params = dict(parse_qsl(split.query, keep_blank_values=True))
-    return method.upper(), split.path or "/", params, body
+        payload = response.body.encode("utf-8")
+        self.send_response_only(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    do_GET = do_HEAD = do_POST = do_PUT = do_PATCH = do_DELETE = _dispatch
+
+    def log_message(self, format: str, *args) -> None:
+        """Log nothing per request."""
 
 
-class ServiceServer:
-    """One serving session: bind, accept, drain on signal."""
+class ServiceServer(ThreadingHTTPServer):
+    """The service's HTTP server: bound at construction, served by
+    :meth:`run` until :meth:`stop`, then drained."""
+
+    #: Listen backlog: connections a burst of clients can queue before
+    #: the accept loop takes them (the stdlib's default is 5).
+    request_queue_size = 100
 
     def __init__(self, app: ServiceApp, host: str = "127.0.0.1",
                  port: int = 8642) -> None:
+        super().__init__((host, port), _Handler)
         self.app = app
         self.host = host
-        self.port = port
-        self._stop = asyncio.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self.port = self.server_address[1]
 
-    async def _client(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                request = await asyncio.wait_for(
-                    _read_request(reader), timeout=30.0
-                )
-            except (ValueError, asyncio.IncompleteReadError) as error:
-                writer.write(_encode(Response(
-                    400, "text/plain; charset=utf-8", f"{error}\n"
-                )))
-                return
-            except asyncio.TimeoutError:
-                writer.write(_encode(Response(
-                    408, "text/plain; charset=utf-8",
-                    "timed out reading request\n"
-                )))
-                return
-            if request is None:
-                return
-            method, path, params, body = request
-            loop = asyncio.get_running_loop()
-            response = await loop.run_in_executor(
-                None, self.app.handle, method, path, params, body
-            )
-            writer.write(_encode(response))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass                        # client went away mid-response
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    def _install_signals(self, loop: asyncio.AbstractEventLoop) -> None:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, self._stop.set)
-            except (NotImplementedError, RuntimeError):
-                # Non-main thread or exotic platform: Ctrl-C falls back
-                # to KeyboardInterrupt, handled by the CLI wrapper.
-                pass
+    def handle_error(self, request, client_address) -> None:
+        # A client that went away mid-response is not a server error.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def stop(self) -> None:
-        """Programmatic shutdown trigger (tests use this in place of a
-        signal).  Thread-safe."""
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._stop.set)
-        else:
-            self._stop.set()
+        """Make :meth:`run` stop serving and drain; returns at once.
 
-    async def run(self) -> int:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        server = await asyncio.start_server(
-            self._client, host=self.host, port=self.port
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        self._install_signals(loop)
+        Safe from any thread and from a signal handler:
+        :meth:`shutdown` waits for the serving loop to exit, so it runs
+        on a thread of its own."""
+        threading.Thread(target=self.shutdown, daemon=True).start()
+
+    def run(self) -> int:
+        """Serve until :meth:`stop`, drain the app, return the exit
+        code."""
         print(f"serving on http://{self.host}:{self.port} "
               f"(store: {self.app.store_dir})", flush=True)
-        async with server:
-            await self._stop.wait()
-            print("shutting down: draining jobs...",
-                  file=sys.stderr, flush=True)
-            server.close()
-            await server.wait_closed()
-        drained = await loop.run_in_executor(None, self.app.drain)
-        for job in drained:
+        self.serve_forever(poll_interval=0.05)
+        self.server_close()
+        print("shutting down: draining jobs...", file=sys.stderr, flush=True)
+        for job in self.app.drain():
             hint = job.resume_hint or "re-submit the same spec to resume"
             print(f"  {job.id}: {job.state} -- {hint}",
                   file=sys.stderr, flush=True)
-        self.app.close()
         return 0
 
 
 def serve(app: ServiceApp, host: str = "127.0.0.1",
           port: int = 8642) -> int:
-    """Run the service until SIGINT/SIGTERM; returns the exit code."""
+    """Run the service until SIGINT/SIGTERM; returns the exit code.
+
+    Call from the main thread: that is where signal handlers live."""
     server = ServiceServer(app, host=host, port=port)
+    previous = {signum: signal.signal(signum, lambda *_: server.stop())
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
-        return asyncio.run(server.run())
-    except KeyboardInterrupt:
-        # Signal handler could not be installed (rare); still drain.
-        app.drain()
-        app.close()
-        return 0
+        return server.run()
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import fields
 
 from repro.analysis import (
@@ -191,9 +192,10 @@ class TestBuildReport:
 
     def test_every_counter_reaches_log_summary_and_report(self, tmp_path):
         """Each :class:`RunnerStats` counter, set to a distinct value,
-        reaches the run-log entry, ``telemetry_summary()`` and the
-        report's totals (and their HTML row) under its logged name.  The
-        loop runs over the fields, so it covers a counter added later
+        reaches the run-log entry, ``telemetry_summary()``, the report's
+        totals (and their HTML row) under its logged name, and the
+        run's row of the per-run table in its own column.  The loop
+        runs over the fields, so it covers a counter added later
         without an edit here."""
         runner = Runner(cache_dir=str(tmp_path / "store"))
         for value, spec in enumerate(fields(RunnerStats), start=1):
@@ -207,6 +209,10 @@ class TestBuildReport:
         summary = runner.telemetry_summary()
         report = build_report(runner.results())
         html = render_html(report)
+
+        def cell(value):
+            return f"{value:.3f}" if isinstance(value, float) else str(value)
+
         assert set(LOGGED_COUNTERS) == set(expected) - {"event_counts"}
         for name, value in expected.items():
             logged = LOGGED_COUNTERS.get(name, name)
@@ -216,10 +222,12 @@ class TestBuildReport:
                 total = report.telemetry[logged]
                 assert total == value, name
                 label = logged.replace("_", " ")
-                cell = f"{total:.3f}" if isinstance(total, float) \
-                    else str(total)
-                assert f'<td class="t">{label}</td><td>{cell}</td>' \
+                assert f'<td class="t">{label}</td><td>{cell(total)}</td>' \
                     in html, name
+        run_row = html.split('<td class="t">every counter</td>', 1)[1] \
+            .split("</tr>", 1)[0]
+        assert re.findall(r"<td>([^<]*)</td>", run_row) == [
+            cell(stored[logged]) for logged in LOGGED_COUNTERS.values()]
 
     def test_bench_trajectory(self, tmp_path):
         write_bench(tmp_path / "BENCH_1.json", {"bench::a": 1.5})

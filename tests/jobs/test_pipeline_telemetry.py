@@ -97,7 +97,7 @@ def _run_phase(phase: str, root: str) -> dict:
         runners = []
 
         def factory(spec):
-            runners.append(Runner(store=tracker.store()))
+            runners.append(Runner(store=tracker.store))
             return runners[-1]
 
         tracker = JobTracker(root, runner_factory=factory)

@@ -131,7 +131,7 @@ class TestStoreRace:
             real_plan = tracker_module.plan_requests
 
             def make_runner(_spec):
-                runners.append(Runner(store=tracker.store()))
+                runners.append(Runner(store=tracker.store))
                 return runners[-1]
 
             def plan_then_flush(runner, grid):

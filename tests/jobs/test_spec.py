@@ -1,5 +1,7 @@
 """Tests for JobSpec: strict construction, validation, expansion."""
 
+import os
+
 import pytest
 
 from repro.experiments.latency_tolerance import sweep_requests
@@ -90,6 +92,11 @@ class TestValidate:
         ("workloads", ("btreee",), "btree"),
         ("archs", ("pascal-ish",), "pascal-ish"),
         ("jobs", 0, "jobs"),
+        ("jobs", (os.cpu_count() or 1) + 1,
+         f"jobs must be at most {os.cpu_count() or 1}, the machine's CPU "
+         f"count, got {(os.cpu_count() or 1) + 1}"),
+        ("overrides", {"mrf_latency_multiple": 2.0},
+         "the grid sets the latency"),
     ])
     def test_rejects_unresolvable_names(self, field, value, match):
         kwargs = {"workloads": ("btree",), field: value}
@@ -99,8 +106,6 @@ class TestValidate:
 
     def test_rejects_a_workload_path_that_is_not_utf8(self, tmp_path):
         """The kernel file exists, but its name cannot be stored under."""
-        import os
-
         from repro.ir import save_kernel
         from repro.workloads import get_kernel
 

@@ -178,7 +178,7 @@ class TestSharedStore:
             f"{job.id}: cold {seed}" for seed, job in enumerate(jobs, 1)
         ]
         assert [entry["simulations"] for entry in history] == [1] * len(jobs)
-        store = tracker.store()
+        store = tracker.store
         assert Query(store).count() == len(jobs)
         assert store.stats().runs == len(jobs)
 

@@ -1,6 +1,7 @@
 """Tests for the transport-free service app: routing and responses."""
 
 import json
+import os
 import threading
 import time
 
@@ -200,6 +201,25 @@ class TestErrors:
         assert "grid must be" in body_of(response)["error"]
         assert app.tracker.jobs() == []
 
+    @pytest.mark.parametrize("change, message", [
+        ({"overrides": dict(SMALL, mrf_latency_multiple=2.0)},
+         "overrides may not set mrf_latency_multiple: the grid sets the "
+         "latency"),
+        ({"jobs": (os.cpu_count() or 1) + 1},
+         f"jobs must be at most {os.cpu_count() or 1}, the machine's CPU "
+         f"count, got {(os.cpu_count() or 1) + 1}"),
+    ], ids=["latency-override", "jobs-over-cpu-count"])
+    def test_spec_the_grid_or_machine_cannot_run_400(self, app, change,
+                                                     message):
+        """A latency the grid already sets, or more worker processes
+        than the machine has CPUs, is refused at submission, even with
+        ``wait=1``: no job is listed and nothing runs."""
+        body = json.dumps(dict(SPEC, **change)).encode()
+        response = app.handle("POST", "/sweeps", {"wait": "1"}, body)
+        assert response.status == 400
+        assert message in body_of(response)["error"]
+        assert app.tracker.jobs() == []
+
     def test_engine_field_400(self, app):
         """Jobs always run on the event engine; the field is gone."""
         response = app.handle(
@@ -222,8 +242,6 @@ class TestErrors:
         """The store keeps a seed as a signed 64-bit integer, so a sweep
         or a results filter with a larger one is refused where it comes
         in, before anything is simulated or read."""
-        from repro.store import ResultStore
-
         response = app.handle(
             "POST", "/sweeps", {"wait": "1"},
             json.dumps(dict(SPEC, seed=2 ** 63)).encode(),
@@ -232,7 +250,6 @@ class TestErrors:
         assert "seed must be a signed 64-bit integer" \
             in body_of(response)["error"]
         assert app.tracker.jobs() == []
-        ResultStore(app.store_dir).close()
         for seed in ("99999999999999999999", str(-2 ** 63 - 1)):
             response = app.handle("GET", "/results", {"seed": seed}, b"")
             assert response.status == 400
@@ -246,27 +263,6 @@ class TestErrors:
         response = app.handle("GET", "/results", {"limit": "-1"}, b"")
         assert response.status == 400
         assert "limit" in body_of(response)["error"]
-
-    def test_results_without_store_404(self, tmp_path):
-        app = ServiceApp(str(tmp_path / "missing"), job_workers=1)
-        try:
-            response = app.handle("GET", "/results", {}, b"")
-            assert response.status == 404
-            assert "no result store" in body_of(response)["error"]
-            assert not (tmp_path / "missing").exists()
-        finally:
-            app.close()
-
-    def test_results_on_unmarked_dir_404_and_untouched(self, tmp_path):
-        (tmp_path / "plain").mkdir()
-        app = ServiceApp(str(tmp_path / "plain"), job_workers=1)
-        try:
-            response = app.handle("GET", "/results", {}, b"")
-            assert response.status == 404
-            assert "not a result store" in body_of(response)["error"]
-            assert list((tmp_path / "plain").iterdir()) == []
-        finally:
-            app.close()
 
     def test_report_before_run_is_conflict(self, app):
         job = app.tracker.submit(
@@ -369,7 +365,8 @@ class TestSharedStore:
         assert parses == []
         assert len(resolved) == len(set(resolved)) == 2
 
-    def test_jobs_and_queries_open_the_store_once(self, app, monkeypatch):
+    def test_jobs_and_queries_open_the_store_once(self, tmp_path,
+                                                  monkeypatch):
         from repro.store import ResultStore
 
         opens = []
@@ -380,10 +377,15 @@ class TestSharedStore:
             original(store, *args, **kwargs)
 
         monkeypatch.setattr(ResultStore, "__init__", counting_init)
-        for seed in range(3):
-            job_id = submit_and_wait(app, dict(SPEC, seed=seed))["id"]
-            assert app.handle("GET", "/results", {}, b"").status == 200
-        assert app.handle("GET", f"/report/{job_id}", {}, b"").status == 200
+        app = ServiceApp(str(tmp_path), job_workers=1)
+        try:
+            for seed in range(3):
+                job_id = submit_and_wait(app, dict(SPEC, seed=seed))["id"]
+                assert app.handle("GET", "/results", {}, b"").status == 200
+            assert app.handle("GET", f"/report/{job_id}", {}, b"").status \
+                == 200
+        finally:
+            app.drain()
         assert len(opens) == 1
 
 

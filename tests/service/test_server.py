@@ -1,9 +1,13 @@
-"""End-to-end tests for the asyncio HTTP shell: real sockets, one
-served session per module, graceful stop."""
+"""End-to-end tests for the HTTP shell: real sockets, one live
+server per module, graceful stop; and ``repro serve`` under a
+signal."""
 
-import asyncio
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -12,6 +16,10 @@ import urllib.request
 import pytest
 
 from repro.service import ServiceApp, ServiceServer
+from repro.service.server import MAX_BODY_BYTES, MAX_HEADER_BYTES
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
 
 SPEC = {
     "workloads": "btree",
@@ -27,37 +35,36 @@ def served(tmp_path_factory):
     store = str(tmp_path_factory.mktemp("service-store"))
     app = ServiceApp(store, job_workers=1)
     server = ServiceServer(app, host="127.0.0.1", port=0)
-    ready = threading.Event()
-
-    def run():
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-
-        async def main():
-            task = loop.create_task(server.run())
-            while server.port == 0:
-                await asyncio.sleep(0.01)
-            ready.set()
-            await task
-
-        loop.run_until_complete(main())
-        loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
+    thread = threading.Thread(target=server.run, daemon=True)
     thread.start()
-    assert ready.wait(timeout=30.0), "server did not come up"
     yield f"http://127.0.0.1:{server.port}", app, server
     server.stop()
     thread.join(timeout=30.0)
     assert not thread.is_alive(), "server did not drain on stop()"
 
 
-def get(url, path):
+def get(url, path, method="GET"):
+    request = urllib.request.Request(url + path, method=method)
     try:
-        with urllib.request.urlopen(url + path, timeout=60.0) as response:
+        with urllib.request.urlopen(request, timeout=60.0) as response:
             return response.status, response.read().decode()
     except urllib.error.HTTPError as error:
         return error.code, error.read().decode()
+
+
+def exchange(url, data):
+    """Send raw bytes to the server; everything it answers before it
+    closes the connection."""
+    port = int(url.rsplit(":", 1)[1])
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=10.0) as sock:
+        sock.sendall(data)
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 def post(url, path, payload):
@@ -111,39 +118,61 @@ class TestOverHttp:
 
     def test_malformed_request_line_is_400(self, served):
         url, _, _ = served
-        port = int(url.rsplit(":", 1)[1])
-        with socket.create_connection(("127.0.0.1", port),
-                                      timeout=10.0) as sock:
-            sock.sendall(b"NOT-HTTP\r\n\r\n")
-            reply = sock.recv(4096)
-        assert reply.startswith(b"HTTP/1.1 400")
+        assert exchange(url, b"NOT-HTTP\r\n\r\n").startswith(
+            b"HTTP/1.1 400")
 
-    def test_header_flood_is_400(self, served):
+    def test_header_flood_is_431(self, served):
+        """Too many headers, or a header section over
+        ``MAX_HEADER_BYTES`` in a few long ones, is refused."""
+        url, _, _ = served
+        many = b"".join(b"X-Pad-%d: filler\r\n" % i for i in range(200))
+        long = b"".join(b"X-Pad-%d: %s\r\n" % (i, b"x" * 1000)
+                        for i in range(MAX_HEADER_BYTES // 1000 + 1))
+        for flood in (many, long):
+            reply = exchange(url, b"GET /healthz HTTP/1.1\r\n" + flood
+                             + b"\r\n")
+            assert reply.startswith(b"HTTP/1.1 431"), reply[:80]
+
+    def test_bad_content_length_is_400_before_any_body(self, served):
+        """A malformed ``Content-Length`` or one over ``MAX_BODY_BYTES``
+        is answered without waiting for a body."""
+        url, _, _ = served
+        for length in (b"many", b"%d" % (MAX_BODY_BYTES + 1), b"-1"):
+            reply = exchange(url, b"POST /sweeps HTTP/1.1\r\n"
+                                  b"Content-Length: " + length + b"\r\n\r\n")
+            assert reply.startswith(b"HTTP/1.1 400"), (length, reply[:80])
+
+    def test_put_and_head_get_the_apps_405(self, served):
+        url, _, _ = served
+        assert get(url, "/jobs/job-0001", method="PUT")[0] == 405
+        assert get(url, "/healthz", method="HEAD")[0] == 405
+
+    def test_expect_100_continue_is_answered(self, served):
+        """A client that waits for ``100 Continue`` before it sends its
+        body gets one at once, and then the app's answer to the body."""
         url, _, _ = served
         port = int(url.rsplit(":", 1)[1])
-        flood = b"GET /healthz HTTP/1.1\r\n" + b"".join(
-            b"X-Pad-%d: filler\r\n" % i for i in range(200)
-        ) + b"\r\n"
+        body = json.dumps({"workloads": "btreee"}).encode()
         with socket.create_connection(("127.0.0.1", port),
                                       timeout=10.0) as sock:
-            sock.sendall(flood)
-            reply = sock.recv(4096)
+            sock.sendall(b"POST /sweeps HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                byte = sock.recv(1)
+                assert byte, f"connection closed after {interim!r}"
+                interim += byte
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            reply = sock.makefile("rb").read()
         assert reply.startswith(b"HTTP/1.1 400")
+        assert b"unknown workload" in reply
 
     def test_connection_close_semantics(self, served):
         url, _, _ = served
-        port = int(url.rsplit(":", 1)[1])
-        with socket.create_connection(("127.0.0.1", port),
-                                      timeout=10.0) as sock:
-            sock.sendall(b"GET /healthz HTTP/1.1\r\n"
-                         b"Host: localhost\r\n\r\n")
-            chunks = []
-            while True:
-                data = sock.recv(4096)
-                if not data:
-                    break
-                chunks.append(data)
-        reply = b"".join(chunks)
+        reply = exchange(url, b"GET /healthz HTTP/1.1\r\n"
+                              b"Host: localhost\r\n\r\n")
         assert b"Connection: close" in reply
         assert b'"status": "ok"' in reply
 
@@ -158,14 +187,15 @@ class TestDroppedClient:
     }
 
     def test_dropped_waiting_client_does_not_cancel_its_job(
-            self, served, monkeypatch):
+            self, served, monkeypatch, capsys):
         """A client that closes its socket while its ``?wait=1`` POST
         waits leaves the job running: it ends done, stores each unique
-        point once, and the same request afterwards is all hits."""
+        point once, and the same request afterwards is all hits.  The
+        server prints no traceback for the answer it could not send."""
         from repro.store import ResultStore
 
         url, app, _ = served
-        store = app.tracker.store()
+        store = app.tracker.store
         before = store.stats()
         puts = []
         put = ResultStore.put
@@ -208,3 +238,30 @@ class TestDroppedClient:
         assert again["state"] == "done"
         assert again["progress"]["hits"] == unique
         assert again["progress"]["executed"] == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestSignals:
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_drains_and_exits_0(self, tmp_path, signum):
+        """``repro serve`` stops on SIGINT or SIGTERM: it drains, says
+        so on stderr and exits 0 without a traceback."""
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("serving on http://127.0.0.1:"), banner
+            server.send_signal(signum)
+            _, err = server.communicate(timeout=60.0)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        assert "shutting down: draining jobs..." in err
+        assert "Traceback" not in err

@@ -308,8 +308,8 @@ class TestErrorContract:
             opened.close()
 
     def test_serve_on_a_bound_port(self, capsys, tmp_path):
-        """A port another socket holds is one error line, not an
-        OSError traceback."""
+        """A port another socket holds is one error line naming the
+        address, not an OSError traceback."""
         import socket
 
         with socket.socket() as holder:
@@ -319,8 +319,8 @@ class TestErrorContract:
             assert main(["serve", "--port", str(port),
                          "--dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "address already in use" in err
+        assert err.startswith(f"error: cannot serve on 127.0.0.1:{port}: ")
+        assert "already in use" in err.lower()
         assert "Traceback" not in err
 
     def test_no_tool_prints_errors_to_stdout(self, capsys):
