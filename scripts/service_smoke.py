@@ -6,7 +6,9 @@ End-to-end rehearsal of `repro serve`, used by CI and runnable
 locally:
 
 1. start the service as a real subprocess on a free port over a fresh
-   store, with a scaled-down ``.arch.json`` so the grid is smoke-fast;
+   store, with a scaled-down ``.arch.json`` so the grid is smoke-fast,
+   and send a raw ``HEAD /healthz``: no byte may follow its header
+   block (urllib cannot see such bytes);
 2. submit a sweep over HTTP (``POST /sweeps``), poll ``GET
    /jobs/<id>`` to completion, and fetch the rendered table;
 3. while the service is up, run a CLI ``repro sweep`` of a policy the
@@ -44,6 +46,7 @@ import os
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -107,6 +110,21 @@ def wait_for(url, job_id):
         if time.monotonic() > deadline:
             fail(f"job did not finish: {snapshot['progress']}")
         time.sleep(0.2)
+
+
+def head_ends_at_its_headers(url):
+    """Send a raw ``HEAD /healthz``; fail if any byte follows the blank
+    line that ends the answer's headers."""
+    target = urllib.parse.urlsplit(url)
+    with socket.create_connection((target.hostname, target.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(b"HEAD /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        reply = sock.makefile("rb").read()
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    print(f"   {head.splitlines()[0].decode() if head else 'no answer'}, "
+          f"{len(rest)} byte(s) after the headers")
+    if not head.startswith(b"HTTP/1.1 ") or rest:
+        fail(f"HEAD /healthz must end at its headers, got {reply!r}")
 
 
 def cancel_and_resume(url, arch_path):
@@ -186,6 +204,9 @@ def smoke(tmp):
             fail(f"no serving banner, got: {banner!r}")
         url = match.group(0)
         print(f"   {banner.strip()}")
+
+        print("== raw HEAD /healthz ==")
+        head_ends_at_its_headers(url)
 
         print("== submitting sweep over HTTP ==")
         spec = {"workloads": WORKLOAD, "policies": POLICIES,

@@ -1,7 +1,7 @@
 """Hardware substrate: the event-driven SM model (GPGPU-Sim substitute)."""
 
 from repro.arch.address_alloc import AddressAllocationUnit, AllocationError
-from repro.arch.events import EventKind, EventQueue
+from repro.arch.events import EventKind
 from repro.arch.config import (
     WARP_REGISTER_BYTES,
     GPUConfig,
@@ -28,7 +28,7 @@ from repro.arch.serialize import (
 from repro.arch.memory import AccessResult, MemoryHierarchy, MemoryStats
 from repro.arch.rf_cache import RegisterFileCache, RFCStats
 from repro.arch.sm import SimulationResult, StreamingMultiprocessor
-from repro.arch.warp import Warp, WarpState
+from repro.arch.warp import Warp
 from repro.arch.wcb import WarpControlBlock, wcb_storage_bits
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "AddressAllocationUnit",
     "AllocationError",
     "EventKind",
-    "EventQueue",
     "GPUConfig",
     "UnknownArchError",
     "arch_config",
@@ -63,6 +62,5 @@ __all__ = [
     "WARP_REGISTER_BYTES",
     "Warp",
     "WarpControlBlock",
-    "WarpState",
     "wcb_storage_bits",
 ]

@@ -24,15 +24,9 @@ from repro.arch.config import MemoryConfig
 @dataclass
 class MemoryStats:
     l1_hits: int = 0
+    #: Bounds the SM's memory-response events from above: only missing
+    #: loads deactivate a warp (stores are fire-and-forget).
     l1_misses: int = 0
-    llc_hits: int = 0
-    llc_misses: int = 0
-    #: L1 misses whose completion lands at a future ready cycle.  An
-    #: upper bound on the SM's memory-response wake-up events: only the
-    #: missing *loads* deactivate a warp and get registered (stores are
-    #: fire-and-forget), so
-    #: ``event_counts["memory_response"] <= responses_scheduled``.
-    responses_scheduled: int = 0
 
     @property
     def l1_accesses(self) -> int:
@@ -110,11 +104,8 @@ class MemoryHierarchy:
             stats.l1_hits += 1
             return AccessResult(cycle + config.l1_latency, "l1")
         stats.l1_misses += 1
-        stats.responses_scheduled += 1
         if self.llc.access(address):
-            stats.llc_hits += 1
             return AccessResult(cycle + config.llc_latency, "llc")
-        stats.llc_misses += 1
         start = max(cycle, self._dram_free)
         self._dram_free = start + config.dram_service_interval
         return AccessResult(start + config.dram_latency, "dram")

@@ -20,22 +20,25 @@ Timing model: one issue slot per scheduler per cycle.  Two engines
 implement it:
 
 * the **event engine** (default) keeps a wake-up heap keyed by absolute
-  cycle (:class:`repro.arch.events.EventQueue`).  Latency-producing
-  components -- the memory hierarchy, the MRF's bulk prefetch port, the
-  per-warp scoreboard, the WCB write-back drain -- return completion
-  times, and the SM registers each as a typed event.  When no warp can
-  issue, the clock jumps directly to the earliest pending event, so a
-  fully-stalled phase (every warp parked on a 400-cycle memory
-  response) costs a handful of heap operations instead of per-cycle
-  Python work;
+  cycle, its entries typed by :class:`repro.arch.events.EventKind`.
+  Latency-producing components -- the memory hierarchy, the MRF's bulk
+  prefetch port, the per-warp scoreboard, the policies' write-back
+  drains -- return completion times, and the SM pushes each as a typed
+  event.  When no warp can issue, the clock jumps directly to the
+  earliest pending event, so a fully-stalled phase (every warp parked
+  on a 400-cycle memory response) costs a handful of heap operations
+  instead of per-cycle Python work;
 * the **dense engine** is the retained reference implementation: it
   walks the active pool every cycle, re-deriving readiness by polling
   every warp.  It is observationally identical to the event engine
   (pinned by ``tests/arch/test_engine_equivalence.py``) and exists as
-  the oracle for that equivalence, not for speed.
+  the oracle for that equivalence, not for speed.  It keeps no heap and
+  counts only the WCB drains.
 
 Everything outside the tests simulates on the event engine; the oracle
 is selected only with ``StreamingMultiprocessor(..., engine="dense")``.
+An SM runs once: its register files, caches, DRAM queue and policy keep
+the state of the run, so each simulation builds its own.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
 from repro.arch.config import GPUConfig
-from repro.arch.events import EventKind, EventQueue
+from repro.arch.events import EventKind
 from repro.arch.main_register_file import MainRegisterFile
 from repro.arch.memory import MemoryHierarchy
 from repro.arch.rf_cache import RegisterFileCache
-from repro.arch.warp import Warp, WarpState
+from repro.arch.warp import Warp
 from repro.compiler.cache import cached_trace_list
 from repro.ir.instruction import Opcode
 from repro.ir.kernel import Kernel
@@ -148,10 +151,11 @@ class StreamingMultiprocessor:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected {ENGINES}")
         self.engine = engine
-        #: Wake-up heap; recreated per run (see :meth:`_simulate`).
-        self.events = EventQueue()
+        #: Wake-up events pushed, by kind (see ``SimulationResult``).
+        self.event_counts = dict.fromkeys(EventKind.ALL, 0)
         self.cycles_skipped = 0
         self._operand_depth = config.operand_pipeline_depth
+        self._ran = False
 
     # -- top level ----------------------------------------------------------
 
@@ -162,8 +166,15 @@ class StreamingMultiprocessor:
         ``resident_warps`` defaults to what the register file capacity
         admits for this kernel's register demand (the TLP model).
         Policies that require compiled kernels receive the kernel via
-        their factory; the SM only sees the executable trace.
+        their factory; the SM only sees the executable trace.  A second
+        call raises ``RuntimeError``: build one SM per run.
         """
+        if self._ran:
+            raise RuntimeError(
+                "this StreamingMultiprocessor has already run and keeps "
+                "that run's state; build one per run"
+            )
+        self._ran = True
         executable = self.policy.executable_kernel(kernel)
         if resident_warps is None:
             resident_warps = self.config.resident_warps_for(
@@ -174,8 +185,10 @@ class StreamingMultiprocessor:
             Warp(w, cached_trace_list(executable, w, seed))
             for w in range(resident_warps)
         ]
+        simulate = (self._simulate_event if self.engine == "event"
+                    else self._simulate_dense)
         started = time.perf_counter()
-        cycles = self._simulate(warps)
+        cycles = simulate(warps)
         host_seconds = time.perf_counter() - started
         instructions = sum(w.instructions_issued for w in warps)
         prefetches = sum(w.prefetches_issued for w in warps)
@@ -200,20 +213,10 @@ class StreamingMultiprocessor:
             l1_hit_rate=self.memory.stats.l1_hit_rate,
             extra=self.policy.extra_stats(),
             engine=self.engine,
-            event_counts=dict(self.events.counts),
+            event_counts=dict(self.event_counts),
             cycles_skipped=self.cycles_skipped,
             host_seconds=host_seconds,
         )
-
-    # -- scheduling core ----------------------------------------------------
-
-    def _simulate(self, warps: List[Warp]) -> int:
-        """Run ``warps`` to completion under the selected engine."""
-        self.events = EventQueue()
-        self.cycles_skipped = 0
-        if self.engine == "event":
-            return self._simulate_event(warps)
-        return self._simulate_dense(warps)
 
     # -- event engine -------------------------------------------------------
 
@@ -228,8 +231,7 @@ class StreamingMultiprocessor:
         or deactivates, so each transition re-registers the warp in the
         right place and nothing is ever polled.
         """
-        queue = self.events
-        heap = queue._heap
+        heap: List[tuple] = []
         policy = self.policy
         active_slots = self.config.active_warps
         issue_width = self.config.issue_width
@@ -239,18 +241,16 @@ class StreamingMultiprocessor:
         # :meth:`_issue` (which the dense reference engine still calls):
         # at a few million issues per simulation, the method dispatch
         # and repeated ``self`` lookups are measurable.  Event pushes
-        # are likewise inlined as raw heappush calls against a local
-        # sequence counter and per-kind tallies (folded back into the
-        # queue's counters on exit), and the per-warp hazard probe in
-        # the requeue loop is the open-coded body of
-        # :meth:`Warp.dependencies_ready_at`.  The engine equivalence
-        # suite pins all of these code paths to each other.
+        # are raw heappush calls against a local sequence counter and
+        # per-kind tallies (which become :attr:`event_counts` on exit),
+        # and the per-warp hazard probe in the requeue loop is the
+        # open-coded body of :meth:`Warp.dependencies_ready_at`.  The
+        # engine equivalence suite pins all of these code paths to each
+        # other.
         memory_response = EventKind.MEMORY_RESPONSE
         prefetch_arrival = EventKind.PREFETCH_ARRIVAL
         scoreboard_release = EventKind.SCOREBOARD_RELEASE
         wcb_drain = EventKind.WCB_DRAIN
-        state_inactive = WarpState.INACTIVE
-        state_finished = WarpState.FINISHED
         opcode_prefetch = Opcode.PREFETCH
         policy_activate = policy.activate
         policy_prefetch = policy.prefetch
@@ -260,7 +260,7 @@ class StreamingMultiprocessor:
         policy_finish = policy.finish
         memory_access = self.memory.access
 
-        seq = queue._seq
+        seq = 0
         pushed_memory = pushed_prefetch = pushed_scoreboard = 0
         pushed_drain = 0
         active_count = 0
@@ -293,7 +293,6 @@ class StreamingMultiprocessor:
                 while resumable and active_count < active_slots:
                     _, _, warp = heappop(resumable)
                     latency = policy_activate(warp, cycle)
-                    warp.state = WarpState.ACTIVE
                     next_ready = warp.next_ready = cycle + latency
                     active_count += 1
                     self.activations += 1
@@ -355,7 +354,6 @@ class StreamingMultiprocessor:
                                                     wcb_drain, None))
                                     seq += 1
                                     pushed_drain += 1
-                                warp.state = state_finished
                                 active_count -= 1
                                 remaining -= 1
                             else:
@@ -408,7 +406,6 @@ class StreamingMultiprocessor:
                                 heappush(heap, (drain, seq, wcb_drain, None))
                                 seq += 1
                                 pushed_drain += 1
-                            warp.state = state_finished
                             active_count -= 1
                             remaining -= 1
                         elif deactivate:
@@ -417,7 +414,6 @@ class StreamingMultiprocessor:
                                 heappush(heap, (drain, seq, wcb_drain, None))
                                 seq += 1
                                 pushed_drain += 1
-                            warp.state = state_inactive
                             warp.resume_at = complete
                             active_count -= 1
                             self.deactivations += 1
@@ -478,10 +474,12 @@ class StreamingMultiprocessor:
                 if cycle > MAX_CYCLES:
                     raise RuntimeError("simulation exceeded MAX_CYCLES")
         finally:
-            queue.fold_batched(
-                seq, memory=pushed_memory, prefetch=pushed_prefetch,
-                scoreboard=pushed_scoreboard, drain=pushed_drain,
-            )
+            self.event_counts = {
+                memory_response: pushed_memory,
+                prefetch_arrival: pushed_prefetch,
+                scoreboard_release: pushed_scoreboard,
+                wcb_drain: pushed_drain,
+            }
         self.cycles_skipped = skipped
         return cycle
 
@@ -538,7 +536,6 @@ class StreamingMultiprocessor:
             warp = min(candidates, key=lambda w: (w.resume_at, w.warp_id))
             inactive.remove(warp)
             latency = self.policy.activate(warp, cycle)
-            warp.state = WarpState.ACTIVE
             warp.next_ready = cycle + latency
             active.append(warp)
             self.activations += 1
@@ -608,10 +605,8 @@ class StreamingMultiprocessor:
         if self._retire_if_done(warp, cycle, active):
             return
         if deactivate:
-            drain = self.policy.deactivate(warp, cycle)
-            if drain is not None:
-                self.events.push(drain, EventKind.WCB_DRAIN)
-            warp.state = WarpState.INACTIVE
+            if self.policy.deactivate(warp, cycle) is not None:
+                self.event_counts[EventKind.WCB_DRAIN] += 1
             warp.resume_at = complete
             active.remove(warp)
             inactive.append(warp)
@@ -623,10 +618,8 @@ class StreamingMultiprocessor:
                         active: List[Warp]) -> bool:
         if warp.position < warp.trace_len:
             return False
-        drain = self.policy.finish(warp, cycle)
-        if drain is not None:
-            self.events.push(drain, EventKind.WCB_DRAIN)
-        warp.state = WarpState.FINISHED
+        if self.policy.finish(warp, cycle) is not None:
+            self.event_counts[EventKind.WCB_DRAIN] += 1
         if warp in active:
             active.remove(warp)
         return True

@@ -1,12 +1,8 @@
 """Per-warp execution state.
 
-A warp executes its dynamic trace in order.  The SM advances warps
-through three states:
-
-* ``ACTIVE`` -- in the active pool, eligible to issue;
-* ``INACTIVE`` -- descheduled by the two-level scheduler (after a long-
-  latency miss) or not yet admitted to the active pool;
-* ``FINISHED`` -- trace exhausted.
+A warp executes its dynamic trace in order.  Where a warp stands in the
+two-level scheduler (active, inactive or finished) is the SM's
+bookkeeping, not the warp's: the engines track it in their own pools.
 
 The warp carries an in-order scoreboard for data hazards -- a flat list
 indexed by architectural register, holding the cycle its pending write
@@ -17,7 +13,6 @@ policies.
 
 from __future__ import annotations
 
-import enum
 from typing import List
 
 from repro.arch.wcb import WarpControlBlock
@@ -25,17 +20,11 @@ from repro.ir.kernel import TraceEntry
 from repro.ir.registers import MAX_ARCH_REGS
 
 
-class WarpState(enum.Enum):
-    ACTIVE = "active"
-    INACTIVE = "inactive"
-    FINISHED = "finished"
-
-
 class Warp:
     """One warp's dynamic execution state."""
 
     __slots__ = (
-        "warp_id", "trace", "trace_len", "position", "state", "next_ready",
+        "warp_id", "trace", "trace_len", "position", "next_ready",
         "resume_at", "wcb", "scoreboard", "instructions_issued",
         "prefetches_issued",
     )
@@ -45,10 +34,9 @@ class Warp:
         self.trace = trace
         self.trace_len = len(trace)
         self.position = 0
-        self.state = WarpState.INACTIVE
         #: Earliest cycle this warp may issue its next instruction.
         self.next_ready = 0
-        #: For INACTIVE warps: cycle its blocking event resolves.
+        #: For inactive warps: cycle its blocking event resolves.
         self.resume_at = 0
         self.wcb = WarpControlBlock(warp_id)
         self.scoreboard: List[int] = [0] * MAX_ARCH_REGS
@@ -89,7 +77,4 @@ class Warp:
         return next_ready if next_ready >= deps else deps
 
     def __repr__(self) -> str:
-        return (
-            f"Warp({self.warp_id}, {self.state.value}, "
-            f"pc={self.position}/{len(self.trace)})"
-        )
+        return f"Warp({self.warp_id}, pc={self.position}/{self.trace_len})"

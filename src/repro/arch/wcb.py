@@ -44,19 +44,6 @@ class WarpControlBlock:
     live: Set[int] = field(default_factory=set)
     #: Warp-offset address inside the RFC banks (None when inactive).
     warp_offset: Optional[int] = None
-    #: Write-back drains completed (deactivation/retirement flushes).
-    drains: int = 0
-    #: Completion cycle of the most recent drain (None before the
-    #: first).  The drain does not gate anything in the modelled
-    #: microarchitecture -- the MRF's banked calendar already serialises
-    #: it against later accesses -- so the SM records it as an
-    #: instrumentation-only WCB_DRAIN event.
-    last_drain_complete: Optional[int] = None
-
-    def note_drain(self, complete_cycle: int) -> None:
-        """Record a write-back drain completing at ``complete_cycle``."""
-        self.drains += 1
-        self.last_drain_complete = complete_cycle
 
     def reset_partition(self) -> None:
         """Drop all cache-resident state (warp lost its RFC partition)."""

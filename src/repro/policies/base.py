@@ -18,8 +18,8 @@ Hooks that produce latency report it as *completion times*, never by
 being polled: ``prefetch`` and ``activate`` return when their bulk
 transfer lands, and ``deactivate``/``finish`` return when their WCB
 write-back drain settles in the MRF (or ``None`` when nothing drains).
-The SM registers each returned completion as a wake-up event
-(:mod:`repro.arch.events`).
+The event engine (:mod:`repro.arch.sm`) pushes each returned completion
+onto its wake-up heap; a drain wakes no warp and is only counted.
 
 Policies are constructed by the SM via ``PolicyClass(config, mrf, rfc)``
 so they share the SM's timing-and-counting components.

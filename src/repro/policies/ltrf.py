@@ -200,7 +200,6 @@ class LTRFPolicy(RegisterPolicy):
                 warp.warp_id, sorted(writeback), cycle
             )
             self.rfc.note_writeback(len(writeback))
-            wcb.note_drain(drained_at)
         self.rfc.release_partition(wcb)
         return drained_at
 

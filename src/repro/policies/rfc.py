@@ -41,7 +41,6 @@ class RFCPolicy(RegisterPolicy):
     def __init__(self, config, mrf, rfc) -> None:
         super().__init__(config, mrf, rfc)
         total = config.active_warps * config.regs_per_interval
-        self._total_entries = total
         # The slicing is a hardware structure: it must be provisioned
         # for the maximum warp count, not the occupancy of one kernel
         # (16KB / 64 warps = 2 warp-registers per slice).
@@ -138,5 +137,4 @@ class RFCPolicy(RegisterPolicy):
             return None
         drained_at = self.mrf.bulk_write(warp.warp_id, dirty, cycle)
         self.rfc.note_writeback(len(dirty))
-        warp.wcb.note_drain(drained_at)
         return drained_at

@@ -69,6 +69,10 @@ def _error(status: int, message: str) -> Response:
     return _json_response(status, {"error": message})
 
 
+_DRAINING = _error(503, "service is draining; resubmit after restart "
+                        "(completed points are in the store)")
+
+
 def _truthy(params: Mapping[str, str], name: str) -> bool:
     return params.get(name, "").lower() in ("1", "true", "yes", "on")
 
@@ -101,6 +105,9 @@ class ServiceApp:
             thread_name_prefix="sweep-job",
         )
         self._closed = threading.Event()
+        #: Held across the draining check and both submits, and by
+        #: :meth:`drain` to close, so a job is admitted whole or not.
+        self._admission = threading.Lock()
         #: Every read route derives its query from this one, so they
         #: share its latency memo.
         self._query = Query(self.tracker.store)
@@ -172,15 +179,18 @@ class ServiceApp:
 
     def _submit(self, params: Mapping[str, str], body: bytes) -> Response:
         if self._closed.is_set():
-            return _error(503, "service is draining; resubmit after "
-                               "restart (completed points are in the "
-                               "store)")
+            return _DRAINING
         try:
             payload = json.loads(body.decode("utf-8") or "null")
         except (UnicodeDecodeError, ValueError) as error:
             return _error(400, f"body is not valid JSON: {error}")
-        job = self.tracker.submit(JobSpec.from_dict(payload))
-        self._executor.submit(self.tracker.execute, job.id)
+        # Validation can build kernels, so it stays outside the lock.
+        spec = JobSpec.from_dict(payload)
+        with self._admission:
+            if self._closed.is_set():
+                return _DRAINING
+            job = self.tracker.submit(spec)
+            self._executor.submit(self.tracker.execute, job.id)
         if _truthy(params, "wait"):
             job.wait()
             return _json_response(200, job.snapshot())
@@ -263,7 +273,8 @@ class ServiceApp:
         and land in ``partial`` with a resume hint.  Returns the jobs
         that were still active when the drain started.
         """
-        self._closed.set()
+        with self._admission:
+            self._closed.set()
         active = self.tracker.cancel_all()
         self._executor.shutdown(wait=True)
         # Dispatched jobs are terminal now; a job no executor picked up
@@ -276,6 +287,7 @@ class ServiceApp:
     def close(self) -> None:
         """Immediate teardown for tests; :meth:`drain` is the graceful
         path."""
-        self._closed.set()
+        with self._admission:
+            self._closed.set()
         self._executor.shutdown(wait=False)
         self.tracker.close()

@@ -80,7 +80,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(payload)
+        if self.command != "HEAD":      # as the stdlib's send_error does
+            self.wfile.write(payload)
 
     do_GET = do_HEAD = do_POST = do_PUT = do_PATCH = do_DELETE = _dispatch
 

@@ -111,10 +111,27 @@ class TestPinnedEquivalence:
         result = sm.run(kernel)
         assert result.cycles_skipped > 0
         assert result.event_counts["memory_response"] > 0
-        # Stores also miss but never deactivate, so scheduled responses
-        # bound the memory-response wake-ups from above.
+        # Stores also miss but never deactivate, so L1 misses bound the
+        # memory-response wake-ups from above.
         assert (result.event_counts["memory_response"]
-                <= sm.memory.stats.responses_scheduled)
+                <= sm.memory.stats.l1_misses)
+
+    @pytest.mark.parametrize("policy", ["RFC", "SHRF", "LTRF", "LTRF+"])
+    def test_engines_count_the_same_wcb_drains(self, policy):
+        """The dense oracle keeps no heap but counts every write-back
+        drain the policies return, as the event engine pushes them."""
+        kernel = get_kernel("backprop")
+        drains = 0
+        for latency in (1.0, 4.0):
+            config = GPUConfig(
+                max_resident_warps=8, active_warps=4,
+                mrf_latency_multiple=latency,
+            )
+            event, dense = run_both(config, policy, kernel)
+            assert (event.event_counts["wcb_drain"]
+                    == dense.event_counts["wcb_drain"])
+            drains += dense.event_counts["wcb_drain"]
+        assert drains > 0
 
 
 class CycleSkewedBaseline(BaselinePolicy):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.arch import GPUConfig, StreamingMultiprocessor, WarpState
+from repro.arch import GPUConfig, StreamingMultiprocessor
 from repro.ir import KernelBuilder
 from repro.policies import POLICIES, policy_by_name
+from repro.workloads import get_kernel
 
 
 def compute_kernel(iterations=10):
@@ -115,8 +116,22 @@ class TestScheduling:
         from repro.arch.warp import Warp
         warps = [Warp(w, executable.trace_list(warp_id=w)) for w in range(4)]
         sm.policy.prepare(4)
-        sm._simulate(warps)
-        assert all(w.state is WarpState.FINISHED for w in warps)
+        sm._simulate_event(warps)
+        assert all(w.position == w.trace_len for w in warps)
+
+    @pytest.mark.parametrize("policy", ["BL", "LTRF"])
+    def test_second_run_raises(self, policy):
+        """The MRF calendars, caches, DRAM queue, policy state and
+        activation counters all keep the first run's state, so a second
+        run would report a wrong result instead of a fresh one."""
+        config = small_config()
+        kernel = get_kernel("btree")
+        sm = StreamingMultiprocessor(config, POLICIES[policy])
+        first = sm.run(kernel)
+        with pytest.raises(RuntimeError, match="build one per run"):
+            sm.run(kernel)
+        assert StreamingMultiprocessor(
+            config, POLICIES[policy]).run(kernel) == first
 
 
 class TestLatencyEffects:

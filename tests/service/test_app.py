@@ -412,6 +412,34 @@ class TestDrain:
         assert health["status"] == "draining"
         app.close()
 
+    def test_submission_racing_the_drain_is_refused_whole(
+            self, tmp_path, monkeypatch):
+        """A POST that passed the draining check before the drain began,
+        and validates its spec while the drain runs, answers 503 and
+        registers no job: nothing is left queued past the drain."""
+        app = ServiceApp(str(tmp_path), job_workers=1)
+        validating, release = threading.Event(), threading.Event()
+        from_dict = JobSpec.from_dict
+
+        def blocked_from_dict(payload):
+            validating.set()
+            assert release.wait(timeout=30.0)
+            return from_dict(payload)
+
+        monkeypatch.setattr(JobSpec, "from_dict", blocked_from_dict)
+        responses = []
+        poster = threading.Thread(target=lambda: responses.append(
+            app.handle("POST", "/sweeps", {}, json.dumps(SPEC).encode())
+        ))
+        poster.start()
+        assert validating.wait(timeout=30.0)
+        assert app.drain() == []
+        release.set()
+        poster.join(timeout=30.0)
+        assert [response.status for response in responses] == [503]
+        assert app.tracker.jobs() == []
+        app.close()
+
     def test_drain_finishes_a_job_no_executor_picked_up(self, tmp_path):
         """A job that reached the tracker but never the executor ends
         partial with its resume hint, without a wait on it."""

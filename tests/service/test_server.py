@@ -147,6 +147,16 @@ class TestOverHttp:
         assert get(url, "/jobs/job-0001", method="PUT")[0] == 405
         assert get(url, "/healthz", method="HEAD")[0] == 405
 
+    def test_head_answer_ends_at_its_headers(self, served):
+        """Nothing follows the blank line of a HEAD answer; urllib
+        cannot see bytes there, so this reads the raw socket."""
+        url, _, _ = served
+        reply = exchange(url, b"HEAD /healthz HTTP/1.1\r\n"
+                              b"Host: localhost\r\n\r\n")
+        head, blank, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 405"), reply[:80]
+        assert (blank, rest) == (b"\r\n\r\n", b"")
+
     def test_expect_100_continue_is_answered(self, served):
         """A client that waits for ``100 Continue`` before it sends its
         body gets one at once, and then the app's answer to the body."""
